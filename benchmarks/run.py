@@ -23,11 +23,10 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("learn_synth", "eval_synth", "train_dense", "learn_target")
+WORKLOADS = ("learn_synth", "eval_synth", "train_dense")
 PROGRAM = os.path.join("src", "momentgraph")
 WORK_ROOT = ".bench_work"
-# a timed run must end within 180 s; learn_target trains until val mIoU 70
-TIME_LIMIT_S = {"learn_target": 900.0}
+TIME_LIMIT_S = 170.0  # a run must end within 180 s
 
 # boundaries reported as <name>_s (self time) and <name>.calls
 LAYER_SPANS = [
@@ -87,23 +86,31 @@ def git_commit() -> str:
 
 
 def child(phase: str, args, workdir: str, deadline: float) -> dict:
+    """Runs one phase in a fresh process; a phase that dies is one failed operation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([os.path.abspath("src"), HERE])
     env["PYTHONHASHSEED"] = "0"
     cmd = [sys.executable, os.path.join(HERE, "workload.py"), phase, args.workload,
            str(args.seed), str(args.seconds), str(args.trace), workdir]
-    subprocess.run(cmd, env=env, stdout=sys.stderr, check=True, timeout=max(1.0, deadline - time.monotonic()))
-    with open(os.path.join(workdir, f"{phase}.json"), encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        subprocess.run(cmd, env=env, stdout=sys.stderr, check=True, timeout=max(1.0, deadline - time.monotonic()))
+        with open(os.path.join(workdir, f"{phase}.json"), encoding="utf-8") as f:
+            return json.load(f)
+    except (subprocess.CalledProcessError, subprocess.TimeoutExpired, OSError, ValueError) as exc:
+        return {"attempted": 1, "failed": 1, "errors": [f"{phase} did not complete: {exc}"]}
 
 
 def total(rows: list[dict], key: str) -> float:
     return sum(x for row in rows for x in row[key])
 
 
-def end_to_end(args, prep: dict, meas: dict) -> tuple[dict, list[str]]:
-    """Timings are normalised for machine speed (reference.py); raw ones are printed beside them."""
-    lines = []
+def end_to_end(prep: dict, meas: dict) -> tuple[dict, list[str], list[str]]:
+    """Timings are normalised for machine speed (reference.py); raw ones are printed beside them.
+
+    A metric with no samples (its operations failed first) is left out and
+    reported as a failed check.
+    """
+    lines, missing = [], []
     metrics = {}
 
     def put(name, value, unit, detail=""):
@@ -117,27 +124,39 @@ def end_to_end(args, prep: dict, meas: dict) -> tuple[dict, list[str]]:
 
     # eval_synth trains only in the set-up run that writes its checkpoint
     side = prep if "train.step" in prep.get("timings", {}) else meas
-    steps = side["timings"]["train.step"]
+    steps = side["timings"].get("train.step")
     samples = side["n_train"] * side["epochs_run"]
-    put("train_samples_per_s", samples / sum(steps["norm"]), "samples/s",
-        f"({samples} samples; raw {samples / sum(steps['s']):.4g}/s; "
-        f"per step: {fmt(summary(steps['norm']), 1e3, 'ms')})")
+    if steps and samples:
+        put("train_samples_per_s", samples / sum(steps["norm"]), "samples/s",
+            f"({samples} samples; raw {samples / sum(steps['s']):.4g}/s; "
+            f"per step: {fmt(summary(steps['norm']), 1e3, 'ms')})")
+    else:
+        missing.append("train_samples_per_s: no completed training epoch")
 
     passes = [timings[k] for k in ("train.validation", "eval.pass") if k in timings]
     items = total(passes, "items")
-    put("eval_samples_per_s", items / total(passes, "norm"), "samples/s",
-        f"({items} samples; raw {items / total(passes, 's'):.4g}/s; "
-        f"per pass: {fmt(summary([x for p in passes for x in p['norm']]), 1e3, 'ms')})")
+    if items:
+        put("eval_samples_per_s", items / total(passes, "norm"), "samples/s",
+            f"({items} samples; raw {items / total(passes, 's'):.4g}/s; "
+            f"per pass: {fmt(summary([x for p in passes for x in p['norm']]), 1e3, 'ms')})")
+    else:
+        missing.append("eval_samples_per_s: no completed evaluation pass")
 
     scores = prep if "train_loss" in prep else meas["scores"]
-    put("train_loss", scores["train_loss"], "nats", f"(mean total loss of the last epoch; val mIoU {scores['val_miou']:.4f})")
+    if scores.get("train_loss") is not None:
+        put("train_loss", scores["train_loss"], "nats", "(mean total loss of the last epoch)")
+    else:
+        missing.append("train_loss: no completed training run")
+    quality = prep.get("quick_start", scores)
+    if quality.get("val_miou") is not None:
+        origin = "a quick-start epoch on this seed's synth data" if "quick_start" in prep else "this workload's model"
+        put("val_miou", quality["val_miou"], "points", f"(best val mIoU of {origin})")
+    else:
+        missing.append("val_miou: no completed training run")
     put("peak_rss_mb", meas["peak_rss_mb"], "MB")
-    if "time_to_target_s" in meas:
-        put("time_to_target_s", meas["time_to_target_s"], "s", f"(raw wall time, {meas['epochs_run']} epochs)")
-        put("val_miou", scores["val_miou"], "points")
     speed = [n / s for row in timings.values() for s, n in zip(row["s"], row["norm"]) if s]
     lines.append(f"machine speed: {statistics.median(speed):.3g} x the reference speed (normalised time = raw time x this)")
-    return metrics, lines
+    return metrics, lines, [f"no value for {m}" for m in missing]
 
 
 def per_layer(prep: dict, meas: dict) -> tuple[dict, list[str], dict]:
@@ -183,7 +202,8 @@ def per_layer(prep: dict, meas: dict) -> tuple[dict, list[str], dict]:
     for side in ("untraced", "traced"):
         rows = [meas["unit_s"][side][k] for k in ("train.step", "train.validation", "eval.pass") if k in meas["unit_s"][side]]
         timed[side] = (total(rows, "s"), total(rows, "norm"))
-    put("trace.overhead_pct", 100.0 * (timed["traced"][1] / timed["untraced"][1] - 1.0), "%")
+    if timed["untraced"][1] and timed["traced"][1]:
+        put("trace.overhead_pct", 100.0 * (timed["traced"][1] / timed["untraced"][1] - 1.0), "%")
     lines.append("  tracing overhead on steps and passes: untraced {:.4f}s raw ({:.4f}s normalised), "
                  "traced {:.4f}s raw ({:.4f}s normalised)".format(*timed["untraced"], *timed["traced"]))
 
@@ -222,13 +242,13 @@ def main() -> int:
         print(f"benchmark: no program source at {PROGRAM}; run from the repository root", file=sys.stderr)
         return 2
 
-    deadline = time.monotonic() + TIME_LIMIT_S.get(args.workload, 170.0)
+    deadline = time.monotonic() + TIME_LIMIT_S
     os.makedirs(WORK_ROOT, exist_ok=True)
     workdir = os.path.abspath(os.path.join(WORK_ROOT, f"{args.workload}-seed{args.seed}-trace{args.trace}-{os.getpid()}"))
     os.makedirs(workdir)
     try:
         prep = child("prepare", args, workdir, deadline)
-        meas = child("measure", args, workdir, deadline)
+        meas = {} if prep.get("failed") else child("measure", args, workdir, deadline)
         if args.trace:
             traces = os.path.join(WORK_ROOT, "traces")
             os.makedirs(traces, exist_ok=True)
@@ -236,25 +256,26 @@ def main() -> int:
                 spans = os.path.join(workdir, f"{phase}.spans.jsonl")
                 if os.path.exists(spans):
                     shutil.copy(spans, os.path.join(traces, f"{args.workload}-seed{args.seed}-{phase}.spans.jsonl"))
-    except (subprocess.CalledProcessError, subprocess.TimeoutExpired, OSError) as exc:
-        print(f"benchmark: workload {args.workload} did not complete: {exc}", file=sys.stderr)
-        return 1
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    attempted = prep.get("attempted", 0) + meas["attempted"]
-    failed = prep.get("failed", 0) + meas["failed"]
-    errors = prep.get("errors", []) + meas["errors"]
-    env = dict(meas["env"], nproc=os.cpu_count(), git_commit=git_commit(), code=code_hash(),
+    attempted = prep.get("attempted", 0) + meas.get("attempted", 0)
+    failed = prep.get("failed", 0) + meas.get("failed", 0)
+    errors = prep.get("errors", []) + meas.get("errors", [])
+    env = dict(meas.get("env", {}), nproc=os.cpu_count(), git_commit=git_commit(), code=code_hash(),
                workload=args.workload, seed=args.seed, seconds=args.seconds, trace=args.trace)
     print("environment: " + json.dumps(env, sort_keys=True))
-    if args.trace:
+    metrics, lines = {}, []
+    if "timings" not in meas:
+        errors.append("no metrics: the measure phase did not run to its end")
+    elif args.trace:
         metrics, lines, exact = per_layer(prep, meas)
         mismatches = check_counts(args, exact)
         errors += [f"count did not repeat: {m}" for m in mismatches]
         print("per-layer busy time (self = minus child spans), traced run:")
     else:
-        metrics, lines = end_to_end(args, prep, meas)
+        metrics, lines, missing = end_to_end(prep, meas)
+        errors += missing
     for line in lines:
         print(line)
     for err in errors:
@@ -262,7 +283,7 @@ def main() -> int:
     print(f"operations: {attempted} attempted, {failed} failed")
     correct = not errors and failed == 0
     print(json.dumps({"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}))
-    return 0
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

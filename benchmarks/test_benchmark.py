@@ -66,6 +66,16 @@ def test_tracer_links_parents_and_units():
     assert all(s.end >= s.start for s in tracer.spans)
 
 
+def test_spans_left_open_by_a_failure_end_with_their_parent():
+    tracer = Tracer(traced=True)
+    unit = tracer.begin("bench.unit")
+    tracer.begin("train.step")  # a step that raised before Adam.step
+    tracer.begin("text.forward")
+    tracer.end(unit)
+    assert all(s.end == unit.end >= s.start for s in tracer.spans)
+    assert not tracer._stack
+
+
 def test_normalise_removes_probe_time_and_scales_to_reference_speed():
     probe = SpeedProbe()
     # the kernel ran twice as fast as the reference inside [0, 1], at reference speed after it

@@ -80,8 +80,11 @@ class Tracer:
     def end(self, span: Span) -> None:
         span.end = time.perf_counter()
         # a span left open by an exception below this one is closed with it
-        while self._stack and self._stack.pop() is not span:
-            pass
+        while self._stack:
+            top = self._stack.pop()
+            if top is span:
+                break
+            top.end = span.end
 
     def _wrap(self, fn, name: str):
         def wrapper(*args, **kwargs):
