@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -140,7 +141,7 @@ def cmd_ablate(args) -> int:
     rows = []
 
     def run_one(label: str, **cfg_overrides):
-        cfg = synthetic_config(**{**_synth_dict(config), **cfg_overrides})
+        cfg = dataclasses.replace(config, **cfg_overrides)
         model, _ = train(cfg, train_samples, val_samples, cmap)
         prepared_val = [model.prepare(s, cmap) for s in val_samples]
         report, _ = evaluate(model, prepared_val, alphas=config.alphas)
@@ -165,11 +166,6 @@ def cmd_ablate(args) -> int:
         with open(config.report, "w", encoding="utf-8") as f:
             f.write(table + "\n")
     return 0
-
-
-def _synth_dict(config: RunConfig) -> dict:
-    keep = ("seed", "epochs", "eval_every", "batch_size", "data_dir", "lr", "weight_decay", "dropout")
-    return {k: getattr(config, k) for k in keep}
 
 
 def build_parser() -> _Parser:

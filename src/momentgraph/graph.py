@@ -2,7 +2,10 @@
 
 Each activity timestep is processed independently: pair features couple a
 linguistic vector with a node latent, messages combine pair features, and
-node updates gate the iteration-0 latents. Includes all ablation variants.
+node updates gate the iteration-0 latents. run_message_passing_sequence
+runs every timestep of a video as one batch of tape ops; the per-frame
+numpy oracle lives in tests/reference_impls.py. Includes all ablation
+variants.
 """
 
 from __future__ import annotations
@@ -84,113 +87,6 @@ class SpatialGraphParams:
         )
 
 
-@dataclass
-class GraphState:
-    """Node latents at iteration n, with the iteration-0 latents retained."""
-
-    n: int
-    a: Tensor  # 1 x latent
-    h: Tensor  # K x latent
-    o: Tensor  # J x latent
-    a0: Tensor
-    h0: Tensor
-    o0: Tensor
-
-    @classmethod
-    def initial(cls, a0: Tensor, h0: Tensor, o0: Tensor) -> "GraphState":
-        return cls(n=0, a=a0, h=h0, o=o0, a0=a0, h0=h0, o0=o0)
-
-
-def _pair_rows(lang: Tensor, obs: Tensor, pmap: PairMap) -> Tensor:
-    """Apply a pair map to [lang ; obs_row] for every row of obs (K x latent)."""
-    n = obs.data.shape[0]
-    return pmap(ad.concat([ad.repeat_rows(lang, n), obs], axis=1))
-
-
-def _zero_row(latent: int) -> Tensor:
-    return Tensor(np.zeros((1, latent)))
-
-
-def phis(state: GraphState, sv: Tensor, sn: Tensor, vn: Tensor, p: SpatialGraphParams) -> dict:
-    """All six pair-feature families for the current iteration.
-
-    Empty human/object sets yield 0-row matrices; their sums are zero rows.
-    """
-    latent = p.m_a.w.data.shape[0]
-    out = {
-        "sva": p.phi_sva(ad.concat([sv, state.a], axis=1)),
-        "vna": p.phi_vna(ad.concat([vn, state.a], axis=1)),
-    }
-    if state.o.data.shape[0]:
-        out["sno"] = _pair_rows(sn, state.o, p.phi_sno)
-        out["vno"] = _pair_rows(vn, state.o, p.phi_vno)
-        out["sum_sno"] = ad.sum_axis(out["sno"], axis=0, keepdims=True)
-        out["sum_vno"] = ad.sum_axis(out["vno"], axis=0, keepdims=True)
-    else:
-        out["sno"] = out["vno"] = None
-        out["sum_sno"] = out["sum_vno"] = _zero_row(latent)
-    if state.h.data.shape[0]:
-        out["snh"] = _pair_rows(sn, state.h, p.phi_snh)
-        out["svh"] = _pair_rows(sv, state.h, p.phi_svh)
-        out["sum_snh"] = ad.sum_axis(out["snh"], axis=0, keepdims=True)
-        out["sum_svh"] = ad.sum_axis(out["svh"], axis=0, keepdims=True)
-    else:
-        out["snh"] = out["svh"] = None
-        out["sum_snh"] = out["sum_svh"] = _zero_row(latent)
-    return out
-
-
-def messages(state: GraphState, phi: dict, p: SpatialGraphParams) -> dict:
-    """All message families for the current iteration."""
-    K = state.h.data.shape[0]
-    J = state.o.data.shape[0]
-    out = {
-        "h_sv_a": p.msg_sv(ad.concat([phi["sva"], phi["sum_svh"]], axis=1)),
-        "o_vn_a": p.msg_vn(ad.concat([phi["vna"], phi["sum_vno"]], axis=1)),
-    }
-    if J:
-        out["h_sn_o"] = p.msg_sn(ad.concat([phi["sno"], ad.repeat_rows(phi["sum_snh"], J)], axis=1))
-        out["a_vn_o"] = p.msg_vn(ad.concat([phi["vno"], ad.repeat_rows(phi["vna"], J)], axis=1))
-    if K:
-        out["o_sn_h"] = p.msg_sn(ad.concat([phi["snh"], ad.repeat_rows(phi["sum_sno"], K)], axis=1))
-        out["a_sv_h"] = p.msg_sv(ad.concat([phi["svh"], ad.repeat_rows(phi["sva"], K)], axis=1))
-    return out
-
-
-def update(state: GraphState, msg: dict, p: SpatialGraphParams) -> GraphState:
-    """Gated node refresh against the iteration-0 latents (logistic activation)."""
-    a_next = ad.sigmoid(ad.mul(p.m_a(ad.mul(msg["h_sv_a"], msg["o_vn_a"])), state.a0))
-    if state.o.data.shape[0]:
-        o_next = ad.sigmoid(ad.mul(p.m_o(ad.mul(msg["h_sn_o"], msg["a_vn_o"])), state.o0))
-    else:
-        o_next = state.o
-    if state.h.data.shape[0]:
-        h_next = ad.sigmoid(ad.mul(p.m_h(ad.mul(msg["o_sn_h"], msg["a_sv_h"])), state.h0))
-    else:
-        h_next = state.h
-    return GraphState(n=state.n + 1, a=a_next, h=h_next, o=o_next, a0=state.a0, h0=state.h0, o0=state.o0)
-
-
-def run_message_passing(
-    a0: Tensor,
-    h0: Tensor,
-    o0: Tensor,
-    sv: Tensor,
-    sn: Tensor,
-    vn: Tensor,
-    params: SpatialGraphParams,
-    n_iters: int,
-) -> GraphState:
-    """N rounds of message passing for one timestep; N=0 returns the
-    embedded initial state untouched."""
-    state = GraphState.initial(a0, h0, o0)
-    for _ in range(n_iters):
-        phi = phis(state, sv, sn, vn, params)
-        msg = messages(state, phi, params)
-        state = update(state, msg, params)
-    return state
-
-
 def run_message_passing_sequence(
     a0: Tensor,
     h0: Tensor,
@@ -202,14 +98,15 @@ def run_message_passing_sequence(
     vn: Tensor,
     params: SpatialGraphParams,
     n_iters: int,
-) -> Tensor:
+) -> tuple[Tensor, Tensor, Tensor]:
     """All timesteps of one video in a single batch of tape ops.
 
     a0 is t x latent; h0 / o0 stack every frame's human / object latents with
     h_seg / o_seg mapping each row to its timestep. Timesteps never exchange
-    information, so this computes exactly what run_message_passing does per
-    frame, just with the rows of every frame fused into shared matrices.
-    Returns the activity latents after n_iters, t x latent.
+    information, so each frame's rows get exactly the per-frame update, just
+    fused into shared matrices; a frame with no humans (objects) sums to a
+    zero row. Returns the (a, h, o) latents after n_iters; with n_iters = 0
+    these are the input objects themselves.
     """
     t = a0.data.shape[0]
     latent = params.m_a.w.data.shape[0]
@@ -245,7 +142,7 @@ def run_message_passing_sequence(
             a_sv_h = params.msg_sv(ad.concat([svh, ad.gather_rows(sva, h_seg)], axis=1))
             h = ad.sigmoid(ad.mul(params.m_h(ad.mul(o_sn_h, a_sv_h)), h0))
         a = ad.sigmoid(ad.mul(params.m_a(ad.mul(h_sv_a, o_vn_a)), a0))
-    return a
+    return a, h, o
 
 
 def create_single_query_params(
@@ -290,12 +187,3 @@ class NoGraphParams:
         registry["nograph.b"] = p.b
         return p
 
-
-def no_graph_forward(a_raw: Tensor, det_features: np.ndarray, params: NoGraphParams) -> Tensor:
-    """Single-timestep baseline: no message passing, no query conditioning."""
-    d_o = params.w.data.shape[0] - a_raw.data.shape[1]
-    if det_features.shape[0]:
-        pooled = det_features.mean(axis=0, keepdims=True)
-    else:
-        pooled = np.zeros((1, d_o))
-    return ad.concat([a_raw, Tensor(pooled)], axis=1) @ params.w + params.b

@@ -4,9 +4,8 @@ random baseline.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,6 @@ class EvalReport:
     miou: float
     n_samples: int
     n_degenerate: int = 0
-    tious: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -68,28 +66,15 @@ class EvalReport:
         )
         return f"{header}\n{row}"
 
-    def write_csv(self, path: str) -> None:
-        """Per-pair tIoUs for plotting."""
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["pair_index", "tiou"])
-            for i, v in enumerate(self.tious):
-                writer.writerow([i, f"{v:.6f}"])
-
 
 def recall_at(pairs: list[tuple[Interval, Interval]], alphas=DEFAULT_ALPHAS) -> dict[float, float]:
     """Percentage of (pred, gt) pairs with tIoU strictly larger than alpha."""
-    if not pairs:
-        raise InputError("recall_at needs at least one pair")
-    vals = [tiou(p, g) for p, g in pairs]
-    return {a: 100.0 * sum(v > a for v in vals) / len(vals) for a in alphas}
+    return evaluate_pairs(pairs, alphas=alphas).recall_at
 
 
 def miou(pairs: list[tuple[Interval, Interval]]) -> float:
     """Mean per-pair tIoU, as a percentage."""
-    if not pairs:
-        raise InputError("miou needs at least one pair")
-    return 100.0 * float(np.mean([tiou(p, g) for p, g in pairs]))
+    return evaluate_pairs(pairs).miou
 
 
 def evaluate_pairs(
@@ -115,7 +100,6 @@ def evaluate_pairs(
         miou=100.0 * float(np.mean(vals)),
         n_samples=len(vals),
         n_degenerate=n_degenerate,
-        tious=vals,
     )
 
 

@@ -14,7 +14,7 @@ from .autodiff import GradientTape, Tensor
 from .checkpoint import load_params, save_params
 from .config import RunConfig
 from .dataio import AnnotatedSample
-from .errors import CheckpointError
+from .errors import CheckpointError, DataError
 from .graph import (
     NoGraphParams,
     SpatialGraphParams,
@@ -25,7 +25,7 @@ from .graph import (
 from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
 from .text import TextEncoderParams, Vocabulary, encode_query, tokenize
-from .visual import CategoryMap, FrameObservations, NodeEmbedParams, categorize_detections
+from .visual import CategoryMap, NodeEmbedParams, categorize_detections, embed_nodes
 
 
 @dataclass
@@ -34,8 +34,6 @@ class PreparedSample:
 
     tokens: list[str]
     features: np.ndarray  # t x d_v, constant
-    observations: list[FrameObservations]
-    det_features: list[np.ndarray]  # all kept detection features per frame (no_graph pooling)
     humans_stacked: np.ndarray  # all frames' human features, with frame ids
     objects_stacked: np.ndarray
     human_frame_ids: np.ndarray
@@ -74,53 +72,45 @@ class MomentModel:
 
     def prepare(self, sample: AnnotatedSample, cmap: CategoryMap) -> PreparedSample:
         cfg = self.config
-        route_map = CategoryMap() if cfg.variant == "no_node_types" else cmap
-        observations = []
-        det_features = []
-        for dets in sample.detections:
-            obs = categorize_detections(dets, route_map, cfg.top_n) if dets else FrameObservations(
-                humans=np.zeros((0, cfg.d_o)), objects=np.zeros((0, cfg.d_o))
+        features = sample.features.features
+        if features.shape[1] != cfg.d_v:
+            raise DataError(
+                f"video '{sample.video_id}': activity features are {features.shape[1]} wide, config d_v is {cfg.d_v}"
             )
-            if cfg.variant == "no_human_node":
-                obs = FrameObservations(
-                    humans=np.zeros((0, cfg.d_o)), objects=obs.objects, object_labels=obs.object_labels
-                )
-            elif cfg.variant == "no_object_node":
-                obs = FrameObservations(
-                    humans=obs.humans, objects=np.zeros((0, cfg.d_o)), human_labels=obs.human_labels
-                )
-            observations.append(obs)
-            stacked = [obs.humans, obs.objects]
-            det_features.append(np.concatenate([m for m in stacked if m.shape[0]], axis=0)
-                                if any(m.shape[0] for m in stacked) else np.zeros((0, cfg.d_o)))
-        t = sample.features.features.shape[0]
-        h_seg = np.concatenate(
-            [np.full(obs.humans.shape[0], i, dtype=np.intp) for i, obs in enumerate(observations)]
-        ) if observations else np.zeros(0, dtype=np.intp)
-        o_seg = np.concatenate(
-            [np.full(obs.objects.shape[0], i, dtype=np.intp) for i, obs in enumerate(observations)]
-        ) if observations else np.zeros(0, dtype=np.intp)
-        h_stack = (np.concatenate([obs.humans for obs in observations], axis=0)
-                   if observations else np.zeros((0, cfg.d_o)))
-        o_stack = (np.concatenate([obs.objects for obs in observations], axis=0)
-                   if observations else np.zeros((0, cfg.d_o)))
+        route_map = CategoryMap() if cfg.variant == "no_node_types" else cmap
+        humans, objects = [np.zeros((0, cfg.d_o))], [np.zeros((0, cfg.d_o))]
+        h_seg, o_seg = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+        for i, dets in enumerate(sample.detections):
+            if not dets:
+                continue
+            for det in dets:
+                if det.feature.shape[0] != cfg.d_o:
+                    raise DataError(
+                        f"video '{sample.video_id}': detection features are {det.feature.shape[0]} wide, "
+                        f"config d_o is {cfg.d_o}"
+                    )
+            obs = categorize_detections(dets, route_map, cfg.top_n)
+            if cfg.variant != "no_human_node":
+                humans.append(obs.humans)
+                h_seg.append(np.full(obs.n_humans, i, dtype=np.intp))
+            if cfg.variant != "no_object_node":
+                objects.append(obs.objects)
+                o_seg.append(np.full(obs.n_objects, i, dtype=np.intp))
         target = build_targets(
             sample.t_start_s,
             sample.t_end_s,
             sample.features.stride_seconds,
-            t,
+            features.shape[0],
             smoothing=cfg.smoothing,
             sigma_pos=cfg.sigma_pos,
         )
         return PreparedSample(
             tokens=tokenize(sample.query),
-            features=sample.features.features,
-            observations=observations,
-            det_features=det_features,
-            humans_stacked=h_stack,
-            objects_stacked=o_stack,
-            human_frame_ids=h_seg,
-            object_frame_ids=o_seg,
+            features=features,
+            humans_stacked=np.concatenate(humans),
+            objects_stacked=np.concatenate(objects),
+            human_frame_ids=np.concatenate(h_seg),
+            object_frame_ids=np.concatenate(o_seg),
             stride_seconds=sample.features.stride_seconds,
             duration_seconds=sample.duration_s,
             target=target,
@@ -136,33 +126,25 @@ class MomentModel:
     def spatial_forward(self, prepared: PreparedSample, encoding) -> Tensor:
         """Contextualized activity representations, t x latent.
 
-        All timesteps run as one batch (frames are independent), which keeps
-        the tape small; the per-frame path in graph.run_message_passing
-        computes the same values one timestep at a time.
+        All timesteps run as one batch through run_message_passing_sequence
+        (frames are independent), which keeps the tape small.
         """
         cfg = self.config
-        feats = Tensor(prepared.features)
         if cfg.variant == "no_graph":
-            pooled = np.stack(
-                [f.mean(axis=0) if f.shape[0] else np.zeros(cfg.d_o) for f in prepared.det_features]
-            )
-            joint = ad.concat([feats, Tensor(pooled)], axis=1)
+            # per-frame mean of the kept detections, humans before objects
+            t = prepared.features.shape[0]
+            frame_ids = np.concatenate([prepared.human_frame_ids, prepared.object_frame_ids])
+            pooled = np.zeros((t, cfg.d_o))
+            np.add.at(pooled, frame_ids, np.concatenate([prepared.humans_stacked, prepared.objects_stacked]))
+            pooled /= np.maximum(np.bincount(frame_ids, minlength=t), 1)[:, None]
+            joint = ad.concat([Tensor(prepared.features), Tensor(pooled)], axis=1)
             return joint @ self.nograph_params.w + self.nograph_params.b
         if cfg.variant == "single_query":
             sv = sn = vn = encoding.q
         else:
             sv, sn, vn = encoding.sv, encoding.sn, encoding.vn
-        a0 = ad.tanh(feats @ self.embed.w_a + self.embed.b_a)
-        latent = cfg.latent
-        if prepared.humans_stacked.shape[0]:
-            h0 = ad.tanh(Tensor(prepared.humans_stacked) @ self.embed.w_h + self.embed.b_h)
-        else:
-            h0 = Tensor(np.zeros((0, latent)))
-        if prepared.objects_stacked.shape[0]:
-            o0 = ad.tanh(Tensor(prepared.objects_stacked) @ self.embed.w_o + self.embed.b_o)
-        else:
-            o0 = Tensor(np.zeros((0, latent)))
-        return run_message_passing_sequence(
+        a0, h0, o0 = embed_nodes(prepared.features, prepared.humans_stacked, prepared.objects_stacked, self.embed)
+        a, _, _ = run_message_passing_sequence(
             a0,
             h0,
             o0,
@@ -174,6 +156,7 @@ class MomentModel:
             self.graph_params,
             cfg.iterations,
         )
+        return a
 
     def forward(self, prepared: PreparedSample, training: bool = False, rng: np.random.Generator | None = None):
         encoding = encode_query(prepared.tokens, self.vocab, self.text)

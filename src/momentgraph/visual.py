@@ -160,20 +160,21 @@ class NodeEmbedParams:
         return p
 
 
-def embed_nodes(obs: FrameObservations, a_raw: Tensor, params: NodeEmbedParams):
-    """Initial latents: tanh(W x + b) per observation, separate maps per node kind.
+def embed_nodes(features: np.ndarray, humans: np.ndarray, objects: np.ndarray, params: NodeEmbedParams):
+    """Initial latents: tanh(W x + b) per row, separate maps per node kind.
 
-    Returns (a0: 1 x latent, h0: K x latent, o0: J x latent); empty sets
-    produce 0-row matrices.
+    features is a video's t x d_v activity matrix; humans / objects stack
+    every frame's K / J detection features. Returns (a0: t x latent,
+    h0: K x latent, o0: J x latent); empty sets produce 0-row matrices.
     """
-    a0 = ad.tanh(a_raw @ params.w_a + params.b_a)
+    a0 = ad.tanh(Tensor(features) @ params.w_a + params.b_a)
     latent = params.w_a.data.shape[1]
-    if obs.n_humans:
-        h0 = ad.tanh(Tensor(obs.humans) @ params.w_h + params.b_h)
+    if humans.shape[0]:
+        h0 = ad.tanh(Tensor(humans) @ params.w_h + params.b_h)
     else:
         h0 = Tensor(np.zeros((0, latent)))
-    if obs.n_objects:
-        o0 = ad.tanh(Tensor(obs.objects) @ params.w_o + params.b_o)
+    if objects.shape[0]:
+        o0 = ad.tanh(Tensor(objects) @ params.w_o + params.b_o)
     else:
         o0 = Tensor(np.zeros((0, latent)))
     return a0, h0, o0

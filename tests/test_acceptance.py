@@ -13,14 +13,7 @@ import pytest
 from momentgraph.autodiff import Tensor
 from momentgraph.config import synthetic_config
 from momentgraph.gradcheck import run_gradcheck
-from momentgraph.graph import (
-    GraphState,
-    SpatialGraphParams,
-    messages,
-    phis,
-    run_message_passing,
-    update,
-)
+from momentgraph.graph import SpatialGraphParams, run_message_passing_sequence
 from momentgraph.losses import kl_divergence, spatial_loss
 from momentgraph.metrics import Interval, miou, recall_at, tiou
 from momentgraph.model import MomentModel
@@ -73,11 +66,12 @@ def test_zero_iteration_identity():
     h0 = Tensor(np.tanh(rng.normal(size=(2, 5))))
     o0 = Tensor(np.tanh(rng.normal(size=(3, 5))))
     sv, sn, vn = (Tensor(rng.normal(size=(1, 6))) for _ in range(3))
-    state = run_message_passing(a0, h0, o0, sv, sn, vn, params, 0)
-    assert state.a is a0
-    assert state.a.data.tobytes() == a0.data.tobytes()
-    assert state.h.data.tobytes() == h0.data.tobytes()
-    assert state.o.data.tobytes() == o0.data.tobytes()
+    h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
+    a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, params, 0)
+    assert a is a0 and h is h0 and o is o0
+    assert a.data.tobytes() == a0.data.tobytes()
+    assert h.data.tobytes() == h0.data.tobytes()
+    assert o.data.tobytes() == o0.data.tobytes()
     print("\nacceptance 2 zero-iteration identity: PASS")
 
 
@@ -259,13 +253,13 @@ def test_reference_loop_equivalence():
     h0 = Tensor(rng.normal(size=(2, 5)))
     o0 = Tensor(rng.normal(size=(3, 5)))
     sv, sn, vn = (Tensor(rng.normal(size=(1, 6))) for _ in range(3))
-    state = GraphState.initial(a0, h0, o0)
-    state = update(state, messages(state, phis(state, sv, sn, vn, params), params), params)
+    h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
+    a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, params, 1)
     ra, rh, ro = ref_graph_iteration(
         a0.data, h0.data, o0.data, a0.data, h0.data, o0.data,
         sv.data, sn.data, vn.data, arrays,
     )
-    assert np.abs(state.a.data - ra).max() < 1e-10
-    assert np.abs(state.h.data - rh).max() < 1e-10
-    assert np.abs(state.o.data - ro).max() < 1e-10
+    assert np.abs(a.data - ra).max() < 1e-10
+    assert np.abs(h.data - rh).max() < 1e-10
+    assert np.abs(o.data - ro).max() < 1e-10
     print("\nacceptance 9 reference-loop equivalence: PASS")

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
+from momentgraph import cli
 from momentgraph.cli import main
 
 
@@ -22,6 +25,13 @@ def workspace(tmp_path_factory):
         "--checkpoint", str(ckpt), "--report", str(log), "--quiet",
     ]) == 0
     return root
+
+
+def write_model_config(path, **dims):
+    """An INI config whose [model] section matches the synth data except for dims."""
+    values = {"d_w": 16, "d_v": 16, "d_o": 16, "latent": 32, "hidden": 16, **dims}
+    path.write_text("[model]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    return str(path)
 
 
 class TestSynth:
@@ -85,6 +95,31 @@ class TestExitCodes:
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "ghost"), "--epochs", "1"]) == 2
 
+    @pytest.mark.parametrize("key", ["d_v", "d_o"])
+    def test_feature_width_mismatch_is_data_error(self, workspace, tmp_path, capsys, key):
+        config = write_model_config(tmp_path / "run.ini", **{key: 8})
+        code = main([
+            "train", "--config", config, "--data", str(workspace / "data"), "--epochs", "1",
+            "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "video '" in err
+        assert f"are 16 wide, config {key} is 8" in err
+
+    def test_one_short_detection_is_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = sorted((data / "detections").iterdir())[0]
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["detections"][0]["feature"].pop()
+        lines[0] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert code == 2
+        assert "are 15 wide, config d_o is 16" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_with_exit_zero(self, capsys):
@@ -113,3 +148,19 @@ class TestAblate:
         for line in lines[1:]:
             for cell in line.split(",")[1:]:
                 float(cell)
+
+    def test_config_dims_reach_every_run(self, workspace, tmp_path, monkeypatch):
+        seen = []
+        real_train = cli.train
+
+        def recording_train(config, *args, **kwargs):
+            seen.append(config)
+            return real_train(dataclasses.replace(config, epochs=0), *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        config = write_model_config(tmp_path / "ablate.ini", latent=8, hidden=4)
+        assert main(["ablate", "--config", config, "--data", str(workspace / "data"), "--epochs", "1"]) == 0
+        assert len(seen) == 10
+        for cfg in seen:
+            assert (cfg.d_w, cfg.d_v, cfg.d_o, cfg.latent, cfg.hidden) == (16, 16, 16, 8, 4)
+            assert cfg.epochs == 1

@@ -1,12 +1,14 @@
+import numpy as np
+
 from momentgraph.gradcheck import format_results, run_gradcheck, tiny_instance
 
 
 def test_tiny_instance_is_forced_small():
     model, prep = tiny_instance()
-    assert prep.features.shape[0] <= 6
-    for obs in prep.observations:
-        assert obs.n_humans <= 2
-        assert obs.n_objects <= 3
+    t = prep.features.shape[0]
+    assert t <= 6
+    assert np.bincount(prep.human_frame_ids, minlength=t).max() <= 2
+    assert np.bincount(prep.object_frame_ids, minlength=t).max() <= 3
 
 
 def test_subsampling_is_deterministic():

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
+from momentgraph import autodiff as ad
 from momentgraph.autodiff import Tensor
 from momentgraph.errors import ConfigError
 from momentgraph.graph import (
     VARIANTS,
-    GraphState,
     PairMap,
     SpatialGraphParams,
     check_variant,
     create_single_query_params,
-    messages,
-    phis,
-    run_message_passing,
     run_message_passing_sequence,
-    update,
 )
 
 from reference_impls import ref_graph_iteration
@@ -38,6 +34,35 @@ def make_instance(seed=1, K=2, J=3):
     sn = Tensor(rng.normal(size=(1, D_LANG)))
     vn = Tensor(rng.normal(size=(1, D_LANG)))
     return a0, h0, o0, sv, sn, vn
+
+
+def one_frame(a0, h0, o0, sv, sn, vn, p, n_iters):
+    """The fused path on a single timestep: every row belongs to frame 0."""
+    h_seg = np.zeros(h0.data.shape[0], dtype=np.intp)
+    o_seg = np.zeros(o0.data.shape[0], dtype=np.intp)
+    return run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, p, n_iters)
+
+
+def oracle(a0, h0, o0, sv, sn, vn, registry, n_iters):
+    """ref_graph_iteration looped n_iters times on one timestep."""
+    arrays = {name.removeprefix("graph."): t.data for name, t in registry.items()}
+    a, h, o = a0.data, h0.data, o0.data
+    for _ in range(n_iters):
+        a, h, o = ref_graph_iteration(a, h, o, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, arrays)
+    return a, h, o
+
+
+def assert_independent_of(blocks, a0, h0, o0, sv, sn, vn, p, seed):
+    """Re-drawing the given pair maps leaves every latent bit-identical."""
+    before = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
+    rng = np.random.default_rng(seed)
+    for name in blocks:
+        pm = getattr(p, name)
+        pm.w.data = rng.normal(size=pm.w.data.shape)
+        pm.b.data = rng.normal(size=pm.b.data.shape)
+    after = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
+    for x, y in zip(before, after):
+        assert x.data.tobytes() == y.data.tobytes()
 
 
 class TestVariants:
@@ -74,40 +99,37 @@ class TestPairMap:
 
 class TestMessagePassing:
     def test_empty_human_set_sums_to_zero(self):
-        p, _ = make_params()
-        a0, _, o0, sv, sn, vn = make_instance(K=0)
-        state = GraphState.initial(a0, Tensor(np.zeros((0, LATENT))), o0)
-        phi = phis(state, sv, sn, vn, p)
-        np.testing.assert_array_equal(phi["sum_snh"].data, np.zeros((1, LATENT)))
-        np.testing.assert_array_equal(phi["sum_svh"].data, np.zeros((1, LATENT)))
+        # an empty segment sums to an exact zero row, so the human pair maps
+        # cannot reach the activity or object latents
+        np.testing.assert_array_equal(
+            ad.segment_sum(Tensor(np.ones((2, LATENT))), [1, 1], 3).data[[0, 2]], np.zeros((2, LATENT))
+        )
+        p, registry = make_params()
+        a0, h0, o0, sv, sn, vn = make_instance(K=0)
+        a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
+        ra, rh, ro = oracle(a0, h0, o0, sv, sn, vn, registry, 2)
+        np.testing.assert_allclose(a.data, ra, atol=1e-12)
+        np.testing.assert_allclose(o.data, ro, atol=1e-12)
+        assert h.data.shape == (0, LATENT)
+        assert_independent_of(("phi_snh", "phi_svh"), a0, h0, o0, sv, sn, vn, p, seed=30)
 
     def test_singletons_degenerate_to_lone_pair(self):
-        p, _ = make_params(seed=2)
+        rows = Tensor(np.random.default_rng(31).normal(size=(2, LATENT)))
+        sums = ad.segment_sum(rows, [1, 0], 2)
+        np.testing.assert_array_equal(sums.data, rows.data[[1, 0]])
+        p, registry = make_params(seed=2)
         a0, h0, o0, sv, sn, vn = make_instance(seed=3, K=1, J=1)
-        state = GraphState.initial(a0, h0, o0)
-        phi = phis(state, sv, sn, vn, p)
-        np.testing.assert_array_equal(phi["sum_sno"].data, phi["sno"].data)
-        np.testing.assert_array_equal(phi["sum_snh"].data, phi["snh"].data)
+        out = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
+        for got, want in zip(out, oracle(a0, h0, o0, sv, sn, vn, registry, 2)):
+            np.testing.assert_allclose(got.data, want, atol=1e-12)
 
     def test_iteration_matches_transcription_oracle(self):
         p, registry = make_params(seed=4)
-        arrays = {name: t.data for name, t in registry.items()}
-        arrays = {name.removeprefix("graph."): v for name, v in arrays.items()}
         a0, h0, o0, sv, sn, vn = make_instance(seed=5)
-        state = GraphState.initial(a0, h0, o0)
-        for _ in range(2):
-            phi = phis(state, sv, sn, vn, p)
-            msg = messages(state, phi, p)
-            state = update(state, msg, p)
-        a = a0.data.copy()
-        h = h0.data.copy()
-        o = o0.data.copy()
-        for _ in range(2):
-            a, h, o = ref_graph_iteration(a, h, o, a0.data, h0.data, o0.data,
-                                          sv.data, sn.data, vn.data, arrays)
-        np.testing.assert_allclose(state.a.data, a, atol=1e-10)
-        np.testing.assert_allclose(state.h.data, h, atol=1e-10)
-        np.testing.assert_allclose(state.o.data, o, atol=1e-10)
+        for n_iters in (1, 2):
+            out = one_frame(a0, h0, o0, sv, sn, vn, p, n_iters)
+            for got, want in zip(out, oracle(a0, h0, o0, sv, sn, vn, registry, n_iters)):
+                np.testing.assert_allclose(got.data, want, atol=1e-10)
 
     def test_update_zero_messages_give_half(self):
         p, _ = make_params(seed=6)
@@ -115,36 +137,22 @@ class TestMessagePassing:
             pm.w.data[:] = 0.0
             pm.b.data[:] = 0.0
         a0, h0, o0, sv, sn, vn = make_instance(seed=7)
-        state = GraphState.initial(a0, h0, o0)
-        phi = phis(state, sv, sn, vn, p)
-        msg = messages(state, phi, p)
-        new = update(state, msg, p)
-        np.testing.assert_allclose(new.a.data, np.full((1, LATENT), 0.5))
-        np.testing.assert_allclose(new.h.data, 0.5)
-        np.testing.assert_allclose(new.o.data, 0.5)
+        a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 1)
+        np.testing.assert_array_equal(a.data, np.full((1, LATENT), 0.5))
+        np.testing.assert_array_equal(h.data, np.full((2, LATENT), 0.5))
+        np.testing.assert_array_equal(o.data, np.full((3, LATENT), 0.5))
 
     def test_latents_in_unit_interval_after_update(self):
         p, _ = make_params(seed=8)
         a0, h0, o0, sv, sn, vn = make_instance(seed=9)
-        state = run_message_passing(a0, h0, o0, sv, sn, vn, p, 3)
-        for t in (state.a, state.h, state.o):
+        for t in one_frame(a0, h0, o0, sv, sn, vn, p, 3):
             assert ((t.data > 0.0) & (t.data < 1.0)).all()
 
     def test_zero_iterations_identity(self):
         p, _ = make_params(seed=10)
         a0, h0, o0, sv, sn, vn = make_instance(seed=11)
-        state = run_message_passing(a0, h0, o0, sv, sn, vn, p, 0)
-        assert state.a is a0 and state.h is h0 and state.o is o0
-
-    def test_one_iteration_is_single_composition(self):
-        p, _ = make_params(seed=12)
-        a0, h0, o0, sv, sn, vn = make_instance(seed=13)
-        auto = run_message_passing(a0, h0, o0, sv, sn, vn, p, 1)
-        state = GraphState.initial(a0, h0, o0)
-        manual = update(state, messages(state, phis(state, sv, sn, vn, p), p), p)
-        np.testing.assert_array_equal(auto.a.data, manual.a.data)
-        np.testing.assert_array_equal(auto.h.data, manual.h.data)
-        np.testing.assert_array_equal(auto.o.data, manual.o.data)
+        a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 0)
+        assert a is a0 and h is h0 and o is o0
 
     def test_message_map_sharing(self):
         # the three message maps are shared across edge directions, so the
@@ -161,18 +169,19 @@ class TestMessagePassing:
         p, _ = make_params(seed=15)
         a0, h0, o0, sv, sn, vn = make_instance(seed=16, K=2, J=3)
         perm = [2, 0, 1]
-        state = run_message_passing(a0, h0, o0, sv, sn, vn, p, 2)
-        state_p = run_message_passing(a0, h0, Tensor(o0.data[perm]), sv, sn, vn, p, 2)
-        np.testing.assert_allclose(state_p.a.data, state.a.data, atol=1e-12)
-        np.testing.assert_allclose(state_p.o.data, state.o.data[perm], atol=1e-12)
+        a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
+        a_p, h_p, o_p = one_frame(a0, h0, Tensor(o0.data[perm]), sv, sn, vn, p, 2)
+        np.testing.assert_allclose(a_p.data, a.data, atol=1e-12)
+        np.testing.assert_allclose(h_p.data, h.data, atol=1e-12)
+        np.testing.assert_allclose(o_p.data, o.data[perm], atol=1e-12)
 
 
 class TestBatchedSequence:
     def test_matches_per_timestep(self):
-        p, _ = make_params(seed=17)
+        p, registry = make_params(seed=17)
         rng = np.random.default_rng(18)
-        t = 4
-        counts = [(2, 3), (0, 1), (1, 0), (2, 2)]
+        counts = [(2, 3), (0, 1), (1, 0), (2, 2), (0, 0)]
+        t = len(counts)
         sv, sn, vn = (Tensor(rng.normal(size=(1, D_LANG))) for _ in range(3))
         a0 = Tensor(rng.normal(size=(t, LATENT)))
         h_rows = [rng.normal(size=(k, LATENT)) for k, _ in counts]
@@ -181,13 +190,14 @@ class TestBatchedSequence:
         o0 = Tensor(np.concatenate(o_rows, axis=0))
         h_seg = np.concatenate([np.full(k, i) for i, (k, _) in enumerate(counts)])
         o_seg = np.concatenate([np.full(j, i) for i, (_, j) in enumerate(counts)])
-        batched = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, p, 3)
+        a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, p, 3)
         for i in range(t):
-            state = run_message_passing(
-                Tensor(a0.data[i : i + 1]), Tensor(h_rows[i]), Tensor(o_rows[i]),
-                sv, sn, vn, p, 3,
+            ra, rh, ro = oracle(
+                Tensor(a0.data[i : i + 1]), Tensor(h_rows[i]), Tensor(o_rows[i]), sv, sn, vn, registry, 3
             )
-            np.testing.assert_allclose(batched.data[i : i + 1], state.a.data, atol=1e-12)
+            np.testing.assert_allclose(a.data[i : i + 1], ra, atol=1e-12)
+            np.testing.assert_allclose(h.data[h_seg == i], rh, atol=1e-12)
+            np.testing.assert_allclose(o.data[o_seg == i], ro, atol=1e-12)
 
     def test_zero_iterations_returns_inputs(self):
         p, _ = make_params(seed=19)
@@ -195,8 +205,8 @@ class TestBatchedSequence:
         empty = Tensor(np.zeros((0, LATENT)))
         seg = np.zeros(0, dtype=int)
         sv = sn = vn = Tensor(np.zeros((1, D_LANG)))
-        out = run_message_passing_sequence(a0, empty, empty, seg, seg, sv, sn, vn, p, 0)
-        assert out is a0
+        a, h, o = run_message_passing_sequence(a0, empty, empty, seg, seg, sv, sn, vn, p, 0)
+        assert a is a0 and h is empty and o is empty
 
 
 class TestSingleQueryVariant:
@@ -218,9 +228,10 @@ class TestSingleQueryVariant:
         for slot, src in ties.items():
             getattr(full, slot).w.data = src.w.data.copy()
             getattr(full, slot).b.data = src.b.data.copy()
-        out_sq = run_message_passing(a0, h0, o0, q, q, q, sq, 2)
-        out_full = run_message_passing(a0, h0, o0, q, q, q, full, 2)
-        np.testing.assert_array_equal(out_sq.a.data, out_full.a.data)
+        out_sq = one_frame(a0, h0, o0, q, q, q, sq, 2)
+        out_full = one_frame(a0, h0, o0, q, q, q, full, 2)
+        for x, y in zip(out_sq, out_full):
+            np.testing.assert_array_equal(x.data, y.data)
 
     def test_registry_has_three_pair_blocks(self):
         registry = {}
@@ -231,9 +242,14 @@ class TestSingleQueryVariant:
 
 class TestNoObjectNode:
     def test_object_sums_are_zero(self):
-        p, _ = make_params(seed=25)
-        a0, h0, _, sv, sn, vn = make_instance(seed=26)
-        state = GraphState.initial(a0, h0, Tensor(np.zeros((0, LATENT))))
-        phi = phis(state, sv, sn, vn, p)
-        np.testing.assert_array_equal(phi["sum_sno"].data, np.zeros((1, LATENT)))
-        np.testing.assert_array_equal(phi["sum_vno"].data, np.zeros((1, LATENT)))
+        np.testing.assert_array_equal(
+            ad.segment_sum(Tensor(np.ones((0, LATENT))), np.zeros(0, dtype=np.intp), 2).data, np.zeros((2, LATENT))
+        )
+        p, registry = make_params(seed=25)
+        a0, h0, o0, sv, sn, vn = make_instance(seed=26, J=0)
+        a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
+        ra, rh, ro = oracle(a0, h0, o0, sv, sn, vn, registry, 2)
+        np.testing.assert_allclose(a.data, ra, atol=1e-12)
+        np.testing.assert_allclose(h.data, rh, atol=1e-12)
+        assert o.data.shape == (0, LATENT)
+        assert_independent_of(("phi_sno", "phi_vno"), a0, h0, o0, sv, sn, vn, p, seed=32)

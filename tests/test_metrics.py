@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -128,18 +127,12 @@ class TestEvaluatePairs:
         swapped = evaluate_pairs(pairs, swap_degenerate=True)
         assert swapped.miou == 100.0
 
-    def test_report_serialization(self, tmp_path):
+    def test_report_serialization(self):
         report = evaluate_pairs(FIXTURE)
         data = json.loads(report.to_json())
         assert data["n_samples"] == 10
         assert data["recall_at"]["0.5"] == pytest.approx(40.0)
         assert "mIoU" in report.table()
-        path = tmp_path / "tious.csv"
-        report.write_csv(str(path))
-        with open(path) as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == ["pair_index", "tiou"]
-        assert len(rows) == 11
 
 
 class TestRandomBaseline:

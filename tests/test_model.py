@@ -30,6 +30,19 @@ class TestForward:
         again = model.predict(prep)
         np.testing.assert_array_equal(base.start_dist, again.start_dist)
 
+    def test_no_graph_pools_each_frame_mean(self):
+        model, prep = tiny_instance(variant="no_graph", seed=10)
+        keep_h, keep_o = prep.human_frame_ids != 0, prep.object_frame_ids != 0  # frame 0 has no detections
+        prep.humans_stacked, prep.human_frame_ids = prep.humans_stacked[keep_h], prep.human_frame_ids[keep_h]
+        prep.objects_stacked, prep.object_frame_ids = prep.objects_stacked[keep_o], prep.object_frame_ids[keep_o]
+        pooled = np.zeros((prep.features.shape[0], model.config.d_o))
+        for i in range(1, pooled.shape[0]):
+            frame = [prep.humans_stacked[prep.human_frame_ids == i], prep.objects_stacked[prep.object_frame_ids == i]]
+            pooled[i] = np.concatenate(frame).mean(axis=0)
+        w, b = model.nograph_params.w.data, model.nograph_params.b.data
+        expected = np.concatenate([prep.features, pooled], axis=1) @ w + b
+        np.testing.assert_array_equal(model.spatial_forward(prep, None).data, expected)
+
     def test_full_variant_uses_query(self):
         model, prep = tiny_instance(seed=3)
         base = model.predict(prep)
@@ -41,15 +54,22 @@ class TestForward:
         _, prep_full = tiny_instance(seed=4)
         model_nh, prep_nh = tiny_instance(variant="no_human_node", seed=4)
         model_no, prep_no = tiny_instance(variant="no_object_node", seed=4)
-        assert all(obs.n_humans == 0 for obs in prep_nh.observations)
-        assert all(obs.n_objects == 0 for obs in prep_no.observations)
-        assert any(obs.n_humans for obs in prep_full.observations)
+        assert prep_nh.humans_stacked.shape == (0, model_nh.config.d_o)
+        assert prep_nh.human_frame_ids.shape == (0,)
+        assert prep_no.objects_stacked.shape == (0, model_no.config.d_o)
+        assert prep_no.object_frame_ids.shape == (0,)
+        assert prep_full.humans_stacked.shape[0] > 0
+        # dropping one node kind leaves the other kind's rows untouched
+        np.testing.assert_array_equal(prep_nh.objects_stacked, prep_full.objects_stacked)
+        np.testing.assert_array_equal(prep_nh.object_frame_ids, prep_full.object_frame_ids)
+        np.testing.assert_array_equal(prep_no.humans_stacked, prep_full.humans_stacked)
+        np.testing.assert_array_equal(prep_no.human_frame_ids, prep_full.human_frame_ids)
 
     def test_no_node_types_routes_all_to_objects(self):
         _, prep = tiny_instance(variant="no_node_types", seed=5)
-        for obs in prep.observations:
-            assert obs.n_humans == 0
-            assert obs.n_objects > 0
+        t = prep.features.shape[0]
+        assert prep.humans_stacked.shape[0] == 0
+        assert (np.bincount(prep.object_frame_ids, minlength=t) > 0).all()
 
     def test_predict_deterministic(self):
         model, prep = tiny_instance(seed=6)

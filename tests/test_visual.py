@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from momentgraph.autodiff import Tensor
 from momentgraph.errors import InputError
 from momentgraph.visual import (
     HUMAN,
     ActivityFeatures,
     CategoryMap,
     Detection,
-    FrameObservations,
     NodeEmbedParams,
     categorize_detections,
     embed_nodes,
@@ -113,18 +111,18 @@ class TestNodeEmbedding:
 
     def test_zero_input_zero_output(self):
         p = self._params()
-        obs = FrameObservations(humans=np.zeros((2, 4)), objects=np.zeros((0, 4)))
         p.b_h.data[:] = 0.0
-        a0, h0, o0 = embed_nodes(obs, Tensor(np.zeros((1, 3))), p)
-        np.testing.assert_array_equal(a0.data, np.zeros((1, 5)))
+        a0, h0, o0 = embed_nodes(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((0, 4)), p)
+        np.testing.assert_array_equal(a0.data, np.zeros((2, 5)))
         np.testing.assert_array_equal(h0.data, np.zeros((2, 5)))
         assert o0.data.shape == (0, 5)
 
     def test_outputs_bounded(self):
         rng = np.random.default_rng(1)
         p = self._params(seed=2)
-        obs = FrameObservations(humans=rng.normal(size=(2, 4)) * 10, objects=rng.normal(size=(3, 4)) * 10)
-        a0, h0, o0 = embed_nodes(obs, Tensor(rng.normal(size=(1, 3)) * 10), p)
+        humans = rng.normal(size=(2, 4)) * 10
+        objects = rng.normal(size=(3, 4)) * 10
+        a0, h0, o0 = embed_nodes(rng.normal(size=(1, 3)) * 10, humans, objects, p)
         for t in (a0, h0, o0):
             assert (np.abs(t.data) < 1.0).all()
 
@@ -133,9 +131,10 @@ class TestNodeEmbedding:
         p = self._params(seed=5)
         humans = rng.normal(size=(2, 4))
         objects = rng.normal(size=(3, 4))
-        a_raw = rng.normal(size=(1, 3))
-        a0, h0, o0 = embed_nodes(FrameObservations(humans=humans, objects=objects), Tensor(a_raw), p)
-        np.testing.assert_allclose(a0.data[0], np.tanh(a_raw[0] @ p.w_a.data + p.b_a.data[0]), atol=1e-12)
+        a_raw = rng.normal(size=(2, 3))
+        a0, h0, o0 = embed_nodes(a_raw, humans, objects, p)
+        for i in range(2):
+            np.testing.assert_allclose(a0.data[i], np.tanh(a_raw[i] @ p.w_a.data + p.b_a.data[0]), atol=1e-12)
         for k in range(2):
             np.testing.assert_allclose(h0.data[k], np.tanh(humans[k] @ p.w_h.data + p.b_h.data[0]), atol=1e-12)
         for j in range(3):
