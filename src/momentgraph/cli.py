@@ -11,9 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .checkpoint import save_params
 from .config import RunConfig, load_config, synthetic_config
 from .dataio import load_dataset, write_dataset
 from .errors import (
@@ -26,10 +23,11 @@ from .errors import (
 )
 from .gradcheck import format_results, run_gradcheck
 from .graph import VARIANTS
+from .metrics import DEFAULT_ALPHAS
 from .model import MomentModel
 from .synth import SyntheticSpec, generate
 from .text import Vocabulary
-from .train import TrainLog, build_vocab, evaluate, train
+from .train import evaluate, train
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -54,7 +52,7 @@ def _resolve_config(args) -> RunConfig:
         "report": getattr(args, "report", None),
         "target_miou": getattr(args, "target_miou", None),
     }
-    if getattr(args, "swap_degenerate", False):
+    if args.swap_degenerate:
         overrides["swap_degenerate"] = True
     if args.config:
         return load_config(args.config, overrides)
@@ -111,7 +109,7 @@ def cmd_eval(args) -> int:
     model = MomentModel(config, vocab)
     model.load(config.checkpoint)
     prepared = [model.prepare(s, cmap) for s in samples]
-    report, rows = evaluate(model, prepared, alphas=config.alphas, swap_degenerate=config.swap_degenerate)
+    report, rows = evaluate(model, prepared)
     print(report.table())
     if config.report:
         with open(config.report, "w", encoding="utf-8") as f:
@@ -144,7 +142,7 @@ def cmd_ablate(args) -> int:
         cfg = dataclasses.replace(config, **cfg_overrides)
         model, _ = train(cfg, train_samples, val_samples, cmap)
         prepared_val = [model.prepare(s, cmap) for s in val_samples]
-        report, _ = evaluate(model, prepared_val, alphas=config.alphas)
+        report, _ = evaluate(model, prepared_val)
         row = {"name": label, "mIoU": report.miou}
         row.update({f"R@{a:g}": v for a, v in report.recall_at.items()})
         return row
@@ -156,7 +154,7 @@ def cmd_ablate(args) -> int:
             continue
         rows.append(run_one(variant, variant=variant, iterations=config.iterations))
 
-    header = ["name"] + [f"R@{a:g}" for a in config.alphas] + ["mIoU"]
+    header = ["name"] + [f"R@{a:g}" for a in DEFAULT_ALPHAS] + ["mIoU"]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join([row["name"]] + [f"{row[h]:.2f}" for h in header[1:]]))
@@ -186,14 +184,16 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--data", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--variant", choices=VARIANTS, default=None)
         p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--checkpoint", default=None)
         p.add_argument("--report", default=None)
         p.add_argument("--swap-degenerate", action="store_true")
-        p.add_argument("--target-miou", type=float, default=None, dest="target_miou")
+        if name != "eval":  # eval loads trained parameters: no seed, epochs or stopping target
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--epochs", type=int, default=None)
+            p.add_argument("--target-miou", type=float, default=None, dest="target_miou")
+        if name != "ablate":  # ablate sets the variant of every run and saves no checkpoint
+            p.add_argument("--variant", choices=VARIANTS, default=None)
+            p.add_argument("--checkpoint", default=None)
         if name == "train":
             p.add_argument("--quiet", action="store_true")
         if name == "eval":

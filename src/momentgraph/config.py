@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 from .graph import check_variant
@@ -41,7 +41,6 @@ class RunConfig:
     data_dir: str = "data"
     checkpoint: str = "model.ckpt"
     report: str = ""
-    alphas: tuple = (0.3, 0.5, 0.7, 0.9)
 
     def __post_init__(self):
         for name in ("d_w", "d_v", "d_o", "latent", "hidden", "batch_size"):

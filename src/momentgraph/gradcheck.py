@@ -11,7 +11,6 @@ from .autodiff import GradientTape
 from .config import RunConfig
 from .dataio import AnnotatedSample
 from .model import MomentModel
-from .text import Vocabulary
 from .train import build_vocab
 from .visual import ActivityFeatures, CategoryMap, Detection, HUMAN
 

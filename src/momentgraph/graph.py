@@ -104,43 +104,35 @@ def run_message_passing_sequence(
     a0 is t x latent; h0 / o0 stack every frame's human / object latents with
     h_seg / o_seg mapping each row to its timestep. Timesteps never exchange
     information, so each frame's rows get exactly the per-frame update, just
-    fused into shared matrices; a frame with no humans (objects) sums to a
-    zero row. Returns the (a, h, o) latents after n_iters; with n_iters = 0
-    these are the input objects themselves.
+    fused into shared matrices. An empty human (object) set is a 0-row
+    matrix on the same path; its zero-row ops add exact zeros, so a frame
+    with no humans (objects) sums to a zero row. Returns the (a, h, o)
+    latents after n_iters; with n_iters = 0 these are the input objects
+    themselves.
     """
     t = a0.data.shape[0]
-    latent = params.m_a.w.data.shape[0]
     n_h = h0.data.shape[0]
     n_o = o0.data.shape[0]
-    zeros_t = Tensor(np.zeros((t, latent)))
     a, h, o = a0, h0, o0
     for _ in range(n_iters):
         sva = params.phi_sva(ad.concat([ad.repeat_rows(sv, t), a], axis=1))
         vna = params.phi_vna(ad.concat([ad.repeat_rows(vn, t), a], axis=1))
-        if n_o:
-            sno = params.phi_sno(ad.concat([ad.repeat_rows(sn, n_o), o], axis=1))
-            vno = params.phi_vno(ad.concat([ad.repeat_rows(vn, n_o), o], axis=1))
-            sum_sno = ad.segment_sum(sno, o_seg, t)
-            sum_vno = ad.segment_sum(vno, o_seg, t)
-        else:
-            sum_sno = sum_vno = zeros_t
-        if n_h:
-            snh = params.phi_snh(ad.concat([ad.repeat_rows(sn, n_h), h], axis=1))
-            svh = params.phi_svh(ad.concat([ad.repeat_rows(sv, n_h), h], axis=1))
-            sum_snh = ad.segment_sum(snh, h_seg, t)
-            sum_svh = ad.segment_sum(svh, h_seg, t)
-        else:
-            sum_snh = sum_svh = zeros_t
+        sno = params.phi_sno(ad.concat([ad.repeat_rows(sn, n_o), o], axis=1))
+        vno = params.phi_vno(ad.concat([ad.repeat_rows(vn, n_o), o], axis=1))
+        sum_sno = ad.segment_sum(sno, o_seg, t)
+        sum_vno = ad.segment_sum(vno, o_seg, t)
+        snh = params.phi_snh(ad.concat([ad.repeat_rows(sn, n_h), h], axis=1))
+        svh = params.phi_svh(ad.concat([ad.repeat_rows(sv, n_h), h], axis=1))
+        sum_snh = ad.segment_sum(snh, h_seg, t)
+        sum_svh = ad.segment_sum(svh, h_seg, t)
         h_sv_a = params.msg_sv(ad.concat([sva, sum_svh], axis=1))
         o_vn_a = params.msg_vn(ad.concat([vna, sum_vno], axis=1))
-        if n_o:
-            h_sn_o = params.msg_sn(ad.concat([sno, ad.gather_rows(sum_snh, o_seg)], axis=1))
-            a_vn_o = params.msg_vn(ad.concat([vno, ad.gather_rows(vna, o_seg)], axis=1))
-            o = ad.sigmoid(ad.mul(params.m_o(ad.mul(h_sn_o, a_vn_o)), o0))
-        if n_h:
-            o_sn_h = params.msg_sn(ad.concat([snh, ad.gather_rows(sum_sno, h_seg)], axis=1))
-            a_sv_h = params.msg_sv(ad.concat([svh, ad.gather_rows(sva, h_seg)], axis=1))
-            h = ad.sigmoid(ad.mul(params.m_h(ad.mul(o_sn_h, a_sv_h)), h0))
+        h_sn_o = params.msg_sn(ad.concat([sno, ad.gather_rows(sum_snh, o_seg)], axis=1))
+        a_vn_o = params.msg_vn(ad.concat([vno, ad.gather_rows(vna, o_seg)], axis=1))
+        o = ad.sigmoid(ad.mul(params.m_o(ad.mul(h_sn_o, a_vn_o)), o0))
+        o_sn_h = params.msg_sn(ad.concat([snh, ad.gather_rows(sum_sno, h_seg)], axis=1))
+        a_sv_h = params.msg_sv(ad.concat([svh, ad.gather_rows(sva, h_seg)], axis=1))
+        h = ad.sigmoid(ad.mul(params.m_h(ad.mul(o_sn_h, a_sv_h)), h0))
         a = ad.sigmoid(ad.mul(params.m_a(ad.mul(h_sv_a, o_vn_a)), a0))
     return a, h, o
 

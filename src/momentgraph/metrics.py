@@ -46,7 +46,7 @@ class EvalReport:
     recall_at: dict[float, float]
     miou: float
     n_samples: int
-    n_degenerate: int = 0
+    n_degenerate: int = 0  # end index decoded before start index, see temporal.decode
 
     def to_dict(self) -> dict:
         return {
@@ -77,29 +77,15 @@ def miou(pairs: list[tuple[Interval, Interval]]) -> float:
     return evaluate_pairs(pairs).miou
 
 
-def evaluate_pairs(
-    pairs: list[tuple[Interval, Interval]],
-    alphas=DEFAULT_ALPHAS,
-    swap_degenerate: bool = False,
-) -> EvalReport:
-    """Score predictions against ground truth; reversed predictions score
-    zero overlap unless swapped."""
+def evaluate_pairs(pairs: list[tuple[Interval, Interval]], alphas=DEFAULT_ALPHAS) -> EvalReport:
+    """Score (pred, gt) pairs; a reversed prediction scores zero overlap."""
     if not pairs:
         raise InputError("evaluate_pairs needs at least one pair")
-    n_degenerate = 0
-    scored = []
-    for pred, gt in pairs:
-        if pred.end_s < pred.start_s:
-            n_degenerate += 1
-            if swap_degenerate:
-                pred = Interval(pred.end_s, pred.start_s)
-        scored.append((pred, gt))
-    vals = [tiou(p, g) for p, g in scored]
+    vals = [tiou(p, g) for p, g in pairs]
     return EvalReport(
         recall_at={a: 100.0 * sum(v > a for v in vals) / len(vals) for a in alphas},
         miou=100.0 * float(np.mean(vals)),
         n_samples=len(vals),
-        n_degenerate=n_degenerate,
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradientTape, Tensor
+from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .config import RunConfig
 from .dataio import AnnotatedSample
@@ -173,7 +173,7 @@ class MomentModel:
         sp = spatial_loss(out["y"], prepared.target.start_index, prepared.target.end_index)
         return total_loss(kl, sp), kl, sp
 
-    def predict(self, prepared: PreparedSample, swap_degenerate: bool = False) -> MomentPrediction:
+    def predict(self, prepared: PreparedSample) -> MomentPrediction:
         """Deterministic evaluation-mode prediction (no tape, no dropout)."""
         out = self.forward(prepared, training=False)
         return decode(
@@ -181,8 +181,7 @@ class MomentModel:
             out["end_dist"].data,
             prepared.stride_seconds,
             prepared.duration_seconds,
-            spatial_scores=out["y"].data,
-            swap_degenerate=swap_degenerate,
+            swap_degenerate=self.config.swap_degenerate,
         )
 
     # ------------------------------------------------------------------

@@ -57,7 +57,6 @@ class MomentPrediction:
 
     start_dist: np.ndarray
     end_dist: np.ndarray
-    spatial_scores: np.ndarray
     start_index: int
     end_index: int
     start_seconds: float
@@ -100,14 +99,15 @@ def decode(
     end_dist: np.ndarray,
     stride_seconds: float,
     duration_seconds: float,
-    spatial_scores: np.ndarray | None = None,
     swap_degenerate: bool = False,
 ) -> MomentPrediction:
     """Argmax decoding (lowest index wins ties) and feature index -> seconds.
 
     The start maps to the left edge of its feature window, the end to the
     right edge, clamped to the video duration. No ordering constraint is
-    enforced; a reversed pair is flagged (and optionally swapped).
+    enforced. This is the one place that decides degenerate predictions: an
+    end index before the start index is flagged, and swapped when
+    swap_degenerate is set; the flag stays set either way.
     """
     start_dist = np.asarray(start_dist, dtype=np.float64).reshape(-1)
     end_dist = np.asarray(end_dist, dtype=np.float64).reshape(-1)
@@ -121,8 +121,6 @@ def decode(
     return MomentPrediction(
         start_dist=start_dist,
         end_dist=end_dist,
-        spatial_scores=np.zeros_like(start_dist) if spatial_scores is None
-        else np.asarray(spatial_scores, dtype=np.float64).reshape(-1),
         start_index=si,
         end_index=ei,
         start_seconds=start_s,

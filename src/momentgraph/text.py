@@ -119,7 +119,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, hidden: int) -> Ten
     rows = [ad.take_row(x, i) for i in range(m)]
     hf = gru_sequence(rows, fwd, hidden)
     hb = gru_sequence(rows, bwd, hidden, reverse=True)
-    return ad.concat([ad.concat([hf[i], hb[i]], axis=1) for i in range(m)], axis=0)
+    return ad.concat([ad.concat(hf, axis=0), ad.concat(hb, axis=0)], axis=1)
 
 
 def pool_query(contexts: Tensor) -> Tensor:
@@ -149,7 +149,6 @@ class QueryEncoding:
     sv: Tensor
     sn: Tensor
     vn: Tensor
-    word_contexts: Tensor
     attention_weights: np.ndarray  # 3 x m, rows sum to 1
 
 
@@ -215,4 +214,4 @@ def encode_query(tokens: list[str], vocab: Vocabulary, params: TextEncoderParams
     (sv, sn, vn), weights = attend_heads(
         q, embeddings, contexts, [params.head_sv, params.head_sn, params.head_vn]
     )
-    return QueryEncoding(q=q, sv=sv, sn=sn, vn=vn, word_contexts=contexts, attention_weights=weights)
+    return QueryEncoding(q=q, sv=sv, sn=sn, vn=vn, attention_weights=weights)

@@ -50,17 +50,14 @@ def build_vocab(samples: list[AnnotatedSample]) -> Vocabulary:
     return Vocabulary.from_tokens(tokens)
 
 
-def evaluate(
-    model: MomentModel,
-    prepared: list[PreparedSample],
-    alphas=(0.3, 0.5, 0.7, 0.9),
-    swap_degenerate: bool = False,
-) -> tuple[EvalReport, list[dict]]:
+def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalReport, list[dict]]:
     """Forward + decode on a split; returns the report and per-pair dump rows."""
     pairs = []
     rows = []
+    n_degenerate = 0
     for p in prepared:
-        pred = model.predict(p, swap_degenerate=swap_degenerate)
+        pred = model.predict(p)
+        n_degenerate += pred.degenerate
         pred_iv = Interval(pred.start_seconds, pred.end_seconds)
         gt_iv = Interval(p.t_start_s, p.t_end_s)
         pairs.append((pred_iv, gt_iv))
@@ -75,7 +72,9 @@ def evaluate(
                 "tiou": tiou(pred_iv, gt_iv),
             }
         )
-    return evaluate_pairs(pairs, alphas=alphas, swap_degenerate=swap_degenerate), rows
+    report = evaluate_pairs(pairs)
+    report.n_degenerate = n_degenerate
+    return report, rows
 
 
 def train(
@@ -137,8 +136,8 @@ def train(
         }
         target_reached = False
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            train_report, _ = evaluate(model, prepared_train, alphas=config.alphas)
-            val_report, _ = evaluate(model, prepared_val, alphas=config.alphas)
+            train_report, _ = evaluate(model, prepared_train)
+            val_report, _ = evaluate(model, prepared_val)
             entry["train_miou"] = train_report.miou
             entry["val_miou"] = val_report.miou
             if val_report.miou > log.best_val_miou:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,8 +73,6 @@ class FrameObservations:
 
     humans: np.ndarray  # K x d_o
     objects: np.ndarray  # J x d_o
-    human_labels: list[str] = field(default_factory=list)
-    object_labels: list[str] = field(default_factory=list)
 
     @property
     def n_humans(self) -> int:
@@ -118,19 +116,15 @@ def categorize_detections(dets: list[Detection], cmap: CategoryMap, top_n: int) 
         raise InputError(f"top_n must be >= 1, got {top_n}")
     kept = sorted(dets, key=lambda d: -d.confidence)[:top_n]
     d_o = kept[0].feature.shape[0] if kept else 0
-    humans, objects, hl, ol = [], [], [], []
+    humans, objects = [], []
     for det in kept:
         if cmap.category(det.label) == HUMAN:
             humans.append(det.feature)
-            hl.append(det.label)
         else:
             objects.append(det.feature)
-            ol.append(det.label)
     return FrameObservations(
         humans=np.array(humans, dtype=np.float64).reshape(len(humans), d_o),
         objects=np.array(objects, dtype=np.float64).reshape(len(objects), d_o),
-        human_labels=hl,
-        object_labels=ol,
     )
 
 
@@ -165,16 +159,10 @@ def embed_nodes(features: np.ndarray, humans: np.ndarray, objects: np.ndarray, p
 
     features is a video's t x d_v activity matrix; humans / objects stack
     every frame's K / J detection features. Returns (a0: t x latent,
-    h0: K x latent, o0: J x latent); empty sets produce 0-row matrices.
+    h0: K x latent, o0: J x latent). An empty set is a 0-row matrix on the
+    same path and yields a 0-row latent matrix.
     """
     a0 = ad.tanh(Tensor(features) @ params.w_a + params.b_a)
-    latent = params.w_a.data.shape[1]
-    if humans.shape[0]:
-        h0 = ad.tanh(Tensor(humans) @ params.w_h + params.b_h)
-    else:
-        h0 = Tensor(np.zeros((0, latent)))
-    if objects.shape[0]:
-        o0 = ad.tanh(Tensor(objects) @ params.w_o + params.b_o)
-    else:
-        o0 = Tensor(np.zeros((0, latent)))
+    h0 = ad.tanh(Tensor(humans) @ params.w_h + params.b_h)
+    o0 = ad.tanh(Tensor(objects) @ params.w_o + params.b_o)
     return a0, h0, o0

@@ -92,6 +92,21 @@ class TestExitCodes:
     def test_unknown_variant(self):
         assert main(["train", "--variant", "bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--seed", "77"],
+            ["eval", "--epochs", "9"],
+            ["eval", "--target-miou", "5"],
+            ["ablate", "--variant", "full"],
+            ["ablate", "--checkpoint", "m.ckpt"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_flag_the_subcommand_never_reads_is_usage_error(self, tmp_path, capsys, argv):
+        assert main(argv + ["--data", str(tmp_path / "ghost")]) == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "ghost"), "--epochs", "1"]) == 2
 

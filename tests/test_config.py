@@ -12,7 +12,6 @@ class TestRunConfig:
         assert cfg.weight_decay == 1e-3
         assert cfg.iterations == 3
         assert cfg.batch_size == 6
-        assert cfg.alphas == (0.3, 0.5, 0.7, 0.9)
 
     def test_invalid_values(self):
         with pytest.raises(ConfigError):

@@ -119,16 +119,9 @@ class TestRecallAndMiou:
 
 
 class TestEvaluatePairs:
-    def test_degenerate_counted_and_swapped(self):
-        pairs = [(Interval(8, 2), Interval(2, 8))]
-        plain = evaluate_pairs(pairs)
-        assert plain.n_degenerate == 1
-        assert plain.miou == 0.0
-        swapped = evaluate_pairs(pairs, swap_degenerate=True)
-        assert swapped.miou == 100.0
-
     def test_report_serialization(self):
         report = evaluate_pairs(FIXTURE)
+        assert list(report.recall_at) == [0.3, 0.5, 0.7, 0.9]  # DEFAULT_ALPHAS
         data = json.loads(report.to_json())
         assert data["n_samples"] == 10
         assert data["recall_at"]["0.5"] == pytest.approx(40.0)

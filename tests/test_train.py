@@ -1,10 +1,13 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from momentgraph import model as model_module
 from momentgraph import synthetic_config, train
 from momentgraph.synth import SyntheticSpec, generate
+from momentgraph.temporal import decode
 from momentgraph.train import build_vocab, evaluate
 
 
@@ -91,3 +94,44 @@ class TestTrain:
                 "video_id", "query", "pred_start_s", "pred_end_s",
                 "gt_start_s", "gt_end_s", "tiou",
             }
+
+
+class ReversedByOneModel:
+    """predict() decodes an end index one before the start index (2 -> 1)."""
+
+    def __init__(self, swap_degenerate: bool):
+        self.swap_degenerate = swap_degenerate
+
+    def predict(self, prepared):
+        return decode([0, 0, 1.0, 0], [0, 1.0, 0, 0], 1.0, 4.0, swap_degenerate=self.swap_degenerate)
+
+
+class TestDegeneratePolicy:
+    GT = SimpleNamespace(video_id="v", query="q", t_start_s=1.0, t_end_s=3.0)
+
+    def test_reversed_by_one_is_counted(self):
+        # the decoded interval is [2, 2]: zero length, not reversed in seconds
+        report, rows = evaluate(ReversedByOneModel(swap_degenerate=False), [self.GT])
+        assert report.n_degenerate == 1
+        assert (rows[0]["pred_start_s"], rows[0]["pred_end_s"]) == (2.0, 2.0)
+        assert report.miou == 0.0
+
+    def test_swapped_prediction_is_counted_and_scored_swapped(self):
+        report, rows = evaluate(ReversedByOneModel(swap_degenerate=True), [self.GT, self.GT])
+        assert report.n_degenerate == 2
+        assert (rows[0]["pred_start_s"], rows[0]["pred_end_s"]) == (1.0, 3.0)
+        assert report.miou == 100.0
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_validation_decodes_with_config_policy(self, tiny_data, monkeypatch, swap):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["swap_degenerate"])
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "decode", spy)
+        tr, va, cmap = tiny_data
+        train(small_config(epochs=1, swap_degenerate=swap), tr, va, cmap)
+        assert len(seen) == len(tr) + len(va)
+        assert set(seen) == {swap}

@@ -68,7 +68,8 @@ class TestRouting:
         dets = [Detection("hand", 0.9, np.ones(4)), Detection("table", 0.8, np.zeros(4))]
         obs = categorize_detections(dets, cmap, top_n=15)
         assert obs.n_humans == 1 and obs.n_objects == 1
-        assert obs.human_labels == ["hand"] and obs.object_labels == ["table"]
+        assert np.array_equal(obs.humans, np.ones((1, 4)))
+        assert np.array_equal(obs.objects, np.zeros((1, 4)))
 
     def test_all_human_gives_zero_row_objects(self):
         cmap = CategoryMap({"person": HUMAN})
@@ -102,7 +103,7 @@ class TestRouting:
     def test_stable_order_on_ties(self):
         dets = [Detection("a", 0.5, np.array([1.0])), Detection("b", 0.5, np.array([2.0]))]
         obs = categorize_detections(dets, CategoryMap(), top_n=15)
-        assert obs.object_labels == ["a", "b"]
+        assert np.array_equal(obs.objects, [[1.0], [2.0]])
 
 
 class TestNodeEmbedding:
