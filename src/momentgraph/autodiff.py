@@ -288,19 +288,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def take_row(a: Tensor, i: int) -> Tensor:
-    """Row i of a 2-D tensor, as a 1 x d matrix."""
-    data = a.data[i : i + 1, :].copy()
-
-    def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i : i + 1, :] += g
-
-    return _make(data, (a,), backward)
-
-
 def repeat_rows(a: Tensor, n: int) -> Tensor:
     """Tile a 1 x d row into an n x d matrix."""
     if a.data.ndim != 2 or a.data.shape[0] != 1:

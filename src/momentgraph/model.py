@@ -163,7 +163,6 @@ class MomentModel:
         a_ctx = self.spatial_forward(prepared, encoding)
         out = temporal_forward(a_ctx, self.temporal, training=training, rng=rng)
         out["a_ctx"] = a_ctx
-        out["encoding"] = encoding
         return out
 
     def loss(self, prepared: PreparedSample, training: bool = False, rng: np.random.Generator | None = None):

@@ -27,7 +27,6 @@ class TemporalParams:
     b_end: Tensor
     w_score: Tensor  # g: latent -> 1, feeds the spatial-score softmax
     b_score: Tensor
-    hidden: int
     dropout: float
 
     @classmethod
@@ -43,7 +42,6 @@ class TemporalParams:
             b_end=zeros((1, 1)),
             w_score=glorot(rng, latent, 1),
             b_score=zeros((1, 1)),
-            hidden=hidden,
             dropout=dropout,
         )
         for name in ("w_start", "b_start", "w_end", "b_end", "w_score", "b_score"):
@@ -78,12 +76,12 @@ def temporal_forward(
     t = a_ctx.data.shape[0]
     if t < 1:
         raise InputError("temporal_forward needs at least one timestep")
-    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, params.hidden)
+    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd)
     if training and params.dropout > 0.0:
         if rng is None:
             raise InputError("training-mode dropout requires an rng")
         h1 = ad.dropout(h1, params.dropout, rng)
-    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, params.hidden)
+    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd)
     start_scores = ad.reshape(h2 @ params.w_start + params.b_start, (1, t))
     end_scores = ad.reshape(h2 @ params.w_end + params.b_end, (1, t))
     spatial_scores = ad.reshape(a_ctx @ params.w_score + params.b_score, (1, t))

@@ -1,5 +1,10 @@
 """Query encoding: embeddings, bidirectional GRU, mean pooling and the
 three attention heads that produce the linguistic node vectors.
+
+The GRU is a fused autodiff op: `gru_sequence` runs one direction over all
+rows of a matrix as a single tape node with a hand-written backward pass
+(backpropagation through time), and `bigru_forward` joins two of them. The
+temporal head in temporal.py runs its two BiGRU layers through the same op.
 """
 
 from __future__ import annotations
@@ -94,32 +99,72 @@ class GruParams:
         return cls(**fields)
 
 
-def gru_step(x: Tensor, h: Tensor, p: GruParams) -> Tensor:
-    """One GRU cell step: z and r gates, candidate, convex update."""
-    z = ad.sigmoid(x @ p.wz + h @ p.uz + p.bz)
-    r = ad.sigmoid(x @ p.wr + h @ p.ur + p.br)
-    cand = ad.tanh(x @ p.wh + ad.mul(r, h) @ p.uh + p.bh)
-    return ad.add(ad.mul(1.0 - z, h), ad.mul(z, cand))
+def gru_sequence(x: Tensor, p: GruParams, reverse: bool = False) -> Tensor:
+    """Run a GRU over the rows of an m x d_in tensor; zero initial hidden state.
 
-
-def gru_sequence(rows: list[Tensor], p: GruParams, hidden: int, reverse: bool = False) -> list[Tensor]:
-    """Run a GRU over a list of 1 x d rows; zero initial hidden state."""
-    order = range(len(rows) - 1, -1, -1) if reverse else range(len(rows))
-    h = Tensor(np.zeros((1, hidden)))
-    out: list[Tensor | None] = [None] * len(rows)
-    for i in order:
-        h = gru_step(rows[i], h, p)
-        out[i] = h
-    return out  # type: ignore[return-value]
-
-
-def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, hidden: int) -> Tensor:
-    """m x d_in -> m x 2*hidden: concatenated forward/backward hidden states."""
+    Returns the m x hidden matrix of hidden states, row i holding the state
+    after row i, as one tape node whose inputs are x and the nine gate
+    blocks. The forward pass is a numpy loop that caches z, r, the candidate
+    and the previous hidden state per step; the backward pass is
+    hand-written backpropagation through time that carries only the
+    hidden-state gradient across steps.
+    """
     m = x.data.shape[0]
-    rows = [ad.take_row(x, i) for i in range(m)]
-    hf = gru_sequence(rows, fwd, hidden)
-    hb = gru_sequence(rows, bwd, hidden, reverse=True)
-    return ad.concat([ad.concat(hf, axis=0), ad.concat(hb, axis=0)], axis=1)
+    if m < 1:
+        raise InputError("gru_sequence needs at least one row")
+    hidden = p.uz.data.shape[0]
+    order = range(m - 1, -1, -1) if reverse else range(m)
+    xz, xr, xh = x.data @ p.wz.data, x.data @ p.wr.data, x.data @ p.wh.data
+    uz, ur, uh = p.uz.data, p.ur.data, p.uh.data
+    bz, br, bh = p.bz.data, p.br.data, p.bh.data
+    out = np.empty((m, hidden))
+    h_prev = np.empty((m, hidden))
+    zs, rs, cands = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
+    h = np.zeros((1, hidden))
+    for i in order:
+        row = slice(i, i + 1)
+        z = 1.0 / (1.0 + np.exp(-(xz[row] + h @ uz + bz)))
+        r = 1.0 / (1.0 + np.exp(-(xr[row] + h @ ur + br)))
+        cand = np.tanh(xh[row] + (r * h) @ uh + bh)
+        h_prev[row], zs[row], rs[row], cands[row] = h, z, r, cand
+        h = (1.0 - z) * h + z * cand
+        out[row] = h
+
+    def backward(g):
+        # pre-activation gradients of the three gates, filled step by step
+        d_az, d_ar, d_ac = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
+        dh = np.zeros((1, hidden))
+        for i in reversed(order):
+            row = slice(i, i + 1)
+            z, r, cand, hp = zs[row], rs[row], cands[row], h_prev[row]
+            dh = dh + g[row]
+            dac = dh * z * (1.0 - cand * cand)
+            d_rh = dac @ uh.T
+            dar = d_rh * hp * r * (1.0 - r)
+            daz = dh * (cand - hp) * z * (1.0 - z)
+            d_az[row], d_ar[row], d_ac[row] = daz, dar, dac
+            dh = dh * (1.0 - z) + d_rh * r + daz @ uz.T + dar @ ur.T
+        ad._accumulate(x, d_az @ p.wz.data.T + d_ar @ p.wr.data.T + d_ac @ p.wh.data.T)
+        for w, u, b, da, h_in in (
+            (p.wz, p.uz, p.bz, d_az, h_prev),
+            (p.wr, p.ur, p.br, d_ar, h_prev),
+            (p.wh, p.uh, p.bh, d_ac, rs * h_prev),
+        ):
+            ad._accumulate(w, x.data.T @ da)
+            ad._accumulate(u, h_in.T @ da)
+            ad._accumulate(b, da.sum(axis=0, keepdims=True))
+
+    inputs = (x, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
+    return ad._make(out, inputs, backward)
+
+
+def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams) -> Tensor:
+    """m x d_in -> m x 2*hidden: forward and backward hidden states side by side.
+
+    Each direction is one fused gru_sequence node, so the whole layer adds
+    three nodes to the tape: the two directions and their concat.
+    """
+    return ad.concat([gru_sequence(x, fwd), gru_sequence(x, bwd, reverse=True)], axis=1)
 
 
 def pool_query(contexts: Tensor) -> Tensor:
@@ -181,7 +226,6 @@ class TextEncoderParams:
     head_sv: AttentionHeadParams
     head_sn: AttentionHeadParams
     head_vn: AttentionHeadParams
-    hidden: int
 
     @classmethod
     def create(cls, rng, vocab_size: int, d_w: int, hidden: int, registry: dict) -> "TextEncoderParams":
@@ -194,7 +238,6 @@ class TextEncoderParams:
             head_sv=AttentionHeadParams.create(rng, d_w, 2 * hidden, registry, "text.head_sv"),
             head_sn=AttentionHeadParams.create(rng, d_w, 2 * hidden, registry, "text.head_sn"),
             head_vn=AttentionHeadParams.create(rng, d_w, 2 * hidden, registry, "text.head_vn"),
-            hidden=hidden,
         )
 
 
@@ -202,14 +245,13 @@ def embed_query(tokens: list[str], vocab: Vocabulary, table: Tensor) -> Tensor:
     """Look up token embeddings; unknown tokens map to the <unk> row."""
     if not tokens:
         raise InputError("empty query")
-    rows = [ad.take_row(table, vocab.index(tok)) for tok in tokens]
-    return ad.concat(rows, axis=0)
+    return ad.gather_rows(table, [vocab.index(tok) for tok in tokens])
 
 
 def encode_query(tokens: list[str], vocab: Vocabulary, params: TextEncoderParams) -> QueryEncoding:
     """Full linguistic pipeline: embed -> BiGRU -> pool -> three heads."""
     embeddings = embed_query(tokens, vocab, params.embedding)
-    contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, params.hidden)
+    contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd)
     q = pool_query(contexts)
     (sv, sn, vn), weights = attend_heads(
         q, embeddings, contexts, [params.head_sv, params.head_sn, params.head_vn]

@@ -12,6 +12,22 @@ def _sig(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def fd_grad(f, x, eps=1e-5):
+    """Central finite differences of a scalar function of one array, perturbed in place."""
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f()
+        flat[i] = orig - eps
+        fm = f()
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * eps)
+    return g
+
+
 def ref_gru_sequence(x, p, reverse=False):
     """x: m x d_in; p: dict of wz,uz,bz,wr,ur,br,wh,uh,bh arrays. Returns m x hidden."""
     m = x.shape[0]

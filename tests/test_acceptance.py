@@ -229,7 +229,7 @@ def test_reference_loop_equivalence():
     fwd = GruParams.create(rng, 4, 3, {}, "f")
     bwd = GruParams.create(rng, 4, 3, {}, "b")
     x = rng.normal(size=(5, 4))
-    out = bigru_forward(Tensor(x), fwd, bwd, 3)
+    out = bigru_forward(Tensor(x), fwd, bwd)
     ref = ref_bigru(x, gru_param_arrays(fwd), gru_param_arrays(bwd))
     assert np.abs(out.data - ref).max() < 1e-10
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentgraph import autodiff as ad
-from momentgraph.autodiff import Tensor
+from momentgraph.autodiff import GradientTape, Tensor
 from momentgraph.errors import DataError, InputError
 from momentgraph.text import (
     AttentionHeadParams,
@@ -19,7 +19,7 @@ from momentgraph.text import (
     tokenize,
 )
 
-from reference_impls import gru_param_arrays, ref_bigru
+from reference_impls import fd_grad, gru_param_arrays, ref_bigru, ref_gru_sequence
 
 
 class TestTokenizeAndVocab:
@@ -33,7 +33,7 @@ class TestTokenizeAndVocab:
         vocab = Vocabulary(["a", "b", "c", "d"])
         # specials occupy 0 and 1; insertion order after that
         assert vocab.index("d") == 5
-        row = ad.take_row(Tensor(np.arange(12).reshape(6, 2)), vocab.index("d"))
+        row = ad.gather_rows(Tensor(np.arange(12).reshape(6, 2)), [vocab.index("d")])
         np.testing.assert_array_equal(row.data, [[10, 11]])
 
     def test_unknown_token_falls_back_to_unk(self):
@@ -54,6 +54,22 @@ class TestEmbedding:
         assert out.data.shape == (2, 5)
         np.testing.assert_array_equal(out.data[0], table.data[vocab.index("open")])
         np.testing.assert_array_equal(out.data[1], table.data[vocab.index("door")])
+
+    def test_repeated_token_accumulates_both_gradients(self):
+        vocab = Vocabulary(["open", "door"])
+        rng = np.random.default_rng(7)
+        table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        weights = rng.normal(size=(3, 3))
+        tokens = ["open", "door", "open"]
+
+        def loss():
+            return float((embed_query(tokens, vocab, table).data * weights).sum())
+
+        with GradientTape():
+            ad.backward(ad.sum_axis(ad.mul(embed_query(tokens, vocab, table), Tensor(weights))))
+        np.testing.assert_allclose(table.grad, fd_grad(loss, table.data), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(table.grad[vocab.index("open")], weights[0] + weights[2], atol=1e-15)
+        np.testing.assert_array_equal(table.grad[[0, 1]], 0.0)
 
     def test_empty_query_rejected(self):
         with pytest.raises(InputError):
@@ -80,25 +96,84 @@ class TestGru:
 
     def test_zero_input_fixed_point(self):
         p = self._params()
-        rows = [Tensor(np.zeros((1, 3))) for _ in range(4)]
-        out = gru_sequence(rows, p, 4)
-        for h in out:
-            np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
+        for reverse in (False, True):
+            out = gru_sequence(Tensor(np.zeros((4, 3))), p, reverse=reverse)
+            np.testing.assert_array_equal(out.data, np.zeros((4, 4)))
 
     def test_length_one_bigru_is_two_cells(self):
         fwd, bwd = self._params(seed=1), self._params(seed=2)
         x = Tensor(np.random.default_rng(3).normal(size=(1, 3)))
-        out = bigru_forward(x, fwd, bwd, 4)
-        hf = gru_sequence([ad.take_row(x, 0)], fwd, 4)[0]
-        hb = gru_sequence([ad.take_row(x, 0)], bwd, 4)[0]
-        np.testing.assert_array_equal(out.data, np.concatenate([hf.data, hb.data], axis=1))
+        out = bigru_forward(x, fwd, bwd)
+
+        def cell_from_zero(p):
+            # from h = 0 the reset gate and the u blocks drop out: h = z * cand
+            z = 1.0 / (1.0 + np.exp(-(x.data @ p.wz.data + p.bz.data)))
+            return z * np.tanh(x.data @ p.wh.data + p.bh.data)
+
+        np.testing.assert_array_equal(out.data, np.concatenate([cell_from_zero(fwd), cell_from_zero(bwd)], axis=1))
+        np.testing.assert_array_equal(out.data[:, :4], gru_sequence(x, fwd).data)
+        np.testing.assert_array_equal(out.data[:, 4:], gru_sequence(x, bwd, reverse=True).data)
 
     def test_bigru_matches_reference_loops(self):
         fwd, bwd = self._params(seed=4), self._params(seed=5)
         x = np.random.default_rng(6).normal(size=(3, 3))
-        out = bigru_forward(Tensor(x), fwd, bwd, 4)
+        out = bigru_forward(Tensor(x), fwd, bwd)
         ref = ref_bigru(x, gru_param_arrays(fwd), gru_param_arrays(bwd))
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 7])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_reference(self, m, reverse):
+        p = self._params(seed=m)
+        x = np.random.default_rng(10 + m).normal(size=(m, 3))
+        out = gru_sequence(Tensor(x), p, reverse=reverse)
+        ref = ref_gru_sequence(x, gru_param_arrays(p), reverse=reverse)
+        assert out.data.shape == (m, 4)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, reverse):
+        rng = np.random.default_rng(11)
+        p = self._params(seed=12)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        weights = rng.normal(size=(6, 4))
+
+        def loss():
+            return float((gru_sequence(x, p, reverse=reverse).data * weights).sum())
+
+        with GradientTape():
+            ad.backward(ad.sum_axis(ad.mul(gru_sequence(x, p, reverse=reverse), Tensor(weights))))
+        blocks = {"x": x, **vars(p)}
+        assert len(blocks) == 10  # x and the nine gate blocks
+        for name, t in blocks.items():
+            fd = fd_grad(loss, t.data)
+            rel = np.linalg.norm(t.grad - fd) / np.linalg.norm(fd)
+            assert rel < 1e-6, f"{name}: relative error {rel:.3g}"
+
+    def test_empty_input_is_typed_error(self):
+        with pytest.raises(InputError, match="at least one row"):
+            gru_sequence(Tensor(np.zeros((0, 3))), self._params())
+
+    def test_bigru_adds_three_tape_nodes(self):
+        fwd, bwd = self._params(seed=1), self._params(seed=2)
+        x = Tensor(np.random.default_rng(3).normal(size=(9, 3)), requires_grad=True)
+        with GradientTape() as tape:
+            bigru_forward(x, fwd, bwd)
+            assert len(tape) == 3
+
+    def test_no_per_row_tensors_without_tape(self, monkeypatch):
+        fwd, bwd = self._params(seed=1), self._params(seed=2)
+        x = Tensor(np.random.default_rng(3).normal(size=(9, 3)))
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        bigru_forward(x, fwd, bwd)
+        assert len(built) == 3  # the two directions and their concat
 
 
 class TestPooling:
