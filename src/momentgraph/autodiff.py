@@ -264,42 +264,6 @@ def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tens
     return _make(data, (a,), backward)
 
 
-def mean_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.data.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _make(data, (a,), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, data * (g - dot))
-
-    return _make(data, (a,), backward)
-
-
-def repeat_rows(a: Tensor, n: int) -> Tensor:
-    """Tile a 1 x d row into an n x d matrix."""
-    if a.data.ndim != 2 or a.data.shape[0] != 1:
-        raise DimensionError(f"repeat_rows expects a 1 x d row, got {a.data.shape}")
-    data = np.repeat(a.data, n, axis=0)
-
-    def backward(g):
-        _accumulate(a, g.sum(axis=0, keepdims=True))
-
-    return _make(data, (a,), backward)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Select rows of a 2-D tensor by index (with repetition); backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -328,13 +292,29 @@ def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    data = a.data.reshape(shape)
+def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
+    """Softmax over the rows of an n x 1 column within each segment.
+
+    Each segment is shifted by its own maximum, so a 1-row segment is
+    exactly 1.0 and segments never share normalisation.
+    """
+    seg = np.asarray(segment_ids, dtype=np.intp)
+    if a.data.ndim != 2 or a.data.shape[1] != 1:
+        raise DimensionError(f"segment_softmax expects an n x 1 column, got {a.data.shape}")
+    if seg.shape[0] != a.data.shape[0]:
+        raise DimensionError(f"segment_softmax: {seg.shape[0]} ids for {a.data.shape[0]} rows")
+    col = a.data[:, 0]
+    peak = np.full(n_segments, -np.inf)
+    np.maximum.at(peak, seg, col)
+    e = np.exp(col - peak[seg])
+    p = e / np.bincount(seg, weights=e, minlength=n_segments)[seg]
 
     def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        g = g[:, 0]
+        dot = np.bincount(seg, weights=g * p, minlength=n_segments)
+        _accumulate(a, (p * (g - dot[seg]))[:, None])
 
-    return _make(data, (a,), backward)
+    return _make(p[:, None], (a,), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

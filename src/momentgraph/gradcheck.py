@@ -10,7 +10,7 @@ from . import autodiff as ad
 from .autodiff import GradientTape
 from .config import RunConfig
 from .dataio import AnnotatedSample
-from .model import MomentModel
+from .model import MomentModel, PreparedSample
 from .train import build_vocab
 from .visual import ActivityFeatures, CategoryMap, Detection, HUMAN
 
@@ -23,8 +23,20 @@ class BlockResult:
     passed: bool
 
 
-def tiny_instance(variant: str = "full", seed: int = 0, t: int = 4, n_humans: int = 2, n_objects: int = 3):
-    """A forced-tiny model and sample for gradient checks."""
+# run_gradcheck's batch: two samples with different t and query lengths,
+# so the masked BPTT and the segment softmaxes are checked across samples
+GRADCHECK_LENGTHS = (4, 3)
+QUERIES = ("person throw the bag", "person throw")
+
+
+def tiny_instance(
+    variant: str = "full", seed: int = 0, lengths=(4,), n_humans: int = 2, n_objects: int = 3
+) -> tuple[MomentModel, list[PreparedSample]]:
+    """A forced-tiny model and one prepared sample per entry of lengths (its t).
+
+    Sample i asks QUERIES[i % 2], so a batch of two differs in t and in
+    query length. The first sample does not depend on how many follow.
+    """
     rng = np.random.default_rng(seed)
     config = RunConfig(
         d_w=5,
@@ -39,32 +51,36 @@ def tiny_instance(variant: str = "full", seed: int = 0, t: int = 4, n_humans: in
         seed=seed,
         epochs=1,
     )
-    t = min(t, 6)
     n_humans = min(n_humans, 2)
     n_objects = min(n_objects, 3)
-    detections = []
-    for _ in range(t):
-        dets = [
-            Detection("person", float(rng.uniform(0.5, 1.0)), rng.normal(size=config.d_o))
-            for _ in range(n_humans)
-        ]
-        dets += [
-            Detection("cup", float(rng.uniform(0.5, 1.0)), rng.normal(size=config.d_o))
-            for _ in range(n_objects)
-        ]
-        detections.append(dets)
-    sample = AnnotatedSample(
-        video_id="tiny",
-        query="person throw the bag",
-        t_start_s=1.0,
-        t_end_s=2.5,
-        duration_s=float(t),
-        features=ActivityFeatures("tiny", rng.normal(size=(t, config.d_v)), 1.0, float(t)),
-        detections=detections,
-    )
+    samples = []
+    for i, t in enumerate(lengths):
+        t = min(t, 6)
+        detections = []
+        for _ in range(t):
+            dets = [
+                Detection("person", float(rng.uniform(0.5, 1.0)), rng.normal(size=config.d_o))
+                for _ in range(n_humans)
+            ]
+            dets += [
+                Detection("cup", float(rng.uniform(0.5, 1.0)), rng.normal(size=config.d_o))
+                for _ in range(n_objects)
+            ]
+            detections.append(dets)
+        samples.append(
+            AnnotatedSample(
+                video_id=f"tiny{i}",
+                query=QUERIES[i % 2],
+                t_start_s=1.0,
+                t_end_s=2.5,
+                duration_s=float(t),
+                features=ActivityFeatures(f"tiny{i}", rng.normal(size=(t, config.d_v)), 1.0, float(t)),
+                detections=detections,
+            )
+        )
     cmap = CategoryMap({"person": HUMAN})
-    model = MomentModel(config, build_vocab([sample]))
-    return model, model.prepare(sample, cmap)
+    model = MomentModel(config, build_vocab(samples))
+    return model, [model.prepare(s, cmap) for s in samples]
 
 
 def run_gradcheck(
@@ -75,15 +91,16 @@ def run_gradcheck(
     seed: int = 0,
     corrupt_block: str | None = None,
 ) -> list[BlockResult]:
-    """Compare analytic gradients against central differences, per block.
+    """Compare analytic gradients against central differences, per block,
+    on the loss of tiny_instance's GRADCHECK_LENGTHS batch.
 
     Entries are subsampled deterministically when a block is larger than
     entries_per_block. corrupt_block is a test-only hook that offsets one
     block's analytic gradient so the check must fail there.
     """
-    model, prepared = tiny_instance(variant=variant, seed=seed)
+    model, batch = tiny_instance(variant=variant, seed=seed, lengths=GRADCHECK_LENGTHS)
     with GradientTape():
-        loss, _, _ = model.loss(prepared)
+        loss, _, _ = model.loss(batch)
         ad.backward(loss)
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
@@ -105,9 +122,9 @@ def run_gradcheck(
         for idx in indices:
             orig = flat[idx]
             flat[idx] = orig + eps
-            lp = float(model.loss(prepared)[0].data)
+            lp = float(model.loss(batch)[0].data)
             flat[idx] = orig - eps
-            lm = float(model.loss(prepared)[0].data)
+            lm = float(model.loss(batch)[0].data)
             flat[idx] = orig
             fd = (lp - lm) / (2.0 * eps)
             a = analytic[name].reshape(-1)[idx]

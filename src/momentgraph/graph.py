@@ -3,9 +3,9 @@
 Each activity timestep is processed independently: pair features couple a
 linguistic vector with a node latent, messages combine pair features, and
 node updates gate the iteration-0 latents. run_message_passing_sequence
-runs every timestep of a video as one batch of tape ops; the per-frame
-numpy oracle lives in tests/reference_impls.py. Includes all ablation
-variants.
+runs every timestep of a minibatch of videos as one batch of tape ops; the
+per-frame numpy oracle lives in tests/reference_impls.py. Includes all
+ablation variants.
 """
 
 from __future__ import annotations
@@ -99,30 +99,33 @@ def run_message_passing_sequence(
     params: SpatialGraphParams,
     n_iters: int,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """All timesteps of one video in a single batch of tape ops.
+    """All timesteps in a single batch of tape ops.
 
     a0 is t x latent; h0 / o0 stack every frame's human / object latents with
-    h_seg / o_seg mapping each row to its timestep. Timesteps never exchange
-    information, so each frame's rows get exactly the per-frame update, just
-    fused into shared matrices. An empty human (object) set is a 0-row
-    matrix on the same path; its zero-row ops add exact zeros, so a frame
-    with no humans (objects) sums to a zero row. Returns the (a, h, o)
-    latents after n_iters; with n_iters = 0 these are the input objects
-    themselves.
+    h_seg / o_seg mapping each row to its timestep. sv / sn / vn hold one
+    linguistic row per timestep, so the frames of several videos, each with
+    its own query, run as one batch. Timesteps never exchange information,
+    so each frame's rows get exactly the per-frame update, just fused into
+    shared matrices. An empty human (object) set is a 0-row matrix on the
+    same path; its zero-row ops add exact zeros, so a frame with no humans
+    (objects) sums to a zero row. Returns the (a, h, o) latents after
+    n_iters; with n_iters = 0 these are the input objects themselves.
     """
     t = a0.data.shape[0]
-    n_h = h0.data.shape[0]
-    n_o = o0.data.shape[0]
     a, h, o = a0, h0, o0
+    if n_iters:
+        # each node's linguistic rows, shared by every iteration
+        sn_o, vn_o = ad.gather_rows(sn, o_seg), ad.gather_rows(vn, o_seg)
+        sn_h, sv_h = ad.gather_rows(sn, h_seg), ad.gather_rows(sv, h_seg)
     for _ in range(n_iters):
-        sva = params.phi_sva(ad.concat([ad.repeat_rows(sv, t), a], axis=1))
-        vna = params.phi_vna(ad.concat([ad.repeat_rows(vn, t), a], axis=1))
-        sno = params.phi_sno(ad.concat([ad.repeat_rows(sn, n_o), o], axis=1))
-        vno = params.phi_vno(ad.concat([ad.repeat_rows(vn, n_o), o], axis=1))
+        sva = params.phi_sva(ad.concat([sv, a], axis=1))
+        vna = params.phi_vna(ad.concat([vn, a], axis=1))
+        sno = params.phi_sno(ad.concat([sn_o, o], axis=1))
+        vno = params.phi_vno(ad.concat([vn_o, o], axis=1))
         sum_sno = ad.segment_sum(sno, o_seg, t)
         sum_vno = ad.segment_sum(vno, o_seg, t)
-        snh = params.phi_snh(ad.concat([ad.repeat_rows(sn, n_h), h], axis=1))
-        svh = params.phi_svh(ad.concat([ad.repeat_rows(sv, n_h), h], axis=1))
+        snh = params.phi_snh(ad.concat([sn_h, h], axis=1))
+        svh = params.phi_svh(ad.concat([sv_h, h], axis=1))
         sum_snh = ad.segment_sum(snh, h_seg, t)
         sum_svh = ad.segment_sum(svh, h_seg, t)
         h_sv_a = params.msg_sv(ad.concat([sva, sum_svh], axis=1))

@@ -61,32 +61,46 @@ def build_targets(
 def kl_divergence(p: Tensor, q: np.ndarray) -> Tensor:
     """D_KL(p || q) = sum p_i log(p_i / q_i), with q floored at 1e-12.
 
-    p is the predicted distribution (differentiable); q is a fixed target.
-    p comes from a softmax, so in practice p_i > 0; the 1e-12 floor keeps
-    log finite regardless.
+    p is the predicted distribution (differentiable); q is a fixed target
+    with p's entries in p's order (any shape of the same size). For a
+    stacked batch the sum runs over every sample's entries, so it is the sum
+    of the per-sample divergences. p comes from a softmax, so in practice
+    p_i > 0; the 1e-12 floor keeps log finite regardless.
     """
-    q = np.asarray(q, dtype=np.float64).reshape(1, -1)
-    if p.data.shape != q.shape:
+    q = np.asarray(q, dtype=np.float64)
+    if p.data.size != q.size:
         raise ContractError(f"kl: prediction shape {p.data.shape} vs target {q.shape}")
+    q = q.reshape(p.data.shape)
     # both sides use the same floor so that KL(p || p) is exactly zero
     log_ratio = ad.log(ad.clip_min(p, EPS)) - np.log(np.maximum(q, EPS))
     return ad.sum_axis(ad.mul(p, log_ratio))
 
 
-def kl_loss(pred_start: Tensor, pred_end: Tensor, target: MomentTarget) -> Tensor:
-    """Sum of start-side and end-side KL divergences, prediction first."""
-    return kl_divergence(pred_start, target.start_dist) + kl_divergence(pred_end, target.end_dist)
+def kl_loss(pred_start: Tensor, pred_end: Tensor, targets: list[MomentTarget]) -> Tensor:
+    """Start-side plus end-side KL divergence, prediction first, summed over a batch.
+
+    pred_start / pred_end stack the batch's distributions in target order.
+    """
+    start = np.concatenate([t.start_dist for t in targets])
+    end = np.concatenate([t.end_dist for t in targets])
+    return kl_divergence(pred_start, start) + kl_divergence(pred_end, end)
 
 
-def spatial_loss(y: Tensor, start_index: int, end_index: int) -> Tensor:
-    """-sum log(1 - y_i) over positions strictly outside [start, end] (inclusive window)."""
-    t = y.data.shape[-1]
-    if not (0 <= start_index <= end_index < t):
-        raise ContractError(f"span [{start_index}, {end_index}] out of range for t={t}")
-    outside = np.ones((1, t))
-    outside[0, start_index : end_index + 1] = 0.0
+def spatial_loss(y: Tensor, start_index, end_index) -> Tensor:
+    """-sum log(1 - y_i) over the positions of y outside every [start, end] window (inclusive).
+
+    start_index / end_index are ints, or equal-length sequences of ints for a
+    stacked batch, and index y's entries in order (a sample's window is
+    offset by its first row in the stack), so the result is the batch sum.
+    """
+    n = y.data.size
+    outside = np.ones(n)
+    for start, end in zip(np.atleast_1d(start_index), np.atleast_1d(end_index)):
+        if not (0 <= start <= end < n):
+            raise ContractError(f"span [{start}, {end}] out of range for t={n}")
+        outside[start : end + 1] = 0.0
     log_term = ad.log(ad.clip_min(1.0 - y, EPS))
-    return -ad.sum_axis(ad.mul(Tensor(outside), log_term))
+    return -ad.sum_axis(ad.mul(Tensor(outside.reshape(y.data.shape)), log_term))
 
 
 def total_loss(kl: Tensor, spatial: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 """The full moment-localization model: query encoder, per-timestep spatial
 graph (or an ablation variant) and the temporal head, wired for training
-and inference on one sample at a time.
+and inference on a minibatch of samples as one forward pass (a single
+sample is a batch of one).
 """
 
 from __future__ import annotations
@@ -123,65 +124,69 @@ class MomentModel:
     # ------------------------------------------------------------------
     # forward
 
-    def spatial_forward(self, prepared: PreparedSample, encoding) -> Tensor:
-        """Contextualized activity representations, t x latent.
+    def spatial_forward(self, batch: list[PreparedSample], encoding) -> Tensor:
+        """Contextualized activity representations of a minibatch, stacked: N x latent.
 
-        All timesteps run as one batch through run_message_passing_sequence
-        (frames are independent), which keeps the tape small.
+        Every timestep of every sample runs as one batch through
+        run_message_passing_sequence (frames are independent): node frame ids
+        are offset by their sample's first stacked row, and each frame reads
+        its own sample's linguistic rows. This keeps the tape small.
         """
         cfg = self.config
+        lengths = _lengths(batch)
+        first = np.cumsum(lengths) - lengths
+        features = np.concatenate([p.features for p in batch])
+        humans = np.concatenate([p.humans_stacked for p in batch])
+        objects = np.concatenate([p.objects_stacked for p in batch])
+        h_seg = np.concatenate([p.human_frame_ids + f for p, f in zip(batch, first)])
+        o_seg = np.concatenate([p.object_frame_ids + f for p, f in zip(batch, first)])
         if cfg.variant == "no_graph":
             # per-frame mean of the kept detections, humans before objects
-            t = prepared.features.shape[0]
-            frame_ids = np.concatenate([prepared.human_frame_ids, prepared.object_frame_ids])
+            t = features.shape[0]
+            frame_ids = np.concatenate([h_seg, o_seg])
             pooled = np.zeros((t, cfg.d_o))
-            np.add.at(pooled, frame_ids, np.concatenate([prepared.humans_stacked, prepared.objects_stacked]))
+            np.add.at(pooled, frame_ids, np.concatenate([humans, objects]))
             pooled /= np.maximum(np.bincount(frame_ids, minlength=t), 1)[:, None]
-            joint = ad.concat([Tensor(prepared.features), Tensor(pooled)], axis=1)
+            joint = ad.concat([Tensor(features), Tensor(pooled)], axis=1)
             return joint @ self.nograph_params.w + self.nograph_params.b
+        frame_sample = np.repeat(np.arange(len(batch)), lengths)
         if cfg.variant == "single_query":
-            sv = sn = vn = encoding.q
+            sv = sn = vn = ad.gather_rows(encoding.q, frame_sample)
         else:
-            sv, sn, vn = encoding.sv, encoding.sn, encoding.vn
-        a0, h0, o0 = embed_nodes(prepared.features, prepared.humans_stacked, prepared.objects_stacked, self.embed)
-        a, _, _ = run_message_passing_sequence(
-            a0,
-            h0,
-            o0,
-            prepared.human_frame_ids,
-            prepared.object_frame_ids,
-            sv,
-            sn,
-            vn,
-            self.graph_params,
-            cfg.iterations,
-        )
+            sv, sn, vn = (ad.gather_rows(v, frame_sample) for v in (encoding.sv, encoding.sn, encoding.vn))
+        a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
+        a, _, _ = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, self.graph_params, cfg.iterations)
         return a
 
-    def forward(self, prepared: PreparedSample, training: bool = False, rng: np.random.Generator | None = None):
-        encoding = encode_query(prepared.tokens, self.vocab, self.text)
-        a_ctx = self.spatial_forward(prepared, encoding)
-        out = temporal_forward(a_ctx, self.temporal, training=training, rng=rng)
+    def forward(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
+        """One forward pass over a minibatch; outputs stack the samples in batch order."""
+        encoding = encode_query([p.tokens for p in batch], self.vocab, self.text)
+        a_ctx = self.spatial_forward(batch, encoding)
+        out = temporal_forward(a_ctx, _lengths(batch), self.temporal, training=training, rng=rng)
         out["a_ctx"] = a_ctx
         return out
 
-    def loss(self, prepared: PreparedSample, training: bool = False, rng: np.random.Generator | None = None):
-        """Total loss tensor plus its components for one sample."""
-        out = self.forward(prepared, training=training, rng=rng)
-        kl = kl_loss(out["start_dist"], out["end_dist"], prepared.target)
-        sp = spatial_loss(out["y"], prepared.target.start_index, prepared.target.end_index)
+    def loss(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
+        """Total loss tensor plus its components, each summed over the minibatch."""
+        out = self.forward(batch, training=training, rng=rng)
+        lengths = _lengths(batch)
+        first = np.cumsum(lengths) - lengths
+        kl = kl_loss(out["start_dist"], out["end_dist"], [p.target for p in batch])
+        starts = first + [p.target.start_index for p in batch]
+        ends = first + [p.target.end_index for p in batch]
+        sp = spatial_loss(out["y"], starts, ends)
         return total_loss(kl, sp), kl, sp
 
-    def predict(self, prepared: PreparedSample) -> MomentPrediction:
-        """Deterministic evaluation-mode prediction (no tape, no dropout)."""
-        out = self.forward(prepared, training=False)
-        return decode(
-            out["start_dist"].data,
-            out["end_dist"].data,
-            prepared.stride_seconds,
-            prepared.duration_seconds,
-            swap_degenerate=self.config.swap_degenerate,
-        )
+    def predict(self, batch: list[PreparedSample]) -> list[MomentPrediction]:
+        """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample."""
+        out = self.forward(batch, training=False)
+        bounds = np.cumsum(_lengths(batch))
+        start_dists = np.split(out["start_dist"].data[:, 0], bounds[:-1])
+        end_dists = np.split(out["end_dist"].data[:, 0], bounds[:-1])
+        return [
+            decode(s, e, p.stride_seconds, p.duration_seconds, swap_degenerate=self.config.swap_degenerate)
+            for p, s, e in zip(batch, start_dists, end_dists)
+        ]
 
     # ------------------------------------------------------------------
     # persistence
@@ -201,3 +206,8 @@ class MomentModel:
                     f"checkpoint parameter '{name}' has shape {arr.shape}, config expects {self.params[name].data.shape}"
                 )
             self.params[name].data = arr
+
+
+def _lengths(batch: list[PreparedSample]) -> np.ndarray:
+    """Timesteps per sample, in batch order."""
+    return np.array([p.features.shape[0] for p in batch], dtype=np.intp)

@@ -64,31 +64,32 @@ class MomentPrediction:
 
 def temporal_forward(
     a_ctx: Tensor,
+    lengths,
     params: TemporalParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
-    """t x latent -> start/end distributions over time plus spatial scores y.
+    """Stacked N x latent -> per-sample start/end distributions over time plus spatial scores y.
 
-    Dropout is applied between the two GRU layers, training mode only.
-    Returns tape tensors so losses can backpropagate through them.
+    a_ctx stacks B samples' timesteps, partitioned by lengths; both BiGRU
+    layers and the three softmax heads run over all of them at once. Each
+    output is an N x 1 column holding every sample's distribution in its own
+    rows. Dropout is applied between the two GRU layers, training mode only,
+    as one draw over the stacked rows. A sample with no timestep is an
+    InputError. Returns tape tensors so losses can backpropagate through them.
     """
-    t = a_ctx.data.shape[0]
-    if t < 1:
-        raise InputError("temporal_forward needs at least one timestep")
-    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, lengths)
     if training and params.dropout > 0.0:
         if rng is None:
             raise InputError("training-mode dropout requires an rng")
         h1 = ad.dropout(h1, params.dropout, rng)
-    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd)
-    start_scores = ad.reshape(h2 @ params.w_start + params.b_start, (1, t))
-    end_scores = ad.reshape(h2 @ params.w_end + params.b_end, (1, t))
-    spatial_scores = ad.reshape(a_ctx @ params.w_score + params.b_score, (1, t))
+    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, lengths)
+    seg = np.repeat(np.arange(lengths.size), lengths)
     return {
-        "start_dist": ad.softmax(start_scores, axis=1),
-        "end_dist": ad.softmax(end_scores, axis=1),
-        "y": ad.softmax(spatial_scores, axis=1),
+        "start_dist": ad.segment_softmax(h2 @ params.w_start + params.b_start, seg, lengths.size),
+        "end_dist": ad.segment_softmax(h2 @ params.w_end + params.b_end, seg, lengths.size),
+        "y": ad.segment_softmax(a_ctx @ params.w_score + params.b_score, seg, lengths.size),
     }
 
 

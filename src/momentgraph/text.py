@@ -1,10 +1,12 @@
 """Query encoding: embeddings, bidirectional GRU, mean pooling and the
-three attention heads that produce the linguistic node vectors.
+three attention heads that produce the linguistic node vectors, for a
+minibatch of queries at once.
 
-The GRU is a fused autodiff op: `gru_sequence` runs one direction over all
-rows of a matrix as a single tape node with a hand-written backward pass
-(backpropagation through time), and `bigru_forward` joins two of them. The
-temporal head in temporal.py runs its two BiGRU layers through the same op.
+The GRU is a fused autodiff op: `gru_sequence` runs one direction over a
+ragged batch of sequences stacked in the rows of a matrix as a single tape
+node with a hand-written backward pass (backpropagation through time), and
+`bigru_forward` joins two of them. The temporal head in temporal.py runs its
+two BiGRU layers through the same op.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, InputError
+from .errors import DataError, DimensionError, InputError
 from .init import glorot, zeros
 
 UNK = "<unk>"
@@ -99,77 +101,104 @@ class GruParams:
         return cls(**fields)
 
 
-def gru_sequence(x: Tensor, p: GruParams, reverse: bool = False) -> Tensor:
-    """Run a GRU over the rows of an m x d_in tensor; zero initial hidden state.
+def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -> Tensor:
+    """Run a GRU over B sequences stacked in the rows of an N x d_in tensor.
 
-    Returns the m x hidden matrix of hidden states, row i holding the state
-    after row i, as one tape node whose inputs are x and the nine gate
-    blocks. The forward pass is a numpy loop that caches z, r, the candidate
-    and the previous hidden state per step; the backward pass is
-    hand-written backpropagation through time that carries only the
-    hidden-state gradient across steps.
+    lengths partitions the rows into consecutive sequences (None: all rows
+    are one sequence); every sequence starts from a zero hidden state, and a
+    reverse sequence starts at its own last row. Returns the N x hidden
+    matrix of hidden states, row i holding its sequence's state after row i,
+    as one tape node whose inputs are x and the nine gate blocks.
+
+    The sequences run side by side, longest first, so the ones still running
+    at step s are the first k_s rows of the B x hidden state and a finished
+    sequence keeps its state untouched. x is read in that packed step order
+    (an index map from (step, sequence) to stacked row), which makes every
+    step's rows one contiguous slice. The forward pass caches z, r, the
+    candidate and the previous hidden state per step; the backward pass is
+    hand-written backpropagation through time over the same packed steps,
+    carrying only the hidden-state gradient across steps.
     """
-    m = x.data.shape[0]
-    if m < 1:
-        raise InputError("gru_sequence needs at least one row")
+    n = x.data.shape[0]
+    lengths = np.array([n] if lengths is None else lengths, dtype=np.intp)
+    if lengths.size < 1 or lengths.min() < 1:
+        raise InputError("gru_sequence needs at least one row per sequence")
+    if lengths.sum() != n:
+        raise DimensionError(f"gru_sequence: lengths sum to {lengths.sum()}, x has {n} rows")
     hidden = p.uz.data.shape[0]
-    order = range(m - 1, -1, -1) if reverse else range(m)
-    xz, xr, xh = x.data @ p.wz.data, x.data @ p.wr.data, x.data @ p.wh.data
+    order = np.argsort(-lengths, kind="stable")
+    lens, starts = lengths[order], (np.cumsum(lengths) - lengths)[order]
+    steps = np.arange(lens[0])[:, None]
+    rows = starts + (lens - 1 - steps if reverse else steps)  # T x B stacked row of each (step, sequence)
+    running = lens > steps
+    perm = rows[running]  # packed order: step by step, running sequences longest first
+    bounds = np.concatenate([[0], np.cumsum(running.sum(axis=1))])
+
+    xs = x.data[perm]
+    xz, xr, xh = xs @ p.wz.data, xs @ p.wr.data, xs @ p.wh.data
     uz, ur, uh = p.uz.data, p.ur.data, p.uh.data
     bz, br, bh = p.bz.data, p.br.data, p.bh.data
-    out = np.empty((m, hidden))
-    h_prev = np.empty((m, hidden))
-    zs, rs, cands = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
-    h = np.zeros((1, hidden))
-    for i in order:
-        row = slice(i, i + 1)
-        z = 1.0 / (1.0 + np.exp(-(xz[row] + h @ uz + bz)))
-        r = 1.0 / (1.0 + np.exp(-(xr[row] + h @ ur + br)))
-        cand = np.tanh(xh[row] + (r * h) @ uh + bh)
-        h_prev[row], zs[row], rs[row], cands[row] = h, z, r, cand
-        h = (1.0 - z) * h + z * cand
-        out[row] = h
+    out = np.empty((n, hidden))
+    h_prev = np.empty((n, hidden))
+    zs, rs, cands = np.empty((n, hidden)), np.empty((n, hidden)), np.empty((n, hidden))
+    h = np.zeros((lens.size, hidden))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sl, hk = slice(lo, hi), h[: hi - lo]
+        z = 1.0 / (1.0 + np.exp(-(xz[sl] + hk @ uz + bz)))
+        r = 1.0 / (1.0 + np.exp(-(xr[sl] + hk @ ur + br)))
+        cand = np.tanh(xh[sl] + (r * hk) @ uh + bh)
+        h_prev[sl], zs[sl], rs[sl], cands[sl] = hk, z, r, cand
+        hk[:] = (1.0 - z) * hk + z * cand
+        out[sl] = hk
+    result = np.empty((n, hidden))
+    result[perm] = out
 
     def backward(g):
+        gs = g[perm]
         # pre-activation gradients of the three gates, filled step by step
-        d_az, d_ar, d_ac = np.empty((m, hidden)), np.empty((m, hidden)), np.empty((m, hidden))
-        dh = np.zeros((1, hidden))
-        for i in reversed(order):
-            row = slice(i, i + 1)
-            z, r, cand, hp = zs[row], rs[row], cands[row], h_prev[row]
-            dh = dh + g[row]
-            dac = dh * z * (1.0 - cand * cand)
+        d_az, d_ar, d_ac = np.empty((n, hidden)), np.empty((n, hidden)), np.empty((n, hidden))
+        dh = np.zeros((lens.size, hidden))
+        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+            sl, dhk = slice(lo, hi), dh[: hi - lo]
+            z, r, cand, hp = zs[sl], rs[sl], cands[sl], h_prev[sl]
+            dhk += gs[sl]
+            dac = dhk * z * (1.0 - cand * cand)
             d_rh = dac @ uh.T
             dar = d_rh * hp * r * (1.0 - r)
-            daz = dh * (cand - hp) * z * (1.0 - z)
-            d_az[row], d_ar[row], d_ac[row] = daz, dar, dac
-            dh = dh * (1.0 - z) + d_rh * r + daz @ uz.T + dar @ ur.T
-        ad._accumulate(x, d_az @ p.wz.data.T + d_ar @ p.wr.data.T + d_ac @ p.wh.data.T)
+            daz = dhk * (cand - hp) * z * (1.0 - z)
+            d_az[sl], d_ar[sl], d_ac[sl] = daz, dar, dac
+            dhk[:] = dhk * (1.0 - z) + d_rh * r + daz @ uz.T + dar @ ur.T
+        dx = np.empty_like(x.data)
+        dx[perm] = d_az @ p.wz.data.T + d_ar @ p.wr.data.T + d_ac @ p.wh.data.T
+        ad._accumulate(x, dx)
         for w, u, b, da, h_in in (
             (p.wz, p.uz, p.bz, d_az, h_prev),
             (p.wr, p.ur, p.br, d_ar, h_prev),
             (p.wh, p.uh, p.bh, d_ac, rs * h_prev),
         ):
-            ad._accumulate(w, x.data.T @ da)
+            ad._accumulate(w, xs.T @ da)
             ad._accumulate(u, h_in.T @ da)
             ad._accumulate(b, da.sum(axis=0, keepdims=True))
 
     inputs = (x, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
-    return ad._make(out, inputs, backward)
+    return ad._make(result, inputs, backward)
 
 
-def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams) -> Tensor:
-    """m x d_in -> m x 2*hidden: forward and backward hidden states side by side.
+def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Tensor:
+    """N x d_in -> N x 2*hidden: forward and backward hidden states side by side.
 
-    Each direction is one fused gru_sequence node, so the whole layer adds
-    three nodes to the tape: the two directions and their concat.
+    lengths partitions the rows into sequences as in gru_sequence. Each
+    direction is one fused gru_sequence node, so the whole layer adds three
+    nodes to the tape: the two directions and their concat.
     """
-    return ad.concat([gru_sequence(x, fwd), gru_sequence(x, bwd, reverse=True)], axis=1)
+    return ad.concat([gru_sequence(x, fwd, lengths), gru_sequence(x, bwd, lengths, reverse=True)], axis=1)
 
 
-def pool_query(contexts: Tensor) -> Tensor:
-    """Mean over words: m x d -> 1 x d."""
-    return ad.mean_axis(contexts, axis=0, keepdims=True)
+def pool_query(contexts: Tensor, lengths) -> Tensor:
+    """Mean over each query's words: N x d stacked words -> B x d, one row per query."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    summed = ad.segment_sum(contexts, np.repeat(np.arange(lengths.size), lengths), lengths.size)
+    return ad.mul(summed, Tensor(1.0 / lengths[:, None]))
 
 
 @dataclass
@@ -188,34 +217,36 @@ class AttentionHeadParams:
 
 @dataclass
 class QueryEncoding:
-    """Pooled query vector plus the three linguistic node vectors."""
+    """Pooled query vectors plus the three linguistic node vectors, one row per query."""
 
     q: Tensor
     sv: Tensor
     sn: Tensor
     vn: Tensor
-    attention_weights: np.ndarray  # 3 x m, rows sum to 1
+    attention_weights: np.ndarray  # heads x stacked words; each query's words sum to 1 per head
 
 
 def attend_heads(
-    q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[AttentionHeadParams]
+    q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[AttentionHeadParams], lengths=None
 ) -> tuple[list[Tensor], np.ndarray]:
-    """softmax(q k^T) v per head: keys from raw embeddings, values from contexts."""
+    """softmax(q k^T) v per head and query: keys from raw embeddings, values from contexts.
+
+    q is B x d_q, one row per query; embeddings and contexts stack the
+    queries' words, partitioned by lengths (None: all rows are one query).
+    Returns one B x d_ctx tensor per head and the heads x words weights.
+    """
+    n_queries = q.data.shape[0]
+    word_seg = np.repeat(np.arange(n_queries), embeddings.data.shape[0] if lengths is None else lengths)
+    q_rows = ad.gather_rows(q, word_seg)  # each word's query
     outputs = []
     weights = []
     for head in heads:
-        keys = embeddings @ head.wk + head.bk  # m x d_q
-        w = ad.softmax(_qk_logits(q, keys), axis=1)  # 1 x m
-        outputs.append(w @ contexts)
-        weights.append(w.data[0].copy())
+        keys = embeddings @ head.wk + head.bk  # words x d_q
+        logits = ad.sum_axis(ad.mul(q_rows, keys), axis=1, keepdims=True)  # words x 1
+        w = ad.segment_softmax(logits, word_seg, n_queries)
+        outputs.append(ad.segment_sum(ad.mul(w, contexts), word_seg, n_queries))
+        weights.append(w.data[:, 0])
     return outputs, np.stack(weights)
-
-
-def _qk_logits(q: Tensor, keys: Tensor) -> Tensor:
-    """q (1 x d) against keys (m x d) -> 1 x m, via a transpose-free matmul."""
-    # (m x d) @ (d x 1) -> m x 1, reshaped to 1 x m keeps gradients exact
-    col = ad.matmul(keys, ad.reshape(q, (q.data.shape[1], 1)))
-    return ad.reshape(col, (1, keys.data.shape[0]))
 
 
 @dataclass
@@ -248,12 +279,16 @@ def embed_query(tokens: list[str], vocab: Vocabulary, table: Tensor) -> Tensor:
     return ad.gather_rows(table, [vocab.index(tok) for tok in tokens])
 
 
-def encode_query(tokens: list[str], vocab: Vocabulary, params: TextEncoderParams) -> QueryEncoding:
-    """Full linguistic pipeline: embed -> BiGRU -> pool -> three heads."""
-    embeddings = embed_query(tokens, vocab, params.embedding)
-    contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd)
-    q = pool_query(contexts)
+def encode_query(queries: list[list[str]], vocab: Vocabulary, params: TextEncoderParams) -> QueryEncoding:
+    """Full linguistic pipeline for a batch of tokenized queries:
+    embed -> BiGRU -> pool -> three heads, each one op over all queries' words."""
+    lengths = [len(tokens) for tokens in queries]
+    if 0 in lengths:
+        raise InputError("empty query")
+    embeddings = embed_query([tok for tokens in queries for tok in tokens], vocab, params.embedding)
+    contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, lengths)
+    q = pool_query(contexts, lengths)
     (sv, sn, vn), weights = attend_heads(
-        q, embeddings, contexts, [params.head_sv, params.head_sn, params.head_vn]
+        q, embeddings, contexts, [params.head_sv, params.head_sn, params.head_vn], lengths
     )
     return QueryEncoding(q=q, sv=sv, sn=sn, vn=vn, attention_weights=weights)

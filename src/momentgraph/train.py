@@ -51,12 +51,14 @@ def build_vocab(samples: list[AnnotatedSample]) -> Vocabulary:
 
 
 def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalReport, list[dict]]:
-    """Forward + decode on a split; returns the report and per-pair dump rows."""
+    """Forward + decode on a split, config.batch_size samples per forward;
+    returns the report and per-pair dump rows."""
+    step = model.config.batch_size
+    preds = [pred for i in range(0, len(prepared), step) for pred in model.predict(prepared[i : i + step])]
     pairs = []
     rows = []
     n_degenerate = 0
-    for p in prepared:
-        pred = model.predict(p)
+    for p, pred in zip(prepared, preds):
         n_degenerate += pred.degenerate
         pred_iv = Interval(pred.start_seconds, pred.end_seconds)
         gt_iv = Interval(p.t_start_s, p.t_end_s)
@@ -113,17 +115,14 @@ def train(
             batch = order[start : start + config.batch_size]
             opt.zero_grad()
             with GradientTape():
-                parts = [model.loss(prepared_train[i], training=True, rng=rng) for i in batch]
-                batch_loss = parts[0][0]
-                for total, _, _ in parts[1:]:
-                    batch_loss = batch_loss + total
+                batch_loss, kl, sp = model.loss([prepared_train[i] for i in batch], training=True, rng=rng)
                 if np.isnan(batch_loss.data):
                     raise TrainingError(f"NaN loss at epoch {epoch}, step {start // config.batch_size}")
                 ad.backward(batch_loss)
             opt.step()
             epoch_total += float(batch_loss.data)
-            epoch_kl += sum(float(kl.data) for _, kl, _ in parts)
-            epoch_sp += sum(float(sp.data) for _, _, sp in parts)
+            epoch_kl += float(kl.data)
+            epoch_sp += float(sp.data)
 
         entry = {
             "epoch": epoch,

@@ -28,6 +28,20 @@ def fd_grad(f, x, eps=1e-5):
     return g
 
 
+def ref_segment_softmax(x, segment_ids, n_segments):
+    """x: length-n vector; softmax over the entries of each segment, by explicit loops."""
+    out = np.zeros(len(x))
+    for s in range(n_segments):
+        members = [i for i in range(len(x)) if segment_ids[i] == s]
+        if not members:
+            continue
+        peak = max(x[i] for i in members)
+        total = sum(np.exp(x[i] - peak) for i in members)
+        for i in members:
+            out[i] = np.exp(x[i] - peak) / total
+    return out
+
+
 def ref_gru_sequence(x, p, reverse=False):
     """x: m x d_in; p: dict of wz,uz,bz,wr,ur,br,wh,uh,bh arrays. Returns m x hidden."""
     m = x.shape[0]

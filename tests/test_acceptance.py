@@ -211,8 +211,8 @@ def test_determinism_and_persistence(tmp_path):
     reloaded.load(str(path))
     prepared = [model1.prepare(s, cmap) for s in va]
     for prep in prepared:
-        a = model1.predict(prep)
-        b = reloaded.predict(prep)
+        a = model1.predict([prep])[0]
+        b = reloaded.predict([prep])[0]
         assert a.start_dist.tobytes() == b.start_dist.tobytes()
         assert a.end_dist.tobytes() == b.end_dist.tobytes()
         assert (a.start_index, a.end_index) == (b.start_index, b.end_index)

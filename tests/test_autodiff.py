@@ -7,7 +7,7 @@ from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, Tensor
 from momentgraph.errors import ContractError, DimensionError, DomainError
 
-from reference_impls import fd_grad
+from reference_impls import fd_grad, ref_segment_softmax
 
 
 def check_op(build, *arrays, rtol=1e-6):
@@ -51,15 +51,17 @@ class TestMatmul:
 
 class TestElementwise:
     def test_softmax_symmetry(self):
-        out = ad.softmax(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
+        out = ad.segment_softmax(Tensor([[0.0], [0.0], [0.0]]), [0, 0, 0], 1)
+        np.testing.assert_allclose(out.data, [[1 / 3], [1 / 3], [1 / 3]])
 
     def test_softmax_normalized_and_shift_invariant(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 5)) * 10
-        s1 = ad.softmax(Tensor(x)).data
-        s2 = ad.softmax(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(s1.sum(axis=1), 1.0)
+        x = rng.normal(size=(10, 1)) * 10
+        seg = np.repeat([0, 1], 5)
+        s1 = ad.segment_softmax(Tensor(x), seg, 2).data
+        # each segment shifted by its own constant
+        s2 = ad.segment_softmax(Tensor(x + np.where(seg == 0, 100.0, -50.0)[:, None]), seg, 2).data
+        np.testing.assert_allclose(np.bincount(seg, weights=s1[:, 0]), 1.0)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
     def test_sigmoid_tanh_at_zero(self):
@@ -79,13 +81,14 @@ class TestElementwise:
         [
             lambda x: ad.tanh(x),
             lambda x: ad.sigmoid(x),
-            lambda x: ad.softmax(x),
+            lambda x: ad.mul(ad.segment_softmax(ad.sum_axis(x, axis=1, keepdims=True), [0, 1, 1], 2),
+                             Tensor([[1.0], [2.0], [-3.0]])),
             lambda x: ad.mul(x, x),
             lambda x: ad.log(ad.sigmoid(x)),
             lambda x: ad.clip_min(x, 0.1),
-            lambda x: ad.mean_axis(x, axis=0, keepdims=True),
-            lambda x: ad.reshape(x, (1, x.data.size)),
-            lambda x: ad.repeat_rows(ad.gather_rows(x, [1]), 4),
+            lambda x: ad.sum_axis(x, axis=1, keepdims=True),
+            lambda x: 1.0 - ad.mul(x, x),
+            lambda x: ad.gather_rows(ad.segment_sum(x, [0, 0, 1], 2), [1, 0, 1]),
             lambda x: ad.gather_rows(x, [2, 0, 0, 1]),
             lambda x: ad.segment_sum(x, [0, 2, 2], 4),
         ],
@@ -98,6 +101,38 @@ class TestElementwise:
         rng = np.random.default_rng(3)
         check_op(lambda a, b: ad.concat([a, b], axis=1),
                  rng.normal(size=(2, 3)), rng.normal(size=(2, 2)))
+
+
+class TestSegmentSoftmax:
+    SEG = [2, 0, 0, 1, 2, 2, 0]  # unsorted ids, segment 1 has one row, segment 3 none
+
+    def test_matches_loop_oracle(self):
+        x = np.random.default_rng(5).normal(size=(7, 1)) * 5
+        out = ad.segment_softmax(Tensor(x), self.SEG, 4)
+        np.testing.assert_allclose(out.data[:, 0], ref_segment_softmax(x[:, 0], self.SEG, 4), rtol=0, atol=1e-12)
+
+    def test_one_row_segment_is_exactly_one(self):
+        out = ad.segment_softmax(Tensor([[-3.0], [40.0], [7.5]]), [0, 1, 1], 2)
+        assert out.data[0, 0] == 1.0
+        assert ad.segment_softmax(Tensor([[123.4]]), [0], 1).data[0, 0] == 1.0
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(7, 1)), requires_grad=True)
+        weights = rng.normal(size=(7, 1))
+
+        def loss():
+            return float((ad.segment_softmax(x, self.SEG, 4).data * weights).sum())
+
+        with GradientTape():
+            ad.backward(ad.sum_axis(ad.mul(ad.segment_softmax(x, self.SEG, 4), Tensor(weights))))
+        np.testing.assert_allclose(x.grad, fd_grad(loss, x.data), rtol=1e-6, atol=1e-10)
+
+    def test_rejects_non_column_and_id_count(self):
+        with pytest.raises(DimensionError):
+            ad.segment_softmax(Tensor(np.zeros((1, 3))), [0], 1)
+        with pytest.raises(DimensionError):
+            ad.segment_softmax(Tensor(np.zeros((3, 1))), [0, 0], 1)
 
 
 class TestBackward:

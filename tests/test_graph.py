@@ -182,7 +182,8 @@ class TestBatchedSequence:
         rng = np.random.default_rng(18)
         counts = [(2, 3), (0, 1), (1, 0), (2, 2), (0, 0)]
         t = len(counts)
-        sv, sn, vn = (Tensor(rng.normal(size=(1, D_LANG))) for _ in range(3))
+        # one linguistic row per frame, as when frames of several videos share a batch
+        sv, sn, vn = (Tensor(rng.normal(size=(t, D_LANG))) for _ in range(3))
         a0 = Tensor(rng.normal(size=(t, LATENT)))
         h_rows = [rng.normal(size=(k, LATENT)) for k, _ in counts]
         o_rows = [rng.normal(size=(j, LATENT)) for _, j in counts]
@@ -192,8 +193,10 @@ class TestBatchedSequence:
         o_seg = np.concatenate([np.full(j, i) for i, (_, j) in enumerate(counts)])
         a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, p, 3)
         for i in range(t):
+            frame = slice(i, i + 1)
             ra, rh, ro = oracle(
-                Tensor(a0.data[i : i + 1]), Tensor(h_rows[i]), Tensor(o_rows[i]), sv, sn, vn, registry, 3
+                Tensor(a0.data[frame]), Tensor(h_rows[i]), Tensor(o_rows[i]),
+                Tensor(sv.data[frame]), Tensor(sn.data[frame]), Tensor(vn.data[frame]), registry, 3,
             )
             np.testing.assert_allclose(a.data[i : i + 1], ra, atol=1e-12)
             np.testing.assert_allclose(h.data[h_seg == i], rh, atol=1e-12)
@@ -204,7 +207,7 @@ class TestBatchedSequence:
         a0 = Tensor(np.random.default_rng(20).normal(size=(3, LATENT)))
         empty = Tensor(np.zeros((0, LATENT)))
         seg = np.zeros(0, dtype=int)
-        sv = sn = vn = Tensor(np.zeros((1, D_LANG)))
+        sv = sn = vn = Tensor(np.zeros((3, D_LANG)))
         a, h, o = run_message_passing_sequence(a0, empty, empty, seg, seg, sv, sn, vn, p, 0)
         assert a is a0 and h is empty and o is empty
 

@@ -76,10 +76,21 @@ class TestKl:
     def test_kl_loss_sums_both_sides(self):
         target = build_targets(0.0, 1.0, 1.0, 2)
         pred = Tensor([[0.5, 0.5]])
-        both = kl_loss(pred, pred, target).item()
+        both = kl_loss(pred, pred, [target]).item()
         single_start = kl_divergence(pred, target.start_dist).item()
         single_end = kl_divergence(pred, target.end_dist).item()
         assert both == pytest.approx(single_start + single_end, abs=1e-12)
+
+
+    def test_stacked_batch_is_sum_of_samples(self):
+        rng = np.random.default_rng(2)
+        targets = [build_targets(0.5, 2.2, 1.0, 4, "gaussian"), build_targets(1.0, 1.5, 1.0, 3)]
+        preds = [rng.random(4), rng.random(3)]
+        preds = [p / p.sum() for p in preds]
+        column = Tensor(np.concatenate(preds)[:, None])
+        both = kl_loss(column, column, targets).item()
+        apart = sum(kl_loss(Tensor(p[None, :]), Tensor(p[None, :]), [t]).item() for p, t in zip(preds, targets))
+        assert both == pytest.approx(apart, rel=1e-12)
 
 
 class TestSpatial:
@@ -104,6 +115,14 @@ class TestSpatial:
             losses.append(spatial_loss(y, 1, 1).item())
         assert all(a < b for a, b in zip(losses, losses[1:]))
 
+    def test_stacked_windows_sum_per_sample(self):
+        # samples of 3 and 4 rows stacked: windows [1, 1] and [0, 2] offset by 3
+        y = np.array([0.2, 0.6, 0.2, 0.1, 0.2, 0.3, 0.4])
+        both = spatial_loss(Tensor(y[:, None]), [1, 3], [1, 5]).item()
+        apart = spatial_loss(Tensor(y[None, :3]), 1, 1).item() + spatial_loss(Tensor(y[None, 3:]), 0, 2).item()
+        assert both == pytest.approx(apart, rel=1e-12)
+        assert both == pytest.approx(-2.0 * math.log(0.8) - math.log(0.6), rel=1e-12)
+
     def test_span_out_of_range(self):
         with pytest.raises(ContractError):
             spatial_loss(Tensor([[0.5, 0.5]]), 0, 2)
@@ -126,6 +145,6 @@ class TestTotal:
         y = rng.random(t)
         y /= y.sum()
         target = build_targets(1.2, 3.8, 1.0, t)
-        kl = kl_loss(Tensor(pred_s[None, :]), Tensor(pred_e[None, :]), target)
+        kl = kl_loss(Tensor(pred_s[None, :]), Tensor(pred_e[None, :]), [target])
         sp = spatial_loss(Tensor(y[None, :]), target.start_index, target.end_index)
         assert total_loss(kl, sp).item() == pytest.approx(kl.item() + sp.item(), abs=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from momentgraph import autodiff as ad
+from momentgraph.autodiff import GradientTape
 from momentgraph.errors import CheckpointError
 from momentgraph.gradcheck import tiny_instance
 from momentgraph.graph import VARIANTS
@@ -9,29 +11,31 @@ from momentgraph.model import MomentModel
 
 class TestForward:
     def test_output_shapes(self):
-        model, prep = tiny_instance(seed=0)
-        out = model.forward(prep)
-        t = prep.features.shape[0]
+        model, batch = tiny_instance(seed=0, lengths=(4, 3))
+        out = model.forward(batch)
+        n = 4 + 3
         for key in ("start_dist", "end_dist", "y"):
-            assert out[key].data.shape == (1, t)
-        assert out["a_ctx"].data.shape == (t, model.config.latent)
+            assert out[key].data.shape == (n, 1)
+            for rows in (slice(0, 4), slice(4, 7)):
+                assert out[key].data[rows].sum() == pytest.approx(1.0, abs=1e-12)
+        assert out["a_ctx"].data.shape == (n, model.config.latent)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_variants_run(self, variant):
-        model, prep = tiny_instance(variant=variant, seed=1)
-        total, kl, sp = model.loss(prep)
+        model, [prep] = tiny_instance(variant=variant, seed=1)
+        total, kl, sp = model.loss([prep])
         assert np.isfinite(total.data).all()
         assert total.item() == pytest.approx(kl.item() + sp.item(), abs=1e-12)
 
     def test_no_graph_ignores_query(self):
-        model, prep = tiny_instance(variant="no_graph", seed=2)
-        base = model.predict(prep)
+        model, [prep] = tiny_instance(variant="no_graph", seed=2)
+        base = model.predict([prep])[0]
         prep.tokens = ["person", "throw"]  # different query, same visuals
-        again = model.predict(prep)
+        again = model.predict([prep])[0]
         np.testing.assert_array_equal(base.start_dist, again.start_dist)
 
     def test_no_graph_pools_each_frame_mean(self):
-        model, prep = tiny_instance(variant="no_graph", seed=10)
+        model, [prep] = tiny_instance(variant="no_graph", seed=10)
         keep_h, keep_o = prep.human_frame_ids != 0, prep.object_frame_ids != 0  # frame 0 has no detections
         prep.humans_stacked, prep.human_frame_ids = prep.humans_stacked[keep_h], prep.human_frame_ids[keep_h]
         prep.objects_stacked, prep.object_frame_ids = prep.objects_stacked[keep_o], prep.object_frame_ids[keep_o]
@@ -41,19 +45,19 @@ class TestForward:
             pooled[i] = np.concatenate(frame).mean(axis=0)
         w, b = model.nograph_params.w.data, model.nograph_params.b.data
         expected = np.concatenate([prep.features, pooled], axis=1) @ w + b
-        np.testing.assert_array_equal(model.spatial_forward(prep, None).data, expected)
+        np.testing.assert_array_equal(model.spatial_forward([prep], None).data, expected)
 
     def test_full_variant_uses_query(self):
-        model, prep = tiny_instance(seed=3)
-        base = model.predict(prep)
+        model, [prep] = tiny_instance(seed=3)
+        base = model.predict([prep])[0]
         prep.tokens = ["person", "throw"]
-        again = model.predict(prep)
+        again = model.predict([prep])[0]
         assert not np.array_equal(base.start_dist, again.start_dist)
 
     def test_node_dropping_variants(self):
-        _, prep_full = tiny_instance(seed=4)
-        model_nh, prep_nh = tiny_instance(variant="no_human_node", seed=4)
-        model_no, prep_no = tiny_instance(variant="no_object_node", seed=4)
+        _, [prep_full] = tiny_instance(seed=4)
+        model_nh, [prep_nh] = tiny_instance(variant="no_human_node", seed=4)
+        model_no, [prep_no] = tiny_instance(variant="no_object_node", seed=4)
         assert prep_nh.humans_stacked.shape == (0, model_nh.config.d_o)
         assert prep_nh.human_frame_ids.shape == (0,)
         assert prep_no.objects_stacked.shape == (0, model_no.config.d_o)
@@ -66,31 +70,84 @@ class TestForward:
         np.testing.assert_array_equal(prep_no.human_frame_ids, prep_full.human_frame_ids)
 
     def test_no_node_types_routes_all_to_objects(self):
-        _, prep = tiny_instance(variant="no_node_types", seed=5)
+        _, [prep] = tiny_instance(variant="no_node_types", seed=5)
         t = prep.features.shape[0]
         assert prep.humans_stacked.shape[0] == 0
         assert (np.bincount(prep.object_frame_ids, minlength=t) > 0).all()
 
     def test_predict_deterministic(self):
-        model, prep = tiny_instance(seed=6)
-        one = model.predict(prep)
-        two = model.predict(prep)
+        model, [prep] = tiny_instance(seed=6)
+        one = model.predict([prep])[0]
+        two = model.predict([prep])[0]
         np.testing.assert_array_equal(one.start_dist, two.start_dist)
         assert one.start_index == two.start_index
 
 
+RAGGED = (4, 3, 6, 1, 5, 2)  # six samples, every t different, queries of two lengths
+
+
+def loss_and_grads(model, batch):
+    for p in model.params.values():
+        p.grad = None
+    with GradientTape():
+        total, kl, sp = model.loss(batch)
+        ad.backward(total)
+    grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for name, p in model.params.items()}
+    return [total.item(), kl.item(), sp.item()], grads
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestBatchInvariance:
+    """A minibatch is one forward pass, but it computes what its samples compute one by one."""
+
+    def test_loss_and_gradients_are_sums_over_samples(self, variant):
+        model, batch = tiny_instance(variant=variant, seed=11, lengths=RAGGED)
+        parts, grads = loss_and_grads(model, batch)
+        singles = [loss_and_grads(model, [p]) for p in batch]
+        np.testing.assert_allclose(parts, np.sum([s[0] for s in singles], axis=0), rtol=1e-12, atol=0)
+        # measured against the largest gradient entry: the key and head biases
+        # that every softmax ignores have exactly-zero gradients, up to roundoff
+        scale = max(np.abs(g).max() for g in grads.values())
+        for name, g in grads.items():
+            summed = np.sum([s[1][name] for s in singles], axis=0)
+            assert np.abs(g - summed).max() <= 1e-12 * scale, name
+
+    def test_predictions_equal_single_sample_predictions(self, variant):
+        model, batch = tiny_instance(variant=variant, seed=12, lengths=RAGGED)
+        preds = model.predict(batch)
+        assert len(preds) == len(batch)
+        for prep, pred in zip(batch, preds):
+            one = model.predict([prep])[0]
+            assert (pred.start_index, pred.end_index) == (one.start_index, one.end_index)
+            assert pred.degenerate == one.degenerate
+            assert pred.start_dist.shape == (prep.features.shape[0],)
+            np.testing.assert_allclose(pred.start_dist, one.start_dist, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(pred.end_dist, one.end_dist, rtol=1e-12, atol=0)
+
+    def test_training_step_tape_does_not_grow_with_batch(self, variant):
+        # a per-sample loop would record its ops once per sample
+        model, batch = tiny_instance(variant=variant, seed=13, lengths=RAGGED)
+        model.temporal.dropout = 0.2
+        sizes = []
+        for b in (batch[:1], batch):
+            with GradientTape() as tape:
+                model.loss(b, training=True, rng=np.random.default_rng(0))
+                sizes.append(len(tape))
+        assert sizes[0] == sizes[1]
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
-        model, prep = tiny_instance(seed=7)
+        model, batch = tiny_instance(seed=7, lengths=(4, 3))
         path = tmp_path / "m.ckpt"
         model.save(str(path))
         fresh, _ = tiny_instance(seed=99)
         fresh.load(str(path))
         for name, p in model.params.items():
             assert fresh.params[name].data.tobytes() == p.data.tobytes()
-        np.testing.assert_array_equal(
-            fresh.predict(prep).start_dist, model.predict(prep).start_dist
-        )
+        for a, b in zip(fresh.predict(batch), model.predict(batch)):
+            np.testing.assert_array_equal(a.start_dist, b.start_dist)
+            np.testing.assert_array_equal(a.end_dist, b.end_dist)
 
     def test_variant_mismatch_rejected(self, tmp_path):
         model, _ = tiny_instance(seed=8)

@@ -18,7 +18,7 @@ def make_params(seed=0, dropout=0.0):
 class TestForward:
     def test_single_timestep_distributions(self):
         p = make_params()
-        out = temporal_forward(Tensor(np.random.default_rng(1).normal(size=(1, LATENT))), p)
+        out = temporal_forward(Tensor(np.random.default_rng(1).normal(size=(1, LATENT))), [1], p)
         np.testing.assert_array_equal(out["start_dist"].data, [[1.0]])
         np.testing.assert_array_equal(out["end_dist"].data, [[1.0]])
         np.testing.assert_array_equal(out["y"].data, [[1.0]])
@@ -26,37 +26,65 @@ class TestForward:
     def test_distributions_normalized(self):
         p = make_params(seed=2)
         x = Tensor(np.tile(np.random.default_rng(3).normal(size=(1, LATENT)), (5, 1)))
-        out = temporal_forward(x, p)
+        out = temporal_forward(x, [5], p)
         for key in ("start_dist", "end_dist", "y"):
-            assert out[key].data.shape == (1, 5)
+            assert out[key].data.shape == (5, 1)
             assert out[key].data.sum() == pytest.approx(1.0, abs=1e-12)
             assert (out[key].data > 0).all()
 
     def test_matches_reference_loops(self):
         p = make_params(seed=4)
         a_ctx = np.random.default_rng(5).normal(size=(5, LATENT))
-        out = temporal_forward(Tensor(a_ctx), p)
+        out = temporal_forward(Tensor(a_ctx), [5], p)
         start, end, y = ref_temporal(a_ctx, p)
-        np.testing.assert_allclose(out["start_dist"].data[0], start, atol=1e-12)
-        np.testing.assert_allclose(out["end_dist"].data[0], end, atol=1e-12)
-        np.testing.assert_allclose(out["y"].data[0], y, atol=1e-12)
+        np.testing.assert_allclose(out["start_dist"].data[:, 0], start, atol=1e-12)
+        np.testing.assert_allclose(out["end_dist"].data[:, 0], end, atol=1e-12)
+        np.testing.assert_allclose(out["y"].data[:, 0], y, atol=1e-12)
+
+    def test_ragged_batch_matches_reference_per_sample(self):
+        p = make_params(seed=10)
+        lengths = [3, 1, 6]
+        a_ctx = np.random.default_rng(11).normal(size=(sum(lengths), LATENT))
+        out = temporal_forward(Tensor(a_ctx), lengths, p)
+        start = 0
+        for t in lengths:
+            rows = slice(start, start + t)
+            for key, ref in zip(("start_dist", "end_dist", "y"), ref_temporal(a_ctx[rows], p)):
+                np.testing.assert_allclose(out[key].data[rows, 0], ref, rtol=0, atol=1e-12)
+            start += t
+
+    def test_one_dropout_draw_over_the_stack(self):
+        # the stacked draw gives each sample the mask its own draw would, in sample order
+        p = make_params(seed=12, dropout=0.5)
+        lengths = [4, 2]
+        a_ctx = np.random.default_rng(13).normal(size=(6, LATENT))
+        out = temporal_forward(Tensor(a_ctx), lengths, p, training=True, rng=np.random.default_rng(14))
+        rng = np.random.default_rng(14)
+        start = 0
+        for t in lengths:
+            rows = slice(start, start + t)
+            one = temporal_forward(Tensor(a_ctx[rows]), [t], p, training=True, rng=rng)
+            np.testing.assert_allclose(out["start_dist"].data[rows], one["start_dist"].data, rtol=1e-12)
+            start += t
 
     def test_eval_mode_deterministic_despite_dropout_config(self):
         p = make_params(seed=6, dropout=0.5)
         x = Tensor(np.random.default_rng(7).normal(size=(4, LATENT)))
-        one = temporal_forward(x, p)["start_dist"].data
-        two = temporal_forward(x, p)["start_dist"].data
+        one = temporal_forward(x, [4], p)["start_dist"].data
+        two = temporal_forward(x, [4], p)["start_dist"].data
         np.testing.assert_array_equal(one, two)
 
     def test_training_dropout_requires_rng(self):
         p = make_params(seed=8, dropout=0.5)
         with pytest.raises(InputError):
-            temporal_forward(Tensor(np.zeros((3, LATENT))), p, training=True)
+            temporal_forward(Tensor(np.zeros((3, LATENT))), [3], p, training=True)
 
     def test_empty_sequence_rejected(self):
         p = make_params(seed=9)
         with pytest.raises(InputError):
-            temporal_forward(Tensor(np.zeros((0, LATENT))), p)
+            temporal_forward(Tensor(np.zeros((0, LATENT))), [0], p)
+        with pytest.raises(InputError):
+            temporal_forward(Tensor(np.zeros((3, LATENT))), [3, 0], p)
 
 
 class TestDecode:

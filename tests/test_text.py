@@ -19,7 +19,7 @@ from momentgraph.text import (
     tokenize,
 )
 
-from reference_impls import fd_grad, gru_param_arrays, ref_bigru, ref_gru_sequence
+from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_bigru, ref_gru_sequence
 
 
 class TestTokenizeAndVocab:
@@ -154,6 +154,40 @@ class TestGru:
         with pytest.raises(InputError, match="at least one row"):
             gru_sequence(Tensor(np.zeros((0, 3))), self._params())
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ragged_batch_matches_reference_per_sequence(self, reverse):
+        p = self._params(seed=13)
+        lengths = (1, 5, 3)
+        x = np.random.default_rng(14).normal(size=(sum(lengths), 3))
+        out = gru_sequence(Tensor(x), p, lengths, reverse=reverse)
+        start = 0
+        for m in lengths:
+            ref = ref_gru_sequence(x[start : start + m], gru_param_arrays(p), reverse=reverse)
+            np.testing.assert_allclose(out.data[start : start + m], ref, rtol=0, atol=1e-12)
+            start += m
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_ragged_batch_gradients_match_finite_differences(self, reverse):
+        rng = np.random.default_rng(15)
+        p = self._params(seed=16)
+        lengths = (2, 5, 1, 3)
+        x = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
+        weights = rng.normal(size=(sum(lengths), 4))
+
+        def loss():
+            return float((gru_sequence(x, p, lengths, reverse=reverse).data * weights).sum())
+
+        with GradientTape():
+            ad.backward(ad.sum_axis(ad.mul(gru_sequence(x, p, lengths, reverse=reverse), Tensor(weights))))
+        for name, t in {"x": x, **vars(p)}.items():
+            fd = fd_grad(loss, t.data)
+            rel = np.linalg.norm(t.grad - fd) / np.linalg.norm(fd)
+            assert rel < 1e-6, f"{name}: relative error {rel:.3g}"
+
+    def test_zero_length_sequence_is_typed_error(self):
+        with pytest.raises(InputError, match="at least one row"):
+            gru_sequence(Tensor(np.zeros((4, 3))), self._params(), (1, 0, 3))
+
     def test_bigru_adds_three_tape_nodes(self):
         fwd, bwd = self._params(seed=1), self._params(seed=2)
         x = Tensor(np.random.default_rng(3).normal(size=(9, 3)), requires_grad=True)
@@ -179,15 +213,18 @@ class TestGru:
 class TestPooling:
     def test_single_row(self):
         x = Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(pool_query(x).data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(pool_query(x, [1]).data, [[1.0, 2.0]])
 
     def test_opposite_rows_cancel(self):
         x = Tensor([[1.0, -3.0], [-1.0, 3.0]])
-        np.testing.assert_array_equal(pool_query(x).data, [[0.0, 0.0]])
+        np.testing.assert_array_equal(pool_query(x, [2]).data, [[0.0, 0.0]])
 
     def test_hand_mean(self):
         x = Tensor([[1.0, 3.0], [3.0, 5.0]])
-        np.testing.assert_array_equal(pool_query(x).data, [[2.0, 4.0]])
+        np.testing.assert_array_equal(pool_query(x, [2]).data, [[2.0, 4.0]])
+        # three queries stacked: each row is the mean of its own words only
+        x = Tensor([[1.0, 3.0], [3.0, 5.0], [7.0, -1.0], [0.0, 2.0], [4.0, 4.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(pool_query(x, [2, 1, 3]).data, [[2.0, 4.0], [7.0, -1.0], [2.0, 2.0]])
 
 
 class TestAttention:
@@ -231,16 +268,53 @@ class TestAttention:
             assert (out.data >= ctx.data.min(axis=0) - 1e-12).all()
 
 
+    def test_batched_queries_match_reference_per_query(self):
+        rng = np.random.default_rng(3)
+        heads = [AttentionHeadParams.create(rng, 4, 6, {}, f"h{i}") for i in range(3)]
+        lengths = [3, 1, 4]
+        q = rng.normal(size=(3, 6))
+        emb = rng.normal(size=(8, 4))
+        ctx = rng.normal(size=(8, 6))
+        outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), heads, lengths)
+        assert weights.shape == (3, 8)
+        for k, head in enumerate(heads):
+            assert outputs[k].data.shape == (3, 6)
+            start = 0
+            for b, m in enumerate(lengths):
+                words = slice(start, start + m)
+                ref_out, ref_w = ref_attention(q[b : b + 1], emb[words], ctx[words], head.wk.data, head.bk.data)
+                np.testing.assert_allclose(outputs[k].data[b : b + 1], ref_out, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(weights[k, words], ref_w, rtol=0, atol=1e-12)
+                start += m
+
+
 class TestEncodeQuery:
     def test_shapes_and_weight_rows(self):
         vocab = Vocabulary(["person", "opens", "door"])
         params = TextEncoderParams.create(np.random.default_rng(0), len(vocab), 5, 4, {})
-        enc = encode_query(["person", "opens", "door"], vocab, params)
+        enc = encode_query([["person", "opens", "door"]], vocab, params)
         assert enc.q.data.shape == (1, 8)
         for v in (enc.sv, enc.sn, enc.vn):
             assert v.data.shape == (1, 8)
         assert enc.attention_weights.shape == (3, 3)
         np.testing.assert_allclose(enc.attention_weights.sum(axis=1), 1.0)
+
+    def test_batch_rows_equal_single_query_encodings(self):
+        vocab = Vocabulary(["person", "opens", "door", "the"])
+        params = TextEncoderParams.create(np.random.default_rng(2), len(vocab), 5, 4, {})
+        queries = [["person", "opens", "the", "door"], ["door"], ["the", "person"]]
+        batch = encode_query(queries, vocab, params)
+        assert batch.attention_weights.shape == (3, 7)
+        for b, tokens in enumerate(queries):
+            one = encode_query([tokens], vocab, params)
+            for name in ("q", "sv", "sn", "vn"):
+                np.testing.assert_allclose(getattr(batch, name).data[b : b + 1], getattr(one, name).data, rtol=1e-12)
+
+    def test_empty_query_in_batch_rejected(self):
+        vocab = Vocabulary(["door"])
+        params = TextEncoderParams.create(np.random.default_rng(3), len(vocab), 5, 4, {})
+        with pytest.raises(InputError, match="empty query"):
+            encode_query([["door"], []], vocab, params)
 
     def test_identical_heads_collapse(self):
         vocab = Vocabulary(["open", "door"])
@@ -249,6 +323,6 @@ class TestEncodeQuery:
         for name in ("wk", "bk"):
             getattr(params.head_sn, name).data = getattr(params.head_sv, name).data.copy()
             getattr(params.head_vn, name).data = getattr(params.head_sv, name).data.copy()
-        enc = encode_query(["open", "door"], vocab, params)
+        enc = encode_query([["open", "door"]], vocab, params)
         np.testing.assert_array_equal(enc.sv.data, enc.sn.data)
         np.testing.assert_array_equal(enc.sv.data, enc.vn.data)

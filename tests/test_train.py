@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -96,14 +97,31 @@ class TestTrain:
             }
 
 
+    def test_evaluate_chunking_does_not_change_predictions(self, tiny_data, monkeypatch):
+        tr, va, cmap = tiny_data
+        model, _ = train(small_config(), tr, va, cmap)
+        prepared = [model.prepare(s, cmap) for s in tr]
+        calls = []
+        predict = model.predict
+        monkeypatch.setattr(model, "predict", lambda batch: calls.append(len(batch)) or predict(batch))
+        report, rows = evaluate(model, prepared)
+        assert calls == [4, 4, 4]  # config.batch_size samples per forward
+        model.config = dataclasses.replace(model.config, batch_size=5)
+        report5, rows5 = evaluate(model, prepared)
+        assert calls[3:] == [5, 5, 2]
+        assert rows5 == rows
+        assert report5.miou == report.miou
+
+
 class ReversedByOneModel:
     """predict() decodes an end index one before the start index (2 -> 1)."""
 
     def __init__(self, swap_degenerate: bool):
         self.swap_degenerate = swap_degenerate
+        self.config = SimpleNamespace(batch_size=1)
 
-    def predict(self, prepared):
-        return decode([0, 0, 1.0, 0], [0, 1.0, 0, 0], 1.0, 4.0, swap_degenerate=self.swap_degenerate)
+    def predict(self, batch):
+        return [decode([0, 0, 1.0, 0], [0, 1.0, 0, 0], 1.0, 4.0, swap_degenerate=self.swap_degenerate) for _ in batch]
 
 
 class TestDegeneratePolicy:
