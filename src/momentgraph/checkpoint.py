@@ -1,63 +1,100 @@
 """Binary parameter checkpoints.
 
-Layout: magic bytes "DORI", format version u32, then one record per
-parameter: name length (u64), UTF-8 name, rank (u64), dims (u64 each),
-row-major f64 little-endian payload. Records run to end of file.
+Layout (version 2): magic bytes "DORI", format version u32, header length
+(u64), UTF-8 JSON header {"model": {config.MODEL_FIELDS}, "vocab": [tokens]},
+then one record per parameter: name length (u64), UTF-8 name, rank (u64),
+dims (u64 each), row-major f64 little-endian payload. Records run to end of
+file. Version 1 is the same without the header.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import CheckpointError
+from .config import MODEL_FIELDS, RunConfig
+from .errors import CheckpointError, ConfigError
 
 MAGIC = b"DORI"
-VERSION = 1
+VERSION = 2
 
 
-def save_params(params: dict, path: str) -> None:
-    """Write named float64 arrays (Tensors or ndarrays) to a checkpoint file."""
+def save_params(params: dict, path: str, meta: dict) -> None:
+    """Write a header and named float64 arrays (Tensors or ndarrays) to a checkpoint file."""
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
+        f.write(MAGIC + struct.pack("<IQ", VERSION, len(header)) + header)
         for name in sorted(params):
-            arr = np.ascontiguousarray(getattr(params[name], "data", params[name]), dtype=np.float64)
+            arr = np.ascontiguousarray(getattr(params[name], "data", params[name]), dtype="<f8")
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<Q", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<Q", dim))
-            f.write(arr.astype("<f8").tobytes())
+            f.write(struct.pack("<Q", len(encoded)) + encoded + struct.pack(f"<{arr.ndim + 1}Q", arr.ndim, *arr.shape))
+            f.write(arr.tobytes())
 
 
-def load_params(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> ndarray map."""
+def load_params(path: str) -> tuple[dict | None, dict[str, np.ndarray]]:
+    """Read a checkpoint back into (header, name -> ndarray); the header is
+    None for a version-1 file. Every malformed file is a CheckpointError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
+    try:
+        return _parse(blob, path)
+    except (ValueError, OverflowError, RecursionError) as exc:  # bad UTF-8 or JSON, unusable dims
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}")
+
+
+def _parse(blob: bytes, path: str) -> tuple[dict | None, dict[str, np.ndarray]]:
+    pos = 4
+
+    def take(n: int) -> int:
+        """Step over the next n bytes, which must exist, and return where they start."""
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise CheckpointError(f"{path}: truncated: {n} bytes wanted at offset {pos}, {len(blob) - pos} left")
+        pos += n
+        return pos - n
+
+    def u64s(k: int = 1) -> tuple:
+        return struct.unpack_from(f"<{k}Q", blob, take(8 * k))
+
+    def text() -> str:
+        (n,) = u64s()
+        return blob[take(n) : pos].decode("utf-8")
+
+    def record() -> None:
+        name = text()
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate record '{name}'")
+        (rank,) = u64s()
+        dims = u64s(rank)
+        count = math.prod(dims)
+        params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count)).copy().reshape(dims)
+
+    (version,) = struct.unpack_from("<I", blob, take(4))
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    out: dict[str, np.ndarray] = {}
-    offset = 8
-    while offset < len(blob):
-        try:
-            (name_len,) = struct.unpack_from("<Q", blob, offset)
-            offset += 8
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<Q", blob, offset)
-            offset += 8
-            dims = struct.unpack_from(f"<{rank}Q", blob, offset)
-            offset += 8 * rank
-            count = int(np.prod(dims)) if rank else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
-            offset += 8 * count
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
-            raise CheckpointError(f"{path}: truncated or corrupt record: {exc}")
-        out[name] = arr.reshape(dims)
-    return out
+    meta, params = None, {}
+    if version == VERSION:
+        meta = json.loads(text())
+        _check_header(meta, path)
+    while pos < len(blob):
+        record()
+    return meta, params
+
+
+def _check_header(meta, path: str) -> None:
+    """A header holds exactly MODEL_FIELDS, each of its default's type and
+    valid for RunConfig, and a list of token strings."""
+    try:
+        model, vocab = meta["model"], meta["vocab"]
+        RunConfig(**model)
+        typed = sorted(model) == sorted(MODEL_FIELDS) and all(type(model[k]) is type(getattr(RunConfig, k)) for k in model)
+        if len(meta) == 2 and typed and isinstance(vocab, list) and all(isinstance(tok, str) for tok in vocab):
+            return
+    except (TypeError, KeyError, ConfigError):
+        pass
+    raise CheckpointError(f'{path}: header is not {{"model": {{{", ".join(MODEL_FIELDS)}}}, "vocab": [tokens]}} with valid values')

@@ -8,9 +8,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
+from .checkpoint import load_params
 from .config import RunConfig, load_config, synthetic_config
 from .dataio import load_dataset, write_dataset
 from .errors import (
@@ -41,37 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _resolve_config(args) -> RunConfig:
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "variant": getattr(args, "variant", None),
-        "iterations": getattr(args, "iterations", None),
-        "epochs": getattr(args, "epochs", None),
-        "data_dir": getattr(args, "data", None),
-        "checkpoint": getattr(args, "checkpoint", None),
-        "report": getattr(args, "report", None),
-        "target_miou": getattr(args, "target_miou", None),
-    }
-    if args.swap_degenerate:
-        overrides["swap_degenerate"] = True
+def _resolve_config(args, stored: dict | None = None) -> RunConfig:
+    """Flags over the --config file or the synthetic preset; stored as in load_config.
+    A flag that was given overrides the config field its dest names."""
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     if args.config:
-        return load_config(args.config, overrides)
+        return load_config(args.config, overrides, stored)
     # without a config file, fall back to the desk-scale synthetic preset
-    return synthetic_config(**{k: v for k, v in overrides.items() if v is not None})
-
-
-def _save_vocab(vocab: Vocabulary, checkpoint_path: str) -> None:
-    with open(checkpoint_path + ".vocab.json", "w", encoding="utf-8") as f:
-        json.dump(vocab.tokens(), f)
-
-
-def _load_vocab(checkpoint_path: str) -> Vocabulary:
-    path = checkpoint_path + ".vocab.json"
-    if not os.path.exists(path):
-        raise DataError(f"missing vocabulary file '{path}' next to the checkpoint")
-    with open(path, encoding="utf-8") as f:
-        tokens = json.load(f)
-    return Vocabulary.from_tokens(tokens)
+    return synthetic_config(**{k: v for k, v in {**overrides, **(stored or {})}.items() if v is not None})
 
 
 def cmd_synth(args) -> int:
@@ -94,7 +71,6 @@ def cmd_train(args) -> int:
     train_samples, val_samples, cmap = load_dataset(config.data_dir)
     model, log = train(config, train_samples, val_samples, cmap, verbose=not args.quiet)
     model.save(config.checkpoint)
-    _save_vocab(model.vocab, config.checkpoint)
     if config.report:
         log.save(config.report)
     print(f"best val mIoU {log.best_val_miou:.2f} at epoch {log.best_epoch}; checkpoint: {config.checkpoint}")
@@ -102,12 +78,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _resolve_config(args)
+    path = _resolve_config(args).checkpoint
+    meta, params = load_params(path)
+    if meta is None:
+        raise CheckpointError(f"{path}: a version-1 checkpoint stores no model config or vocabulary; "
+                              "retrain it, or load it through MomentModel(config, vocab).load")
+    config = _resolve_config(args, meta["model"])
+    model = MomentModel(config, Vocabulary.from_tokens(meta["vocab"]))
+    model.restore(meta, params)
     train_samples, val_samples, cmap = load_dataset(config.data_dir)
     samples = train_samples if args.split == "train" else val_samples
-    vocab = _load_vocab(config.checkpoint)
-    model = MomentModel(config, vocab)
-    model.load(config.checkpoint)
     prepared = [model.prepare(s, cmap) for s in samples]
     report, rows = evaluate(model, prepared)
     print(report.table())
@@ -183,18 +163,18 @@ def build_parser() -> _Parser:
     for name, fn in (("train", cmd_train), ("eval", cmd_eval), ("ablate", cmd_ablate)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--data", default=None)
-        p.add_argument("--iterations", type=int, default=None)
+        p.add_argument("--data", default=None, dest="data_dir")
         p.add_argument("--report", default=None)
-        p.add_argument("--swap-degenerate", action="store_true")
-        if name != "eval":  # eval loads trained parameters: no seed, epochs or stopping target
+        p.add_argument("--swap-degenerate", action="store_true", default=None)
+        if name != "eval":  # eval's model comes from its checkpoint, and it trains nothing
+            p.add_argument("--iterations", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--epochs", type=int, default=None)
             p.add_argument("--target-miou", type=float, default=None, dest="target_miou")
-        if name != "ablate":  # ablate sets the variant of every run and saves no checkpoint
-            p.add_argument("--variant", choices=VARIANTS, default=None)
+        if name != "ablate":  # ablate saves no checkpoint
             p.add_argument("--checkpoint", default=None)
-        if name == "train":
+        if name == "train":  # ablate sets the variant of every run
+            p.add_argument("--variant", choices=VARIANTS, default=None)
             p.add_argument("--quiet", action="store_true")
         if name == "eval":
             p.add_argument("--split", choices=("train", "val"), default="val")

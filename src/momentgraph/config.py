@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .graph import check_variant
@@ -52,9 +52,6 @@ class RunConfig:
             raise ConfigError("lr must be positive")
         check_variant(self.variant)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _SECTIONS = {
     "model": ("d_w", "d_v", "d_o", "latent", "hidden"),
@@ -65,24 +62,21 @@ _SECTIONS = {
     "paths": ("data_dir", "checkpoint", "report"),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+# The fields that shape a model's parameters and behaviour; a checkpoint stores them.
+MODEL_FIELDS = _SECTIONS["model"] + _SECTIONS["graph"]
 
 
 def _coerce(name: str, raw: str):
-    ftype = _FIELD_TYPES.get(name, "str")
     if name == "target_miou":
         return None if raw.lower() in ("", "none") else float(raw)
     if name == "swap_degenerate":
         return raw.lower() in ("1", "true", "yes")
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return raw
+    return type(getattr(RunConfig, name))(raw)  # int, float or str, as the default
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from an optional INI file plus flag overrides."""
+def load_config(path: str | None = None, overrides: dict | None = None, stored: dict | None = None) -> RunConfig:
+    """Build a RunConfig from an optional INI file plus flag overrides. The file
+    may restate the stored values (a checkpoint's model fields) but not contradict them."""
     values: dict = {}
     if path:
         parser = configparser.ConfigParser()
@@ -94,6 +88,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                     if key not in keys:
                         raise ConfigError(f"unknown config key [{section}] {key}")
                     values[key] = _coerce(key, parser[section][key])
+    for key, val in (stored or {}).items():
+        if values.setdefault(key, val) != val:
+            raise ConfigError(f"{path}: {key} = {values[key]!r} conflicts with the checkpoint's {val!r}")
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val

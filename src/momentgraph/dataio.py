@@ -5,6 +5,7 @@ JSON Lines, the category map and the train/val manifest.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -49,21 +50,22 @@ def read_features(path: str) -> ActivityFeatures:
         blob = f.read()
     if blob[:4] != FEAT_MAGIC:
         raise DataError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FEAT_VERSION:
-        raise DataError(f"{path}: unsupported feature-file version {version}")
     try:
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version != FEAT_VERSION:
+            raise DataError(f"{path}: unsupported feature-file version {version}")
         (vid_len,) = struct.unpack_from("<Q", blob, 8)
-        offset = 16
-        video_id = blob[offset : offset + vid_len].decode("utf-8")
-        offset += vid_len
-        t, d_v = struct.unpack_from("<QQ", blob, offset)
-        offset += 16
-        stride, duration = struct.unpack_from("<dd", blob, offset)
-        offset += 16
+        offset = 16 + vid_len
+        video_id = blob[16:offset].decode("utf-8")
+        t, d_v, stride, duration = struct.unpack_from("<QQdd", blob, offset)
+        offset += 32
+        if 8 * t * d_v != len(blob) - offset:
+            raise DataError(f"{path}: {t} x {d_v} features need {8 * t * d_v} bytes, {len(blob) - offset} follow the header")
         feats = np.frombuffer(blob, dtype="<f8", count=t * d_v, offset=offset).copy().reshape(t, d_v)
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: truncated or corrupt feature file: {exc}")
+    if not (math.isfinite(stride) and math.isfinite(duration)):
+        raise DataError(f"{path}: stride {stride} and duration {duration} must be finite")
     return ActivityFeatures(video_id=video_id, features=feats, stride_seconds=stride, duration_seconds=duration)
 
 
@@ -146,6 +148,8 @@ def read_annotations(path: str) -> list[dict]:
                 }
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed annotation: {exc}")
+            if not all(math.isfinite(row[k]) for k in ("t_start_s", "t_end_s", "duration_s")):
+                raise DataError(f"{path}:{lineno}: times must be finite")
             if row["t_start_s"] > row["t_end_s"]:
                 raise DataError(f"{path}:{lineno}: t_start_s > t_end_s")
             rows.append(row)

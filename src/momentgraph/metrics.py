@@ -1,6 +1,4 @@
-"""Evaluation metrics: temporal IoU, recall at thresholds, mean IoU and a
-random baseline.
-"""
+"""Evaluation metrics: temporal IoU, recall at thresholds and mean IoU."""
 
 from __future__ import annotations
 
@@ -87,17 +85,3 @@ def evaluate_pairs(pairs: list[tuple[Interval, Interval]], alphas=DEFAULT_ALPHAS
         miou=100.0 * float(np.mean(vals)),
         n_samples=len(vals),
     )
-
-
-def random_baseline(
-    gts: list[tuple[Interval, float]],
-    rng: np.random.Generator,
-    alphas=DEFAULT_ALPHAS,
-) -> EvalReport:
-    """Score an arbitrary-segment predictor: two uniform draws per video,
-    ordered, against the ground-truth interval. gts carries (interval, duration)."""
-    pairs = []
-    for gt, duration in gts:
-        a, b = rng.uniform(0.0, duration, size=2)
-        pairs.append((Interval(min(a, b), max(a, b)), gt))
-    return evaluate_pairs(pairs, alphas=alphas)

@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_params, save_params
-from .config import RunConfig
+from .config import MODEL_FIELDS, RunConfig
 from .dataio import AnnotatedSample
 from .errors import CheckpointError, DataError
 from .graph import (
@@ -192,10 +192,23 @@ class MomentModel:
     # persistence
 
     def save(self, path: str) -> None:
-        save_params(self.params, path)
+        """Write the parameters with the model fields and vocabulary that shape them."""
+        model = {key: getattr(self.config, key) for key in MODEL_FIELDS}
+        save_params(self.params, path, {"model": model, "vocab": self.vocab.tokens()})
 
     def load(self, path: str) -> None:
-        loaded = load_params(path)
+        self.restore(*load_params(path))
+
+    def restore(self, meta: dict | None, loaded: dict[str, np.ndarray]) -> None:
+        """Take what load_params read if it fits this model: the header (None in
+        version 1) must hold its fields and vocabulary, the records its parameters."""
+        if meta is not None:
+            for key in MODEL_FIELDS:
+                stored, own = meta["model"][key], getattr(self.config, key)
+                if stored != own:
+                    raise CheckpointError(f"checkpoint/config mismatch: {key} is {stored!r} in the checkpoint, {own!r} in the config")
+            if meta["vocab"] != self.vocab.tokens():
+                raise CheckpointError("checkpoint/vocabulary mismatch: the stored tokens are not the model's")
         if set(loaded) != set(self.params):
             missing = set(self.params) - set(loaded)
             extra = set(loaded) - set(self.params)

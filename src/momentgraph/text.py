@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, DimensionError, InputError
+from .errors import DimensionError, InputError
 from .init import glorot, zeros
 
 UNK = "<unk>"
@@ -44,9 +44,6 @@ class Vocabulary:
     def __len__(self):
         return len(self._index)
 
-    def __contains__(self, tok):
-        return tok in self._index
-
     def index(self, tok: str) -> int:
         return self._index.get(tok, self._index[UNK])
 
@@ -56,23 +53,6 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":
         return cls(tokens)
-
-
-def load_embedding_file(path: str, vocab: Vocabulary, d_w: int, rng: np.random.Generator) -> Tensor:
-    """Load word vectors in the text format: token then d_w decimals per line.
-
-    Tokens absent from the file keep a random row.
-    """
-    table = rng.normal(0.0, 0.1, size=(len(vocab), d_w))
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != d_w + 1:
-                raise DataError(f"{path}:{lineno}: expected token + {d_w} values, got {len(parts)} fields")
-            tok = parts[0]
-            if tok in vocab:
-                table[vocab.index(tok)] = [float(v) for v in parts[1:]]
-    return Tensor(table, requires_grad=True)
 
 
 @dataclass

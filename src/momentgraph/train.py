@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def train(
         beta2=config.beta2,
     )
     rng = np.random.default_rng(config.seed + 1)
-    log = TrainLog(config=config.to_dict())
+    log = TrainLog(config=asdict(config))
     best_params = {name: p.data.copy() for name, p in model.params.items()}
     n = len(prepared_train)
     t0 = time.time()

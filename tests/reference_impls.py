@@ -5,6 +5,8 @@ no code with the package, so agreement is evidence of correctness rather
 than of consistency.
 """
 
+import struct
+
 import numpy as np
 
 
@@ -156,3 +158,16 @@ def ref_temporal(a_ctx, params):
         return e / e.sum()
 
     return smax(start), smax(end), smax(score)
+
+
+def dori_record(name, dims, payload=b""):
+    """One checkpoint record as bytes: name length, UTF-8 name, rank, dims, payload."""
+    encoded = name.encode("utf-8")
+    return struct.pack(f"<Q{len(encoded)}sQ{len(dims)}Q", len(encoded), encoded, len(dims), *dims) + payload
+
+
+def write_dori_v1(params, path):
+    """A version-1 checkpoint: magic, u32 version 1, then records to end of file."""
+    records = [dori_record(k, np.shape(a), np.asarray(a, dtype="<f8").tobytes()) for k, a in sorted(params.items())]
+    with open(path, "wb") as f:
+        f.write(b"DORI" + struct.pack("<I", 1) + b"".join(records))

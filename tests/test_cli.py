@@ -6,7 +6,10 @@ import shutil
 import pytest
 
 from momentgraph import cli
+from momentgraph.checkpoint import load_params
 from momentgraph.cli import main
+
+from reference_impls import write_dori_v1
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +26,10 @@ def workspace(tmp_path_factory):
     assert main([
         "train", "--data", str(data), "--epochs", "2", "--seed", "0",
         "--checkpoint", str(ckpt), "--report", str(log), "--quiet",
+    ]) == 0
+    assert main([
+        "train", "--data", str(data), "--epochs", "2", "--seed", "0", "--variant", "no_human_node",
+        "--checkpoint", str(root / "nh.ckpt"), "--report", str(root / "nh_log.json"), "--quiet",
     ]) == 0
     return root
 
@@ -44,8 +51,17 @@ class TestSynth:
 
 class TestTrain:
     def test_artifacts(self, workspace):
-        assert (workspace / "model.ckpt").exists()
-        assert (workspace / "model.ckpt.vocab.json").exists()
+        # one file: the checkpoint stores the model fields and the vocabulary
+        names = {p.name for p in workspace.iterdir()}
+        assert {"model.ckpt", "nh.ckpt"} <= names
+        assert not [name for name in names if "vocab" in name]
+        meta, params = load_params(str(workspace / "model.ckpt"))
+        assert meta["model"] == {
+            "d_w": 16, "d_v": 16, "d_o": 16, "latent": 32, "hidden": 16,
+            "variant": "full", "iterations": 3, "top_n": 15,
+        }
+        assert meta["vocab"][:2] == ["<unk>", "<pad>"] and len(meta["vocab"]) > 2
+        assert params["text.embedding"].shape == (len(meta["vocab"]), 16)
         log = json.loads((workspace / "log.json").read_text())
         assert len(log["epochs"]) == 2
 
@@ -78,6 +94,41 @@ class TestEval:
         best = next(e for e in log["epochs"] if e["epoch"] == log["best_epoch"])
         assert f"{best['train_miou']:6.2f}" in out
 
+    def test_model_comes_from_the_checkpoint(self, workspace, capsys):
+        # no --variant: eval must build the no_human_node model the checkpoint holds
+        code = main([
+            "eval", "--data", str(workspace / "data"),
+            "--checkpoint", str(workspace / "nh.ckpt"), "--split", "train",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        log = json.loads((workspace / "nh_log.json").read_text())
+        best = next(e for e in log["epochs"] if e["epoch"] == log["best_epoch"])
+        assert f"{best['train_miou']:6.2f}" in out
+
+    def test_config_that_restates_the_checkpoint_runs(self, workspace, tmp_path):
+        config = write_model_config(tmp_path / "run.ini")
+        with open(config, "a") as f:
+            f.write("[graph]\nvariant = no_human_node\niterations = 3\n")
+        code = main(["eval", "--config", config, "--data", str(workspace / "data"), "--checkpoint", str(workspace / "nh.ckpt")])
+        assert code == 0
+
+    def test_config_that_contradicts_the_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[graph]\niterations = 1\n")
+        code = main(["eval", "--config", str(config), "--data", str(workspace / "data"), "--checkpoint", str(workspace / "model.ckpt")])
+        assert code == 1
+        assert "iterations = 1 conflicts with the checkpoint's 3" in capsys.readouterr().err
+
+    def test_version_one_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        _, params = load_params(str(workspace / "model.ckpt"))
+        old = tmp_path / "old.ckpt"
+        write_dori_v1(params, str(old))
+        code = main(["eval", "--data", str(workspace / "data"), "--checkpoint", str(old)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "version-1" in err and "retrain" in err and "MomentModel(config, vocab).load" in err
+
     def test_missing_checkpoint_is_data_error(self, workspace):
         code = main([
             "eval", "--data", str(workspace / "data"), "--checkpoint", str(workspace / "nope.ckpt"),
@@ -98,6 +149,8 @@ class TestExitCodes:
             ["eval", "--seed", "77"],
             ["eval", "--epochs", "9"],
             ["eval", "--target-miou", "5"],
+            ["eval", "--variant", "full"],
+            ["eval", "--iterations", "3"],
             ["ablate", "--variant", "full"],
             ["ablate", "--checkpoint", "m.ckpt"],
         ],

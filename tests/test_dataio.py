@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -46,6 +47,36 @@ class TestFeatureFiles:
             read_features(str(path))
 
 
+    def test_every_strict_prefix_is_data_error(self, tmp_path):
+        path = tmp_path / "v.feat"
+        write_features(ActivityFeatures("vid", np.ones((3, 2)), 1.0, 3.0), str(path))
+        blob = path.read_bytes()
+        read_features(str(path))
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                read_features(str(path))
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"FEAT\x01",  # short version field
+            b"FEAT" + struct.pack("<IQ", 1, 2**62) + b"v",  # video id longer than the file
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 2**62, 2**62, 1.0, 1.0),  # t x d_v overflows
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, 1.0, 1.0) + b"\x00" * 16,  # extra bytes
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, float("nan"), 1.0) + b"\x00" * 8,
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, 1.0, float("inf")) + b"\x00" * 8,
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"\xff" + struct.pack("<QQdd", 1, 1, 1.0, 1.0) + b"\x00" * 8,
+        ],
+        ids=["short-version", "long-id", "overflow", "trailing", "nan-stride", "inf-duration", "bad-utf8"],
+    )
+    def test_malformed_file_is_data_error(self, tmp_path, blob):
+        path = tmp_path / "v.feat"
+        path.write_bytes(blob)
+        with pytest.raises(DataError):
+            read_features(str(path))
+
+
 class TestDetectionFiles:
     def test_round_trip(self, tmp_path):
         frames = [
@@ -86,6 +117,15 @@ class TestAnnotations:
         bad = dict(good, t_start_s=3.0, t_end_s=1.0)
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DataError, match=r"ann\.jsonl:2"):
+            read_annotations(str(path))
+
+    @pytest.mark.parametrize("key", ["t_start_s", "t_end_s", "duration_s"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_time_rejected_with_line_number(self, tmp_path, key, value):
+        path = tmp_path / "ann.jsonl"
+        good = {"video_id": "v", "query": "q", "t_start_s": 0.0, "t_end_s": 1.0, "duration_s": 4.0}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good).replace(f'"{key}": {good[key]}', f'"{key}": {value}') + "\n")
+        with pytest.raises(DataError, match=r"ann\.jsonl:2: times must be finite"):
             read_annotations(str(path))
 
     def test_missing_feature_file_names_video(self, tmp_path):

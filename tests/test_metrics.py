@@ -9,7 +9,6 @@ from momentgraph.metrics import (
     EvalReport,
     evaluate_pairs,
     miou,
-    random_baseline,
     recall_at,
     tiou,
 )
@@ -126,26 +125,3 @@ class TestEvaluatePairs:
         assert data["n_samples"] == 10
         assert data["recall_at"]["0.5"] == pytest.approx(40.0)
         assert "mIoU" in report.table()
-
-
-class TestRandomBaseline:
-    def _gts(self, n=200, seed=2):
-        rng = np.random.default_rng(seed)
-        gts = []
-        for _ in range(n):
-            dur = rng.uniform(10, 60)
-            a, b = sorted(rng.uniform(0, dur, 2))
-            gts.append((Interval(a, b), dur))
-        return gts
-
-    def test_seeded_determinism(self):
-        gts = self._gts()
-        one = random_baseline(gts, np.random.default_rng(7))
-        two = random_baseline(gts, np.random.default_rng(7))
-        assert one.miou == two.miou
-        assert one.recall_at == two.recall_at
-
-    def test_high_threshold_much_rarer_than_low(self):
-        gts = self._gts(n=10_000, seed=3)
-        report = random_baseline(gts, np.random.default_rng(4))
-        assert report.recall_at[0.9] < report.recall_at[0.3] / 5.0

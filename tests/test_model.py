@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from momentgraph.errors import CheckpointError
 from momentgraph.gradcheck import tiny_instance
 from momentgraph.graph import VARIANTS
 from momentgraph.model import MomentModel
+from momentgraph.text import Vocabulary
+
+from reference_impls import write_dori_v1
 
 
 class TestForward:
@@ -165,3 +170,57 @@ class TestPersistence:
         fresh, _ = tiny_instance(seed=9)
         with pytest.raises(CheckpointError, match="temporal.w_start"):
             fresh.load(str(path))
+
+    def test_variant_with_the_same_parameters_rejected(self, tmp_path):
+        # full, no_human_node and no_object_node have the same parameter names and shapes
+        model, _ = tiny_instance(variant="no_human_node", seed=8)
+        path = tmp_path / "m.ckpt"
+        model.save(str(path))
+        full, _ = tiny_instance(variant="full", seed=8)
+        assert {k: p.data.shape for k, p in full.params.items()} == {k: p.data.shape for k, p in model.params.items()}
+        with pytest.raises(CheckpointError, match="mismatch: variant is 'no_human_node' in the checkpoint, 'full'"):
+            full.load(str(path))
+
+    @pytest.mark.parametrize("field, value", [("iterations", 3), ("top_n", 4)])
+    def test_field_that_shapes_no_parameter_rejected(self, tmp_path, field, value):
+        model, _ = tiny_instance(seed=8)
+        other = MomentModel(dataclasses.replace(model.config, **{field: value}), model.vocab)
+        assert getattr(model.config, field) != value
+        path = tmp_path / "m.ckpt"
+        other.save(str(path))
+        with pytest.raises(CheckpointError, match=f"mismatch: {field} is {value}"):
+            model.load(str(path))
+
+    def test_vocabulary_mismatch_rejected(self, tmp_path):
+        model, _ = tiny_instance(seed=8)
+        path = tmp_path / "m.ckpt"
+        model.save(str(path))
+        reordered = Vocabulary(list(reversed(model.vocab.tokens()[2:])))
+        assert len(reordered) == len(model.vocab)
+        with pytest.raises(CheckpointError, match="vocabulary mismatch"):
+            MomentModel(model.config, reordered).load(str(path))
+
+    def test_version_one_loads_with_explicit_config(self, tmp_path):
+        model, batch = tiny_instance(seed=7, lengths=(4, 3))
+        path = tmp_path / "old.ckpt"
+        write_dori_v1({name: p.data for name, p in model.params.items()}, str(path))
+        fresh = MomentModel(dataclasses.replace(model.config, seed=99), model.vocab)
+        assert fresh.params["temporal.w_start"].data.tobytes() != model.params["temporal.w_start"].data.tobytes()
+        fresh.load(str(path))
+        for name, p in model.params.items():
+            assert fresh.params[name].data.tobytes() == p.data.tobytes()
+        np.testing.assert_array_equal(fresh.predict(batch)[0].start_dist, model.predict(batch)[0].start_dist)
+
+    def test_checkpoint_cut_between_records_is_typed_error(self, tmp_path):
+        # test_checkpoint shows that load_params rejects every other strict
+        # prefix; a cut between records reads as fewer records, which load rejects
+        model, _ = tiny_instance(seed=7)
+        path = tmp_path / "m.ckpt"
+        model.save(str(path))
+        blob = path.read_bytes()
+        sizes = [8 + len(k) + 8 + 8 * p.data.ndim + 8 * p.data.size for k, p in sorted(model.params.items())]
+        ends = len(blob) - np.cumsum([0] + sizes[::-1])[1:]  # where the last 1, 2, ... records start
+        for end in ends:
+            path.write_bytes(blob[:end])
+            with pytest.raises(CheckpointError, match="missing"):
+                model.load(str(path))

@@ -3,7 +3,7 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, Tensor
-from momentgraph.errors import DataError, InputError
+from momentgraph.errors import InputError
 from momentgraph.text import (
     AttentionHeadParams,
     GruParams,
@@ -14,7 +14,6 @@ from momentgraph.text import (
     embed_query,
     encode_query,
     gru_sequence,
-    load_embedding_file,
     pool_query,
     tokenize,
 )
@@ -74,20 +73,6 @@ class TestEmbedding:
     def test_empty_query_rejected(self):
         with pytest.raises(InputError):
             embed_query([], Vocabulary(), Tensor(np.zeros((2, 3))))
-
-    def test_load_embedding_file(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("open 1.0 2.0\ndoor 3.0 4.0\nextra 9.0 9.0\n")
-        vocab = Vocabulary(["open", "door"])
-        table = load_embedding_file(str(path), vocab, 2, np.random.default_rng(0))
-        np.testing.assert_array_equal(table.data[vocab.index("open")], [1.0, 2.0])
-        np.testing.assert_array_equal(table.data[vocab.index("door")], [3.0, 4.0])
-
-    def test_load_embedding_bad_width(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("open 1.0\n")
-        with pytest.raises(DataError, match="vectors.txt:1"):
-            load_embedding_file(str(path), Vocabulary(["open"]), 2, np.random.default_rng(0))
 
 
 class TestGru:
