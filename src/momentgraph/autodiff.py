@@ -45,13 +45,12 @@ def active_tape() -> GradientTape | None:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._inputs: tuple[Tensor, ...] = ()
         self._backward = None
 
     @property
@@ -101,7 +100,6 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._inputs = inputs
         out._backward = backward_fn
         _ACTIVE_TAPE._nodes.append(out)
     return out

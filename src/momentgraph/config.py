@@ -66,12 +66,15 @@ _SECTIONS = {
 MODEL_FIELDS = _SECTIONS["model"] + _SECTIONS["graph"]
 
 
-def _coerce(name: str, raw: str):
-    if name == "target_miou":
-        return None if raw.lower() in ("", "none") else float(raw)
-    if name == "swap_degenerate":
-        return raw.lower() in ("1", "true", "yes")
-    return type(getattr(RunConfig, name))(raw)  # int, float or str, as the default
+def _coerce(section: str, name: str, raw: str):
+    try:
+        if name == "target_miou":
+            return None if raw.lower() in ("", "none") else float(raw)
+        if name == "swap_degenerate":
+            return raw.lower() in ("1", "true", "yes")
+        return type(getattr(RunConfig, name))(raw)  # int, float or str, as the default
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {name} = {raw!r}: {exc}") from None
 
 
 def load_config(path: str | None = None, overrides: dict | None = None, stored: dict | None = None) -> RunConfig:
@@ -87,7 +90,7 @@ def load_config(path: str | None = None, overrides: dict | None = None, stored: 
                 for key in parser[section]:
                     if key not in keys:
                         raise ConfigError(f"unknown config key [{section}] {key}")
-                    values[key] = _coerce(key, parser[section][key])
+                    values[key] = _coerce(section, key, parser[section][key])
     for key, val in (stored or {}).items():
         if values.setdefault(key, val) != val:
             raise ConfigError(f"{path}: {key} = {values[key]!r} conflicts with the checkpoint's {val!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, InputError
 from .visual import ActivityFeatures, CategoryMap, Detection
 
 FEAT_MAGIC = b"FEAT"
@@ -27,8 +27,7 @@ class AnnotatedSample:
     query: str
     t_start_s: float
     t_end_s: float
-    duration_s: float
-    features: ActivityFeatures
+    features: ActivityFeatures  # the video's duration is features.duration_seconds
     detections: list[list[Detection]]  # one list per feature row / keyframe
 
 
@@ -84,7 +83,7 @@ def write_detections(video_id: str, per_frame: list[list[Detection]], path: str)
 
 
 def read_detections(path: str) -> dict[int, list[Detection]]:
-    """Frame index -> detection list for one video."""
+    """Frame index -> detection list for one video; each frame on one line."""
     frames: dict[int, list[Detection]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -92,12 +91,20 @@ def read_detections(path: str) -> dict[int, list[Detection]]:
                 continue
             try:
                 rec = json.loads(line)
-                frames[int(rec["frame_index"])] = [
+                index = int(rec["frame_index"])
+                dets = [
                     Detection(d["label"], d["confidence"], np.array(d["feature"], dtype=np.float64))
                     for d in rec["detections"]
                 ]
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, InputError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed detection record: {exc}")
+            if index in frames:
+                raise DataError(f"{path}:{lineno}: frame_index {index} appears on an earlier line")
+            if dets and not (
+                all(d.feature.ndim == 1 for d in dets) and np.isfinite(np.concatenate([d.feature for d in dets])).all()
+            ):
+                raise DataError(f"{path}:{lineno}: detection features must be finite 1-D arrays")
+            frames[index] = dets
     return frames
 
 
@@ -124,7 +131,7 @@ def write_annotations(samples: list[AnnotatedSample], path: str) -> None:
                         "query": s.query,
                         "t_start_s": s.t_start_s,
                         "t_end_s": s.t_end_s,
-                        "duration_s": s.duration_s,
+                        "duration_s": s.features.duration_seconds,
                     }
                 )
                 + "\n"
@@ -192,7 +199,7 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
     """Parse annotations and join against per-video feature/detection files."""
     rows = read_annotations(path)
     feature_cache: dict[str, ActivityFeatures] = {}
-    detection_cache: dict[str, dict[int, list[Detection]]] = {}
+    detection_cache: dict[str, list[list[Detection]]] = {}
     samples = []
     for row in rows:
         vid = row["video_id"]
@@ -201,19 +208,27 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
             if not os.path.exists(fpath):
                 raise DataError(f"missing feature file for video '{vid}' ({fpath})")
             feature_cache[vid] = read_features(fpath)
+            t = feature_cache[vid].features.shape[0]
             dpath = os.path.join(detections_dir, f"{vid}.jsonl")
-            detection_cache[vid] = read_detections(dpath) if os.path.exists(dpath) else {}
+            frames = read_detections(dpath) if os.path.exists(dpath) else {}
+            for i in frames:
+                if not 0 <= i < t:
+                    raise DataError(f"{dpath}: frame_index {i} is outside [0, {t}) for video '{vid}'")
+            detection_cache[vid] = [frames.get(i, []) for i in range(t)]
         feats = feature_cache[vid]
-        frames = detection_cache[vid]
+        if row["duration_s"] != feats.duration_seconds:
+            raise DataError(
+                f"video '{vid}': annotation duration_s {row['duration_s']} differs from "
+                f"its feature file's duration {feats.duration_seconds}"
+            )
         samples.append(
             AnnotatedSample(
                 video_id=vid,
                 query=row["query"],
                 t_start_s=row["t_start_s"],
                 t_end_s=row["t_end_s"],
-                duration_s=row["duration_s"],
                 features=feats,
-                detections=[frames.get(i, []) for i in range(feats.features.shape[0])],
+                detections=detection_cache[vid],
             )
         )
     return samples

@@ -73,7 +73,6 @@ def tiny_instance(
                 query=QUERIES[i % 2],
                 t_start_s=1.0,
                 t_end_s=2.5,
-                duration_s=float(t),
                 features=ActivityFeatures(f"tiny{i}", rng.normal(size=(t, config.d_v)), 1.0, float(t)),
                 detections=detections,
             )

@@ -26,26 +26,20 @@ from .graph import (
 from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
 from .text import TextEncoderParams, Vocabulary, encode_query, tokenize
-from .visual import CategoryMap, NodeEmbedParams, categorize_detections, embed_nodes
+from .visual import CategoryMap, NodeEmbedParams, embed_nodes, route_detections
 
 
 @dataclass
 class PreparedSample:
     """A sample with tokenization and detection routing done once up front."""
 
+    sample: AnnotatedSample
     tokens: list[str]
-    features: np.ndarray  # t x d_v, constant
     humans_stacked: np.ndarray  # all frames' human features, with frame ids
     objects_stacked: np.ndarray
     human_frame_ids: np.ndarray
     object_frame_ids: np.ndarray
-    stride_seconds: float
-    duration_seconds: float
     target: MomentTarget
-    video_id: str
-    query: str
-    t_start_s: float
-    t_end_s: float
 
 
 class MomentModel:
@@ -78,25 +72,18 @@ class MomentModel:
             raise DataError(
                 f"video '{sample.video_id}': activity features are {features.shape[1]} wide, config d_v is {cfg.d_v}"
             )
+        for det in (det for dets in sample.detections for det in dets):
+            if det.feature.shape[0] != cfg.d_o:
+                raise DataError(
+                    f"video '{sample.video_id}': detection features are {det.feature.shape[0]} wide, "
+                    f"config d_o is {cfg.d_o}"
+                )
         route_map = CategoryMap() if cfg.variant == "no_node_types" else cmap
-        humans, objects = [np.zeros((0, cfg.d_o))], [np.zeros((0, cfg.d_o))]
-        h_seg, o_seg = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-        for i, dets in enumerate(sample.detections):
-            if not dets:
-                continue
-            for det in dets:
-                if det.feature.shape[0] != cfg.d_o:
-                    raise DataError(
-                        f"video '{sample.video_id}': detection features are {det.feature.shape[0]} wide, "
-                        f"config d_o is {cfg.d_o}"
-                    )
-            obs = categorize_detections(dets, route_map, cfg.top_n)
-            if cfg.variant != "no_human_node":
-                humans.append(obs.humans)
-                h_seg.append(np.full(obs.n_humans, i, dtype=np.intp))
-            if cfg.variant != "no_object_node":
-                objects.append(obs.objects)
-                o_seg.append(np.full(obs.n_objects, i, dtype=np.intp))
+        humans, h_seg, objects, o_seg = route_detections(sample.detections, route_map, cfg.top_n, cfg.d_o)
+        if cfg.variant == "no_human_node":
+            humans, h_seg = humans[:0], h_seg[:0]
+        if cfg.variant == "no_object_node":
+            objects, o_seg = objects[:0], o_seg[:0]
         target = build_targets(
             sample.t_start_s,
             sample.t_end_s,
@@ -106,19 +93,13 @@ class MomentModel:
             sigma_pos=cfg.sigma_pos,
         )
         return PreparedSample(
+            sample=sample,
             tokens=tokenize(sample.query),
-            features=features,
-            humans_stacked=np.concatenate(humans),
-            objects_stacked=np.concatenate(objects),
-            human_frame_ids=np.concatenate(h_seg),
-            object_frame_ids=np.concatenate(o_seg),
-            stride_seconds=sample.features.stride_seconds,
-            duration_seconds=sample.duration_s,
+            humans_stacked=humans,
+            objects_stacked=objects,
+            human_frame_ids=h_seg,
+            object_frame_ids=o_seg,
             target=target,
-            video_id=sample.video_id,
-            query=sample.query,
-            t_start_s=sample.t_start_s,
-            t_end_s=sample.t_end_s,
         )
 
     # ------------------------------------------------------------------
@@ -135,7 +116,7 @@ class MomentModel:
         cfg = self.config
         lengths = _lengths(batch)
         first = np.cumsum(lengths) - lengths
-        features = np.concatenate([p.features for p in batch])
+        features = np.concatenate([p.sample.features.features for p in batch])
         humans = np.concatenate([p.humans_stacked for p in batch])
         objects = np.concatenate([p.objects_stacked for p in batch])
         h_seg = np.concatenate([p.human_frame_ids + f for p, f in zip(batch, first)])
@@ -183,9 +164,10 @@ class MomentModel:
         bounds = np.cumsum(_lengths(batch))
         start_dists = np.split(out["start_dist"].data[:, 0], bounds[:-1])
         end_dists = np.split(out["end_dist"].data[:, 0], bounds[:-1])
+        videos = [p.sample.features for p in batch]
         return [
-            decode(s, e, p.stride_seconds, p.duration_seconds, swap_degenerate=self.config.swap_degenerate)
-            for p, s, e in zip(batch, start_dists, end_dists)
+            decode(s, e, v.stride_seconds, v.duration_seconds, swap_degenerate=self.config.swap_degenerate)
+            for v, s, e in zip(videos, start_dists, end_dists)
         ]
 
     # ------------------------------------------------------------------
@@ -223,4 +205,4 @@ class MomentModel:
 
 def _lengths(batch: list[PreparedSample]) -> np.ndarray:
     """Timesteps per sample, in batch order."""
-    return np.array([p.features.shape[0] for p in batch], dtype=np.intp)
+    return np.array([p.sample.features.features.shape[0] for p in batch], dtype=np.intp)

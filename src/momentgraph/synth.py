@@ -112,7 +112,6 @@ def generate(spec: SyntheticSpec) -> tuple[list[AnnotatedSample], CategoryMap]:
                         query=f"{HUMAN_LABEL} {action} the {obj}",
                         t_start_s=t_start,
                         t_end_s=t_end,
-                        duration_s=duration,
                         features=None,  # filled below, all moments share the video
                         detections=detections,
                     )

@@ -58,19 +58,19 @@ def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalRe
     pairs = []
     rows = []
     n_degenerate = 0
-    for p, pred in zip(prepared, preds):
+    for s, pred in zip((p.sample for p in prepared), preds):
         n_degenerate += pred.degenerate
         pred_iv = Interval(pred.start_seconds, pred.end_seconds)
-        gt_iv = Interval(p.t_start_s, p.t_end_s)
+        gt_iv = Interval(s.t_start_s, s.t_end_s)
         pairs.append((pred_iv, gt_iv))
         rows.append(
             {
-                "video_id": p.video_id,
-                "query": p.query,
+                "video_id": s.video_id,
+                "query": s.query,
                 "pred_start_s": pred.start_seconds,
                 "pred_end_s": pred.end_seconds,
-                "gt_start_s": p.t_start_s,
-                "gt_end_s": p.t_end_s,
+                "gt_start_s": s.t_start_s,
+                "gt_end_s": s.t_end_s,
                 "tiou": tiou(pred_iv, gt_iv),
             }
         )

@@ -67,22 +67,6 @@ class CategoryMap:
         return dict(self._map)
 
 
-@dataclass
-class FrameObservations:
-    """Human and object feature sets extracted from one keyframe."""
-
-    humans: np.ndarray  # K x d_o
-    objects: np.ndarray  # J x d_o
-
-    @property
-    def n_humans(self) -> int:
-        return self.humans.shape[0]
-
-    @property
-    def n_objects(self) -> int:
-        return self.objects.shape[0]
-
-
 def variance_of_laplacian(image: np.ndarray) -> float:
     """Population variance of the 4-neighbour Laplacian response (valid interior)."""
     image = np.asarray(image, dtype=np.float64)
@@ -106,26 +90,23 @@ def select_keyframe(frames: list[np.ndarray]) -> int:
     return int(np.argmax(scores))
 
 
-def categorize_detections(dets: list[Detection], cmap: CategoryMap, top_n: int) -> FrameObservations:
-    """Keep the top_n most confident detections, then route by category.
+def route_detections(frames: list[list[Detection]], cmap: CategoryMap, top_n: int, d_o: int):
+    """Keep each frame's top_n most confident detections, then route them by category.
 
-    Confidence ties keep input order (stable sort). The confidence cut is
-    applied to the full pool before the human/object split.
+    Confidence ties keep input order (stable sort), and the cut is applied to
+    a frame's whole pool before the human/object split. Returns (humans,
+    human_frame_ids, objects, object_frame_ids): the kept d_o-wide feature
+    rows of every frame, stacked frame by frame in confidence order, with the
+    index of the frame each row came from.
     """
     if top_n < 1:
         raise InputError(f"top_n must be >= 1, got {top_n}")
-    kept = sorted(dets, key=lambda d: -d.confidence)[:top_n]
-    d_o = kept[0].feature.shape[0] if kept else 0
-    humans, objects = [], []
-    for det in kept:
-        if cmap.category(det.label) == HUMAN:
-            humans.append(det.feature)
-        else:
-            objects.append(det.feature)
-    return FrameObservations(
-        humans=np.array(humans, dtype=np.float64).reshape(len(humans), d_o),
-        objects=np.array(objects, dtype=np.float64).reshape(len(objects), d_o),
-    )
+    kept = [sorted(dets, key=lambda d: -d.confidence)[:top_n] for dets in frames]
+    frame_ids = np.repeat(np.arange(len(kept), dtype=np.intp), [len(k) for k in kept])
+    dets = [det for k in kept for det in k]
+    rows = np.array([det.feature for det in dets], dtype=np.float64).reshape(len(dets), d_o)
+    is_human = np.array([cmap.category(det.label) == HUMAN for det in dets], dtype=bool)
+    return rows[is_human], frame_ids[is_human], rows[~is_human], frame_ids[~is_human]
 
 
 @dataclass

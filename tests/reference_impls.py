@@ -160,6 +160,39 @@ def ref_temporal(a_ctx, params):
     return smax(start), smax(end), smax(score)
 
 
+def ref_route_detections(frames, categories, top_n, d_o):
+    """frames: per-frame lists of detections (label, confidence, feature);
+    categories: label -> "human" or "object", a missing label is an object.
+
+    Frame by frame: order the detections by confidence, highest first, with
+    ties in input order; keep the first top_n; then file each kept one as a
+    human or an object row, with the frame's index beside it.
+    """
+    humans, human_ids, objects, object_ids = [], [], [], []
+    for i, dets in enumerate(frames):
+        order = []
+        for j in range(len(dets)):
+            pos = len(order)
+            while pos > 0 and dets[order[pos - 1]].confidence < dets[j].confidence:
+                pos -= 1
+            order.insert(pos, j)
+        for j in order[:top_n]:
+            if categories.get(dets[j].label, "object") == "human":
+                humans.append(dets[j].feature)
+                human_ids.append(i)
+            else:
+                objects.append(dets[j].feature)
+                object_ids.append(i)
+
+    def rows(feats):
+        out = np.zeros((len(feats), d_o))
+        for k, f in enumerate(feats):
+            out[k] = f
+        return out
+
+    return rows(humans), np.array(human_ids, dtype=np.intp), rows(objects), np.array(object_ids, dtype=np.intp)
+
+
 def dori_record(name, dims, payload=b""):
     """One checkpoint record as bytes: name length, UTF-8 name, rank, dims, payload."""
     encoded = name.encode("utf-8")

@@ -177,7 +177,7 @@ class TestTape:
         x = Tensor([[1.0]], requires_grad=True)
         y = x * 2.0 + 1.0
         assert not y.requires_grad
-        assert y._inputs == ()
+        assert y._backward is None
 
     def test_nested_tapes_rejected(self):
         with GradientTape():

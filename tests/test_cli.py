@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 import shutil
 
 import pytest
@@ -159,6 +158,29 @@ class TestExitCodes:
     def test_flag_the_subcommand_never_reads_is_usage_error(self, tmp_path, capsys, argv):
         assert main(argv + ["--data", str(tmp_path / "ghost")]) == 1
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[graph]\niterations = x\n")
+        assert main(["train", "--config", str(config), "--data", str(tmp_path / "ghost"), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: [graph] iterations = 'x'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_annotation_duration_that_disagrees_with_the_features_is_data_error(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / "annotations.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0]["duration_s"] = -5.0
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = [command, "--data", str(data), "--checkpoint", str(workspace / "model.ckpt")]
+        if command == "train":
+            argv = [command, "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"data error: video '{records[0]['video_id']}': annotation duration_s -5.0 differs" in err
 
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "ghost"), "--epochs", "1"]) == 2

@@ -48,6 +48,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="width"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "section, key, raw",
+        [("graph", "iterations", "x"), ("model", "latent", "1.5"), ("optimizer", "lr", "fast"), ("training", "target_miou", "high")],
+    )
+    def test_value_of_the_wrong_type_names_section_key_and_value(self, tmp_path, section, key, raw):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{raw}'"):
+            load_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")

@@ -98,6 +98,27 @@ class TestDetectionFiles:
             read_detections(str(path))
 
 
+    @pytest.mark.parametrize(
+        "second_line",
+        [
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [NaN, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [Infinity, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [1e999, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [[1.0], [1.0]]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": 1.0}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 1.5, "feature": [1.0, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 0, "detections": []}',
+        ],
+        ids=["nan", "inf", "overflow-to-inf", "2-d", "0-d", "confidence", "repeated-frame"],
+    )
+    def test_malformed_record_is_data_error_with_line_number(self, tmp_path, second_line):
+        path = tmp_path / "v.jsonl"
+        first = {"video_id": "v", "frame_index": 0, "detections": [{"label": "cup", "confidence": 0.9, "feature": [1.0, 2.0]}]}
+        path.write_text(json.dumps(first) + "\n" + second_line + "\n")
+        with pytest.raises(DataError, match=r"v\.jsonl:2: "):
+            read_detections(str(path))
+
+
 class TestAnnotations:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "ann.jsonl"
@@ -134,6 +155,29 @@ class TestAnnotations:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(DataError, match="ghost"):
             load_annotations(str(path), str(tmp_path), str(tmp_path))
+
+    def _video(self, tmp_path, frame_index=0, duration_s=12.0):
+        """A 12-frame video 'v' with one detection line, and one annotation of it."""
+        write_features(ActivityFeatures("v", np.ones((12, 2)), 1.0, 12.0), str(tmp_path / "v.feat"))
+        dets = {"video_id": "v", "frame_index": frame_index, "detections": [{"label": "cup", "confidence": 0.9, "feature": [1.0, 1.0]}]}
+        (tmp_path / "v.jsonl").write_text(json.dumps(dets) + "\n")
+        rec = {"video_id": "v", "query": "q", "t_start_s": 0.0, "t_end_s": 1.0, "duration_s": duration_s}
+        (tmp_path / "ann.jsonl").write_text(json.dumps(rec) + "\n")
+        return str(tmp_path / "ann.jsonl"), str(tmp_path), str(tmp_path)
+
+    def test_frame_index_inside_the_video_loads(self, tmp_path):
+        [sample] = load_annotations(*self._video(tmp_path, frame_index=11))
+        assert len(sample.detections) == 12 and len(sample.detections[11]) == 1
+
+    @pytest.mark.parametrize("frame_index", [999, 12, -1])
+    def test_frame_index_outside_the_video_is_data_error(self, tmp_path, frame_index):
+        with pytest.raises(DataError, match=rf"v\.jsonl: frame_index {frame_index} is outside \[0, 12\) for video 'v'"):
+            load_annotations(*self._video(tmp_path, frame_index=frame_index))
+
+    @pytest.mark.parametrize("duration_s", [-5.0, 11.0, 12.5])
+    def test_duration_that_disagrees_with_the_feature_file_is_data_error(self, tmp_path, duration_s):
+        with pytest.raises(DataError, match=rf"video 'v': annotation duration_s {duration_s} differs from .* 12\.0"):
+            load_annotations(*self._video(tmp_path, duration_s=duration_s))
 
 
 class TestDatasetLayout:

@@ -6,12 +6,12 @@ from momentgraph.gradcheck import GRADCHECK_LENGTHS, format_results, run_gradche
 def test_tiny_instance_is_forced_small():
     model, batch = tiny_instance(lengths=GRADCHECK_LENGTHS + (9,))
     for prep in batch:
-        t = prep.features.shape[0]
+        t = prep.sample.features.features.shape[0]
         assert t <= 6
         assert np.bincount(prep.human_frame_ids, minlength=t).max() <= 2
         assert np.bincount(prep.object_frame_ids, minlength=t).max() <= 3
     # the gradient-check batch is ragged in both t and query length
-    assert [p.features.shape[0] for p in batch[:2]] == [4, 3]
+    assert [p.sample.features.features.shape[0] for p in batch[:2]] == [4, 3]
     assert len(batch[0].tokens) != len(batch[1].tokens)
 
 

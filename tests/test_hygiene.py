@@ -3,7 +3,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "momentgraph"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "momentgraph"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -23,7 +24,11 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}",
+)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 

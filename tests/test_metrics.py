@@ -6,7 +6,6 @@ import pytest
 from momentgraph.errors import InputError
 from momentgraph.metrics import (
     Interval,
-    EvalReport,
     evaluate_pairs,
     miou,
     recall_at,

@@ -44,12 +44,12 @@ class TestForward:
         keep_h, keep_o = prep.human_frame_ids != 0, prep.object_frame_ids != 0  # frame 0 has no detections
         prep.humans_stacked, prep.human_frame_ids = prep.humans_stacked[keep_h], prep.human_frame_ids[keep_h]
         prep.objects_stacked, prep.object_frame_ids = prep.objects_stacked[keep_o], prep.object_frame_ids[keep_o]
-        pooled = np.zeros((prep.features.shape[0], model.config.d_o))
+        pooled = np.zeros((prep.sample.features.features.shape[0], model.config.d_o))
         for i in range(1, pooled.shape[0]):
             frame = [prep.humans_stacked[prep.human_frame_ids == i], prep.objects_stacked[prep.object_frame_ids == i]]
             pooled[i] = np.concatenate(frame).mean(axis=0)
         w, b = model.nograph_params.w.data, model.nograph_params.b.data
-        expected = np.concatenate([prep.features, pooled], axis=1) @ w + b
+        expected = np.concatenate([prep.sample.features.features, pooled], axis=1) @ w + b
         np.testing.assert_array_equal(model.spatial_forward([prep], None).data, expected)
 
     def test_full_variant_uses_query(self):
@@ -76,7 +76,7 @@ class TestForward:
 
     def test_no_node_types_routes_all_to_objects(self):
         _, [prep] = tiny_instance(variant="no_node_types", seed=5)
-        t = prep.features.shape[0]
+        t = prep.sample.features.features.shape[0]
         assert prep.humans_stacked.shape[0] == 0
         assert (np.bincount(prep.object_frame_ids, minlength=t) > 0).all()
 
@@ -125,7 +125,7 @@ class TestBatchInvariance:
             one = model.predict([prep])[0]
             assert (pred.start_index, pred.end_index) == (one.start_index, one.end_index)
             assert pred.degenerate == one.degenerate
-            assert pred.start_dist.shape == (prep.features.shape[0],)
+            assert pred.start_dist.shape == (prep.sample.features.features.shape[0],)
             np.testing.assert_allclose(pred.start_dist, one.start_dist, rtol=1e-12, atol=0)
             np.testing.assert_allclose(pred.end_dist, one.end_dist, rtol=1e-12, atol=0)
 

@@ -33,7 +33,7 @@ class TestGenerate:
         assert len(samples) == 40
         assert cmap.category(HUMAN_LABEL) == HUMAN
         for s in samples:
-            assert 0.0 <= s.t_start_s < s.t_end_s <= s.duration_s
+            assert 0.0 <= s.t_start_s < s.t_end_s <= s.features.duration_seconds
             assert len(s.detections) == s.features.features.shape[0]
             tokens = s.query.split()
             assert tokens[0] == HUMAN_LABEL

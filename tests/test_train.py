@@ -125,7 +125,7 @@ class ReversedByOneModel:
 
 
 class TestDegeneratePolicy:
-    GT = SimpleNamespace(video_id="v", query="q", t_start_s=1.0, t_end_s=3.0)
+    GT = SimpleNamespace(sample=SimpleNamespace(video_id="v", query="q", t_start_s=1.0, t_end_s=3.0))
 
     def test_reversed_by_one_is_counted(self):
         # the decoded interval is [2, 2]: zero length, not reversed in seconds

@@ -8,11 +8,13 @@ from momentgraph.visual import (
     CategoryMap,
     Detection,
     NodeEmbedParams,
-    categorize_detections,
     embed_nodes,
+    route_detections,
     select_keyframe,
     variance_of_laplacian,
 )
+
+from reference_impls import ref_route_detections
 
 
 def box_blur(img):
@@ -66,26 +68,28 @@ class TestRouting:
     def test_basic_split(self):
         cmap = CategoryMap({"hand": HUMAN})
         dets = [Detection("hand", 0.9, np.ones(4)), Detection("table", 0.8, np.zeros(4))]
-        obs = categorize_detections(dets, cmap, top_n=15)
-        assert obs.n_humans == 1 and obs.n_objects == 1
-        assert np.array_equal(obs.humans, np.ones((1, 4)))
-        assert np.array_equal(obs.objects, np.zeros((1, 4)))
+        humans, human_ids, objects, object_ids = route_detections([dets], cmap, top_n=15, d_o=4)
+        assert len(humans) == 1 and len(objects) == 1
+        assert np.array_equal(humans, np.ones((1, 4)))
+        assert np.array_equal(objects, np.zeros((1, 4)))
+        assert human_ids.tolist() == [0] and object_ids.tolist() == [0]
 
     def test_all_human_gives_zero_row_objects(self):
         cmap = CategoryMap({"person": HUMAN})
         dets = [Detection("person", 0.5, np.ones(4)) for _ in range(3)]
-        obs = categorize_detections(dets, cmap, top_n=15)
-        assert obs.objects.shape == (0, 4)
-        assert obs.n_humans == 3
+        humans, _, objects, object_ids = route_detections([dets], cmap, top_n=15, d_o=4)
+        assert objects.shape == (0, 4)
+        assert object_ids.shape == (0,)
+        assert len(humans) == 3
 
     def test_top_n_cut_before_split(self):
         cmap = CategoryMap({"person": HUMAN})
         dets = [Detection(f"obj{i}", 0.9 - 0.05 * i, np.full(2, i)) for i in range(5)]
         dets.append(Detection("person", 0.1, np.zeros(2)))
-        obs = categorize_detections(dets, cmap, top_n=5)
+        humans, _, objects, _ = route_detections([dets], cmap, top_n=5, d_o=2)
         # the human is the least confident detection and falls to the cut
-        assert obs.n_humans == 0
-        assert obs.n_objects == 5
+        assert len(humans) == 0
+        assert len(objects) == 5
 
     def test_count_invariant(self):
         rng = np.random.default_rng(3)
@@ -97,13 +101,50 @@ class TestRouting:
                 for _ in range(int(rng.integers(0, 10)))
             ]
             top_n = int(rng.integers(1, 8))
-            obs = categorize_detections(dets, cmap, top_n)
-            assert obs.n_humans + obs.n_objects == min(len(dets), top_n)
+            humans, _, objects, _ = route_detections([dets], cmap, top_n, d_o=3)
+            assert len(humans) + len(objects) == min(len(dets), top_n)
 
     def test_stable_order_on_ties(self):
         dets = [Detection("a", 0.5, np.array([1.0])), Detection("b", 0.5, np.array([2.0]))]
-        obs = categorize_detections(dets, CategoryMap(), top_n=15)
-        assert np.array_equal(obs.objects, [[1.0], [2.0]])
+        _, _, objects, _ = route_detections([dets], CategoryMap(), top_n=15, d_o=1)
+        assert np.array_equal(objects, [[1.0], [2.0]])
+
+    def test_top_n_must_be_positive(self):
+        with pytest.raises(InputError):
+            route_detections([[]], CategoryMap(), top_n=0, d_o=1)
+
+
+def random_video(seed, labels):
+    """Ragged frames with confidences on a coarse grid (so ties are common) and some empty frames."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(int(rng.integers(1, 12))):
+        n = int(rng.integers(0, 10)) if rng.uniform() > 0.2 else 0
+        frames.append([Detection(str(rng.choice(labels)), int(rng.integers(0, 5)) / 4, rng.normal(size=3)) for _ in range(n)])
+    return frames
+
+
+class TestRoutingMatchesOracle:
+    LABELS = ["person", "hand", "cup", "door", "bag"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("top_n", [1, 3, 20])
+    @pytest.mark.parametrize("mapping", [{"person": HUMAN, "hand": HUMAN}, {}], ids=["cmap", "empty-cmap"])
+    def test_byte_identical_to_reference(self, seed, top_n, mapping):
+        frames = random_video(seed, self.LABELS)
+        if seed == 0:
+            frames = [[] for _ in frames]  # a video without a single detection
+        got = route_detections(frames, CategoryMap(mapping), top_n, d_o=3)
+        want = ref_route_detections(frames, mapping, top_n, d_o=3)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    def test_random_videos_exercise_ties_cuts_and_empty_frames(self):
+        frames = [dets for seed in range(12) for dets in random_video(seed, self.LABELS)]
+        assert any(not dets for dets in frames)
+        assert any(len(dets) > 3 for dets in frames) and any(0 < len(dets) < 3 for dets in frames)
+        assert any(len({d.confidence for d in dets}) < len(dets) for dets in frames)
 
 
 class TestNodeEmbedding:
