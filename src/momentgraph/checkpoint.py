@@ -4,7 +4,7 @@ Layout (version 2): magic bytes "DORI", format version u32, header length
 (u64), UTF-8 JSON header {"model": {config.MODEL_FIELDS}, "vocab": [tokens]},
 then one record per parameter: name length (u64), UTF-8 name, rank (u64),
 dims (u64 each), row-major f64 little-endian payload. Records run to end of
-file. Version 1 is the same without the header.
+file. No other version loads.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ def save_params(params: dict, path: str, meta: dict) -> None:
             f.write(arr.tobytes())
 
 
-def load_params(path: str) -> tuple[dict | None, dict[str, np.ndarray]]:
-    """Read a checkpoint back into (header, name -> ndarray); the header is
-    None for a version-1 file. Every malformed file is a CheckpointError."""
+def load_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint back into (header, name -> ndarray). Every malformed
+    file is a CheckpointError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
@@ -47,7 +47,7 @@ def load_params(path: str) -> tuple[dict | None, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}")
 
 
-def _parse(blob: bytes, path: str) -> tuple[dict | None, dict[str, np.ndarray]]:
+def _parse(blob: bytes, path: str) -> tuple[dict, dict[str, np.ndarray]]:
     pos = 4
 
     def take(n: int) -> int:
@@ -75,12 +75,10 @@ def _parse(blob: bytes, path: str) -> tuple[dict | None, dict[str, np.ndarray]]:
         params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count)).copy().reshape(dims)
 
     (version,) = struct.unpack_from("<I", blob, take(4))
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    meta, params = None, {}
-    if version == VERSION:
-        meta = json.loads(text())
-        _check_header(meta, path)
+    meta, params = json.loads(text()), {}
+    _check_header(meta, path)
     while pos < len(blob):
         record()
     return meta, params

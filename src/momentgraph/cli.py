@@ -78,11 +78,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    path = _resolve_config(args).checkpoint
-    meta, params = load_params(path)
-    if meta is None:
-        raise CheckpointError(f"{path}: a version-1 checkpoint stores no model config or vocabulary; "
-                              "retrain it, or load it through MomentModel(config, vocab).load")
+    meta, params = load_params(_resolve_config(args).checkpoint)
     config = _resolve_config(args, meta["model"])
     model = MomentModel(config, Vocabulary.from_tokens(meta["vocab"]))
     model.restore(meta, params)
@@ -183,7 +179,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--entries", type=int, default=8)
+    p.add_argument("--entries", type=int, default=24)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -91,13 +91,15 @@ def read_detections(path: str) -> dict[int, list[Detection]]:
                 continue
             try:
                 rec = json.loads(line)
-                index = int(rec["frame_index"])
+                index = rec["frame_index"]
                 dets = [
                     Detection(d["label"], d["confidence"], np.array(d["feature"], dtype=np.float64))
                     for d in rec["detections"]
                 ]
             except (KeyError, ValueError, TypeError, InputError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed detection record: {exc}")
+            if type(index) is not int:  # exact type: a JSON true/false parses as a bool, which subclasses int
+                raise DataError(f"{path}:{lineno}: frame_index {index!r} is not a JSON integer")
             if index in frames:
                 raise DataError(f"{path}:{lineno}: frame_index {index} appears on an earlier line")
             if dets and not (
@@ -220,6 +222,11 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
             raise DataError(
                 f"video '{vid}': annotation duration_s {row['duration_s']} differs from "
                 f"its feature file's duration {feats.duration_seconds}"
+            )
+        if row["t_start_s"] < 0.0 or row["t_end_s"] > feats.duration_seconds:
+            raise DataError(
+                f"video '{vid}': annotation span [{row['t_start_s']}, {row['t_end_s']}] s lies outside "
+                f"[0, {feats.duration_seconds}], its feature file's duration"
             )
         samples.append(
             AnnotatedSample(

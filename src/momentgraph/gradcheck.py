@@ -84,7 +84,7 @@ def tiny_instance(
 
 def run_gradcheck(
     variant: str = "full",
-    entries_per_block: int = 8,
+    entries_per_block: int = 24,
     eps: float = 1e-5,
     tolerance: float = 1e-4,
     seed: int = 0,

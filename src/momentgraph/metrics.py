@@ -17,10 +17,6 @@ class Interval:
     start_s: float
     end_s: float
 
-    @property
-    def length(self) -> float:
-        return self.end_s - self.start_s
-
 
 def tiou(a: Interval, b: Interval) -> float:
     """Temporal intersection-over-union in [0, 1].

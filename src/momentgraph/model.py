@@ -143,9 +143,7 @@ class MomentModel:
         """One forward pass over a minibatch; outputs stack the samples in batch order."""
         encoding = encode_query([p.tokens for p in batch], self.vocab, self.text)
         a_ctx = self.spatial_forward(batch, encoding)
-        out = temporal_forward(a_ctx, _lengths(batch), self.temporal, training=training, rng=rng)
-        out["a_ctx"] = a_ctx
-        return out
+        return temporal_forward(a_ctx, _lengths(batch), self.temporal, training=training, rng=rng)
 
     def loss(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
         """Total loss tensor plus its components, each summed over the minibatch."""
@@ -181,16 +179,15 @@ class MomentModel:
     def load(self, path: str) -> None:
         self.restore(*load_params(path))
 
-    def restore(self, meta: dict | None, loaded: dict[str, np.ndarray]) -> None:
-        """Take what load_params read if it fits this model: the header (None in
-        version 1) must hold its fields and vocabulary, the records its parameters."""
-        if meta is not None:
-            for key in MODEL_FIELDS:
-                stored, own = meta["model"][key], getattr(self.config, key)
-                if stored != own:
-                    raise CheckpointError(f"checkpoint/config mismatch: {key} is {stored!r} in the checkpoint, {own!r} in the config")
-            if meta["vocab"] != self.vocab.tokens():
-                raise CheckpointError("checkpoint/vocabulary mismatch: the stored tokens are not the model's")
+    def restore(self, meta: dict, loaded: dict[str, np.ndarray]) -> None:
+        """Take what load_params read if it fits this model: the header must
+        hold its fields and vocabulary, the records its parameters."""
+        for key in MODEL_FIELDS:
+            stored, own = meta["model"][key], getattr(self.config, key)
+            if stored != own:
+                raise CheckpointError(f"checkpoint/config mismatch: {key} is {stored!r} in the checkpoint, {own!r} in the config")
+        if meta["vocab"] != self.vocab.tokens():
+            raise CheckpointError("checkpoint/vocabulary mismatch: the stored tokens are not the model's")
         if set(loaded) != set(self.params):
             missing = set(self.params) - set(loaded)
             extra = set(loaded) - set(self.params)

@@ -57,28 +57,23 @@ class Vocabulary:
 
 @dataclass
 class GruParams:
-    """Single-direction GRU gate parameters."""
+    """Single-direction GRU parameters with the gates side by side in
+    [z | r | h] column order: w is d_in x 3*hidden, u is hidden x 3*hidden
+    and b is 1 x 3*hidden."""
 
-    wz: Tensor
-    uz: Tensor
-    bz: Tensor
-    wr: Tensor
-    ur: Tensor
-    br: Tensor
-    wh: Tensor
-    uh: Tensor
-    bh: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
     @classmethod
     def create(cls, rng, d_in: int, hidden: int, registry: dict, prefix: str) -> "GruParams":
-        fields = {}
-        for gate in ("z", "r", "h"):
-            fields[f"w{gate}"] = glorot(rng, d_in, hidden)
-            fields[f"u{gate}"] = glorot(rng, hidden, hidden)
-            fields[f"b{gate}"] = zeros((1, hidden))
-        for name, t in fields.items():
-            registry[f"{prefix}.{name}"] = t
-        return cls(**fields)
+        # drawn gate by gate, input block before recurrent block, then stacked
+        draws = [(glorot(rng, d_in, hidden).data, glorot(rng, hidden, hidden).data) for _ in "zrh"]
+        w, u = (Tensor(np.hstack(blocks), requires_grad=True) for blocks in zip(*draws))
+        p = cls(w=w, u=u, b=zeros((1, 3 * hidden)))
+        for name in ("w", "u", "b"):
+            registry[f"{prefix}.{name}"] = getattr(p, name)
+        return p
 
 
 def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -> Tensor:
@@ -88,16 +83,18 @@ def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -
     are one sequence); every sequence starts from a zero hidden state, and a
     reverse sequence starts at its own last row. Returns the N x hidden
     matrix of hidden states, row i holding its sequence's state after row i,
-    as one tape node whose inputs are x and the nine gate blocks.
+    as one tape node whose inputs are x, w, u and b.
 
     The sequences run side by side, longest first, so the ones still running
     at step s are the first k_s rows of the B x hidden state and a finished
     sequence keeps its state untouched. x is read in that packed step order
     (an index map from (step, sequence) to stacked row), which makes every
-    step's rows one contiguous slice. The forward pass caches z, r, the
-    candidate and the previous hidden state per step; the backward pass is
-    hand-written backpropagation through time over the same packed steps,
-    carrying only the hidden-state gradient across steps.
+    step's rows one contiguous slice. All input projections are one matmul;
+    each step does one recurrent matmul for z and r and one for the
+    candidate. The forward pass caches z, r, the candidate and the previous
+    hidden state per step; the backward pass is hand-written
+    backpropagation through time over the same packed steps, carrying only
+    the hidden-state gradient across steps.
     """
     n = x.data.shape[0]
     lengths = np.array([n] if lengths is None else lengths, dtype=np.intp)
@@ -105,7 +102,7 @@ def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -
         raise InputError("gru_sequence needs at least one row per sequence")
     if lengths.sum() != n:
         raise DimensionError(f"gru_sequence: lengths sum to {lengths.sum()}, x has {n} rows")
-    hidden = p.uz.data.shape[0]
+    hidden = p.u.data.shape[0]
     order = np.argsort(-lengths, kind="stable")
     lens, starts = lengths[order], (np.cumsum(lengths) - lengths)[order]
     steps = np.arange(lens[0])[:, None]
@@ -115,18 +112,17 @@ def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -
     bounds = np.concatenate([[0], np.cumsum(running.sum(axis=1))])
 
     xs = x.data[perm]
-    xz, xr, xh = xs @ p.wz.data, xs @ p.wr.data, xs @ p.wh.data
-    uz, ur, uh = p.uz.data, p.ur.data, p.uh.data
-    bz, br, bh = p.bz.data, p.br.data, p.bh.data
+    # each block splits into its z and r columns and its candidate columns
+    (x_zr, x_c), (u_zr, u_c), (b_zr, b_c) = (np.hsplit(a, [2 * hidden]) for a in (xs @ p.w.data, p.u.data, p.b.data))
     out = np.empty((n, hidden))
     h_prev = np.empty((n, hidden))
     zs, rs, cands = np.empty((n, hidden)), np.empty((n, hidden)), np.empty((n, hidden))
     h = np.zeros((lens.size, hidden))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sl, hk = slice(lo, hi), h[: hi - lo]
-        z = 1.0 / (1.0 + np.exp(-(xz[sl] + hk @ uz + bz)))
-        r = 1.0 / (1.0 + np.exp(-(xr[sl] + hk @ ur + br)))
-        cand = np.tanh(xh[sl] + (r * hk) @ uh + bh)
+        zr = 1.0 / (1.0 + np.exp(-(x_zr[sl] + hk @ u_zr + b_zr)))
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        cand = np.tanh(x_c[sl] + (r * hk) @ u_c + b_c)
         h_prev[sl], zs[sl], rs[sl], cands[sl] = hk, z, r, cand
         hk[:] = (1.0 - z) * hk + z * cand
         out[sl] = hk
@@ -136,32 +132,28 @@ def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -
     def backward(g):
         gs = g[perm]
         # pre-activation gradients of the three gates, filled step by step
-        d_az, d_ar, d_ac = np.empty((n, hidden)), np.empty((n, hidden)), np.empty((n, hidden))
+        da = np.empty((n, 3 * hidden))
+        d_az, d_ar, d_ac = np.hsplit(da, 3)
+        d_azr = da[:, : 2 * hidden]
         dh = np.zeros((lens.size, hidden))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             sl, dhk = slice(lo, hi), dh[: hi - lo]
             z, r, cand, hp = zs[sl], rs[sl], cands[sl], h_prev[sl]
             dhk += gs[sl]
             dac = dhk * z * (1.0 - cand * cand)
-            d_rh = dac @ uh.T
+            d_rh = dac @ u_c.T
             dar = d_rh * hp * r * (1.0 - r)
             daz = dhk * (cand - hp) * z * (1.0 - z)
             d_az[sl], d_ar[sl], d_ac[sl] = daz, dar, dac
-            dhk[:] = dhk * (1.0 - z) + d_rh * r + daz @ uz.T + dar @ ur.T
+            dhk[:] = dhk * (1.0 - z) + d_rh * r + d_azr[sl] @ u_zr.T
         dx = np.empty_like(x.data)
-        dx[perm] = d_az @ p.wz.data.T + d_ar @ p.wr.data.T + d_ac @ p.wh.data.T
+        dx[perm] = da @ p.w.data.T
         ad._accumulate(x, dx)
-        for w, u, b, da, h_in in (
-            (p.wz, p.uz, p.bz, d_az, h_prev),
-            (p.wr, p.ur, p.br, d_ar, h_prev),
-            (p.wh, p.uh, p.bh, d_ac, rs * h_prev),
-        ):
-            ad._accumulate(w, xs.T @ da)
-            ad._accumulate(u, h_in.T @ da)
-            ad._accumulate(b, da.sum(axis=0, keepdims=True))
+        ad._accumulate(p.w, xs.T @ da)
+        ad._accumulate(p.u, np.hstack([h_prev.T @ d_azr, (rs * h_prev).T @ d_ac]))
+        ad._accumulate(p.b, da.sum(axis=0, keepdims=True))
 
-    inputs = (x, p.wz, p.uz, p.bz, p.wr, p.ur, p.br, p.wh, p.uh, p.bh)
-    return ad._make(result, inputs, backward)
+    return ad._make(result, (x, p.w, p.u, p.b), backward)
 
 
 def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Tensor:

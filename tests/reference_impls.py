@@ -129,12 +129,31 @@ def ref_graph_iteration(a, h, o, a0, h0, o0, sv, sn, vn, p):
     return a_new, h_new, o_new
 
 
+def per_gate_arrays(w, u, b):
+    """Slice stacked [z | r | h] GRU blocks into the nine per-gate arrays
+    wz, uz, bz, wr, ur, br, wh, uh, bh."""
+    hidden = u.shape[0]
+    out = {}
+    for k, gate in enumerate("zrh"):
+        cols = slice(k * hidden, (k + 1) * hidden)
+        out.update({f"w{gate}": w[:, cols], f"u{gate}": u[:, cols], f"b{gate}": b[:, cols]})
+    return out
+
+
 def gru_param_arrays(p):
-    """Pull plain arrays out of a GruParams dataclass."""
-    return {
-        name: getattr(p, name).data
-        for name in ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
-    }
+    """Pull the nine per-gate arrays out of a GruParams dataclass."""
+    return per_gate_arrays(p.w.data, p.u.data, p.b.data)
+
+
+def per_gate_checkpoint_params(params):
+    """name -> array with every GRU's stacked blocks (<prefix>.w/.u/.b, where
+    the prefix ends in _fwd or _bwd) split into the nine per-gate records
+    (<prefix>.wz, ...) that checkpoints held before the gates were stacked."""
+    out = dict(params)
+    for prefix in {name.rsplit(".", 1)[0] for name in params if name.endswith(("_fwd.u", "_bwd.u"))}:
+        stacked = [out.pop(f"{prefix}.{kind}") for kind in "wub"]
+        out.update({f"{prefix}.{name}": a for name, a in per_gate_arrays(*stacked).items()})
+    return out
 
 
 def ref_temporal(a_ctx, params):
@@ -198,9 +217,3 @@ def dori_record(name, dims, payload=b""):
     encoded = name.encode("utf-8")
     return struct.pack(f"<Q{len(encoded)}sQ{len(dims)}Q", len(encoded), encoded, len(dims), *dims) + payload
 
-
-def write_dori_v1(params, path):
-    """A version-1 checkpoint: magic, u32 version 1, then records to end of file."""
-    records = [dori_record(k, np.shape(a), np.asarray(a, dtype="<f8").tobytes()) for k, a in sorted(params.items())]
-    with open(path, "wb") as f:
-        f.write(b"DORI" + struct.pack("<I", 1) + b"".join(records))

@@ -50,7 +50,7 @@ def full_run(synth_split):
 def test_gradient_integrity():
     t0 = time.time()
     for variant in ("full", "single_query"):
-        results = run_gradcheck(variant=variant, entries_per_block=8, seed=0)
+        results = run_gradcheck(variant=variant, entries_per_block=24, seed=0)
         failing = [r.name for r in results if not r.passed]
         assert failing == [], f"{variant}: blocks over tolerance: {failing}"
         assert max(r.max_rel_err for r in results) < 1e-4

@@ -8,7 +8,7 @@ from momentgraph.checkpoint import MAGIC, VERSION, load_params, save_params
 from momentgraph.config import MODEL_FIELDS, RunConfig
 from momentgraph.errors import CheckpointError
 
-from reference_impls import dori_record, write_dori_v1
+from reference_impls import dori_record
 
 META = {"model": {k: getattr(RunConfig(), k) for k in MODEL_FIELDS}, "vocab": ["<unk>", "<pad>", "open", "door"]}
 
@@ -36,14 +36,12 @@ def test_round_trip_bit_identical(tmp_path):
         assert loaded[name].tobytes() == arr.tobytes()
 
 
-def test_version_one_loads_without_header(tmp_path):
-    params = {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3), "s": np.float64(2.5)}
+def test_version_one_is_unsupported(tmp_path):
+    # version 1 was the same records without the header
     path = tmp_path / "old.ckpt"
-    write_dori_v1(params, str(path))
-    meta, loaded = load_params(str(path))
-    assert meta is None
-    assert {k: v.tobytes() for k, v in loaded.items()} == {k: np.asarray(v).tobytes() for k, v in params.items()}
-    assert loaded["s"].shape == ()
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + dori_record("w", (2,), np.ones(2).tobytes()))
+    with pytest.raises(CheckpointError, match="unsupported format version 1"):
+        load_params(str(path))
 
 
 def test_bad_magic(tmp_path):
@@ -99,7 +97,6 @@ def test_strict_prefix_is_typed_error_or_whole_records(tmp_path):
     assert n_whole == len(params)  # after the header, and after each record but the last
 
 
-V1 = MAGIC + struct.pack("<I", 1)
 HUGE = 2**62
 
 
@@ -108,12 +105,20 @@ HUGE = 2**62
     [
         b"DORI\x01",  # short version field
         b"DORI\x02\x00\x00\x00\x05",  # short header length
-        V1 + dori_record("w", (HUGE, HUGE)),  # element count overflows int64
-        V1 + dori_record("w", (0, 2**64 - 1)),  # zero elements, but no such array
-        V1 + struct.pack("<Q", HUGE) + b"w",  # name longer than the file
-        V1 + dori_record("w", (1,), b"\x00" * 8) + struct.pack("<QsQ", 1, b"w", 2**60),  # rank past the end
-        V1 + dori_record("w", (1,), b"\x00" * 8) + dori_record("w", (1,), b"\x00" * 8),  # duplicate name
-        V1 + struct.pack("<Q", 1) + b"\xff" + struct.pack("<Q", 0) + b"\x00" * 8,  # name is not UTF-8
+        pytest.param(v2_bytes(META, [dori_record("w", (HUGE, HUGE))]), id="count-overflows-int64"),
+        pytest.param(v2_bytes(META, [dori_record("w", (0, 2**64 - 1))]), id="zero-elements-no-such-array"),
+        pytest.param(v2_bytes(META, [struct.pack("<Q", HUGE) + b"w"]), id="name-longer-than-file"),
+        pytest.param(
+            v2_bytes(META, [dori_record("w", (1,), b"\x00" * 8), struct.pack("<QsQ", 1, b"v", 2**60)]),
+            id="rank-past-the-end",
+        ),
+        pytest.param(
+            v2_bytes(META, [dori_record("w", (1,), b"\x00" * 8), dori_record("w", (1,), b"\x00" * 8)]),
+            id="duplicate-name",
+        ),
+        pytest.param(
+            v2_bytes(META, [struct.pack("<Q", 1) + b"\xff" + struct.pack("<Q", 0) + b"\x00" * 8]), id="name-not-utf8"
+        ),
         MAGIC + struct.pack("<IQ", VERSION, 5) + b"{nope",  # header is not JSON
         MAGIC + struct.pack("<IQ", VERSION, 3000) + b"[" * 3000,  # nested past the limit
         MAGIC + struct.pack("<IQ", VERSION, 2**62) + b"{}",  # header longer than the file

@@ -1,14 +1,15 @@
 import dataclasses
 import json
 import shutil
+import struct
 
 import pytest
 
 from momentgraph import cli
-from momentgraph.checkpoint import load_params
+from momentgraph.checkpoint import load_params, save_params
 from momentgraph.cli import main
 
-from reference_impls import write_dori_v1
+from reference_impls import dori_record, per_gate_checkpoint_params
 
 
 @pytest.fixture(scope="module")
@@ -120,13 +121,22 @@ class TestEval:
         assert "iterations = 1 conflicts with the checkpoint's 3" in capsys.readouterr().err
 
     def test_version_one_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        # version 1 held the same records as version 2, without the header
         _, params = load_params(str(workspace / "model.ckpt"))
         old = tmp_path / "old.ckpt"
-        write_dori_v1(params, str(old))
+        records = [dori_record(name, a.shape, a.tobytes()) for name, a in sorted(params.items())]
+        old.write_bytes(b"DORI" + struct.pack("<I", 1) + b"".join(records))
         code = main(["eval", "--data", str(workspace / "data"), "--checkpoint", str(old)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "version-1" in err and "retrain" in err and "MomentModel(config, vocab).load" in err
+        assert "unsupported format version 1" in capsys.readouterr().err
+
+    def test_per_gate_gru_checkpoint_is_data_error(self, workspace, tmp_path, capsys):
+        meta, params = load_params(str(workspace / "model.ckpt"))
+        old = tmp_path / "old.ckpt"
+        save_params(per_gate_checkpoint_params(params), str(old), meta)
+        code = main(["eval", "--data", str(workspace / "data"), "--checkpoint", str(old)])
+        assert code == 2
+        assert "'text.gru_fwd.wz'" in capsys.readouterr().err.split("unexpected")[1]
 
     def test_missing_checkpoint_is_data_error(self, workspace):
         code = main([
@@ -167,20 +177,32 @@ class TestExitCodes:
         assert "config error: [graph] iterations = 'x'" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_annotation_duration_that_disagrees_with_the_features_is_data_error(self, workspace, tmp_path, capsys, command):
+    @staticmethod
+    def _edit_first_annotation(workspace, tmp_path, command, **changes):
+        """Run command on a copy of the workspace data whose first annotation
+        has the given changes; returns the exit code and the edited video id."""
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         path = data / "annotations.jsonl"
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        records[0]["duration_s"] = -5.0
+        records[0].update(changes)
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         argv = [command, "--data", str(data), "--checkpoint", str(workspace / "model.ckpt")]
         if command == "train":
             argv = [command, "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"data error: video '{records[0]['video_id']}': annotation duration_s -5.0 differs" in err
+        return main(argv), records[0]["video_id"]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_annotation_duration_that_disagrees_with_the_features_is_data_error(self, workspace, tmp_path, capsys, command):
+        code, vid = self._edit_first_annotation(workspace, tmp_path, command, duration_s=-5.0)
+        assert code == 2
+        assert f"data error: video '{vid}': annotation duration_s -5.0 differs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_annotation_span_outside_the_video_is_data_error(self, workspace, tmp_path, capsys, command):
+        code, vid = self._edit_first_annotation(workspace, tmp_path, command, t_start_s=-50.0, t_end_s=999.0)
+        assert code == 2
+        assert f"data error: video '{vid}': annotation span [-50.0, 999.0] s lies outside" in capsys.readouterr().err
 
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "ghost"), "--epochs", "1"]) == 2

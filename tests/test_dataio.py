@@ -108,8 +108,14 @@ class TestDetectionFiles:
             '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": 1.0}]}',
             '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 1.5, "feature": [1.0, 1.0]}]}',
             '{"video_id": "v", "frame_index": 0, "detections": []}',
+            '{"video_id": "v", "frame_index": 2.7, "detections": []}',
+            '{"video_id": "v", "frame_index": true, "detections": []}',
+            '{"video_id": "v", "frame_index": "3", "detections": []}',
         ],
-        ids=["nan", "inf", "overflow-to-inf", "2-d", "0-d", "confidence", "repeated-frame"],
+        ids=[
+            "nan", "inf", "overflow-to-inf", "2-d", "0-d", "confidence", "repeated-frame",
+            "float-frame", "bool-frame", "string-frame",
+        ],
     )
     def test_malformed_record_is_data_error_with_line_number(self, tmp_path, second_line):
         path = tmp_path / "v.jsonl"
@@ -156,12 +162,12 @@ class TestAnnotations:
         with pytest.raises(DataError, match="ghost"):
             load_annotations(str(path), str(tmp_path), str(tmp_path))
 
-    def _video(self, tmp_path, frame_index=0, duration_s=12.0):
-        """A 12-frame video 'v' with one detection line, and one annotation of it."""
+    def _video(self, tmp_path, frame_index=0, duration_s=12.0, span=(0.0, 1.0)):
+        """A 12-frame, 12 s video 'v' with one detection line, and one annotation of it."""
         write_features(ActivityFeatures("v", np.ones((12, 2)), 1.0, 12.0), str(tmp_path / "v.feat"))
         dets = {"video_id": "v", "frame_index": frame_index, "detections": [{"label": "cup", "confidence": 0.9, "feature": [1.0, 1.0]}]}
         (tmp_path / "v.jsonl").write_text(json.dumps(dets) + "\n")
-        rec = {"video_id": "v", "query": "q", "t_start_s": 0.0, "t_end_s": 1.0, "duration_s": duration_s}
+        rec = {"video_id": "v", "query": "q", "t_start_s": span[0], "t_end_s": span[1], "duration_s": duration_s}
         (tmp_path / "ann.jsonl").write_text(json.dumps(rec) + "\n")
         return str(tmp_path / "ann.jsonl"), str(tmp_path), str(tmp_path)
 
@@ -178,6 +184,16 @@ class TestAnnotations:
     def test_duration_that_disagrees_with_the_feature_file_is_data_error(self, tmp_path, duration_s):
         with pytest.raises(DataError, match=rf"video 'v': annotation duration_s {duration_s} differs from .* 12\.0"):
             load_annotations(*self._video(tmp_path, duration_s=duration_s))
+
+    def test_span_of_the_whole_video_loads(self, tmp_path):
+        [sample] = load_annotations(*self._video(tmp_path, span=(0.0, 12.0)))
+        assert (sample.t_start_s, sample.t_end_s) == (0.0, 12.0)
+
+    @pytest.mark.parametrize("span", [(-50.0, 999.0), (-0.5, 1.0), (11.0, 12.5)])
+    def test_span_outside_the_video_is_data_error(self, tmp_path, span):
+        match = rf"video 'v': annotation span \[{span[0]}, {span[1]}\] s lies outside \[0, 12\.0\]"
+        with pytest.raises(DataError, match=match):
+            load_annotations(*self._video(tmp_path, span=span))
 
 
 class TestDatasetLayout:

@@ -5,13 +5,14 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape
+from momentgraph.checkpoint import load_params, save_params
 from momentgraph.errors import CheckpointError
 from momentgraph.gradcheck import tiny_instance
 from momentgraph.graph import VARIANTS
 from momentgraph.model import MomentModel
-from momentgraph.text import Vocabulary
+from momentgraph.text import Vocabulary, encode_query
 
-from reference_impls import write_dori_v1
+from reference_impls import per_gate_checkpoint_params
 
 
 class TestForward:
@@ -23,7 +24,12 @@ class TestForward:
             assert out[key].data.shape == (n, 1)
             for rows in (slice(0, 4), slice(4, 7)):
                 assert out[key].data[rows].sum() == pytest.approx(1.0, abs=1e-12)
-        assert out["a_ctx"].data.shape == (n, model.config.latent)
+        encoding = encode_query([p.tokens for p in batch], model.vocab, model.text)
+        assert model.spatial_forward(batch, encoding).data.shape == (n, model.config.latent)
+
+    def test_one_block_per_gru_weight_kind(self):
+        counts = {v: len(tiny_instance(variant=v)[0].params) for v in ("full", "single_query", "no_graph")}
+        assert counts == {"full": 61, "single_query": 55, "no_graph": 39}
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_variants_run(self, variant):
@@ -200,16 +206,15 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="vocabulary mismatch"):
             MomentModel(model.config, reordered).load(str(path))
 
-    def test_version_one_loads_with_explicit_config(self, tmp_path):
-        model, batch = tiny_instance(seed=7, lengths=(4, 3))
+    def test_per_gate_gru_checkpoint_rejected(self, tmp_path):
+        # a checkpoint from before the gates were stacked holds nine GRU records per direction
+        model, _ = tiny_instance(seed=7)
         path = tmp_path / "old.ckpt"
-        write_dori_v1({name: p.data for name, p in model.params.items()}, str(path))
-        fresh = MomentModel(dataclasses.replace(model.config, seed=99), model.vocab)
-        assert fresh.params["temporal.w_start"].data.tobytes() != model.params["temporal.w_start"].data.tobytes()
-        fresh.load(str(path))
-        for name, p in model.params.items():
-            assert fresh.params[name].data.tobytes() == p.data.tobytes()
-        np.testing.assert_array_equal(fresh.predict(batch)[0].start_dist, model.predict(batch)[0].start_dist)
+        model.save(str(path))
+        meta, params = load_params(str(path))
+        save_params(per_gate_checkpoint_params(params), str(path), meta)
+        with pytest.raises(CheckpointError, match=r"missing \[.*'text\.gru_fwd\.w'.*unexpected \[.*'text\.gru_fwd\.wz'"):
+            model.load(str(path))
 
     def test_checkpoint_cut_between_records_is_typed_error(self, tmp_path):
         # test_checkpoint shows that load_params rejects every other strict

@@ -79,6 +79,21 @@ class TestGru:
     def _params(self, d_in=3, hidden=4, seed=0):
         return GruParams.create(np.random.default_rng(seed), d_in, hidden, {}, "t")
 
+    def test_create_stacks_the_per_gate_draws(self):
+        registry = {}
+        p = GruParams.create(np.random.default_rng(9), 3, 4, registry, "t")
+        assert list(registry) == ["t.w", "t.u", "t.b"]
+        assert all(registry[f"t.{k}"] is getattr(p, k) for k in "wub")
+        # the per-gate glorot draws, gate by gate, input before recurrent
+        rng = np.random.default_rng(9)
+        wz, uz, wr, ur, wh, uh = (
+            rng.uniform(-np.sqrt(6.0 / (fan_in + 4)), np.sqrt(6.0 / (fan_in + 4)), size=(fan_in, 4))
+            for fan_in in (3, 4, 3, 4, 3, 4)
+        )
+        assert p.w.data.tobytes() == np.hstack([wz, wr, wh]).tobytes()
+        assert p.u.data.tobytes() == np.hstack([uz, ur, uh]).tobytes()
+        assert p.b.data.tobytes() == np.zeros((1, 12)).tobytes()
+
     def test_zero_input_fixed_point(self):
         p = self._params()
         for reverse in (False, True):
@@ -91,9 +106,10 @@ class TestGru:
         out = bigru_forward(x, fwd, bwd)
 
         def cell_from_zero(p):
-            # from h = 0 the reset gate and the u blocks drop out: h = z * cand
-            z = 1.0 / (1.0 + np.exp(-(x.data @ p.wz.data + p.bz.data)))
-            return z * np.tanh(x.data @ p.wh.data + p.bh.data)
+            # from h = 0 the reset gate and the u block drop out: h = z * cand,
+            # with z in the first four columns and the candidate in the last four
+            z = 1.0 / (1.0 + np.exp(-(x.data @ p.w.data[:, :4] + p.b.data[:, :4])))
+            return z * np.tanh(x.data @ p.w.data[:, 8:] + p.b.data[:, 8:])
 
         np.testing.assert_array_equal(out.data, np.concatenate([cell_from_zero(fwd), cell_from_zero(bwd)], axis=1))
         np.testing.assert_array_equal(out.data[:, :4], gru_sequence(x, fwd).data)
@@ -129,7 +145,7 @@ class TestGru:
         with GradientTape():
             ad.backward(ad.sum_axis(ad.mul(gru_sequence(x, p, reverse=reverse), Tensor(weights))))
         blocks = {"x": x, **vars(p)}
-        assert len(blocks) == 10  # x and the nine gate blocks
+        assert len(blocks) == 4  # x and the stacked w, u and b
         for name, t in blocks.items():
             fd = fd_grad(loss, t.data)
             rel = np.linalg.norm(t.grad - fd) / np.linalg.norm(fd)
