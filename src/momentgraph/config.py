@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .graph import check_variant
+from .losses import SMOOTHINGS
 
 
 @dataclass
@@ -43,13 +44,19 @@ class RunConfig:
     report: str = ""
 
     def __post_init__(self):
-        for name in ("d_w", "d_v", "d_o", "latent", "hidden", "batch_size"):
+        for name in ("d_w", "d_v", "d_o", "latent", "hidden", "top_n", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        for name in ("iterations", "epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("lr", "sigma_pos"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must be in [0, 1)")
+        if self.smoothing not in SMOOTHINGS:
+            raise ConfigError(f"smoothing '{self.smoothing}' is not one of {', '.join(SMOOTHINGS)}")
         check_variant(self.variant)
 
 

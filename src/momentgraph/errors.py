@@ -38,4 +38,4 @@ class CheckpointError(MomentGraphError):
 
 
 class TrainingError(MomentGraphError):
-    """Numerical failure during training (NaN gradient / NaN loss)."""
+    """Numerical failure during training (a non-finite gradient or loss)."""

@@ -11,6 +11,7 @@ from .autodiff import Tensor
 from .errors import ContractError, InputError
 
 EPS = 1e-12
+SMOOTHINGS = ("onehot", "gaussian")
 
 
 @dataclass
@@ -32,7 +33,7 @@ def _smooth(index: int, t: int, smoothing: str, sigma_pos: float) -> np.ndarray:
         offsets = np.arange(t) - index
         dist = np.exp(-(offsets**2) / (2.0 * sigma_pos**2))
         return dist / dist.sum()
-    raise InputError(f"unknown smoothing '{smoothing}' (expected onehot or gaussian)")
+    raise InputError(f"unknown smoothing '{smoothing}' (expected one of {', '.join(SMOOTHINGS)})")
 
 
 def build_targets(

@@ -25,7 +25,7 @@ from .graph import (
 )
 from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
-from .text import TextEncoderParams, Vocabulary, encode_query, tokenize
+from .text import HEADS, TextEncoderParams, Vocabulary, encode_query, tokenize
 from .visual import CategoryMap, NodeEmbedParams, embed_nodes, route_detections
 
 
@@ -49,17 +49,18 @@ class MomentModel:
         self.vocab = vocab
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(config.seed)
-        self.text = TextEncoderParams.create(rng, len(vocab), config.d_w, config.hidden, self.params)
-        d_lang = 2 * config.hidden
-        self.embed = NodeEmbedParams.create(rng, config.d_v, config.d_o, config.latent, self.params)
-        self.graph_params: SpatialGraphParams | None = None
-        self.nograph_params: NoGraphParams | None = None
+        # each variant builds only what its forward reads: no_graph reads no
+        # query and no node latents, single_query no attention heads
+        self.text = self.embed = self.graph_params = self.nograph_params = None
         if config.variant == "no_graph":
             self.nograph_params = NoGraphParams.create(rng, config.d_v, config.d_o, config.latent, self.params)
-        elif config.variant == "single_query":
-            self.graph_params = create_single_query_params(rng, d_lang, config.latent, self.params)
         else:
-            self.graph_params = SpatialGraphParams.create(rng, d_lang, config.latent, self.params)
+            single = config.variant == "single_query"
+            heads = () if single else HEADS
+            self.text = TextEncoderParams.create(rng, len(vocab), config.d_w, config.hidden, self.params, heads)
+            self.embed = NodeEmbedParams.create(rng, config.d_v, config.d_o, config.latent, self.params)
+            create_graph = create_single_query_params if single else SpatialGraphParams.create
+            self.graph_params = create_graph(rng, 2 * config.hidden, config.latent, self.params)
         self.temporal = TemporalParams.create(rng, config.latent, config.hidden, config.dropout, self.params)
 
     # ------------------------------------------------------------------
@@ -134,14 +135,14 @@ class MomentModel:
         if cfg.variant == "single_query":
             sv = sn = vn = ad.gather_rows(encoding.q, frame_sample)
         else:
-            sv, sn, vn = (ad.gather_rows(v, frame_sample) for v in (encoding.sv, encoding.sn, encoding.vn))
+            sv, sn, vn = (ad.gather_rows(v, frame_sample) for v in encoding.views)
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
         a, _, _ = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, self.graph_params, cfg.iterations)
         return a
 
     def forward(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
         """One forward pass over a minibatch; outputs stack the samples in batch order."""
-        encoding = encode_query([p.tokens for p in batch], self.vocab, self.text)
+        encoding = None if self.text is None else encode_query([p.tokens for p in batch], self.vocab, self.text)
         a_ctx = self.spatial_forward(batch, encoding)
         return temporal_forward(a_ctx, _lengths(batch), self.temporal, training=training, rng=rng)
 

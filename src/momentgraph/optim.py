@@ -47,8 +47,8 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if np.any(np.isnan(g)):
-                raise TrainingError(f"NaN gradient in parameter '{name}'")
+            if not np.isfinite(g).all():
+                raise TrainingError(f"non-finite gradient in parameter '{name}'")
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
             m = self._m[name]

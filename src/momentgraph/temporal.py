@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
-from .init import glorot, zeros
+from .init import glorot
 from .text import GruParams, bigru_forward
 
 
@@ -21,12 +21,10 @@ class TemporalParams:
     layer1_bwd: GruParams
     layer2_fwd: GruParams
     layer2_bwd: GruParams
+    # the three heads feed softmaxes, which cancel any bias, so they have none
     w_start: Tensor
-    b_start: Tensor
     w_end: Tensor
-    b_end: Tensor
     w_score: Tensor  # g: latent -> 1, feeds the spatial-score softmax
-    b_score: Tensor
     dropout: float
 
     @classmethod
@@ -37,14 +35,11 @@ class TemporalParams:
             layer2_fwd=GruParams.create(rng, 2 * hidden, hidden, registry, "temporal.l2_fwd"),
             layer2_bwd=GruParams.create(rng, 2 * hidden, hidden, registry, "temporal.l2_bwd"),
             w_start=glorot(rng, 2 * hidden, 1),
-            b_start=zeros((1, 1)),
             w_end=glorot(rng, 2 * hidden, 1),
-            b_end=zeros((1, 1)),
             w_score=glorot(rng, latent, 1),
-            b_score=zeros((1, 1)),
             dropout=dropout,
         )
-        for name in ("w_start", "b_start", "w_end", "b_end", "w_score", "b_score"):
+        for name in ("w_start", "w_end", "w_score"):
             registry[f"temporal.{name}"] = getattr(p, name)
         return p
 
@@ -87,9 +82,9 @@ def temporal_forward(
     h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, lengths)
     seg = np.repeat(np.arange(lengths.size), lengths)
     return {
-        "start_dist": ad.segment_softmax(h2 @ params.w_start + params.b_start, seg, lengths.size),
-        "end_dist": ad.segment_softmax(h2 @ params.w_end + params.b_end, seg, lengths.size),
-        "y": ad.segment_softmax(a_ctx @ params.w_score + params.b_score, seg, lengths.size),
+        "start_dist": ad.segment_softmax(h2 @ params.w_start, seg, lengths.size),
+        "end_dist": ad.segment_softmax(h2 @ params.w_end, seg, lengths.size),
+        "y": ad.segment_softmax(a_ctx @ params.w_score, seg, lengths.size),
     }
 
 

@@ -1,6 +1,6 @@
 """Query encoding: embeddings, bidirectional GRU, mean pooling and the
-three attention heads that produce the linguistic node vectors, for a
-minibatch of queries at once.
+attention heads that produce the linguistic node vectors, for a minibatch
+of queries at once.
 
 The GRU is a fused autodiff op: `gru_sequence` runs one direction over a
 ragged batch of sequences stacked in the rows of a matrix as a single tape
@@ -174,38 +174,24 @@ def pool_query(contexts: Tensor, lengths) -> Tensor:
 
 
 @dataclass
-class AttentionHeadParams:
-    wk: Tensor
-    bk: Tensor
-
-    @classmethod
-    def create(cls, rng, d_w: int, d_q: int, registry: dict, prefix: str) -> "AttentionHeadParams":
-        wk = glorot(rng, d_w, d_q)
-        bk = zeros((1, d_q))
-        registry[f"{prefix}.wk"] = wk
-        registry[f"{prefix}.bk"] = bk
-        return cls(wk, bk)
-
-
-@dataclass
 class QueryEncoding:
-    """Pooled query vectors plus the three linguistic node vectors, one row per query."""
+    """Pooled query vectors plus one attended vector per head, one row per query."""
 
     q: Tensor
-    sv: Tensor
-    sn: Tensor
-    vn: Tensor
+    views: list[Tensor]  # the heads' outputs in HEADS order; none for an encoder without heads
     attention_weights: np.ndarray  # heads x stacked words; each query's words sum to 1 per head
 
 
 def attend_heads(
-    q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[AttentionHeadParams], lengths=None
+    q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[Tensor], lengths=None
 ) -> tuple[list[Tensor], np.ndarray]:
     """softmax(q k^T) v per head and query: keys from raw embeddings, values from contexts.
 
-    q is B x d_q, one row per query; embeddings and contexts stack the
-    queries' words, partitioned by lengths (None: all rows are one query).
-    Returns one B x d_ctx tensor per head and the heads x words weights.
+    A head is its d_w x d_q key matrix: a key bias would add the same
+    q·b to every word of a query, which the softmax cancels. q is B x d_q,
+    one row per query; embeddings and contexts stack the queries' words,
+    partitioned by lengths (None: all rows are one query). Returns one
+    B x d_ctx tensor per head and the heads x words weights.
     """
     n_queries = q.data.shape[0]
     word_seg = np.repeat(np.arange(n_queries), embeddings.data.shape[0] if lengths is None else lengths)
@@ -213,7 +199,7 @@ def attend_heads(
     outputs = []
     weights = []
     for head in heads:
-        keys = embeddings @ head.wk + head.bk  # words x d_q
+        keys = embeddings @ head  # words x d_q
         logits = ad.sum_axis(ad.mul(q_rows, keys), axis=1, keepdims=True)  # words x 1
         w = ad.segment_softmax(logits, word_seg, n_queries)
         outputs.append(ad.segment_sum(ad.mul(w, contexts), word_seg, n_queries))
@@ -221,27 +207,26 @@ def attend_heads(
     return outputs, np.stack(weights)
 
 
+# the linguistic views the attention heads produce, in QueryEncoding.views order
+HEADS = ("sv", "sn", "vn")
+
+
 @dataclass
 class TextEncoderParams:
     embedding: Tensor
     gru_fwd: GruParams
     gru_bwd: GruParams
-    head_sv: AttentionHeadParams
-    head_sn: AttentionHeadParams
-    head_vn: AttentionHeadParams
+    heads: list[Tensor]  # one d_w x 2*hidden key matrix per entry of the heads argument
 
     @classmethod
-    def create(cls, rng, vocab_size: int, d_w: int, hidden: int, registry: dict) -> "TextEncoderParams":
+    def create(cls, rng, vocab_size: int, d_w: int, hidden: int, registry: dict, heads=HEADS) -> "TextEncoderParams":
         embedding = Tensor(rng.normal(0.0, 0.1, size=(vocab_size, d_w)), requires_grad=True)
         registry["text.embedding"] = embedding
-        return cls(
-            embedding=embedding,
-            gru_fwd=GruParams.create(rng, d_w, hidden, registry, "text.gru_fwd"),
-            gru_bwd=GruParams.create(rng, d_w, hidden, registry, "text.gru_bwd"),
-            head_sv=AttentionHeadParams.create(rng, d_w, 2 * hidden, registry, "text.head_sv"),
-            head_sn=AttentionHeadParams.create(rng, d_w, 2 * hidden, registry, "text.head_sn"),
-            head_vn=AttentionHeadParams.create(rng, d_w, 2 * hidden, registry, "text.head_vn"),
-        )
+        gru_fwd = GruParams.create(rng, d_w, hidden, registry, "text.gru_fwd")
+        gru_bwd = GruParams.create(rng, d_w, hidden, registry, "text.gru_bwd")
+        keys = [glorot(rng, d_w, 2 * hidden) for _ in heads]
+        registry.update({f"text.head_{name}.wk": key for name, key in zip(heads, keys)})
+        return cls(embedding=embedding, gru_fwd=gru_fwd, gru_bwd=gru_bwd, heads=keys)
 
 
 def embed_query(tokens: list[str], vocab: Vocabulary, table: Tensor) -> Tensor:
@@ -253,14 +238,14 @@ def embed_query(tokens: list[str], vocab: Vocabulary, table: Tensor) -> Tensor:
 
 def encode_query(queries: list[list[str]], vocab: Vocabulary, params: TextEncoderParams) -> QueryEncoding:
     """Full linguistic pipeline for a batch of tokenized queries:
-    embed -> BiGRU -> pool -> three heads, each one op over all queries' words."""
+    embed -> BiGRU -> pool -> the attention heads, each one op over all queries' words."""
     lengths = [len(tokens) for tokens in queries]
     if 0 in lengths:
         raise InputError("empty query")
     embeddings = embed_query([tok for tokens in queries for tok in tokens], vocab, params.embedding)
     contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, lengths)
     q = pool_query(contexts, lengths)
-    (sv, sn, vn), weights = attend_heads(
-        q, embeddings, contexts, [params.head_sv, params.head_sn, params.head_vn], lengths
-    )
-    return QueryEncoding(q=q, sv=sv, sn=sn, vn=vn, attention_weights=weights)
+    if not params.heads:
+        return QueryEncoding(q=q, views=[], attention_weights=np.empty((0, sum(lengths))))
+    views, weights = attend_heads(q, embeddings, contexts, params.heads, lengths)
+    return QueryEncoding(q=q, views=views, attention_weights=weights)

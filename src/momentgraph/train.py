@@ -116,8 +116,8 @@ def train(
             opt.zero_grad()
             with GradientTape():
                 batch_loss, kl, sp = model.loss([prepared_train[i] for i in batch], training=True, rng=rng)
-                if np.isnan(batch_loss.data):
-                    raise TrainingError(f"NaN loss at epoch {epoch}, step {start // config.batch_size}")
+                if not np.isfinite(batch_loss.data):
+                    raise TrainingError(f"non-finite loss at epoch {epoch}, step {start // config.batch_size}")
                 ad.backward(batch_loss)
             opt.step()
             epoch_total += float(batch_loss.data)

@@ -65,12 +65,12 @@ def ref_bigru(x, p_fwd, p_bwd):
     return np.concatenate([ref_gru_sequence(x, p_fwd), ref_gru_sequence(x, p_bwd, reverse=True)], axis=1)
 
 
-def ref_attention(q, embeddings, contexts, wk, bk):
+def ref_attention(q, embeddings, contexts, wk):
     """q: 1 x d_q; returns (1 x d_ctx output, weight vector of length m)."""
     m = embeddings.shape[0]
     logits = np.zeros(m)
     for i in range(m):
-        key = embeddings[i] @ wk + bk[0]
+        key = embeddings[i] @ wk
         logits[i] = float(q[0] @ key)
     e = np.exp(logits - logits.max())
     w = e / e.sum()
@@ -157,7 +157,7 @@ def per_gate_checkpoint_params(params):
 
 
 def ref_temporal(a_ctx, params):
-    """Two stacked bidirectional GRUs plus the three affine heads (no dropout).
+    """Two stacked bidirectional GRUs plus the three linear heads (no dropout).
 
     Returns (start_dist, end_dist, y) as plain length-t vectors.
     """
@@ -168,9 +168,9 @@ def ref_temporal(a_ctx, params):
     end = np.zeros(t)
     score = np.zeros(t)
     for i in range(t):
-        start[i] = float(h2[i] @ params.w_start.data[:, 0] + params.b_start.data[0, 0])
-        end[i] = float(h2[i] @ params.w_end.data[:, 0] + params.b_end.data[0, 0])
-        score[i] = float(a_ctx[i] @ params.w_score.data[:, 0] + params.b_score.data[0, 0])
+        start[i] = float(h2[i] @ params.w_start.data[:, 0])
+        end[i] = float(h2[i] @ params.w_end.data[:, 0])
+        score[i] = float(a_ctx[i] @ params.w_score.data[:, 0])
 
     def smax(v):
         e = np.exp(v - v.max())

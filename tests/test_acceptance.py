@@ -14,11 +14,12 @@ from momentgraph.autodiff import Tensor
 from momentgraph.config import synthetic_config
 from momentgraph.gradcheck import run_gradcheck
 from momentgraph.graph import SpatialGraphParams, run_message_passing_sequence
+from momentgraph.init import glorot
 from momentgraph.losses import kl_divergence, spatial_loss
 from momentgraph.metrics import Interval, miou, recall_at, tiou
 from momentgraph.model import MomentModel
 from momentgraph.synth import SyntheticSpec, generate
-from momentgraph.text import GruParams, bigru_forward
+from momentgraph.text import GruParams, attend_heads, bigru_forward
 from momentgraph.train import build_vocab, evaluate, train
 from momentgraph.visual import select_keyframe, variance_of_laplacian
 
@@ -233,15 +234,13 @@ def test_reference_loop_equivalence():
     ref = ref_bigru(x, gru_param_arrays(fwd), gru_param_arrays(bwd))
     assert np.abs(out.data - ref).max() < 1e-10
 
-    # attention
-    from momentgraph.text import AttentionHeadParams, attend_heads
-
-    head = AttentionHeadParams.create(rng, 4, 6, {}, "h")
+    # attention: a head is its key matrix
+    head = glorot(rng, 4, 6)
     q = rng.normal(size=(1, 6))
     emb = rng.normal(size=(5, 4))
     ctx = rng.normal(size=(5, 6))
     outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), [head])
-    ref_out, ref_w = ref_attention(q, emb, ctx, head.wk.data, head.bk.data)
+    ref_out, ref_w = ref_attention(q, emb, ctx, head.data)
     assert np.abs(outputs[0].data - ref_out).max() < 1e-10
     assert np.abs(weights[0] - ref_w).max() < 1e-10
 

@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from momentgraph import cli
@@ -138,6 +139,15 @@ class TestEval:
         assert code == 2
         assert "'text.gru_fwd.wz'" in capsys.readouterr().err.split("unexpected")[1]
 
+    def test_checkpoint_with_a_softmax_bias_is_data_error(self, workspace, tmp_path, capsys):
+        # checkpoints written before the biases that feed a softmax were deleted hold them
+        meta, params = load_params(str(workspace / "model.ckpt"))
+        old = tmp_path / "old.ckpt"
+        save_params({**params, "temporal.b_start": np.zeros((1, 1))}, str(old), meta)
+        code = main(["eval", "--data", str(workspace / "data"), "--checkpoint", str(old)])
+        assert code == 2
+        assert "missing [], unexpected ['temporal.b_start']" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_data_error(self, workspace):
         code = main([
             "eval", "--data", str(workspace / "data"), "--checkpoint", str(workspace / "nope.ckpt"),
@@ -176,6 +186,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: [graph] iterations = 'x'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [("training", "eval_every = 0"), ("graph", "top_n = 0"), ("loss", "smoothing = foo"),
+         ("loss", "sigma_pos = -1"), ("optimizer", "dropout = 1.0"), ("training", "epochs = -1")],
+    )
+    def test_config_value_no_run_can_use_is_usage_error(self, tmp_path, capsys, section, line):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[{section}]\n{line}\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(tmp_path / "ghost"), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} ")
+        assert not ckpt.exists()
 
     @staticmethod
     def _edit_first_annotation(workspace, tmp_path, command, **changes):

@@ -23,6 +23,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(variant="bogus")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eval_every", 0, "eval_every must be >= 1"),
+            ("top_n", 0, "top_n must be >= 1"),
+            ("epochs", -1, "epochs must be >= 0"),
+            ("smoothing", "foo", "smoothing 'foo' is not one of onehot, gaussian"),
+            ("sigma_pos", 0.0, "sigma_pos must be positive"),
+            ("sigma_pos", -1.0, "sigma_pos must be positive"),
+            ("sigma_pos", float("nan"), "sigma_pos must be positive"),
+            ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
+            ("dropout", 1.5, r"dropout must be in \[0, 1\)"),
+            ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
+        ],
+    )
+    def test_value_no_run_can_use_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{field: value})
+
+    def test_edge_values_that_runs_use_accepted(self):
+        cfg = RunConfig(epochs=0, eval_every=1, top_n=1, dropout=0.0, smoothing="gaussian", sigma_pos=1e-3)
+        assert cfg.epochs == 0
+
 
 class TestConfigFile:
     def test_file_values_and_overrides(self, tmp_path):

@@ -7,12 +7,16 @@ from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape
 from momentgraph.checkpoint import load_params, save_params
 from momentgraph.errors import CheckpointError
-from momentgraph.gradcheck import tiny_instance
+from momentgraph.gradcheck import GRADCHECK_LENGTHS, tiny_instance
 from momentgraph.graph import VARIANTS
 from momentgraph.model import MomentModel
 from momentgraph.text import Vocabulary, encode_query
 
 from reference_impls import per_gate_checkpoint_params
+
+# the blocks that read only human (object) nodes
+HUMAN_BLOCKS = {"embed.w_h", "embed.b_h", *(f"graph.{m}.{k}" for m in ("phi_snh", "phi_svh", "m_h") for k in "wb")}
+OBJECT_BLOCKS = {"embed.w_o", "embed.b_o", *(f"graph.{m}.{k}" for m in ("phi_sno", "phi_vno", "m_o") for k in "wb")}
 
 
 class TestForward:
@@ -29,7 +33,20 @@ class TestForward:
 
     def test_one_block_per_gru_weight_kind(self):
         counts = {v: len(tiny_instance(variant=v)[0].params) for v in ("full", "single_query", "no_graph")}
-        assert counts == {"full": 61, "single_query": 55, "no_graph": 39}
+        assert counts == {"full": 55, "single_query": 46, "no_graph": 17}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_block_is_trained(self, variant):
+        # every block the model builds gets a gradient; one that stays all
+        # zero belongs to a node kind the variant drops
+        model, batch = tiny_instance(variant=variant, lengths=GRADCHECK_LENGTHS)
+        with GradientTape():
+            loss, _, _ = model.loss(batch)
+            ad.backward(loss)
+        assert [name for name, p in model.params.items() if p.grad is None] == []
+        all_zero = {name for name, p in model.params.items() if not p.grad.any()}
+        dropped = {"no_human_node": HUMAN_BLOCKS, "no_node_types": HUMAN_BLOCKS, "no_object_node": OBJECT_BLOCKS}
+        assert all_zero == dropped.get(variant, set())
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_all_variants_run(self, variant):
@@ -116,8 +133,8 @@ class TestBatchInvariance:
         parts, grads = loss_and_grads(model, batch)
         singles = [loss_and_grads(model, [p]) for p in batch]
         np.testing.assert_allclose(parts, np.sum([s[0] for s in singles], axis=0), rtol=1e-12, atol=0)
-        # measured against the largest gradient entry: the key and head biases
-        # that every softmax ignores have exactly-zero gradients, up to roundoff
+        # measured against the largest gradient entry, so that near-zero
+        # entries may differ by roundoff
         scale = max(np.abs(g).max() for g in grads.values())
         for name, g in grads.items():
             summed = np.sum([s[1][name] for s in singles], axis=0)
@@ -214,6 +231,16 @@ class TestPersistence:
         meta, params = load_params(str(path))
         save_params(per_gate_checkpoint_params(params), str(path), meta)
         with pytest.raises(CheckpointError, match=r"missing \[.*'text\.gru_fwd\.w'.*unexpected \[.*'text\.gru_fwd\.wz'"):
+            model.load(str(path))
+
+    def test_checkpoint_with_a_softmax_bias_rejected(self, tmp_path):
+        # a checkpoint from before the softmax-fed biases were deleted holds them
+        model, _ = tiny_instance(seed=7)
+        path = tmp_path / "old.ckpt"
+        model.save(str(path))
+        meta, params = load_params(str(path))
+        save_params({**params, "temporal.b_start": np.zeros((1, 1))}, str(path), meta)
+        with pytest.raises(CheckpointError, match=r"missing \[\], unexpected \['temporal\.b_start'\]"):
             model.load(str(path))
 
     def test_checkpoint_cut_between_records_is_typed_error(self, tmp_path):

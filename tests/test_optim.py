@@ -41,12 +41,14 @@ def test_decay_is_decoupled_from_moments():
     assert opt._v["p"][0, 0] == 0.0
 
 
-def test_nan_gradient_names_parameter():
-    p = Tensor([[1.0]], requires_grad=True)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nan_gradient_names_parameter(bad):
+    p = Tensor([[1.0, 2.0]], requires_grad=True)
     opt = Adam({"bad.block": p})
-    p.grad = np.array([[np.nan]])
-    with pytest.raises(TrainingError, match="bad.block"):
+    p.grad = np.array([[bad, 1.0]])
+    with pytest.raises(TrainingError, match="non-finite gradient in parameter 'bad.block'"):
         opt.step()
+    np.testing.assert_array_equal(p.data, [[1.0, 2.0]])  # the step wrote nothing
 
 
 def test_descends_quadratic():

@@ -4,8 +4,9 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, Tensor
 from momentgraph.errors import InputError
+from momentgraph.init import glorot
 from momentgraph.text import (
-    AttentionHeadParams,
+    HEADS,
     GruParams,
     TextEncoderParams,
     Vocabulary,
@@ -230,24 +231,21 @@ class TestPooling:
 
 class TestAttention:
     def test_single_word_gets_weight_one(self):
-        head = AttentionHeadParams.create(np.random.default_rng(0), 3, 2, {}, "h")
+        head = glorot(np.random.default_rng(0), 3, 2)
         q = Tensor([[0.5, -0.2]])
         outputs, weights = attend_heads(q, Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head])
         np.testing.assert_allclose(weights, [[1.0]])
         np.testing.assert_allclose(outputs[0].data, [[7.0, 8.0]])
 
     def test_identical_keys_give_uniform_weights(self):
-        head = AttentionHeadParams.create(np.random.default_rng(1), 3, 2, {}, "h")
+        head = glorot(np.random.default_rng(1), 3, 2)
         emb = Tensor(np.tile([[0.3, -0.1, 0.2]], (4, 1)))
         _, weights = attend_heads(Tensor([[1.0, 2.0]]), emb, Tensor(np.eye(4)), [head])
         np.testing.assert_allclose(weights, np.full((1, 4), 0.25))
 
     def test_hand_softmax_logits(self):
         # engineered so the three key logits are exactly [1, 0, 0]
-        head = AttentionHeadParams(
-            wk=Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])),
-            bk=Tensor(np.zeros((1, 2))),
-        )
+        head = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
         q = Tensor([[1.0, 0.0]])
         emb = Tensor(np.eye(3))
         ctx = Tensor(np.eye(3))
@@ -258,7 +256,7 @@ class TestAttention:
 
     def test_weights_normalized_output_in_hull(self):
         rng = np.random.default_rng(2)
-        heads = [AttentionHeadParams.create(rng, 4, 6, {}, f"h{i}") for i in range(3)]
+        heads = [glorot(rng, 4, 6) for _ in range(3)]
         emb = Tensor(rng.normal(size=(5, 4)))
         ctx = Tensor(rng.normal(size=(5, 6)))
         outputs, weights = attend_heads(Tensor(rng.normal(size=(1, 6))), emb, ctx, heads)
@@ -271,7 +269,7 @@ class TestAttention:
 
     def test_batched_queries_match_reference_per_query(self):
         rng = np.random.default_rng(3)
-        heads = [AttentionHeadParams.create(rng, 4, 6, {}, f"h{i}") for i in range(3)]
+        heads = [glorot(rng, 4, 6) for _ in range(3)]
         lengths = [3, 1, 4]
         q = rng.normal(size=(3, 6))
         emb = rng.normal(size=(8, 4))
@@ -283,7 +281,7 @@ class TestAttention:
             start = 0
             for b, m in enumerate(lengths):
                 words = slice(start, start + m)
-                ref_out, ref_w = ref_attention(q[b : b + 1], emb[words], ctx[words], head.wk.data, head.bk.data)
+                ref_out, ref_w = ref_attention(q[b : b + 1], emb[words], ctx[words], head.data)
                 np.testing.assert_allclose(outputs[k].data[b : b + 1], ref_out, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(weights[k, words], ref_w, rtol=0, atol=1e-12)
                 start += m
@@ -295,7 +293,8 @@ class TestEncodeQuery:
         params = TextEncoderParams.create(np.random.default_rng(0), len(vocab), 5, 4, {})
         enc = encode_query([["person", "opens", "door"]], vocab, params)
         assert enc.q.data.shape == (1, 8)
-        for v in (enc.sv, enc.sn, enc.vn):
+        assert len(enc.views) == len(HEADS)
+        for v in enc.views:
             assert v.data.shape == (1, 8)
         assert enc.attention_weights.shape == (3, 3)
         np.testing.assert_allclose(enc.attention_weights.sum(axis=1), 1.0)
@@ -308,8 +307,8 @@ class TestEncodeQuery:
         assert batch.attention_weights.shape == (3, 7)
         for b, tokens in enumerate(queries):
             one = encode_query([tokens], vocab, params)
-            for name in ("q", "sv", "sn", "vn"):
-                np.testing.assert_allclose(getattr(batch, name).data[b : b + 1], getattr(one, name).data, rtol=1e-12)
+            for got, want in zip([batch.q, *batch.views], [one.q, *one.views]):
+                np.testing.assert_allclose(got.data[b : b + 1], want.data, rtol=1e-12)
 
     def test_empty_query_in_batch_rejected(self):
         vocab = Vocabulary(["door"])
@@ -321,9 +320,22 @@ class TestEncodeQuery:
         vocab = Vocabulary(["open", "door"])
         registry = {}
         params = TextEncoderParams.create(np.random.default_rng(1), len(vocab), 5, 4, registry)
-        for name in ("wk", "bk"):
-            getattr(params.head_sn, name).data = getattr(params.head_sv, name).data.copy()
-            getattr(params.head_vn, name).data = getattr(params.head_sv, name).data.copy()
+        sv_key, sn_key, vn_key = params.heads
+        sn_key.data = sv_key.data.copy()
+        vn_key.data = sv_key.data.copy()
         enc = encode_query([["open", "door"]], vocab, params)
-        np.testing.assert_array_equal(enc.sv.data, enc.sn.data)
-        np.testing.assert_array_equal(enc.sv.data, enc.vn.data)
+        sv, sn, vn = enc.views
+        np.testing.assert_array_equal(sv.data, sn.data)
+        np.testing.assert_array_equal(sv.data, vn.data)
+
+    def test_encoder_without_heads_pools_only(self):
+        vocab = Vocabulary(["open", "door"])
+        registry = {}
+        params = TextEncoderParams.create(np.random.default_rng(1), len(vocab), 5, 4, registry, heads=())
+        assert params.heads == [] and not any(name.startswith("text.head") for name in registry)
+        with GradientTape() as tape:
+            enc = encode_query([["open", "door"], ["door"]], vocab, params)
+        assert enc.views == [] and enc.attention_weights.shape == (0, 3)
+        assert enc.q.data.shape == (2, 8)
+        # embedding lookup, two GRU directions and their concat, pool: nothing for heads
+        assert len(tape) == 6
