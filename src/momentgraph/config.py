@@ -53,8 +53,11 @@ class RunConfig:
         for name in ("lr", "sigma_pos"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
+        for name in ("dropout", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError("weight_decay must be >= 0")
         if self.smoothing not in SMOOTHINGS:
             raise ConfigError(f"smoothing '{self.smoothing}' is not one of {', '.join(SMOOTHINGS)}")
         check_variant(self.variant)

@@ -21,7 +21,7 @@ from .graph import (
     SpatialGraphParams,
     check_variant,
     create_single_query_params,
-    run_message_passing_sequence,
+    spatial_graph,
 )
 from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
@@ -109,10 +109,10 @@ class MomentModel:
     def spatial_forward(self, batch: list[PreparedSample], encoding) -> Tensor:
         """Contextualized activity representations of a minibatch, stacked: N x latent.
 
-        Every timestep of every sample runs as one batch through
-        run_message_passing_sequence (frames are independent): node frame ids
-        are offset by their sample's first stacked row, and each frame reads
-        its own sample's linguistic rows. This keeps the tape small.
+        Every timestep of every sample runs through one spatial_graph node
+        (frames are independent): node frame ids are offset by their sample's
+        first stacked row, and the graph reads each sample's linguistic rows
+        through the frame-to-sample map.
         """
         cfg = self.config
         lengths = _lengths(batch)
@@ -132,13 +132,9 @@ class MomentModel:
             joint = ad.concat([Tensor(features), Tensor(pooled)], axis=1)
             return joint @ self.nograph_params.w + self.nograph_params.b
         frame_sample = np.repeat(np.arange(len(batch)), lengths)
-        if cfg.variant == "single_query":
-            sv = sn = vn = ad.gather_rows(encoding.q, frame_sample)
-        else:
-            sv, sn, vn = (ad.gather_rows(v, frame_sample) for v in encoding.views)
+        views = [encoding.q] * 3 if cfg.variant == "single_query" else encoding.views
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
-        a, _, _ = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, self.graph_params, cfg.iterations)
-        return a
+        return spatial_graph(a0, h0, o0, *views, frame_sample, h_seg, o_seg, self.graph_params, cfg.iterations)
 
     def forward(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
         """One forward pass over a minibatch; outputs stack the samples in batch order."""

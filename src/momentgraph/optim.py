@@ -39,6 +39,11 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One update of every block, or none: every gradient is checked
+        before the first block is written or step_count advances."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise TrainingError(f"non-finite gradient in parameter '{name}'")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
@@ -47,8 +52,6 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient in parameter '{name}'")
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
             m = self._m[name]

@@ -13,7 +13,7 @@ import pytest
 from momentgraph.autodiff import Tensor
 from momentgraph.config import synthetic_config
 from momentgraph.gradcheck import run_gradcheck
-from momentgraph.graph import SpatialGraphParams, run_message_passing_sequence
+from momentgraph.graph import MessagePassing, SpatialGraphParams, spatial_graph
 from momentgraph.init import glorot
 from momentgraph.losses import kl_divergence, spatial_loss
 from momentgraph.metrics import Interval, miou, recall_at, tiou
@@ -68,11 +68,10 @@ def test_zero_iteration_identity():
     o0 = Tensor(np.tanh(rng.normal(size=(3, 5))))
     sv, sn, vn = (Tensor(rng.normal(size=(1, 6))) for _ in range(3))
     h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
-    a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, params, 0)
-    assert a is a0 and h is h0 and o is o0
-    assert a.data.tobytes() == a0.data.tobytes()
-    assert h.data.tobytes() == h0.data.tobytes()
-    assert o.data.tobytes() == o0.data.tobytes()
+    before = [t.data.tobytes() for t in (a0, h0, o0)]
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, [0], h_seg, o_seg, params, 0)
+    assert a is a0
+    assert [t.data.tobytes() for t in (a, h0, o0)] == before
     print("\nacceptance 2 zero-iteration identity: PASS")
 
 
@@ -253,12 +252,16 @@ def test_reference_loop_equivalence():
     o0 = Tensor(rng.normal(size=(3, 5)))
     sv, sn, vn = (Tensor(rng.normal(size=(1, 6))) for _ in range(3))
     h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
-    a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, params, 1)
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, [0], h_seg, o_seg, params, 1)
+    # h and o from the op's per-iteration step, which the op runs for every iteration but the last
+    mp = MessagePassing(params, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, [0], h_seg, o_seg)
+    a_step, h, o, _ = mp.step(a0.data, h0.data, o0.data)
     ra, rh, ro = ref_graph_iteration(
         a0.data, h0.data, o0.data, a0.data, h0.data, o0.data,
         sv.data, sn.data, vn.data, arrays,
     )
     assert np.abs(a.data - ra).max() < 1e-10
-    assert np.abs(h.data - rh).max() < 1e-10
-    assert np.abs(o.data - ro).max() < 1e-10
+    assert np.abs(a_step - ra).max() < 1e-10
+    assert np.abs(h - rh).max() < 1e-10
+    assert np.abs(o - ro).max() < 1e-10
     print("\nacceptance 9 reference-loop equivalence: PASS")

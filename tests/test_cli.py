@@ -190,7 +190,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "section, line",
         [("training", "eval_every = 0"), ("graph", "top_n = 0"), ("loss", "smoothing = foo"),
-         ("loss", "sigma_pos = -1"), ("optimizer", "dropout = 1.0"), ("training", "epochs = -1")],
+         ("loss", "sigma_pos = -1"), ("optimizer", "dropout = 1.0"), ("training", "epochs = -1"),
+         ("optimizer", "beta1 = 1.0")],
     )
     def test_config_value_no_run_can_use_is_usage_error(self, tmp_path, capsys, section, line):
         config = tmp_path / "run.ini"

@@ -36,6 +36,12 @@ class TestRunConfig:
             ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
             ("dropout", 1.5, r"dropout must be in \[0, 1\)"),
             ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
+            ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
+            ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
+            ("beta2", 1.5, r"beta2 must be in \[0, 1\)"),
+            ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
+            ("weight_decay", -1.0, "weight_decay must be >= 0"),
+            ("weight_decay", float("nan"), "weight_decay must be >= 0"),
         ],
     )
     def test_value_no_run_can_use_rejected(self, field, value, message):
@@ -43,7 +49,10 @@ class TestRunConfig:
             RunConfig(**{field: value})
 
     def test_edge_values_that_runs_use_accepted(self):
-        cfg = RunConfig(epochs=0, eval_every=1, top_n=1, dropout=0.0, smoothing="gaussian", sigma_pos=1e-3)
+        cfg = RunConfig(
+            epochs=0, eval_every=1, top_n=1, dropout=0.0, smoothing="gaussian", sigma_pos=1e-3,
+            beta1=0.0, beta2=0.0, weight_decay=0.0,
+        )
         assert cfg.epochs == 0
 
 

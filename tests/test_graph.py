@@ -3,17 +3,19 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import Tensor
-from momentgraph.errors import ConfigError
+from momentgraph.autodiff import GradientTape
+from momentgraph.errors import ConfigError, ContractError
 from momentgraph.graph import (
     VARIANTS,
-    PairMap,
+    MessagePassing,
+    SortedSegments,
     SpatialGraphParams,
     check_variant,
     create_single_query_params,
-    run_message_passing_sequence,
+    spatial_graph,
 )
 
-from reference_impls import ref_graph_iteration
+from reference_impls import fd_grad, ref_graph_iteration
 
 D_LANG = 6
 LATENT = 5
@@ -36,11 +38,23 @@ def make_instance(seed=1, K=2, J=3):
     return a0, h0, o0, sv, sn, vn
 
 
+def latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters):
+    """(a, h, o) after n_iters: a from spatial_graph, h and o from n_iters of
+    its per-iteration step, whose a must be the op's bit for bit."""
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters).data
+    mp = MessagePassing(p, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frame_sample, h_seg, o_seg)
+    x = a0.data, h0.data, o0.data
+    for _ in range(n_iters):
+        x = mp.step(*x)[:3]
+    assert x[0].tobytes() == a.tobytes()
+    return x
+
+
 def one_frame(a0, h0, o0, sv, sn, vn, p, n_iters):
-    """The fused path on a single timestep: every row belongs to frame 0."""
+    """The graph on a single timestep: every row belongs to frame 0 of sample 0."""
     h_seg = np.zeros(h0.data.shape[0], dtype=np.intp)
     o_seg = np.zeros(o0.data.shape[0], dtype=np.intp)
-    return run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, p, n_iters)
+    return latents(a0, h0, o0, sv, sn, vn, [0], h_seg, o_seg, p, n_iters)
 
 
 def oracle(a0, h0, o0, sv, sn, vn, registry, n_iters):
@@ -62,7 +76,7 @@ def assert_independent_of(blocks, a0, h0, o0, sv, sn, vn, p, seed):
         pm.b.data = rng.normal(size=pm.b.data.shape)
     after = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
     for x, y in zip(before, after):
-        assert x.data.tobytes() == y.data.tobytes()
+        assert x.tobytes() == y.tobytes()
 
 
 class TestVariants:
@@ -75,61 +89,38 @@ class TestVariants:
             check_variant("no_such")
 
 
-class TestPairMap:
-    def test_zero_weights_give_bias(self):
-        pm = PairMap(w=Tensor(np.zeros((4, 3))), b=Tensor([[1.0, 2.0, 3.0]]))
-        out = pm(Tensor(np.random.default_rng(0).normal(size=(2, 4))))
-        np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
-
-    def test_selector_weights_pass_observation(self):
-        w = np.zeros((4, 2))
-        w[2:, :] = np.eye(2)  # select the observation half of [lang ; obs]
-        pm = PairMap(w=Tensor(w), b=Tensor(np.zeros((1, 2))))
-        out = pm(Tensor([[9.0, 9.0, 1.0, 2.0]]))
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        pm = PairMap.create(rng, 4, 3, {}, "pm")
-        x = rng.normal(size=(5, 4))
-        out = pm(Tensor(x))
-        for i in range(5):
-            np.testing.assert_allclose(out.data[i], x[i] @ pm.w.data + pm.b.data[0], atol=1e-12)
-
-
 class TestMessagePassing:
     def test_empty_human_set_sums_to_zero(self):
         # an empty segment sums to an exact zero row, so the human pair maps
         # cannot reach the activity or object latents
         np.testing.assert_array_equal(
-            ad.segment_sum(Tensor(np.ones((2, LATENT))), [1, 1], 3).data[[0, 2]], np.zeros((2, LATENT))
+            SortedSegments([1, 1], 3, "ids").sum(np.ones((2, LATENT)))[[0, 2]], np.zeros((2, LATENT))
         )
         p, registry = make_params()
         a0, h0, o0, sv, sn, vn = make_instance(K=0)
         a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
         ra, rh, ro = oracle(a0, h0, o0, sv, sn, vn, registry, 2)
-        np.testing.assert_allclose(a.data, ra, atol=1e-12)
-        np.testing.assert_allclose(o.data, ro, atol=1e-12)
-        assert h.data.shape == (0, LATENT)
+        np.testing.assert_allclose(a, ra, atol=1e-12)
+        np.testing.assert_allclose(o, ro, atol=1e-12)
+        assert h.shape == (0, LATENT)
         assert_independent_of(("phi_snh", "phi_svh"), a0, h0, o0, sv, sn, vn, p, seed=30)
 
     def test_singletons_degenerate_to_lone_pair(self):
-        rows = Tensor(np.random.default_rng(31).normal(size=(2, LATENT)))
-        sums = ad.segment_sum(rows, [1, 0], 2)
-        np.testing.assert_array_equal(sums.data, rows.data[[1, 0]])
+        rows = np.random.default_rng(31).normal(size=(2, LATENT))
+        np.testing.assert_array_equal(SortedSegments([0, 1], 2, "ids").sum(rows), rows)
         p, registry = make_params(seed=2)
         a0, h0, o0, sv, sn, vn = make_instance(seed=3, K=1, J=1)
         out = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
         for got, want in zip(out, oracle(a0, h0, o0, sv, sn, vn, registry, 2)):
-            np.testing.assert_allclose(got.data, want, atol=1e-12)
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_iteration_matches_transcription_oracle(self):
         p, registry = make_params(seed=4)
         a0, h0, o0, sv, sn, vn = make_instance(seed=5)
-        for n_iters in (1, 2):
+        for n_iters in (1, 2, 3):
             out = one_frame(a0, h0, o0, sv, sn, vn, p, n_iters)
             for got, want in zip(out, oracle(a0, h0, o0, sv, sn, vn, registry, n_iters)):
-                np.testing.assert_allclose(got.data, want, atol=1e-10)
+                np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_update_zero_messages_give_half(self):
         p, _ = make_params(seed=6)
@@ -138,21 +129,21 @@ class TestMessagePassing:
             pm.b.data[:] = 0.0
         a0, h0, o0, sv, sn, vn = make_instance(seed=7)
         a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 1)
-        np.testing.assert_array_equal(a.data, np.full((1, LATENT), 0.5))
-        np.testing.assert_array_equal(h.data, np.full((2, LATENT), 0.5))
-        np.testing.assert_array_equal(o.data, np.full((3, LATENT), 0.5))
+        np.testing.assert_array_equal(a, np.full((1, LATENT), 0.5))
+        np.testing.assert_array_equal(h, np.full((2, LATENT), 0.5))
+        np.testing.assert_array_equal(o, np.full((3, LATENT), 0.5))
 
     def test_latents_in_unit_interval_after_update(self):
         p, _ = make_params(seed=8)
         a0, h0, o0, sv, sn, vn = make_instance(seed=9)
-        for t in one_frame(a0, h0, o0, sv, sn, vn, p, 3):
-            assert ((t.data > 0.0) & (t.data < 1.0)).all()
+        for x in one_frame(a0, h0, o0, sv, sn, vn, p, 3):
+            assert ((x > 0.0) & (x < 1.0)).all()
 
     def test_zero_iterations_identity(self):
         p, _ = make_params(seed=10)
         a0, h0, o0, sv, sn, vn = make_instance(seed=11)
-        a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 0)
-        assert a is a0 and h is h0 and o is o0
+        seg_h, seg_o = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
+        assert spatial_graph(a0, h0, o0, sv, sn, vn, [0], seg_h, seg_o, p, 0) is a0
 
     def test_message_map_sharing(self):
         # the three message maps are shared across edge directions, so the
@@ -171,9 +162,9 @@ class TestMessagePassing:
         perm = [2, 0, 1]
         a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
         a_p, h_p, o_p = one_frame(a0, h0, Tensor(o0.data[perm]), sv, sn, vn, p, 2)
-        np.testing.assert_allclose(a_p.data, a.data, atol=1e-12)
-        np.testing.assert_allclose(h_p.data, h.data, atol=1e-12)
-        np.testing.assert_allclose(o_p.data, o.data[perm], atol=1e-12)
+        np.testing.assert_allclose(a_p, a, atol=1e-12)
+        np.testing.assert_allclose(h_p, h, atol=1e-12)
+        np.testing.assert_allclose(o_p, o[perm], atol=1e-12)
 
 
 class TestBatchedSequence:
@@ -181,9 +172,10 @@ class TestBatchedSequence:
         p, registry = make_params(seed=17)
         rng = np.random.default_rng(18)
         counts = [(2, 3), (0, 1), (1, 0), (2, 2), (0, 0)]
+        frame_sample = np.array([0, 0, 1, 1, 1])
         t = len(counts)
-        # one linguistic row per frame, as when frames of several videos share a batch
-        sv, sn, vn = (Tensor(rng.normal(size=(t, D_LANG))) for _ in range(3))
+        # one linguistic row per sample, shared by its frames
+        sv, sn, vn = (Tensor(rng.normal(size=(2, D_LANG))) for _ in range(3))
         a0 = Tensor(rng.normal(size=(t, LATENT)))
         h_rows = [rng.normal(size=(k, LATENT)) for k, _ in counts]
         o_rows = [rng.normal(size=(j, LATENT)) for _, j in counts]
@@ -191,25 +183,82 @@ class TestBatchedSequence:
         o0 = Tensor(np.concatenate(o_rows, axis=0))
         h_seg = np.concatenate([np.full(k, i) for i, (k, _) in enumerate(counts)])
         o_seg = np.concatenate([np.full(j, i) for i, (_, j) in enumerate(counts)])
-        a, h, o = run_message_passing_sequence(a0, h0, o0, h_seg, o_seg, sv, sn, vn, p, 3)
+        a, h, o = latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, 3)
         for i in range(t):
-            frame = slice(i, i + 1)
+            frame, sample = slice(i, i + 1), slice(frame_sample[i], frame_sample[i] + 1)
             ra, rh, ro = oracle(
                 Tensor(a0.data[frame]), Tensor(h_rows[i]), Tensor(o_rows[i]),
-                Tensor(sv.data[frame]), Tensor(sn.data[frame]), Tensor(vn.data[frame]), registry, 3,
+                Tensor(sv.data[sample]), Tensor(sn.data[sample]), Tensor(vn.data[sample]), registry, 3,
             )
-            np.testing.assert_allclose(a.data[i : i + 1], ra, atol=1e-12)
-            np.testing.assert_allclose(h.data[h_seg == i], rh, atol=1e-12)
-            np.testing.assert_allclose(o.data[o_seg == i], ro, atol=1e-12)
+            np.testing.assert_allclose(a[i : i + 1], ra, atol=1e-12)
+            np.testing.assert_allclose(h[h_seg == i], rh, atol=1e-12)
+            np.testing.assert_allclose(o[o_seg == i], ro, atol=1e-12)
 
     def test_zero_iterations_returns_inputs(self):
         p, _ = make_params(seed=19)
         a0 = Tensor(np.random.default_rng(20).normal(size=(3, LATENT)))
         empty = Tensor(np.zeros((0, LATENT)))
         seg = np.zeros(0, dtype=int)
-        sv = sn = vn = Tensor(np.zeros((3, D_LANG)))
-        a, h, o = run_message_passing_sequence(a0, empty, empty, seg, seg, sv, sn, vn, p, 0)
-        assert a is a0 and h is empty and o is empty
+        sv = sn = vn = Tensor(np.zeros((1, D_LANG)))
+        assert spatial_graph(a0, empty, empty, sv, sn, vn, [0, 0, 0], seg, seg, p, 0) is a0
+
+    @pytest.mark.parametrize("name", ["frame_sample", "h_seg", "o_seg"])
+    def test_unsorted_segment_ids_rejected(self, name):
+        p, _ = make_params(seed=33)
+        rng = np.random.default_rng(34)
+        a0, h0, o0 = (Tensor(rng.normal(size=(n, LATENT))) for n in (3, 2, 2))
+        sv = sn = vn = Tensor(rng.normal(size=(2, D_LANG)))
+        maps = {"frame_sample": [0, 1, 1], "h_seg": [0, 2], "o_seg": [1, 2]}
+        maps[name] = maps[name][::-1]
+        with pytest.raises(ContractError, match=f"{name}: segment ids must be sorted"):
+            spatial_graph(a0, h0, o0, sv, sn, vn, maps["frame_sample"], maps["h_seg"], maps["o_seg"], p, 1)
+
+
+def graph_case(seed, single):
+    """Every input of the op as a tensor, over three frames of two samples:
+    frame 1 has no humans and frame 2 no objects. Biases are drawn too, so
+    that every block has a gradient to check."""
+    rng = np.random.default_rng(seed)
+    registry = {}
+    create = create_single_query_params if single else SpatialGraphParams.create
+    p = create(rng, D_LANG, LATENT, registry)
+    for t in registry.values():
+        t.data = rng.normal(scale=0.7, size=t.data.shape)
+    a0, h0, o0 = (Tensor(np.tanh(rng.normal(size=(n, LATENT))), requires_grad=True) for n in (3, 2, 3))
+    views = [Tensor(rng.normal(size=(2, D_LANG)), requires_grad=True) for _ in range(1 if single else 3)]
+    sv, sn, vn = views * 3 if single else views
+    maps = ([0, 0, 1], [0, 0], [0, 1, 1])  # frame_sample, h_seg, o_seg
+    return p, registry, (a0, h0, o0, sv, sn, vn), maps
+
+
+class TestFusedBackward:
+    @pytest.mark.parametrize("single", [False, True], ids=["full", "single_query"])
+    @pytest.mark.parametrize("n_iters", [1, 2, 3])
+    def test_matches_central_differences_on_every_entry(self, n_iters, single):
+        p, registry, inputs, maps = graph_case(40 + n_iters, single)
+        weights = np.random.default_rng(50).normal(size=(3, LATENT))
+
+        def f():
+            return float((spatial_graph(*inputs, *maps, p, n_iters).data * weights).sum())
+
+        with GradientTape():
+            out = spatial_graph(*inputs, *maps, p, n_iters)
+            ad.backward(ad.sum_axis(ad.mul(out, Tensor(weights))))
+        tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
+        unread = set()
+        for name, t in tensors.items():
+            numeric = fd_grad(f, t.data, eps=1e-6)
+            if t.grad is None:
+                unread.add(name.split(".")[1] if "." in name else name)
+                assert not numeric.any(), name  # nothing reads it, so no entry moves the output
+                continue
+            np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+        # one iteration updates only the activity latent: the h and o side
+        # keeps no gradient, as the blocks and views it reads feed nothing
+        expected = set()
+        if n_iters == 1:
+            expected = {"msg_ho", "m_o", "m_h"} if single else {"phi_sno", "phi_snh", "msg_sn", "m_o", "m_h", "input4"}
+        assert unread == expected
 
 
 class TestSingleQueryVariant:
@@ -234,7 +283,7 @@ class TestSingleQueryVariant:
         out_sq = one_frame(a0, h0, o0, q, q, q, sq, 2)
         out_full = one_frame(a0, h0, o0, q, q, q, full, 2)
         for x, y in zip(out_sq, out_full):
-            np.testing.assert_array_equal(x.data, y.data)
+            np.testing.assert_array_equal(x, y)
 
     def test_registry_has_three_pair_blocks(self):
         registry = {}
@@ -246,13 +295,13 @@ class TestSingleQueryVariant:
 class TestNoObjectNode:
     def test_object_sums_are_zero(self):
         np.testing.assert_array_equal(
-            ad.segment_sum(Tensor(np.ones((0, LATENT))), np.zeros(0, dtype=np.intp), 2).data, np.zeros((2, LATENT))
+            SortedSegments(np.zeros(0, dtype=np.intp), 2, "ids").sum(np.ones((0, LATENT))), np.zeros((2, LATENT))
         )
         p, registry = make_params(seed=25)
         a0, h0, o0, sv, sn, vn = make_instance(seed=26, J=0)
         a, h, o = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
         ra, rh, ro = oracle(a0, h0, o0, sv, sn, vn, registry, 2)
-        np.testing.assert_allclose(a.data, ra, atol=1e-12)
-        np.testing.assert_allclose(h.data, rh, atol=1e-12)
-        assert o.data.shape == (0, LATENT)
+        np.testing.assert_allclose(a, ra, atol=1e-12)
+        np.testing.assert_allclose(h, rh, atol=1e-12)
+        assert o.shape == (0, LATENT)
         assert_independent_of(("phi_sno", "phi_vno"), a0, h0, o0, sv, sn, vn, p, seed=32)

@@ -164,6 +164,24 @@ class TestBatchInvariance:
         assert sizes[0] == sizes[1]
 
 
+# tape nodes of one tiny training step; the spatial graph is one node at any depth
+TAPE_BUDGET = {
+    "full": 65, "no_node_types": 65, "no_human_node": 65, "no_object_node": 65, "single_query": 46, "no_graph": 32,
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_step_tape_budget(variant):
+    sizes = []
+    for n_iters in (2, 3):
+        model, batch = tiny_instance(variant=variant, lengths=GRADCHECK_LENGTHS)
+        model.config = dataclasses.replace(model.config, iterations=n_iters)
+        with GradientTape() as tape:
+            model.loss(batch, training=True, rng=np.random.default_rng(0))
+            sizes.append(len(tape))
+    assert sizes[0] == sizes[1] <= TAPE_BUDGET[variant]
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         model, batch = tiny_instance(seed=7, lengths=(4, 3))

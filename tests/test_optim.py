@@ -51,6 +51,19 @@ def test_nan_gradient_names_parameter(bad):
     np.testing.assert_array_equal(p.data, [[1.0, 2.0]])  # the step wrote nothing
 
 
+def test_non_finite_gradient_leaves_every_block_unstepped():
+    a = Tensor([[1.0]], requires_grad=True)
+    b = Tensor([[2.0]], requires_grad=True)
+    c = Tensor([[3.0]], requires_grad=True)
+    opt = Adam({"a": a, "b": b, "c": c}, lr=0.1)
+    a.grad, b.grad, c.grad = np.ones((1, 1)), np.full((1, 1), np.inf), np.full((1, 1), np.nan)
+    with pytest.raises(TrainingError, match="non-finite gradient in parameter 'b'"):
+        opt.step()  # b is the first bad block in registry order
+    np.testing.assert_array_equal(a.data, [[1.0]])
+    assert opt.step_count == 0
+    assert opt._m["a"][0, 0] == 0.0 and opt._v["a"][0, 0] == 0.0
+
+
 def test_descends_quadratic():
     rng = np.random.default_rng(0)
     target = rng.normal(size=(3, 3))
