@@ -205,15 +205,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _make(data, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log of non-positive entry")
@@ -233,19 +224,6 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
         _accumulate(a, g * mask)
 
     return _make(np.maximum(a.data, floor), (a,), backward)
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accumulate(t, piece)
-
-    return _make(data, tuple(tensors), backward)
 
 
 def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:

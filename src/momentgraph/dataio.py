@@ -116,11 +116,18 @@ def write_category_map(cmap: CategoryMap, path: str) -> None:
 
 
 def read_category_map(path: str) -> CategoryMap:
+    """A JSON object of label -> "human" or "object"."""
     with open(path, encoding="utf-8") as f:
         try:
-            return CategoryMap(json.load(f))
-        except (ValueError, AttributeError) as exc:
+            mapping = json.load(f)
+        except ValueError as exc:
             raise DataError(f"{path}: malformed category map: {exc}")
+    if not isinstance(mapping, dict):
+        raise DataError(f"{path}: category map must be a JSON object, got {type(mapping).__name__}")
+    try:
+        return CategoryMap(mapping)
+    except InputError as exc:
+        raise DataError(f"{path}: {exc}")
 
 
 def write_annotations(samples: list[AnnotatedSample], path: str) -> None:
@@ -171,12 +178,23 @@ def write_manifest(train_ids: list[str], val_ids: list[str], path: str) -> None:
 
 
 def read_manifest(path: str) -> tuple[list[str], list[str]]:
+    """The train and val video ids: two lists of strings with no id in both."""
     with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
-            return list(data["train"]), list(data["val"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}: malformed manifest: {exc}")
+    splits = []
+    for split in ("train", "val"):
+        ids = data.get(split) if isinstance(data, dict) else None
+        if not isinstance(ids, list) or not all(isinstance(vid, str) for vid in ids):
+            raise DataError(f"{path}: manifest '{split}' must be a list of video-id strings")
+        splits.append(ids)
+    train_ids, val_ids = splits
+    shared = sorted(set(train_ids) & set(val_ids))
+    if shared:
+        raise DataError(f"{path}: video {shared[0]!r} is in both the train and val splits")
+    return train_ids, val_ids
 
 
 def write_dataset(samples: list[AnnotatedSample], cmap: CategoryMap, out_dir: str, val_fraction: float = 0.2) -> None:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .config import MODEL_FIELDS, RunConfig
@@ -129,7 +128,7 @@ class MomentModel:
             pooled = np.zeros((t, cfg.d_o))
             np.add.at(pooled, frame_ids, np.concatenate([humans, objects]))
             pooled /= np.maximum(np.bincount(frame_ids, minlength=t), 1)[:, None]
-            joint = ad.concat([Tensor(features), Tensor(pooled)], axis=1)
+            joint = Tensor(np.hstack([features, pooled]))
             return joint @ self.nograph_params.w + self.nograph_params.b
         frame_sample = np.repeat(np.arange(len(batch)), lengths)
         views = [encoding.q] * 3 if cfg.variant == "single_query" else encoding.views

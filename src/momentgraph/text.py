@@ -2,11 +2,11 @@
 attention heads that produce the linguistic node vectors, for a minibatch
 of queries at once.
 
-The GRU is a fused autodiff op: `gru_sequence` runs one direction over a
-ragged batch of sequences stacked in the rows of a matrix as a single tape
-node with a hand-written backward pass (backpropagation through time), and
-`bigru_forward` joins two of them. The temporal head in temporal.py runs its
-two BiGRU layers through the same op.
+A BiGRU layer is one fused autodiff op: `bigru_forward` runs both
+directions over a ragged batch of sequences stacked in the rows of a matrix
+as a single tape node with a hand-written backward pass (backpropagation
+through time). The temporal head in temporal.py runs its two BiGRU layers
+through the same op.
 """
 
 from __future__ import annotations
@@ -76,94 +76,89 @@ class GruParams:
         return p
 
 
-def gru_sequence(x: Tensor, p: GruParams, lengths=None, reverse: bool = False) -> Tensor:
-    """Run a GRU over B sequences stacked in the rows of an N x d_in tensor.
+def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Tensor:
+    """Run a bidirectional GRU over B sequences stacked in the rows of an
+    N x d_in tensor: N x 2*hidden, forward and backward states side by side.
 
     lengths partitions the rows into consecutive sequences (None: all rows
-    are one sequence); every sequence starts from a zero hidden state, and a
-    reverse sequence starts at its own last row. Returns the N x hidden
-    matrix of hidden states, row i holding its sequence's state after row i,
-    as one tape node whose inputs are x, w, u and b.
+    are one sequence); in each direction every sequence starts from a zero
+    hidden state, the backward one at the sequence's own last row. Row i
+    holds its sequence's states after row i. The layer is one tape node
+    whose inputs are x and both directions' w, u and b.
 
     The sequences run side by side, longest first, so the ones still running
-    at step s are the first k_s rows of the B x hidden state and a finished
-    sequence keeps its state untouched. x is read in that packed step order
-    (an index map from (step, sequence) to stacked row), which makes every
-    step's rows one contiguous slice. All input projections are one matmul;
-    each step does one recurrent matmul for z and r and one for the
-    candidate. The forward pass caches z, r, the candidate and the previous
-    hidden state per step; the backward pass is hand-written
-    backpropagation through time over the same packed steps, carrying only
-    the hidden-state gradient across steps.
+    at step s are the first k_s rows of each direction's state and a finished
+    sequence keeps its state untouched. Each direction reads x in its own
+    packed step order (an index map from (step, sequence) to stacked row);
+    the two orders share their step bounds, so one loop advances a
+    2 x B x hidden state and every step's rows are one contiguous slice.
+    The input projections are one stacked matmul; each step does one stacked
+    recurrent matmul for z and r and one for the candidate. The forward pass
+    caches z, r, the candidate and the previous hidden state per step; the
+    backward pass is hand-written backpropagation through time over the same
+    packed steps, carrying only the hidden-state gradient across steps.
     """
     n = x.data.shape[0]
     lengths = np.array([n] if lengths is None else lengths, dtype=np.intp)
     if lengths.size < 1 or lengths.min() < 1:
-        raise InputError("gru_sequence needs at least one row per sequence")
+        raise InputError("bigru_forward needs at least one row per sequence")
     if lengths.sum() != n:
-        raise DimensionError(f"gru_sequence: lengths sum to {lengths.sum()}, x has {n} rows")
-    hidden = p.u.data.shape[0]
+        raise DimensionError(f"bigru_forward: lengths sum to {lengths.sum()}, x has {n} rows")
+    hidden = fwd.u.data.shape[0]
     order = np.argsort(-lengths, kind="stable")
     lens, starts = lengths[order], (np.cumsum(lengths) - lengths)[order]
     steps = np.arange(lens[0])[:, None]
-    rows = starts + (lens - 1 - steps if reverse else steps)  # T x B stacked row of each (step, sequence)
     running = lens > steps
-    perm = rows[running]  # packed order: step by step, running sequences longest first
+    # stacked row of each running (step, sequence), forward then reversed, in
+    # packed order: step by step, running sequences longest first
+    perm = np.stack([(starts + steps)[running], (starts + (lens - 1 - steps))[running]])
     bounds = np.concatenate([[0], np.cumsum(running.sum(axis=1))])
 
     xs = x.data[perm]
+    w, u, b = (np.stack([getattr(fwd, k).data, getattr(bwd, k).data]) for k in "wub")
     # each block splits into its z and r columns and its candidate columns
-    (x_zr, x_c), (u_zr, u_c), (b_zr, b_c) = (np.hsplit(a, [2 * hidden]) for a in (xs @ p.w.data, p.u.data, p.b.data))
-    out = np.empty((n, hidden))
-    h_prev = np.empty((n, hidden))
-    zs, rs, cands = np.empty((n, hidden)), np.empty((n, hidden)), np.empty((n, hidden))
-    h = np.zeros((lens.size, hidden))
+    (x_zr, x_c), (u_zr, u_c), (b_zr, b_c) = (np.split(a, [2 * hidden], axis=2) for a in (xs @ w, u, b))
+    out, h_prev, zs, rs, cands = (np.empty((2, n, hidden)) for _ in range(5))
+    h = np.zeros((2, lens.size, hidden))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sl, hk = slice(lo, hi), h[: hi - lo]
-        zr = 1.0 / (1.0 + np.exp(-(x_zr[sl] + hk @ u_zr + b_zr)))
-        z, r = zr[:, :hidden], zr[:, hidden:]
-        cand = np.tanh(x_c[sl] + (r * hk) @ u_c + b_c)
-        h_prev[sl], zs[sl], rs[sl], cands[sl] = hk, z, r, cand
+        sl, hk = slice(lo, hi), h[:, : hi - lo]
+        zr = 1.0 / (1.0 + np.exp(-(x_zr[:, sl] + hk @ u_zr + b_zr)))
+        z, r = zr[..., :hidden], zr[..., hidden:]
+        cand = np.tanh(x_c[:, sl] + (r * hk) @ u_c + b_c)
+        h_prev[:, sl], zs[:, sl], rs[:, sl], cands[:, sl] = hk, z, r, cand
         hk[:] = (1.0 - z) * hk + z * cand
-        out[sl] = hk
-    result = np.empty((n, hidden))
-    result[perm] = out
+        out[:, sl] = hk
+    result = np.empty((n, 2, hidden))
+    result[perm[0], 0], result[perm[1], 1] = out
 
     def backward(g):
-        gs = g[perm]
+        gs = np.stack([g[perm[0], :hidden], g[perm[1], hidden:]])
         # pre-activation gradients of the three gates, filled step by step
-        da = np.empty((n, 3 * hidden))
-        d_az, d_ar, d_ac = np.hsplit(da, 3)
-        d_azr = da[:, : 2 * hidden]
-        dh = np.zeros((lens.size, hidden))
+        da = np.empty((2, n, 3 * hidden))
+        d_az, d_ar, d_ac = np.split(da, 3, axis=2)
+        d_azr = da[..., : 2 * hidden]
+        u_zr_t, u_c_t = u_zr.transpose(0, 2, 1), u_c.transpose(0, 2, 1)
+        dh = np.zeros((2, lens.size, hidden))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
-            sl, dhk = slice(lo, hi), dh[: hi - lo]
-            z, r, cand, hp = zs[sl], rs[sl], cands[sl], h_prev[sl]
-            dhk += gs[sl]
+            sl, dhk = slice(lo, hi), dh[:, : hi - lo]
+            z, r, cand, hp = zs[:, sl], rs[:, sl], cands[:, sl], h_prev[:, sl]
+            dhk += gs[:, sl]
             dac = dhk * z * (1.0 - cand * cand)
-            d_rh = dac @ u_c.T
+            d_rh = dac @ u_c_t
             dar = d_rh * hp * r * (1.0 - r)
             daz = dhk * (cand - hp) * z * (1.0 - z)
-            d_az[sl], d_ar[sl], d_ac[sl] = daz, dar, dac
-            dhk[:] = dhk * (1.0 - z) + d_rh * r + d_azr[sl] @ u_zr.T
-        dx = np.empty_like(x.data)
-        dx[perm] = da @ p.w.data.T
-        ad._accumulate(x, dx)
-        ad._accumulate(p.w, xs.T @ da)
-        ad._accumulate(p.u, np.hstack([h_prev.T @ d_azr, (rs * h_prev).T @ d_ac]))
-        ad._accumulate(p.b, da.sum(axis=0, keepdims=True))
+            d_az[:, sl], d_ar[:, sl], d_ac[:, sl] = daz, dar, dac
+            dhk[:] = dhk * (1.0 - z) + d_rh * r + d_azr[:, sl] @ u_zr_t
+        # x takes the backward direction's gradient before the forward one's
+        for d, p in ((1, bwd), (0, fwd)):
+            dx = np.empty_like(x.data)
+            dx[perm[d]] = da[d] @ p.w.data.T
+            ad._accumulate(x, dx)
+            ad._accumulate(p.w, xs[d].T @ da[d])
+            ad._accumulate(p.u, np.hstack([h_prev[d].T @ d_azr[d], (rs[d] * h_prev[d]).T @ d_ac[d]]))
+            ad._accumulate(p.b, da[d].sum(axis=0, keepdims=True))
 
-    return ad._make(result, (x, p.w, p.u, p.b), backward)
-
-
-def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Tensor:
-    """N x d_in -> N x 2*hidden: forward and backward hidden states side by side.
-
-    lengths partitions the rows into sequences as in gru_sequence. Each
-    direction is one fused gru_sequence node, so the whole layer adds three
-    nodes to the tape: the two directions and their concat.
-    """
-    return ad.concat([gru_sequence(x, fwd, lengths), gru_sequence(x, bwd, lengths, reverse=True)], axis=1)
+    return ad._make(result.reshape(n, 2 * hidden), (x, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), backward)
 
 
 def pool_query(contexts: Tensor, lengths) -> Tensor:

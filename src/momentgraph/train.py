@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import GradientTape
 from .config import RunConfig
 from .dataio import AnnotatedSample
-from .errors import TrainingError
+from .errors import DataError, TrainingError
 from .metrics import EvalReport, Interval, evaluate_pairs, tiou
 from .model import MomentModel, PreparedSample
 from .optim import Adam
@@ -89,8 +89,11 @@ def train(
     """Mini-batch training with periodic validation and best-mIoU checkpointing.
 
     Fully deterministic for a fixed config + seed: shuffling and dropout both
-    draw from one seeded generator.
+    draw from one seeded generator. An empty split is a DataError.
     """
+    for split, samples in (("train", train_samples), ("val", val_samples)):
+        if not samples:
+            raise DataError(f"the {split} split has no samples")
     vocab = build_vocab(train_samples)
     model = MomentModel(config, vocab)
     prepared_train = [model.prepare(s, cmap) for s in train_samples]

@@ -64,8 +64,7 @@ class TestElementwise:
         np.testing.assert_allclose(np.bincount(seg, weights=s1[:, 0]), 1.0)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
-    def test_sigmoid_tanh_at_zero(self):
-        assert ad.sigmoid(Tensor([[0.0]])).data[0, 0] == 0.5
+    def test_tanh_at_zero(self):
         assert ad.tanh(Tensor([[0.0]])).data[0, 0] == 0.0
 
     def test_hadamard(self):
@@ -80,11 +79,11 @@ class TestElementwise:
         "build",
         [
             lambda x: ad.tanh(x),
-            lambda x: ad.sigmoid(x),
+            lambda x: ad.scale(ad.add(x, x), -0.5),
             lambda x: ad.mul(ad.segment_softmax(ad.sum_axis(x, axis=1, keepdims=True), [0, 1, 1], 2),
                              Tensor([[1.0], [2.0], [-3.0]])),
             lambda x: ad.mul(x, x),
-            lambda x: ad.log(ad.sigmoid(x)),
+            lambda x: ad.log(1.0 + ad.mul(x, x)),
             lambda x: ad.clip_min(x, 0.1),
             lambda x: ad.sum_axis(x, axis=1, keepdims=True),
             lambda x: 1.0 - ad.mul(x, x),
@@ -96,11 +95,6 @@ class TestElementwise:
     def test_op_gradients(self, build):
         rng = np.random.default_rng(2)
         check_op(build, rng.normal(size=(3, 4)))
-
-    def test_concat_gradients(self):
-        rng = np.random.default_rng(3)
-        check_op(lambda a, b: ad.concat([a, b], axis=1),
-                 rng.normal(size=(2, 3)), rng.normal(size=(2, 2)))
 
 
 class TestSegmentSoftmax:

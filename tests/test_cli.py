@@ -256,6 +256,64 @@ class TestExitCodes:
         assert code == 2
         assert "are 15 wide, config d_o is 16" in capsys.readouterr().err
 
+    @staticmethod
+    def _train_with_file(workspace, tmp_path, name, edit):
+        """Run train on a copy of the workspace data whose file name is
+        replaced by edit(its parsed JSON); returns the exit code and the path."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        argv = ["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]
+        return main(argv), str(path)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("ids", ["vid0000", [0, 1], [["vid0000"]], None], ids=["string", "ints", "nested", "null"])
+    def test_manifest_split_that_is_not_a_list_of_ids_is_data_error(self, workspace, tmp_path, capsys, split, ids):
+        code, path = self._train_with_file(workspace, tmp_path, "manifest.json", lambda m: {**m, split: ids})
+        assert code == 2
+        assert f"data error: {path}: manifest '{split}' must be a list of video-id strings" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_manifest_that_is_not_an_object_is_data_error(self, workspace, tmp_path, capsys):
+        code, path = self._train_with_file(workspace, tmp_path, "manifest.json", lambda m: m["train"])
+        assert code == 2
+        assert f"data error: {path}: manifest 'train' must be a list" in capsys.readouterr().err
+
+    def test_video_in_both_splits_is_data_error(self, workspace, tmp_path, capsys):
+        shared = []
+
+        def leak(m):
+            shared.append(m["train"][0])
+            return {**m, "val": m["val"] + shared}
+
+        code, path = self._train_with_file(workspace, tmp_path, "manifest.json", leak)
+        assert code == 2
+        assert f"data error: {path}: video '{shared[0]}' is in both the train and val splits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_is_data_error(self, workspace, tmp_path, capsys, split):
+        code, _ = self._train_with_file(workspace, tmp_path, "manifest.json", lambda m: {**m, split: []})
+        assert code == 2
+        assert f"data error: the {split} split has no samples" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, [], 0, "", False, [["person", "human"]]],
+        ids=["null", "list", "zero", "string", "false", "pairs"],
+    )
+    def test_category_map_that_is_not_an_object_is_data_error(self, workspace, tmp_path, capsys, value):
+        code, path = self._train_with_file(workspace, tmp_path, "category_map.json", lambda _: value)
+        assert code == 2
+        assert f"data error: {path}: category map must be a JSON object" in capsys.readouterr().err
+
+    def test_unknown_category_names_the_category_map(self, workspace, tmp_path, capsys):
+        code, path = self._train_with_file(workspace, tmp_path, "category_map.json", lambda _: {"person": "robot"})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: category map: label 'person' has unknown category 'robot'" in err
+
 
 class TestGradcheck:
     def test_passes_with_exit_zero(self, capsys):

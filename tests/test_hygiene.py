@@ -42,3 +42,51 @@ def test_scan_sees_unused_and_exempt_names():
         "os.getcwd()\n"
     )
     assert unused_imports(tree) == ["b (line 3)", "js (line 2)"]
+
+
+def referenced_names(tree: ast.Module, skip_def: str | None = None) -> set[str]:
+    """Bare names, `ad.`/`autodiff.` attributes and imported names used in tree;
+    a top-level def named skip_def contributes nothing (its own body does not count)."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == skip_def:
+            continue
+        for sub in ast.walk(stmt):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                if sub.value.id in ("ad", "autodiff"):
+                    names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_functions(module: ast.Module, package: list[ast.Module]) -> list[str]:
+    """Top-level functions of module that no module of package references outside their own def."""
+    defs = [stmt.name for stmt in module.body if isinstance(stmt, ast.FunctionDef)]
+    return [
+        name for name in defs
+        if not any(name in referenced_names(tree, name if tree is module else None) for tree in package)
+    ]
+
+
+def test_every_autodiff_function_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_functions(trees["autodiff.py"], list(trees.values())) == []
+
+
+def test_reference_scan_sees_dead_and_live_functions():
+    autodiff = ast.parse(
+        "class Tensor:\n"
+        "    def __add__(self, other):\n"
+        "        return add(self, other)\n"
+        "def add(a, b): ...\n"
+        "def concat(xs):\n"
+        "    return concat(xs[1:])\n"
+        "def tanh(a): ...\n"
+        "def log(a): ...\n"
+        "def dead(a): ...\n"
+    )
+    user = ast.parse("from . import autodiff as ad\nfrom .autodiff import log\nad.tanh(x)\nlog(x)\n")
+    assert unreferenced_functions(autodiff, [autodiff, user]) == ["concat", "dead"]

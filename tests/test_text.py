@@ -3,7 +3,7 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, Tensor
-from momentgraph.errors import InputError
+from momentgraph.errors import DimensionError, InputError
 from momentgraph.init import glorot
 from momentgraph.text import (
     HEADS,
@@ -14,7 +14,6 @@ from momentgraph.text import (
     bigru_forward,
     embed_query,
     encode_query,
-    gru_sequence,
     pool_query,
     tokenize,
 )
@@ -96,10 +95,8 @@ class TestGru:
         assert p.b.data.tobytes() == np.zeros((1, 12)).tobytes()
 
     def test_zero_input_fixed_point(self):
-        p = self._params()
-        for reverse in (False, True):
-            out = gru_sequence(Tensor(np.zeros((4, 3))), p, reverse=reverse)
-            np.testing.assert_array_equal(out.data, np.zeros((4, 4)))
+        out = bigru_forward(Tensor(np.zeros((4, 3))), self._params(seed=1), self._params(seed=2))
+        np.testing.assert_array_equal(out.data, np.zeros((4, 8)))
 
     def test_length_one_bigru_is_two_cells(self):
         fwd, bwd = self._params(seed=1), self._params(seed=2)
@@ -113,8 +110,6 @@ class TestGru:
             return z * np.tanh(x.data @ p.w.data[:, 8:] + p.b.data[:, 8:])
 
         np.testing.assert_array_equal(out.data, np.concatenate([cell_from_zero(fwd), cell_from_zero(bwd)], axis=1))
-        np.testing.assert_array_equal(out.data[:, :4], gru_sequence(x, fwd).data)
-        np.testing.assert_array_equal(out.data[:, 4:], gru_sequence(x, bwd, reverse=True).data)
 
     def test_bigru_matches_reference_loops(self):
         fwd, bwd = self._params(seed=4), self._params(seed=5)
@@ -123,79 +118,84 @@ class TestGru:
         ref = ref_bigru(x, gru_param_arrays(fwd), gru_param_arrays(bwd))
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
+    @staticmethod
+    def _half(out, reverse):
+        """The forward (columns :4) or backward (columns 4:) direction's states."""
+        return out[:, 4:] if reverse else out[:, :4]
+
     @pytest.mark.parametrize("m", [1, 7])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_reference(self, m, reverse):
-        p = self._params(seed=m)
+        fwd, bwd = self._params(seed=m), self._params(seed=m + 20)
         x = np.random.default_rng(10 + m).normal(size=(m, 3))
-        out = gru_sequence(Tensor(x), p, reverse=reverse)
-        ref = ref_gru_sequence(x, gru_param_arrays(p), reverse=reverse)
-        assert out.data.shape == (m, 4)
-        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+        out = bigru_forward(Tensor(x), fwd, bwd)
+        ref = ref_gru_sequence(x, gru_param_arrays(bwd if reverse else fwd), reverse=reverse)
+        assert out.data.shape == (m, 8)
+        np.testing.assert_allclose(self._half(out.data, reverse), ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_gradients_match_finite_differences(self, reverse):
-        rng = np.random.default_rng(11)
-        p = self._params(seed=12)
-        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        weights = rng.normal(size=(6, 4))
+    def _check_gradients(self, lengths, x_feeds_another_op, seed):
+        """Central differences on every entry of x and of both directions' w, u and b."""
+        rng = np.random.default_rng(seed)
+        fwd, bwd = self._params(seed=seed + 1), self._params(seed=seed + 2)
+        n = sum(lengths)
+        x = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        weights, x_weights = rng.normal(size=(n, 8)), rng.normal(size=(n, 3))
 
         def loss():
-            return float((gru_sequence(x, p, reverse=reverse).data * weights).sum())
+            other = (x.data * x_weights).sum() if x_feeds_another_op else 0.0
+            return float((bigru_forward(x, fwd, bwd, lengths).data * weights).sum() + other)
 
         with GradientTape():
-            ad.backward(ad.sum_axis(ad.mul(gru_sequence(x, p, reverse=reverse), Tensor(weights))))
-        blocks = {"x": x, **vars(p)}
-        assert len(blocks) == 4  # x and the stacked w, u and b
+            total = ad.sum_axis(ad.mul(bigru_forward(x, fwd, bwd, lengths), Tensor(weights)))
+            if x_feeds_another_op:
+                # recorded after the layer, so its gradient reaches x first
+                total = ad.add(total, ad.sum_axis(ad.mul(x, Tensor(x_weights))))
+            ad.backward(total)
+        blocks = {"x": x, **{f"{d}.{k}": t for d, p in (("fwd", fwd), ("bwd", bwd)) for k, t in vars(p).items()}}
+        assert len(blocks) == 7  # x and each direction's stacked w, u and b
         for name, t in blocks.items():
             fd = fd_grad(loss, t.data)
             rel = np.linalg.norm(t.grad - fd) / np.linalg.norm(fd)
             assert rel < 1e-6, f"{name}: relative error {rel:.3g}"
 
+    @pytest.mark.parametrize("x_feeds_another_op", [False, True])
+    def test_gradients_match_finite_differences(self, x_feeds_another_op):
+        self._check_gradients((6,), x_feeds_another_op, seed=11)
+
     def test_empty_input_is_typed_error(self):
         with pytest.raises(InputError, match="at least one row"):
-            gru_sequence(Tensor(np.zeros((0, 3))), self._params())
+            bigru_forward(Tensor(np.zeros((0, 3))), self._params(), self._params(seed=1))
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_ragged_batch_matches_reference_per_sequence(self, reverse):
-        p = self._params(seed=13)
+        fwd, bwd = self._params(seed=13), self._params(seed=17)
         lengths = (1, 5, 3)
         x = np.random.default_rng(14).normal(size=(sum(lengths), 3))
-        out = gru_sequence(Tensor(x), p, lengths, reverse=reverse)
+        out = self._half(bigru_forward(Tensor(x), fwd, bwd, lengths).data, reverse)
         start = 0
         for m in lengths:
-            ref = ref_gru_sequence(x[start : start + m], gru_param_arrays(p), reverse=reverse)
-            np.testing.assert_allclose(out.data[start : start + m], ref, rtol=0, atol=1e-12)
+            ref = ref_gru_sequence(x[start : start + m], gru_param_arrays(bwd if reverse else fwd), reverse=reverse)
+            np.testing.assert_allclose(out[start : start + m], ref, rtol=0, atol=1e-12)
             start += m
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_ragged_batch_gradients_match_finite_differences(self, reverse):
-        rng = np.random.default_rng(15)
-        p = self._params(seed=16)
-        lengths = (2, 5, 1, 3)
-        x = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
-        weights = rng.normal(size=(sum(lengths), 4))
-
-        def loss():
-            return float((gru_sequence(x, p, lengths, reverse=reverse).data * weights).sum())
-
-        with GradientTape():
-            ad.backward(ad.sum_axis(ad.mul(gru_sequence(x, p, lengths, reverse=reverse), Tensor(weights))))
-        for name, t in {"x": x, **vars(p)}.items():
-            fd = fd_grad(loss, t.data)
-            rel = np.linalg.norm(t.grad - fd) / np.linalg.norm(fd)
-            assert rel < 1e-6, f"{name}: relative error {rel:.3g}"
+    @pytest.mark.parametrize("x_feeds_another_op", [False, True])
+    def test_ragged_batch_gradients_match_finite_differences(self, x_feeds_another_op):
+        self._check_gradients((2, 5, 1, 3), x_feeds_another_op, seed=15)
 
     def test_zero_length_sequence_is_typed_error(self):
         with pytest.raises(InputError, match="at least one row"):
-            gru_sequence(Tensor(np.zeros((4, 3))), self._params(), (1, 0, 3))
+            bigru_forward(Tensor(np.zeros((4, 3))), self._params(), self._params(seed=1), (1, 0, 3))
 
-    def test_bigru_adds_three_tape_nodes(self):
+    def test_row_count_mismatch_is_typed_error(self):
+        with pytest.raises(DimensionError, match="lengths sum to 5, x has 4 rows"):
+            bigru_forward(Tensor(np.zeros((4, 3))), self._params(), self._params(seed=1), (2, 3))
+
+    def test_bigru_adds_one_tape_node(self):
         fwd, bwd = self._params(seed=1), self._params(seed=2)
         x = Tensor(np.random.default_rng(3).normal(size=(9, 3)), requires_grad=True)
         with GradientTape() as tape:
-            bigru_forward(x, fwd, bwd)
-            assert len(tape) == 3
+            bigru_forward(x, fwd, bwd, (4, 5))
+            assert len(tape) == 1
 
     def test_no_per_row_tensors_without_tape(self, monkeypatch):
         fwd, bwd = self._params(seed=1), self._params(seed=2)
@@ -209,7 +209,7 @@ class TestGru:
 
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         bigru_forward(x, fwd, bwd)
-        assert len(built) == 3  # the two directions and their concat
+        assert len(built) == 1  # the layer's output
 
 
 class TestPooling:
@@ -337,5 +337,5 @@ class TestEncodeQuery:
             enc = encode_query([["open", "door"], ["door"]], vocab, params)
         assert enc.views == [] and enc.attention_weights.shape == (0, 3)
         assert enc.q.data.shape == (2, 8)
-        # embedding lookup, two GRU directions and their concat, pool: nothing for heads
-        assert len(tape) == 6
+        # embedding lookup, the BiGRU layer, pool: nothing for heads
+        assert len(tape) == 4
