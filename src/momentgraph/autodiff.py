@@ -106,11 +106,16 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g to t.grad. A first gradient is copied, never kept: a backward
+    may hand one array to several inputs (add's does, through _unbroadcast)."""
     if not t.requires_grad:
         return
+    if g.shape != t.data.shape:
+        raise ContractError(f"gradient of shape {g.shape} for a tensor of shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

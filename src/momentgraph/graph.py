@@ -4,8 +4,11 @@ Each activity timestep is processed independently: pair features couple a
 linguistic vector with a node latent, messages combine pair features, and
 node updates gate the iteration-0 latents. spatial_graph runs every
 iteration for every timestep of a minibatch of videos as one tape node with
-a hand-written backward pass; the per-frame numpy oracle lives in
-tests/reference_impls.py. Includes all ablation variants.
+a hand-written backward pass. It folds each pair map into the message map it
+feeds (see MessagePassing), so it sums node latents per frame and never forms
+a per-node pair feature; the per-frame numpy oracle that spells the pair
+features out lives in tests/reference_impls.py. Includes all ablation
+variants.
 """
 
 from __future__ import annotations
@@ -86,30 +89,37 @@ class SpatialGraphParams:
 
 
 class SortedSegments:
-    """A sorted row -> segment map, summed with np.add.reduceat.
+    """A sorted column -> segment map, summed with np.add.reduceat.
 
     The starts of the non-empty segments are found once, so each sum is one
-    CSR-style reduction over contiguous rows; an empty segment is an exact
-    zero row. Unsorted or out-of-range ids are a ContractError.
+    CSR-style reduction. It sums the columns of a k x rows array, the
+    latent x rows layout MessagePassing keeps, so every segment reads
+    contiguous memory; an empty segment is an exact zero column. Unsorted or
+    out-of-range ids are a ContractError.
     """
 
     def __init__(self, ids, n_segments: int, what: str):
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids[0] < 0 or ids[-1] >= n_segments or (ids[1:] < ids[:-1]).any()):
             raise ContractError(f"{what}: segment ids must be sorted and in [0, {n_segments})")
-        counts = np.bincount(ids, minlength=n_segments)
-        self.ids = ids
+        self.counts = np.bincount(ids, minlength=n_segments)
         self.n = n_segments
-        self.present = np.flatnonzero(counts)
-        self.starts = (np.cumsum(counts) - counts)[self.present]
+        self.present = np.flatnonzero(self.counts)
+        self.starts = (np.cumsum(self.counts) - self.counts)[self.present]
 
     def sum(self, x: np.ndarray) -> np.ndarray:
+        """k x n_segments: the sum of x's columns in each segment."""
         if self.present.size == self.n:
-            return np.add.reduceat(x, self.starts, axis=0)
-        out = np.zeros((self.n, x.shape[1]))
+            return np.add.reduceat(x, self.starts, axis=1)
+        out = np.zeros((x.shape[0], self.n))
         if self.present.size:
-            out[self.present] = np.add.reduceat(x, self.starts, axis=0)
+            out[:, self.present] = np.add.reduceat(x, self.starts, axis=1)
         return out
+
+    def expand(self, x: np.ndarray) -> np.ndarray:
+        """k x rows: each row's segment column of x (k x n_segments), the
+        adjoint of sum. np.repeat writes it C-ordered; x[:, ids] would not."""
+        return np.repeat(x, self.counts, axis=1)
 
 
 # each pair map, the linguistic view it reads and the node kind it pairs with
@@ -125,45 +135,64 @@ MAPS = ("msg_sv", "msg_vn", "msg_sn", "m_a", "m_o", "m_h")
 SLOTS = tuple(slot for slot, _, _ in PAIRS) + MAPS
 # the blocks the last iteration reads: it updates the activity latent only
 LAST_SLOTS = ("phi_sva", "phi_vna", "phi_vno", "phi_svh", "msg_sv", "msg_vn", "m_a")
+# each node kind's pair maps, stacked into one matmul; the activity message
+# reads the first of a human or object pair, so the last iteration takes only it
+STACKS = {"a": ("phi_sva", "phi_vna"), "h": ("phi_svh", "phi_snh"), "o": ("phi_vno", "phi_sno")}
+# the (pair map, message map) products folded into each node kind's two messages;
+# each message's second input is a frame-level row: for objects the humans' snh
+# sum and the activity's vna, for humans the objects' sno sum and sva
+FOLDS = {"o": (("phi_sno", "msg_sn"), ("phi_vno", "msg_vn")), "h": (("phi_snh", "msg_sn"), ("phi_svh", "msg_sv"))}
+UPDATES = {"h": "m_h", "o": "m_o"}
 
 
 def _gate(left, right, m: PairMap, x0):
-    """sigmoid(m(left ⊙ right) ⊙ x0), the update of one node kind, and its cache."""
+    """sigmoid(m(left ⊙ right) ⊙ x0) on latent x rows arrays, the update of
+    one node kind, and its cache."""
     prod = left * right
-    pre = prod @ m.w.data + m.b.data
+    pre = m.w.data.T @ prod + m.b.data.T
     new = 1.0 / (1.0 + np.exp(-(pre * x0)))
     return new, (left, right, prod, pre, new)
 
 
 def _gate_backward(g, cache, m: PairMap, x0, grad):
-    """Gradients of left, right and x0 from that of the gate's output; m's accumulate into grad."""
+    """The gradients of [left ; right], stacked, and of x0 from that of the
+    gate's output; m's accumulate into grad."""
     left, right, prod, pre, new = cache
-    d_z = g * new * (1.0 - new)
+    # in place where a temporary allows: each fresh node-sized array costs page faults
+    d_z = 1.0 - new
+    d_z *= new
+    d_z *= g
     d_pre = d_z * x0
-    grad[0] += prod.T @ d_pre
-    grad[1] += d_pre.sum(axis=0, keepdims=True)
-    d_prod = d_pre @ m.w.data.T
-    return d_prod * right, d_prod * left, d_z * pre
-
-
-def _msg_grads(grad, first, second, d, d_second=None):
-    """Accumulate the gradient of a message map m([first ; second]) with output gradient d.
-    A second input gathered per node passes its frame-level rows and d summed per frame."""
-    n = first.shape[1]
-    grad[0][:n] += first.T @ d
-    grad[0][n:] += second.T @ (d if d_second is None else d_second)
-    grad[1] += d.sum(axis=0, keepdims=True)
+    grad[0] += prod @ d_pre.T
+    grad[1] += d_pre.sum(axis=1)
+    d_prod = m.w.data @ d_pre
+    n = left.shape[0]
+    d_msgs = np.empty((2 * n, left.shape[1]))
+    np.multiply(d_prod, right, out=d_msgs[:n])
+    np.multiply(d_prod, left, out=d_msgs[n:])
+    d_z *= pre
+    return d_msgs, d_z
 
 
 class MessagePassing:
     """The fixed inputs of one spatial_graph call, in the form its iterations read.
 
-    Every pair map splits as phi([l ; x]) = l·W_l + x·W_x + b. The
-    linguistic half l·W_l + b is computed once per sample, from the sample's
-    row of sv, sn or vn, and gathered to that sample's frames or nodes, so an
-    iteration adds only x·W_x. A message map splits the same way over its
-    two inputs. frame_sample maps frames to samples and h_seg / o_seg map
-    nodes to frames; all three are SortedSegments.
+    Arrays are kept latent x rows, the transpose of the op's tensors, so each
+    per-frame sum over node columns reads contiguous memory. step and
+    backward take and give the op's rows x latent arrays.
+
+    Every pair map splits as phi([l ; x]) = L + x·W_x with L = l·W_l + b,
+    computed once per sample from its row of sv, sn or vn and expanded to its
+    frames where a frame needs it, never to nodes. A message map splits the
+    same way over its two inputs, m([u ; y]) = u·m_1 + y·m_2 + b_m. Both maps
+    are affine, so no per-node pair feature is formed:
+      - a frame's sum of phi over its n nodes is n·L + (Σ x)·W_x, from one
+        segment sum of the node latents;
+      - a node message m([phi(x) ; y]) is x·(W_x·m_1) + (L·m_1 + y·m_2 + b_m),
+        one matmul by the folded product W_x·m_1 plus a frame-level term
+        gathered to the nodes.
+    frame_sample maps frames to samples and h_seg / o_seg map nodes to frames;
+    all three are SortedSegments.
     """
 
     def __init__(self, params: SpatialGraphParams, a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg):
@@ -174,120 +203,179 @@ class MessagePassing:
                 f"{h0.shape[0]} humans, {len(o_seg)} for {o0.shape[0]} objects"
             )
         self.params = params
-        self.x0 = {"a": a0, "h": h0, "o": o0}
+        self.n = n
+        self.x0 = {"a": a0.T.copy(), "h": h0.T.copy(), "o": o0.T.copy()}
         self.views = {"sv": sv, "sn": sn, "vn": vn}
         self.samples = SortedSegments(frame_sample, sv.shape[0], "frame_sample")
-        self.humans = SortedSegments(h_seg, t, "h_seg")
-        self.objects = SortedSegments(o_seg, t, "o_seg")
-        frame_sample = self.samples.ids
-        sample_of = {"a": frame_sample, "h": frame_sample[self.humans.ids], "o": frame_sample[self.objects.ids]}
+        self.nodes = {"h": SortedSegments(h_seg, t, "h_seg"), "o": SortedSegments(o_seg, t, "o_seg")}
+        self.counts = {"a": 1.0, "h": self.nodes["h"].counts, "o": self.nodes["o"].counts}
         self.d_lang = d = sv.shape[1]
+        # per pair map: W_x, and L = l·W_l + b per sample (latent x samples)
         self.w_x, self.lang = {}, {}
-        for slot, view, kind in PAIRS:
+        for slot, view, _ in PAIRS:
             pm = getattr(params, slot)
             self.w_x[slot] = pm.w.data[d:]
-            self.lang[slot] = (self.views[view] @ pm.w.data[:d] + pm.b.data)[sample_of[kind]]
-        self.msg = [(m.w.data[:n], m.w.data[n:]) for m in (params.msg_sv, params.msg_vn, params.msg_sn)]
-
-    def _pair(self, slot, x):
-        return self.lang[slot] + x @ self.w_x[slot]
+            self.lang[slot] = pm.w.data[:d].T @ self.views[view].T + pm.b.data.T
+        # each message map as (m_1, m_2, b_m^T)
+        self.msg = {}
+        for slot in ("msg_sv", "msg_vn", "msg_sn"):
+            m = getattr(params, slot)
+            self.msg[slot] = (m.w.data[:n], m.w.data[n:], m.b.data.T)
+        # per node kind: its stacked W_x^T and its stacked L, per sample for the
+        # activity and per frame as n·L for a node sum
+        self.pair, self.pair_lang = {}, {}
+        for kind, slots in STACKS.items():
+            self.pair[kind] = np.concatenate([self.w_x[slot].T for slot in slots])
+            lang = np.concatenate([self.lang[slot] for slot in slots])
+            self.pair_lang[kind] = lang if kind == "a" else self.samples.expand(lang) * self.counts[kind]
+        # per node kind: the folded (W_x·m_1)^T and, per sample, the constant L·m_1 + b_m of its frame terms
+        self.fold, self.frame = {}, {}
+        for kind, folds in FOLDS.items():
+            self.fold[kind] = np.concatenate([(self.w_x[slot] @ self.msg[msg][0]).T for slot, msg in folds])
+            self.frame[kind] = np.concatenate([self.msg[msg][0].T @ self.lang[slot] + self.msg[msg][2] for slot, msg in folds])
 
     def step(self, a, h, o, last: bool = False):
         """One message-passing iteration: the updated (a, h, o) and the cache
         step_backward reads. The last iteration updates a only, so h and o
         come back as None and what feeds only them is not computed."""
-        p, hs, os_ = self.params, self.humans, self.objects
-        (sv1, sv2), (vn1, vn2), (sn1, sn2) = self.msg
-        sva, vna = self._pair("phi_sva", a), self._pair("phi_vna", a)
-        vno, svh = self._pair("phi_vno", o), self._pair("phi_svh", h)
-        sum_vno, sum_svh = os_.sum(vno), hs.sum(svh)
-        h_sv_a = sva @ sv1 + sum_svh @ sv2 + p.msg_sv.b.data
-        o_vn_a = vna @ vn1 + sum_vno @ vn2 + p.msg_vn.b.data
-        a_new, gate_a = _gate(h_sv_a, o_vn_a, p.m_a, self.x0["a"])
-        cache = [a, h, o, sva, vna, vno, svh, sum_vno, sum_svh, gate_a]
+        n = self.n
+        x = {kind: np.ascontiguousarray(rows.T) for kind, rows in zip("aho", (a, h, o))}
+        sv1, sv2, b_sv = self.msg["msg_sv"]
+        vn1, vn2, b_vn = self.msg["msg_vn"]
+        sn2 = self.msg["msg_sn"][1]
+        pa = self.samples.expand(self.pair_lang["a"])  # [sva ; vna]
+        pa += self.pair["a"] @ x["a"]
+        s = {kind: seg.sum(x[kind]) for kind, seg in self.nodes.items()}
+        # per frame, [Σ svh, Σ snh] and [Σ vno, Σ sno]; the last iteration reads only the first
+        halves = (slice(0, n),) if last else (slice(0, n), slice(n, 2 * n))
+        sums = {kind: [self.pair[kind][i] @ s[kind] + self.pair_lang[kind][i] for i in halves] for kind in s}
+        h_sv_a = sv1.T @ pa[:n] + sv2.T @ sums["h"][0] + b_sv
+        o_vn_a = vn1.T @ pa[n:] + vn2.T @ sums["o"][0] + b_vn
+        a_new, gate = _gate(h_sv_a, o_vn_a, self.params.m_a, self.x0["a"])
+        cache = {"x": x, "pa": pa, "s": s, "sums": sums, "gate_a": gate}
         if last:
-            return a_new, None, None, cache
-        sno, snh = self._pair("phi_sno", o), self._pair("phi_snh", h)
-        sum_sno, sum_snh = os_.sum(sno), hs.sum(snh)
-        h_sn_o = sno @ sn1 + (sum_snh @ sn2)[os_.ids] + p.msg_sn.b.data
-        a_vn_o = vno @ vn1 + (vna @ vn2)[os_.ids] + p.msg_vn.b.data
-        o_sn_h = snh @ sn1 + (sum_sno @ sn2)[hs.ids] + p.msg_sn.b.data
-        a_sv_h = svh @ sv1 + (sva @ sv2)[hs.ids] + p.msg_sv.b.data
-        o_new, gate_o = _gate(h_sn_o, a_vn_o, p.m_o, self.x0["o"])
-        h_new, gate_h = _gate(o_sn_h, a_sv_h, p.m_h, self.x0["h"])
-        return a_new, h_new, o_new, cache + [sno, snh, sum_sno, sum_snh, gate_o, gate_h]
+            return a_new.T, None, None, cache
+        # each node message's second input with its m_2
+        seconds = {"o": ((sn2, sums["h"][1]), (vn2, pa[n:])), "h": ((sn2, sums["o"][1]), (sv2, pa[:n]))}
+        new = {}
+        for kind, seg in self.nodes.items():
+            frame = np.concatenate([m_2.T @ y for m_2, y in seconds[kind]])
+            frame += self.samples.expand(self.frame[kind])
+            msgs = self.fold[kind] @ x[kind]
+            msgs += seg.expand(frame)
+            del frame  # freed before the gate, where the step's memory peaks
+            update = getattr(self.params, UPDATES[kind])
+            new[kind], cache["gate_" + kind] = _gate(msgs[:n], msgs[n:], update, self.x0[kind])
+        return a_new.T, new["h"].T, new["o"].T, cache
+
+    def _pair_backward(self, kind, x, d, grads):
+        """x's gradient through pair[kind] @ x for the d.shape[0] // n stacked
+        maps d covers; their W_x gradients accumulate into grads."""
+        n, dw = self.n, x @ d.T
+        for i, slot in enumerate(STACKS[kind][: d.shape[0] // n]):
+            grads[slot] += dw[:, i * n : (i + 1) * n]
+        return self.pair[kind][: d.shape[0]].T @ d
+
+    def _fold_backward(self, kind, x, d, grads):
+        """x's gradient through fold[kind] @ x; each folded W_x·m_1 passes its
+        gradient to W_x and to m_1."""
+        n, d_fold = self.n, d @ x.T
+        for i, (slot, msg) in enumerate(FOLDS[kind]):
+            d_m = d_fold[i * n : (i + 1) * n].T
+            grads[slot] += d_m @ self.msg[msg][0].T
+            grads[msg][0][:n] += self.w_x[slot].T @ d_m
+        return self.fold[kind].T @ d
 
     def step_backward(self, cache, ga, gh, go, grads):
         """The gradients of a step's inputs (a, h, o) from those of its
-        outputs; gh and go are None for the last step. Block, x0 and
-        linguistic-row gradients accumulate into grads."""
-        p, hs, os_ = self.params, self.humans, self.objects
-        (sv1, sv2), (vn1, vn2), (sn1, sn2) = self.msg
-        a, h, o, sva, vna, vno, svh, sum_vno, sum_svh, gate_a = cache[:10]
-        d_h_sv_a, d_o_vn_a, d_x0 = _gate_backward(ga, gate_a, p.m_a, self.x0["a"], grads["m_a"])
+        outputs, all latent x rows; gh and go are None for the last step.
+        Block, x0 and frame-constant gradients accumulate into grads."""
+        n, p = self.n, self.params
+        x, pa, s, sums = cache["x"], cache["pa"], cache["s"], cache["sums"]
+        sv1, sv2, _ = self.msg["msg_sv"]
+        vn1, vn2, _ = self.msg["msg_vn"]
+        sn2 = self.msg["msg_sn"][1]
+        d_a, d_x0 = _gate_backward(ga, cache["gate_a"], p.m_a, self.x0["a"], grads["m_a"])
         grads["a0"] += d_x0
-        _msg_grads(grads["msg_sv"], sva, sum_svh, d_h_sv_a)
-        _msg_grads(grads["msg_vn"], vna, sum_vno, d_o_vn_a)
-        d = {
-            "phi_sva": d_h_sv_a @ sv1.T,
-            "phi_vna": d_o_vn_a @ vn1.T,
-            "phi_vno": (d_o_vn_a @ vn2.T)[os_.ids],
-            "phi_svh": (d_h_sv_a @ sv2.T)[hs.ids],
-        }
+        # the activity's messages read [sva ; Σ svh] and [vna ; Σ vno]
+        for msg, first, second, d in (
+            ("msg_sv", pa[:n], sums["h"][0], d_a[:n]),
+            ("msg_vn", pa[n:], sums["o"][0], d_a[n:]),
+        ):
+            grads[msg][0][:n] += first @ d.T
+            grads[msg][0][n:] += second @ d.T
+            grads[msg][1] += d.sum(axis=1)
+        d_pa = np.concatenate([sv1 @ d_a[:n], vn1 @ d_a[n:]])
+        d_sums = {"h": [sv2 @ d_a[:n]], "o": [vn2 @ d_a[n:]]}
+        d_msgs = {}
         if gh is not None:
-            sno, snh, sum_sno, sum_snh, gate_o, gate_h = cache[10:]
-            d_h_sn_o, d_a_vn_o, d_x0 = _gate_backward(go, gate_o, p.m_o, self.x0["o"], grads["m_o"])
-            grads["o0"] += d_x0
-            d_o_sn_h, d_a_sv_h, d_x0 = _gate_backward(gh, gate_h, p.m_h, self.x0["h"], grads["m_h"])
-            grads["h0"] += d_x0
-            # each node message reads one frame-level input gathered per node,
-            # whose gradient is the message's gradient summed per frame
-            f_snh, f_vna = os_.sum(d_h_sn_o), os_.sum(d_a_vn_o)
-            f_sno, f_sva = hs.sum(d_o_sn_h), hs.sum(d_a_sv_h)
-            _msg_grads(grads["msg_sn"], sno, sum_snh, d_h_sn_o, f_snh)
-            _msg_grads(grads["msg_vn"], vno, vna, d_a_vn_o, f_vna)
-            _msg_grads(grads["msg_sn"], snh, sum_sno, d_o_sn_h, f_sno)
-            _msg_grads(grads["msg_sv"], svh, sva, d_a_sv_h, f_sva)
-            d["phi_sva"] += f_sva @ sv2.T
-            d["phi_vna"] += f_vna @ vn2.T
-            d["phi_vno"] += d_a_vn_o @ vn1.T
-            d["phi_svh"] += d_a_sv_h @ sv1.T
-            d["phi_sno"] = d_h_sn_o @ sn1.T + (f_sno @ sn2.T)[os_.ids]
-            d["phi_snh"] = d_o_sn_h @ sn1.T + (f_snh @ sn2.T)[hs.ids]
-        x = {"a": a, "h": h, "o": o}
-        dx = {"a": 0.0, "h": 0.0, "o": 0.0}
-        for slot, _, kind in PAIRS:
-            if slot in d:
-                dx[kind] = dx[kind] + d[slot] @ self.w_x[slot].T
-                grads[slot] += x[kind].T @ d[slot]
-                grads["lang." + slot] += d[slot]
-        return dx["a"], dx["h"], dx["o"]
+            for kind, g in (("h", gh), ("o", go)):
+                slot = UPDATES[kind]
+                d_msgs[kind], d_x0 = _gate_backward(g, cache["gate_" + kind], getattr(p, slot), self.x0[kind], grads[slot])
+                grads[kind + "0"] += d_x0
+            # a frame term gathered to nodes takes their gradient summed per frame
+            f_h, f_o = (self.nodes[kind].sum(d_msgs[kind]) for kind in ("h", "o"))
+            grads["frame_h"] += f_h
+            grads["frame_o"] += f_o
+            # the second inputs: objects read Σ snh and vna, humans Σ sno and sva
+            grads["msg_sn"][0][n:] += sums["h"][1] @ f_o[:n].T + sums["o"][1] @ f_h[:n].T
+            grads["msg_vn"][0][n:] += pa[n:] @ f_o[n:].T
+            grads["msg_sv"][0][n:] += pa[:n] @ f_h[n:].T
+            d_sums["h"].append(sn2 @ f_o[:n])
+            d_sums["o"].append(sn2 @ f_h[:n])
+            d_pa += np.concatenate([sv2 @ f_h[n:], vn2 @ f_o[n:]])
+        dx = {}
+        for kind, seg in self.nodes.items():
+            d = np.concatenate(d_sums[kind])
+            grads["lang_" + kind][: d.shape[0]] += d
+            dx[kind] = seg.expand(self._pair_backward(kind, s[kind], d, grads))
+            if kind in d_msgs:
+                dx[kind] += self._fold_backward(kind, x[kind], d_msgs[kind], grads)
+        grads["lang_a"] += d_pa
+        return self._pair_backward("a", x["a"], d_pa, grads), dx["h"], dx["o"]
 
     def backward(self, caches, g):
         """Replay the cached iterations in reverse from the gradient g of the
         final a. Returns the gradients of a0, h0, o0 and of the views, and
         (w, b) per block slot, for the slots and views the iterations read."""
+        n = self.n
         slots = SLOTS if len(caches) > 1 else LAST_SLOTS
         grads = {kind + "0": np.zeros_like(x0) for kind, x0 in self.x0.items()}
-        # a pair map's W_x rows and its gathered linguistic rows; the other blocks' (w, b)
+        # a pair map's W_x rows, the per-frame constants' rows, the other blocks' (w, b)
         grads.update({slot: np.zeros_like(w_x) for slot, w_x in self.w_x.items()})
-        grads.update({"lang." + slot: np.zeros_like(rows) for slot, rows in self.lang.items()})
+        frames = self.x0["a"].shape[1]
+        grads.update({"lang_" + kind: np.zeros((2 * n, frames)) for kind in STACKS})
+        grads.update({"frame_" + kind: np.zeros((2 * n, frames)) for kind in FOLDS})
         for slot in MAPS:
             pm = getattr(self.params, slot)
             grads[slot] = [np.zeros_like(pm.w.data), np.zeros_like(pm.b.data)]
-        ga, gh, go = g, None, None
+        ga, gh, go = np.ascontiguousarray(g.T), None, None
         for cache in reversed(caches):
             ga, gh, go = self.step_backward(cache, ga, gh, go, grads)
-        inputs = {"a0": grads["a0"] + ga, "h0": grads["h0"] + gh, "o0": grads["o0"] + go}
-        to_frames = {"a": lambda x: x, "h": self.humans.sum, "o": self.objects.sum}
+        inputs = {}
+        for kind, d in zip("aho", (ga, gh, go)):
+            grads[kind + "0"] += d
+            inputs[kind + "0"] = grads[kind + "0"].T
+        # each pair map's L per sample feeds its stacked rows (n·L in a node sum) and its frame term
+        d_lang = {}
+        for kind, stack in STACKS.items():
+            d = self.samples.sum(grads["lang_" + kind] * self.counts[kind])
+            for i, slot in enumerate(stack):
+                d_lang[slot] = d[i * n : (i + 1) * n]
+        for kind, folds in FOLDS.items():
+            f = self.samples.sum(grads["frame_" + kind])
+            for i, (slot, msg) in enumerate(folds):
+                f_i = f[i * n : (i + 1) * n]
+                d_lang[slot] = d_lang[slot] + self.msg[msg][0] @ f_i
+                grads[msg][0][:n] += self.lang[slot] @ f_i.T
+                grads[msg][1] += f_i.sum(axis=1)
         blocks = {slot: tuple(grads[slot]) for slot in MAPS if slot in slots}
-        for slot, view, kind in PAIRS:
+        for slot, view, _ in PAIRS:
             if slot in slots:
                 pm = getattr(self.params, slot)
-                per_sample = self.samples.sum(to_frames[kind](grads["lang." + slot]))
-                inputs[view] = inputs.get(view, 0.0) + per_sample @ pm.w.data[: self.d_lang].T
-                w_l = self.views[view].T @ per_sample
-                blocks[slot] = (np.vstack([w_l, grads[slot]]), per_sample.sum(axis=0, keepdims=True))
+                inputs[view] = inputs.get(view, 0.0) + (pm.w.data[: self.d_lang] @ d_lang[slot]).T
+                w_l = self.views[view].T @ d_lang[slot].T
+                blocks[slot] = (np.concatenate([w_l, grads[slot]]), d_lang[slot].sum(axis=1)[None, :])
         return inputs, blocks
 
 
@@ -328,7 +416,8 @@ def spatial_graph(
     tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "sn": sn, "vn": vn}
     inputs = (*tensors.values(), *(t for slot in SLOTS for t in (getattr(params, slot).w, getattr(params, slot).b)))
     recording = ad.active_tape() is not None and any(t.requires_grad for t in inputs)
-    a, h, o = a0.data, h0.data, o0.data
+    # rows x latent views of MessagePassing's latent x rows copies
+    a, h, o = mp.x0["a"].T, mp.x0["h"].T, mp.x0["o"].T
     caches = []
     for i in range(n_iters):
         a, h, o, cache = mp.step(a, h, o, last=i == n_iters - 1)
@@ -345,7 +434,7 @@ def spatial_graph(
             ad._accumulate(pm.w, w)
             ad._accumulate(pm.b, b)
 
-    return ad._make(a, inputs, backward)
+    return ad._make(np.ascontiguousarray(a), inputs, backward)
 
 
 def create_single_query_params(

@@ -134,6 +134,7 @@ def train(
             "spatial_loss": epoch_sp / n,
             "train_miou": None,
             "val_miou": None,
+            "val_degenerate": None,
             "wall_time_s": time.time() - t0,
         }
         target_reached = False
@@ -142,6 +143,7 @@ def train(
             val_report, _ = evaluate(model, prepared_val)
             entry["train_miou"] = train_report.miou
             entry["val_miou"] = val_report.miou
+            entry["val_degenerate"] = val_report.n_degenerate
             if val_report.miou > log.best_val_miou:
                 log.best_val_miou = val_report.miou
                 log.best_epoch = epoch

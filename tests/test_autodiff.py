@@ -148,6 +148,24 @@ class TestBackward:
             ad.backward(x + x + x)
         np.testing.assert_array_equal(x.grad, [[3.0]])
 
+    def test_input_fed_twice_to_add_gets_twice_the_gradient(self):
+        # add's backward hands the same upstream array to both operands
+        x = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        g = np.array([[3.0, 5.0]])
+        with GradientTape():
+            y = ad.add(x, x)
+            ad.backward(ad.sum_axis(ad.mul(y, Tensor(g))))
+        np.testing.assert_array_equal(x.grad, 2.0 * g)
+        np.testing.assert_array_equal(y.grad, g)
+        assert not np.shares_memory(x.grad, y.grad)
+
+    def test_gradient_of_another_shape_is_contract_error(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        for g in (np.ones((1, 3)), np.ones((3, 2)), np.ones(6)):
+            with pytest.raises(ContractError, match="gradient of shape"):
+                ad._accumulate(x, g)
+        assert x.grad is None
+
     def test_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with GradientTape():

@@ -91,10 +91,10 @@ class TestVariants:
 
 class TestMessagePassing:
     def test_empty_human_set_sums_to_zero(self):
-        # an empty segment sums to an exact zero row, so the human pair maps
+        # an empty segment sums to an exact zero column, so the human pair maps
         # cannot reach the activity or object latents
         np.testing.assert_array_equal(
-            SortedSegments([1, 1], 3, "ids").sum(np.ones((2, LATENT)))[[0, 2]], np.zeros((2, LATENT))
+            SortedSegments([1, 1], 3, "ids").sum(np.ones((LATENT, 2)))[:, [0, 2]], np.zeros((LATENT, 2))
         )
         p, registry = make_params()
         a0, h0, o0, sv, sn, vn = make_instance(K=0)
@@ -106,8 +106,8 @@ class TestMessagePassing:
         assert_independent_of(("phi_snh", "phi_svh"), a0, h0, o0, sv, sn, vn, p, seed=30)
 
     def test_singletons_degenerate_to_lone_pair(self):
-        rows = np.random.default_rng(31).normal(size=(2, LATENT))
-        np.testing.assert_array_equal(SortedSegments([0, 1], 2, "ids").sum(rows), rows)
+        cols = np.random.default_rng(31).normal(size=(LATENT, 2))
+        np.testing.assert_array_equal(SortedSegments([0, 1], 2, "ids").sum(cols), cols)
         p, registry = make_params(seed=2)
         a0, h0, o0, sv, sn, vn = make_instance(seed=3, K=1, J=1)
         out = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
@@ -167,32 +167,55 @@ class TestMessagePassing:
         np.testing.assert_allclose(o_p, o[perm], atol=1e-12)
 
 
+def assert_matches_per_timestep(p, registry, rng, counts, frame_sample, n_iters=3):
+    """Run a minibatch whose frame i holds counts[i] = (humans, objects) rows
+    through the op and compare every frame with the per-frame oracle.
+    Returns the inputs and the three maps."""
+    t = len(counts)
+    # one linguistic row per sample, shared by its frames
+    sv, sn, vn = (Tensor(rng.normal(size=(frame_sample[-1] + 1, D_LANG))) for _ in range(3))
+    a0 = Tensor(rng.normal(size=(t, LATENT)))
+    h_rows = [rng.normal(size=(k, LATENT)) for k, _ in counts]
+    o_rows = [rng.normal(size=(j, LATENT)) for _, j in counts]
+    h0 = Tensor(np.concatenate(h_rows, axis=0))
+    o0 = Tensor(np.concatenate(o_rows, axis=0))
+    h_seg = np.concatenate([np.full(k, i) for i, (k, _) in enumerate(counts)])
+    o_seg = np.concatenate([np.full(j, i) for i, (_, j) in enumerate(counts)])
+    a, h, o = latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters)
+    for i in range(t):
+        frame, sample = slice(i, i + 1), slice(frame_sample[i], frame_sample[i] + 1)
+        ra, rh, ro = oracle(
+            Tensor(a0.data[frame]), Tensor(h_rows[i]), Tensor(o_rows[i]),
+            Tensor(sv.data[sample]), Tensor(sn.data[sample]), Tensor(vn.data[sample]), registry, n_iters,
+        )
+        np.testing.assert_allclose(a[i : i + 1], ra, atol=1e-12)
+        np.testing.assert_allclose(h[h_seg == i], rh, atol=1e-12)
+        np.testing.assert_allclose(o[o_seg == i], ro, atol=1e-12)
+    return (a0, h0, o0, sv, sn, vn), (frame_sample, h_seg, o_seg)
+
+
 class TestBatchedSequence:
     def test_matches_per_timestep(self):
         p, registry = make_params(seed=17)
-        rng = np.random.default_rng(18)
         counts = [(2, 3), (0, 1), (1, 0), (2, 2), (0, 0)]
-        frame_sample = np.array([0, 0, 1, 1, 1])
-        t = len(counts)
-        # one linguistic row per sample, shared by its frames
-        sv, sn, vn = (Tensor(rng.normal(size=(2, D_LANG))) for _ in range(3))
-        a0 = Tensor(rng.normal(size=(t, LATENT)))
-        h_rows = [rng.normal(size=(k, LATENT)) for k, _ in counts]
-        o_rows = [rng.normal(size=(j, LATENT)) for _, j in counts]
-        h0 = Tensor(np.concatenate(h_rows, axis=0))
-        o0 = Tensor(np.concatenate(o_rows, axis=0))
-        h_seg = np.concatenate([np.full(k, i) for i, (k, _) in enumerate(counts)])
-        o_seg = np.concatenate([np.full(j, i) for i, (_, j) in enumerate(counts)])
-        a, h, o = latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, 3)
-        for i in range(t):
-            frame, sample = slice(i, i + 1), slice(frame_sample[i], frame_sample[i] + 1)
-            ra, rh, ro = oracle(
-                Tensor(a0.data[frame]), Tensor(h_rows[i]), Tensor(o_rows[i]),
-                Tensor(sv.data[sample]), Tensor(sn.data[sample]), Tensor(vn.data[sample]), registry, 3,
-            )
-            np.testing.assert_allclose(a[i : i + 1], ra, atol=1e-12)
-            np.testing.assert_allclose(h[h_seg == i], rh, atol=1e-12)
-            np.testing.assert_allclose(o[o_seg == i], ro, atol=1e-12)
+        assert_matches_per_timestep(p, registry, np.random.default_rng(18), counts, np.array([0, 0, 1, 1, 1]))
+
+    def test_ragged_frames_match_per_timestep(self):
+        # frame 0 holds 15 objects next to an empty frame, a humans-only
+        # frame and an objects-only frame
+        counts = [(1, 15), (0, 0), (2, 0), (0, 2)]
+        p, registry = make_params(seed=35)
+        inputs, maps = assert_matches_per_timestep(p, registry, np.random.default_rng(36), counts, np.array([0, 0, 1, 1]))
+        # a frame without humans (objects) sums them to exact zeros, in
+        # every iteration: the latents' sum and both pair-map sums
+        empty = {"h": [1, 3], "o": [1, 2]}
+        mp = MessagePassing(p, *(t.data for t in inputs), *maps)
+        x = tuple(t.data for t in inputs[:3])
+        for _ in range(3):
+            *x, cache = mp.step(*x)
+            for kind, frames in empty.items():
+                for sums in (cache["s"][kind], *cache["sums"][kind]):
+                    np.testing.assert_array_equal(sums[:, frames], np.zeros((LATENT, len(frames))))
 
     def test_zero_iterations_returns_inputs(self):
         p, _ = make_params(seed=19)
@@ -214,21 +237,52 @@ class TestBatchedSequence:
             spatial_graph(a0, h0, o0, sv, sn, vn, maps["frame_sample"], maps["h_seg"], maps["o_seg"], p, 1)
 
 
-def graph_case(seed, single):
-    """Every input of the op as a tensor, over three frames of two samples:
-    frame 1 has no humans and frame 2 no objects. Biases are drawn too, so
-    that every block has a gradient to check."""
+# frame_sample, h_seg and o_seg of the finite-difference batches
+# three frames of two samples: frames 1 and 2 have no humans, frame 2 no objects
+SPARSE = ([0, 0, 1], [0, 0], [0, 1, 1])
+# frame 0 holds 15 objects next to an empty frame, a humans-only and an objects-only frame
+RAGGED = ([0, 0, 1, 1], [0, 2, 2], [0] * 15 + [3, 3])
+
+
+def graph_case(seed, single, maps=SPARSE):
+    """Every input of the op as a tensor, for the frames that maps lay out.
+    Biases are drawn too, so that every block has a gradient to check."""
     rng = np.random.default_rng(seed)
     registry = {}
     create = create_single_query_params if single else SpatialGraphParams.create
     p = create(rng, D_LANG, LATENT, registry)
     for t in registry.values():
         t.data = rng.normal(scale=0.7, size=t.data.shape)
-    a0, h0, o0 = (Tensor(np.tanh(rng.normal(size=(n, LATENT))), requires_grad=True) for n in (3, 2, 3))
-    views = [Tensor(rng.normal(size=(2, D_LANG)), requires_grad=True) for _ in range(1 if single else 3)]
+    rows = (len(maps[0]), len(maps[1]), len(maps[2]))
+    a0, h0, o0 = (Tensor(np.tanh(rng.normal(size=(n, LATENT))), requires_grad=True) for n in rows)
+    n_samples = maps[0][-1] + 1
+    views = [Tensor(rng.normal(size=(n_samples, D_LANG)), requires_grad=True) for _ in range(1 if single else 3)]
     sv, sn, vn = views * 3 if single else views
-    maps = ([0, 0, 1], [0, 0], [0, 1, 1])  # frame_sample, h_seg, o_seg
     return p, registry, (a0, h0, o0, sv, sn, vn), maps
+
+
+def unread_after_central_differences(p, registry, inputs, maps, n_iters):
+    """Check the op's gradient of a weighted sum of its output against central
+    differences on every entry of every input and block; returns the names of
+    those without a gradient, after checking that no entry of them moves the output."""
+    weights = np.random.default_rng(50).normal(size=(len(maps[0]), LATENT))
+
+    def f():
+        return float((spatial_graph(*inputs, *maps, p, n_iters).data * weights).sum())
+
+    with GradientTape():
+        out = spatial_graph(*inputs, *maps, p, n_iters)
+        ad.backward(ad.sum_axis(ad.mul(out, Tensor(weights))))
+    tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
+    unread = set()
+    for name, t in tensors.items():
+        numeric = fd_grad(f, t.data, eps=1e-6)
+        if t.grad is None:
+            unread.add(name.split(".")[1] if "." in name else name)
+            assert not numeric.any(), name  # nothing reads it, so no entry moves the output
+            continue
+        np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+    return unread
 
 
 class TestFusedBackward:
@@ -236,29 +290,18 @@ class TestFusedBackward:
     @pytest.mark.parametrize("n_iters", [1, 2, 3])
     def test_matches_central_differences_on_every_entry(self, n_iters, single):
         p, registry, inputs, maps = graph_case(40 + n_iters, single)
-        weights = np.random.default_rng(50).normal(size=(3, LATENT))
-
-        def f():
-            return float((spatial_graph(*inputs, *maps, p, n_iters).data * weights).sum())
-
-        with GradientTape():
-            out = spatial_graph(*inputs, *maps, p, n_iters)
-            ad.backward(ad.sum_axis(ad.mul(out, Tensor(weights))))
-        tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
-        unread = set()
-        for name, t in tensors.items():
-            numeric = fd_grad(f, t.data, eps=1e-6)
-            if t.grad is None:
-                unread.add(name.split(".")[1] if "." in name else name)
-                assert not numeric.any(), name  # nothing reads it, so no entry moves the output
-                continue
-            np.testing.assert_allclose(t.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+        unread = unread_after_central_differences(p, registry, inputs, maps, n_iters)
         # one iteration updates only the activity latent: the h and o side
         # keeps no gradient, as the blocks and views it reads feed nothing
         expected = set()
         if n_iters == 1:
             expected = {"msg_ho", "m_o", "m_h"} if single else {"phi_sno", "phi_snh", "msg_sn", "m_o", "m_h", "input4"}
         assert unread == expected
+
+    @pytest.mark.parametrize("single", [False, True], ids=["full", "single_query"])
+    def test_ragged_batch_matches_central_differences(self, single):
+        p, registry, inputs, maps = graph_case(44, single, RAGGED)
+        assert unread_after_central_differences(p, registry, inputs, maps, 3) == set()
 
 
 class TestSingleQueryVariant:
@@ -295,7 +338,7 @@ class TestSingleQueryVariant:
 class TestNoObjectNode:
     def test_object_sums_are_zero(self):
         np.testing.assert_array_equal(
-            SortedSegments(np.zeros(0, dtype=np.intp), 2, "ids").sum(np.ones((0, LATENT))), np.zeros((2, LATENT))
+            SortedSegments(np.zeros(0, dtype=np.intp), 2, "ids").sum(np.ones((LATENT, 0))), np.zeros((LATENT, 2))
         )
         p, registry = make_params(seed=25)
         a0, h0, o0, sv, sn, vn = make_instance(seed=26, J=0)

@@ -66,10 +66,18 @@ class TestTrain:
         data = json.loads(path.read_text())
         assert [e["epoch"] for e in data["epochs"]] == [1, 2]
         for entry in data["epochs"]:
-            for key in ("total_loss", "kl_loss", "spatial_loss", "train_miou", "val_miou", "wall_time_s"):
+            for key in ("total_loss", "kl_loss", "spatial_loss", "train_miou", "val_miou", "val_degenerate", "wall_time_s"):
                 assert key in entry
             assert np.isfinite(entry["total_loss"])
         assert data["best_epoch"] in (1, 2)
+
+    def test_val_degenerate_is_the_validation_count(self, tiny_data):
+        tr, va, cmap = tiny_data
+        _, log = train(small_config(epochs=3, eval_every=2), tr, va, cmap)
+        assert [e["val_degenerate"] is None for e in log.epochs] == [True, False, False]
+        model, log = train(small_config(epochs=1), tr, va, cmap)
+        report, _ = evaluate(model, [model.prepare(s, cmap) for s in va])
+        assert log.epochs[0]["val_degenerate"] == report.n_degenerate
 
     def test_best_checkpoint_restored(self, tiny_data):
         tr, va, cmap = tiny_data
