@@ -1,7 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: 2-D (and 1-D) arrays, a handful of
-primitives, and a tape that records operations in execution order.
+primitives, and a tape that records operations in execution order. The
+costly stages (the BiGRU layers, the spatial graph and the two losses) are
+not built from these primitives: each records one node through _make with a
+hand-written backward.
 Recording only happens while a GradientTape is active, so evaluation-mode
 forward passes carry no bookkeeping overhead.
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, DomainError
+from .errors import ContractError, DimensionError
 
 _ACTIVE_TAPE: "GradientTape | None" = None
 
@@ -60,30 +63,12 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # convenience arithmetic; scalars are wrapped as constants
+    # the two operators the package uses; a scalar is wrapped as a constant
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -146,20 +131,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.data.shape} and {b.data.shape}")
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard (elementwise, broadcasting) product."""
     a, b = _wrap(a), _wrap(b)
@@ -173,15 +144,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        _accumulate(a, g * c)
-
-    return _make(a.data * c, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -208,27 +170,6 @@ def tanh(a: Tensor) -> Tensor:
         _accumulate(a, g * (1.0 - data * data))
 
     return _make(data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive entry")
-    data = np.log(a.data)
-
-    def backward(g):
-        _accumulate(a, g / a.data)
-
-    return _make(data, (a,), backward)
-
-
-def clip_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient flows only through unclipped entries."""
-    mask = a.data > floor
-
-    def backward(g):
-        _accumulate(a, g * mask)
-
-    return _make(np.maximum(a.data, floor), (a,), backward)
 
 
 def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:

@@ -58,6 +58,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in [0, 1)")
         if not self.weight_decay >= 0.0:
             raise ConfigError("weight_decay must be >= 0")
+        if self.target_miou is not None and not 0.0 <= self.target_miou <= 100.0:
+            raise ConfigError("target_miou must be in [0, 100] or none")
         if self.smoothing not in SMOOTHINGS:
             raise ConfigError(f"smoothing '{self.smoothing}' is not one of {', '.join(SMOOTHINGS)}")
         check_variant(self.variant)
@@ -81,7 +83,9 @@ def _coerce(section: str, name: str, raw: str):
         if name == "target_miou":
             return None if raw.lower() in ("", "none") else float(raw)
         if name == "swap_degenerate":
-            return raw.lower() in ("1", "true", "yes")
+            if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ValueError("not a boolean (1/0, yes/no, true/false or on/off)")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return type(getattr(RunConfig, name))(raw)  # int, float or str, as the default
     except ValueError as exc:
         raise ConfigError(f"[{section}] {name} = {raw!r}: {exc}") from None

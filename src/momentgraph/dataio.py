@@ -82,6 +82,17 @@ def write_detections(video_id: str, per_frame: list[list[Detection]], path: str)
             f.write(json.dumps(record) + "\n")
 
 
+def _detection(d: dict) -> Detection:
+    """One parsed detection record. Exact types: a JSON true/false parses as a
+    bool, which would pass as a confidence of 1 or 0."""
+    label, confidence = d["label"], d["confidence"]
+    if type(label) is not str:
+        raise TypeError(f"label {label!r} is not a JSON string")
+    if type(confidence) not in (int, float):
+        raise TypeError(f"confidence {confidence!r} is not a JSON number")
+    return Detection(label, confidence, np.array(d["feature"], dtype=np.float64))
+
+
 def read_detections(path: str) -> dict[int, list[Detection]]:
     """Frame index -> detection list for one video; each frame on one line."""
     frames: dict[int, list[Detection]] = {}
@@ -92,10 +103,7 @@ def read_detections(path: str) -> dict[int, list[Detection]]:
             try:
                 rec = json.loads(line)
                 index = rec["frame_index"]
-                dets = [
-                    Detection(d["label"], d["confidence"], np.array(d["feature"], dtype=np.float64))
-                    for d in rec["detections"]
-                ]
+                dets = [_detection(d) for d in rec["detections"]]
             except (KeyError, ValueError, TypeError, InputError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed detection record: {exc}")
             if type(index) is not int:  # exact type: a JSON true/false parses as a bool, which subclasses int

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package. Every class here is raised
+or caught by another module (tests/test_hygiene.py checks it).
 
 Exit-code mapping used by the CLI:
   usage errors -> 1, data errors -> 2, numerical/training failures -> 3.
@@ -11,10 +12,6 @@ class MomentGraphError(Exception):
 
 class DimensionError(MomentGraphError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class DomainError(MomentGraphError):
-    """Input outside the mathematical domain of an operation (e.g. log of <= 0)."""
 
 
 class ContractError(MomentGraphError):

@@ -1,4 +1,9 @@
-"""Target construction and training losses (KL + spatial)."""
+"""Target construction and training losses (KL + spatial).
+
+Each loss is one tape node with a hand-written backward. Both floor the
+argument of their log at EPS, and where the floor holds no gradient flows
+through the log.
+"""
 
 from __future__ import annotations
 
@@ -60,21 +65,27 @@ def build_targets(
 
 
 def kl_divergence(p: Tensor, q: np.ndarray) -> Tensor:
-    """D_KL(p || q) = sum p_i log(p_i / q_i), with q floored at 1e-12.
+    """D_KL(p || q) = sum p_i log(p_i / q_i), with p and q floored at 1e-12.
 
-    p is the predicted distribution (differentiable); q is a fixed target
-    with p's entries in p's order (any shape of the same size). For a
-    stacked batch the sum runs over every sample's entries, so it is the sum
-    of the per-sample divergences. p comes from a softmax, so in practice
-    p_i > 0; the 1e-12 floor keeps log finite regardless.
+    One tape node. p is the predicted distribution (differentiable); q is a
+    fixed target with p's entries in p's order (any shape of the same size).
+    For a stacked batch the sum runs over every sample's entries, so it is
+    the sum of the per-sample divergences. p comes from a softmax, so in
+    practice p_i > 0; the floor keeps log finite regardless, and no gradient
+    flows through the log where it holds.
     """
     q = np.asarray(q, dtype=np.float64)
     if p.data.size != q.size:
         raise ContractError(f"kl: prediction shape {p.data.shape} vs target {q.shape}")
     q = q.reshape(p.data.shape)
     # both sides use the same floor so that KL(p || p) is exactly zero
-    log_ratio = ad.log(ad.clip_min(p, EPS)) - np.log(np.maximum(q, EPS))
-    return ad.sum_axis(ad.mul(p, log_ratio))
+    floored = np.maximum(p.data, EPS)
+    log_ratio = np.log(floored) - np.log(np.maximum(q, EPS))
+
+    def backward(g):
+        ad._accumulate(p, g * log_ratio + ((g * p.data) / floored) * (p.data > EPS))
+
+    return ad._make((p.data * log_ratio).sum(), (p,), backward)
 
 
 def kl_loss(pred_start: Tensor, pred_end: Tensor, targets: list[MomentTarget]) -> Tensor:
@@ -100,8 +111,14 @@ def spatial_loss(y: Tensor, start_index, end_index) -> Tensor:
         if not (0 <= start <= end < n):
             raise ContractError(f"span [{start}, {end}] out of range for t={n}")
         outside[start : end + 1] = 0.0
-    log_term = ad.log(ad.clip_min(1.0 - y, EPS))
-    return -ad.sum_axis(ad.mul(Tensor(outside.reshape(y.data.shape)), log_term))
+    outside = outside.reshape(y.data.shape)
+    rest = 1.0 - y.data
+    floored = np.maximum(rest, EPS)
+
+    def backward(g):
+        ad._accumulate(y, ((g * outside) / floored) * (rest > EPS))
+
+    return ad._make(-(outside * np.log(floored)).sum(), (y,), backward)
 
 
 def total_loss(kl: Tensor, spatial: Tensor) -> Tensor:

@@ -48,10 +48,6 @@ def _unit(rng: np.random.Generator, d: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def category_map_for(spec: SyntheticSpec) -> CategoryMap:
-    return CategoryMap({HUMAN_LABEL: HUMAN})
-
-
 def generate(spec: SyntheticSpec) -> tuple[list[AnnotatedSample], CategoryMap]:
     """Seed-deterministic sample generation; one sample per planted moment."""
     rng = np.random.default_rng(spec.seed)
@@ -120,4 +116,4 @@ def generate(spec: SyntheticSpec) -> tuple[list[AnnotatedSample], CategoryMap]:
         for s in samples:
             if s.video_id == vid:
                 s.features = af
-    return samples, category_map_for(spec)
+    return samples, CategoryMap({HUMAN_LABEL: HUMAN})

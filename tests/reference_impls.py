@@ -179,6 +179,35 @@ def ref_temporal(a_ctx, params):
     return smax(start), smax(end), smax(score)
 
 
+def ref_kl_grad(p, q, eps=1e-12):
+    """Gradient of sum_i p_i (log max(p_i, eps) - log max(q_i, eps)) in p, entry by entry.
+
+    Where p_i <= eps the log is the constant log(eps), so only the outer
+    p_i contributes: the log ratio itself. Elsewhere d/dp (p log p) adds 1.
+    """
+    flat_p = np.asarray(p, dtype=np.float64).reshape(-1)
+    flat_q = np.asarray(q, dtype=np.float64).reshape(-1)
+    g = np.zeros(flat_p.size)
+    for i in range(flat_p.size):
+        ratio = np.log(max(flat_p[i], eps)) - np.log(max(flat_q[i], eps))
+        g[i] = ratio + 1.0 if flat_p[i] > eps else ratio
+    return g.reshape(np.shape(p))
+
+
+def ref_spatial_grad(y, starts, ends, eps=1e-12):
+    """Gradient of -sum log max(1 - y_i, eps) over the entries outside every [start, end] window.
+
+    Each outside entry gets 1 / (1 - y_i), or 0 where 1 - y_i <= eps.
+    """
+    flat = np.asarray(y, dtype=np.float64).reshape(-1)
+    g = np.zeros(flat.size)
+    for i in range(flat.size):
+        inside = any(s <= i <= e for s, e in zip(starts, ends))
+        if not inside and 1.0 - flat[i] > eps:
+            g[i] = 1.0 / (1.0 - flat[i])
+    return g.reshape(np.shape(y))
+
+
 def ref_route_detections(frames, categories, top_n, d_o):
     """frames: per-frame lists of detections (label, confidence, feature);
     categories: label -> "human" or "object", a missing label is an object.

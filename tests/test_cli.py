@@ -191,7 +191,7 @@ class TestExitCodes:
         "section, line",
         [("training", "eval_every = 0"), ("graph", "top_n = 0"), ("loss", "smoothing = foo"),
          ("loss", "sigma_pos = -1"), ("optimizer", "dropout = 1.0"), ("training", "epochs = -1"),
-         ("optimizer", "beta1 = 1.0")],
+         ("optimizer", "beta1 = 1.0"), ("training", "target_miou = nan")],
     )
     def test_config_value_no_run_can_use_is_usage_error(self, tmp_path, capsys, section, line):
         config = tmp_path / "run.ini"
@@ -255,6 +255,21 @@ class TestExitCodes:
         code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
         assert code == 2
         assert "are 15 wide, config d_o is 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("label", ["person"]), ("confidence", True)])
+    def test_detection_of_the_wrong_type_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = sorted((data / "detections").iterdir())[0]
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["detections"][0][key] = value
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert code == 2
+        assert f"data error: {path}:2: malformed detection record: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     @staticmethod
     def _train_with_file(workspace, tmp_path, name, edit):

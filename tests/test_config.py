@@ -42,6 +42,10 @@ class TestRunConfig:
             ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
             ("weight_decay", -1.0, "weight_decay must be >= 0"),
             ("weight_decay", float("nan"), "weight_decay must be >= 0"),
+            ("target_miou", float("nan"), r"target_miou must be in \[0, 100\] or none"),
+            ("target_miou", float("inf"), r"target_miou must be in \[0, 100\] or none"),
+            ("target_miou", -1.0, r"target_miou must be in \[0, 100\] or none"),
+            ("target_miou", 100.5, r"target_miou must be in \[0, 100\] or none"),
         ],
     )
     def test_value_no_run_can_use_rejected(self, field, value, message):
@@ -51,9 +55,10 @@ class TestRunConfig:
     def test_edge_values_that_runs_use_accepted(self):
         cfg = RunConfig(
             epochs=0, eval_every=1, top_n=1, dropout=0.0, smoothing="gaussian", sigma_pos=1e-3,
-            beta1=0.0, beta2=0.0, weight_decay=0.0,
+            beta1=0.0, beta2=0.0, weight_decay=0.0, target_miou=0.0,
         )
         assert cfg.epochs == 0
+        assert RunConfig(target_miou=100.0).target_miou == 100.0
 
 
 class TestConfigFile:
@@ -82,7 +87,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "section, key, raw",
-        [("graph", "iterations", "x"), ("model", "latent", "1.5"), ("optimizer", "lr", "fast"), ("training", "target_miou", "high")],
+        [("graph", "iterations", "x"), ("model", "latent", "1.5"), ("optimizer", "lr", "fast"), ("training", "target_miou", "high"),
+         ("training", "swap_degenerate", "ture"), ("training", "swap_degenerate", "")],
     )
     def test_value_of_the_wrong_type_names_section_key_and_value(self, tmp_path, section, key, raw):
         path = tmp_path / "run.ini"
@@ -93,6 +99,22 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")
+
+    @pytest.mark.parametrize(
+        "raw, value", [("1", True), ("yes", True), ("True", True), ("on", True), ("0", False), ("no", False), ("off", False)]
+    )
+    def test_swap_degenerate_boolean_spellings(self, tmp_path, raw, value):
+        path = tmp_path / "run.ini"
+        path.write_text(f"[training]\nswap_degenerate = {raw}\n")
+        assert load_config(str(path)).swap_degenerate is value
+
+    def test_target_miou_nan_in_file_or_flag_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[training]\ntarget_miou = nan\n")
+        with pytest.raises(ConfigError, match="target_miou must be in"):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match="target_miou must be in"):
+            load_config(overrides={"target_miou": float("nan")})
 
     def test_target_miou_none_spelling(self, tmp_path):
         path = tmp_path / "run.ini"

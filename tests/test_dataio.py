@@ -111,10 +111,15 @@ class TestDetectionFiles:
             '{"video_id": "v", "frame_index": 2.7, "detections": []}',
             '{"video_id": "v", "frame_index": true, "detections": []}',
             '{"video_id": "v", "frame_index": "3", "detections": []}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": ["cup"], "confidence": 0.5, "feature": [1.0, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": 7, "confidence": 0.5, "feature": [1.0, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": true, "feature": [1.0, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": "0.5", "feature": [1.0, 1.0]}]}',
         ],
         ids=[
             "nan", "inf", "overflow-to-inf", "2-d", "0-d", "confidence", "repeated-frame",
-            "float-frame", "bool-frame", "string-frame",
+            "float-frame", "bool-frame", "string-frame", "list-label", "number-label", "bool-confidence",
+            "string-confidence",
         ],
     )
     def test_malformed_record_is_data_error_with_line_number(self, tmp_path, second_line):
@@ -123,6 +128,12 @@ class TestDetectionFiles:
         path.write_text(json.dumps(first) + "\n" + second_line + "\n")
         with pytest.raises(DataError, match=r"v\.jsonl:2: "):
             read_detections(str(path))
+
+    def test_integer_confidence_loads(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        record = {"video_id": "v", "frame_index": 0, "detections": [{"label": "cup", "confidence": 1, "feature": [1.0]}]}
+        path.write_text(json.dumps(record) + "\n")
+        assert read_detections(str(path))[0][0].confidence == 1
 
 
 class TestAnnotations:

@@ -90,3 +90,26 @@ def test_reference_scan_sees_dead_and_live_functions():
     )
     user = ast.parse("from . import autodiff as ad\nfrom .autodiff import log\nad.tanh(x)\nlog(x)\n")
     assert unreferenced_functions(autodiff, [autodiff, user]) == ["concat", "dead"]
+
+
+def unreferenced_classes(module: ast.Module, others: list[ast.Module]) -> list[str]:
+    """Top-level classes of module that no tree of others names."""
+    used = set().union(*(referenced_names(tree) for tree in others))
+    return [stmt.name for stmt in module.body if isinstance(stmt, ast.ClassDef) and stmt.name not in used]
+
+
+def test_every_error_class_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    errors = trees.pop("errors.py")
+    assert unreferenced_classes(errors, list(trees.values())) == []
+
+
+def test_class_scan_ignores_uses_inside_the_defining_module():
+    errors = ast.parse(
+        "class BaseError(Exception): ...\n"
+        "class LiveError(BaseError): ...\n"
+        "class DeadError(BaseError): ...\n"
+    )
+    user = ast.parse("from .errors import LiveError\ntry:\n    pass\nexcept BaseError:\n    raise LiveError()\n")
+    assert unreferenced_classes(errors, [user]) == ["DeadError"]
+    assert unreferenced_classes(errors, []) == ["BaseError", "LiveError", "DeadError"]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from momentgraph.autodiff import Tensor
+from momentgraph import autodiff as ad
+from momentgraph.autodiff import GradientTape, Tensor
 from momentgraph.errors import ContractError, InputError
 from momentgraph.losses import (
     build_targets,
@@ -12,6 +13,8 @@ from momentgraph.losses import (
     spatial_loss,
     total_loss,
 )
+
+from reference_impls import fd_grad, ref_kl_grad, ref_spatial_grad
 
 
 class TestTargets:
@@ -126,6 +129,63 @@ class TestSpatial:
     def test_span_out_of_range(self):
         with pytest.raises(ContractError):
             spatial_loss(Tensor([[0.5, 0.5]]), 0, 2)
+
+
+def node_gradient(build, x, upstream=1.0):
+    """The loss node's gradient in x, for an upstream gradient handed straight to its backward."""
+    x = Tensor(x, requires_grad=True)
+    with GradientTape() as tape:
+        out = build(x)
+        assert len(tape) == 1 and out.data.shape == ()
+        out._backward(np.asarray(upstream))
+    return x.grad
+
+
+class TestGradients:
+    """Each loss is one tape node; its hand-written backward against a closed-form oracle."""
+
+    # entries 0 and 1e-13 sit on the 1e-12 floor, so the log passes no gradient there
+    P = np.array([[0.0], [1e-13], [0.2], [0.5], [0.3 - 1e-13]])
+    Q = np.array([0.0, 0.4, 0.1, 1e-13, 0.5])
+    # y = 1.0 outside the window floors 1 - y; 0.3 and 0.1 sit inside it
+    Y = np.array([[1.0, 0.3, 0.1, 0.25, 0.0, 0.6]])
+    STARTS, ENDS = [1, 5], [2, 5]
+
+    @pytest.mark.parametrize("upstream", [1.0, -0.75])
+    def test_kl_matches_oracle(self, upstream):
+        grad = node_gradient(lambda p: kl_divergence(p, self.Q), self.P.copy(), upstream)
+        oracle = upstream * ref_kl_grad(self.P, self.Q)
+        np.testing.assert_allclose(grad, oracle, rtol=1e-12, atol=1e-12)
+        # floored entries: exactly the log ratio, nothing through the log
+        np.testing.assert_array_equal(grad[:2, 0], upstream * (np.log(1e-12) - np.log([1e-12, 0.4])))
+
+    @pytest.mark.parametrize("upstream", [1.0, -0.75])
+    def test_spatial_matches_oracle(self, upstream):
+        grad = node_gradient(lambda y: spatial_loss(y, self.STARTS, self.ENDS), self.Y.copy(), upstream)
+        oracle = upstream * ref_spatial_grad(self.Y, self.STARTS, self.ENDS)
+        np.testing.assert_allclose(grad, oracle, rtol=1e-12, atol=1e-12)
+        assert grad[0, 0] == 0.0  # y = 1.0 outside the window: floored
+        np.testing.assert_array_equal(grad[0, [1, 2, 5]], 0.0)  # inside a window
+
+    def test_finite_differences_away_from_floor(self):
+        rng = np.random.default_rng(3)
+        p = rng.uniform(0.05, 0.9, size=(6, 1))
+        q = rng.dirichlet(np.ones(6))
+        y = rng.uniform(0.05, 0.9, size=(6, 1))
+        kl = node_gradient(lambda t: kl_divergence(t, q), p.copy())
+        np.testing.assert_allclose(kl, fd_grad(lambda: kl_divergence(Tensor(p), q).item(), p), rtol=1e-7)
+        sp = node_gradient(lambda t: spatial_loss(t, [1, 4], [2, 4]), y.copy())
+        np.testing.assert_allclose(sp, fd_grad(lambda: spatial_loss(Tensor(y), [1, 4], [2, 4]).item(), y), rtol=1e-7)
+
+    def test_each_loss_is_one_node_and_feeds_backward(self):
+        p = Tensor(self.P.copy(), requires_grad=True)
+        y = Tensor(self.Y.T.copy(), requires_grad=True)
+        with GradientTape() as tape:
+            loss = total_loss(kl_divergence(p, self.Q), spatial_loss(y, self.STARTS, self.ENDS))
+            assert len(tape) == 3
+            ad.backward(loss)
+        np.testing.assert_allclose(p.grad, ref_kl_grad(self.P, self.Q), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y.grad, ref_spatial_grad(self.Y.T, self.STARTS, self.ENDS), rtol=1e-12, atol=1e-12)
 
 
 class TestTotal:

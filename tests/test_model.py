@@ -167,7 +167,7 @@ class TestBatchInvariance:
 # tape nodes of one tiny training step; the spatial graph is one node at any
 # depth, and each BiGRU layer is one node
 TAPE_BUDGET = {
-    "full": 59, "no_node_types": 59, "no_human_node": 59, "no_object_node": 59, "single_query": 40, "no_graph": 28,
+    "full": 46, "no_node_types": 46, "no_human_node": 46, "no_object_node": 46, "single_query": 27, "no_graph": 15,
 }
 
 
