@@ -75,10 +75,14 @@ class TestElementwise:
         "build",
         [
             lambda x: ad.tanh(x),
+            lambda x: ad.mul(ad.add(x, x), Tensor([[-0.5]])),
             lambda x: ad.mul(ad.segment_softmax(ad.sum_axis(x, axis=1, keepdims=True), [0, 1, 1], 2),
                              Tensor([[1.0], [2.0], [-3.0]])),
             lambda x: ad.mul(x, x),
+            lambda x: ad.tanh(ad.mul(x, x) + 1.0),
+            lambda x: ad.dropout(x, 0.5, np.random.default_rng(3)),
             lambda x: ad.sum_axis(x, axis=1, keepdims=True),
+            lambda x: x @ Tensor([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0], [-1.0, 2.0]]),
             lambda x: ad.gather_rows(ad.segment_sum(x, [0, 0, 1], 2), [1, 0, 1]),
             lambda x: ad.gather_rows(x, [2, 0, 0, 1]),
             lambda x: ad.segment_sum(x, [0, 2, 2], 4),
