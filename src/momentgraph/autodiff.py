@@ -1,10 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The engine is deliberately small: 2-D (and 1-D) arrays, a handful of
-primitives, and a tape that records operations in execution order. The
-costly stages (the BiGRU layers, the spatial graph and the two losses) are
-not built from these primitives: each records one node through _make with a
-hand-written backward.
+primitives, and a tape that records operations in execution order. Every op,
+the fused stages (the BiGRU layers, the spatial graph, the two losses) too,
+records one node through record(); only backward() adds to .grad.
 Recording only happens while a GradientTape is active, so evaluation-mode
 forward passes carry no bookkeeping overhead.
 
@@ -48,12 +47,13 @@ def active_tape() -> GradientTape | None:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_inputs", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._inputs: tuple[Tensor, ...] = ()
         self._backward = None
 
     @property
@@ -63,9 +63,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # the two operators the package uses; a scalar is wrapped as a constant
+    # the two operators the package uses, both between tensors
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other) if isinstance(other, Tensor) else NotImplemented
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -76,15 +76,14 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Build an op output, recording it on the active tape when gradients flow."""
+def record(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Wrap an op's output, recording it on the active tape when gradients flow.
+    backward_fn(g) returns one gradient (an array of the input's shape) or
+    None per input, in inputs order, and writes no .grad itself."""
     out = Tensor(data)
     if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
+        out._inputs = inputs
         out._backward = backward_fn
         _ACTIVE_TAPE._nodes.append(out)
     return out
@@ -92,7 +91,7 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add g to t.grad. A first gradient is copied, never kept: a backward
-    may hand one array to several inputs (add's does, through _unbroadcast)."""
+    may hand one array to several inputs (add's does)."""
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
@@ -104,13 +103,21 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Sum a broadcast gradient over the axes where the operand's shape has 1."""
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
+    return g
+
+
+def _broadcast(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
+    """op on two operands of one rank whose shapes broadcast."""
+    if a.data.ndim == b.data.ndim:
+        try:
+            return op(a.data, b.data)
+        except ValueError:
+            pass
+    raise DimensionError(f"{name}: shapes {a.data.shape} and {b.data.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,32 +125,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}")
-
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _make(data, (a, b), backward)
+    return record(_broadcast("add", np.add, a, b), (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard (elementwise, broadcasting) product."""
-    a, b = _wrap(a), _wrap(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise DimensionError(f"hadamard: shapes {a.data.shape} and {b.data.shape}")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
-    return _make(data, (a, b), backward)
+    return record(_broadcast("hadamard", np.multiply, a, b), (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -157,19 +151,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        return g @ b.data.T, a.data.T @ g
 
-    return _make(a.data @ b.data, (a, b), backward)
+    return record(a.data @ b.data, (a, b), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def backward(g):
-        _accumulate(a, g * (1.0 - data * data))
+        return (g * (1.0 - data * data),)
 
-    return _make(data, (a,), backward)
+    return record(data, (a,), backward)
 
 
 def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -177,13 +170,12 @@ def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tens
 
     def backward(g):
         if axis is None:
-            _accumulate(a, np.full_like(a.data, g if np.isscalar(g) else g.reshape(())))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+            return (np.full_like(a.data, g if np.isscalar(g) else g.reshape(())),)
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _make(data, (a,), backward)
+    return record(data, (a,), backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -192,12 +184,11 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     data = a.data[idx]
 
     def backward(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+        scatter = np.zeros_like(a.data)
+        np.add.at(scatter, idx, g)
+        return (scatter,)
 
-    return _make(data, (a,), backward)
+    return record(data, (a,), backward)
 
 
 def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -209,9 +200,9 @@ def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     np.add.at(data, seg, a.data)
 
     def backward(g):
-        _accumulate(a, g[seg])
+        return (g[seg],)
 
-    return _make(data, (a,), backward)
+    return record(data, (a,), backward)
 
 
 def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
@@ -234,9 +225,9 @@ def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
     def backward(g):
         g = g[:, 0]
         dot = np.bincount(seg, weights=g * p, minlength=n_segments)
-        _accumulate(a, (p * (g - dot[seg]))[:, None])
+        return ((p * (g - dot[seg]))[:, None],)
 
-    return _make(p[:, None], (a,), backward)
+    return record(p[:, None], (a,), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -247,16 +238,18 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     mask = (rng.random(a.data.shape) < keep) / keep
 
     def backward(g):
-        _accumulate(a, g * mask)
+        return (g * mask,)
 
-    return _make(a.data * mask, (a,), backward)
+    return record(a.data * mask, (a,), backward)
 
 
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad tensor reachable from loss.
 
-    The loss must be a scalar recorded on the active tape. The tape is
-    consumed: its node list is cleared afterwards.
+    The loss must be a scalar recorded on the active tape. Nodes run in
+    reverse order, each adding its inputs' gradients in input order, so a
+    tensor listed twice sums them in that order. The tape is consumed: its
+    node list is cleared afterwards.
     """
     tape = _ACTIVE_TAPE
     if tape is None:
@@ -268,6 +261,13 @@ def backward(loss: Tensor) -> None:
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(tape._nodes):
-        if node.grad is not None and node._backward is not None:
-            node._backward(node.grad)
+        if node.grad is None:
+            continue
+        grads = node._backward(node.grad)
+        if len(grads) != len(node._inputs):
+            name = node._backward.__qualname__
+            raise ContractError(f"{name} returned {len(grads)} gradients for {len(node._inputs)} inputs")
+        for t, g in zip(node._inputs, grads):
+            if g is not None:
+                _accumulate(t, g)
     tape._nodes.clear()

@@ -51,13 +51,13 @@ class RunConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("lr", "sigma_pos"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be positive and finite")
         for name in ("dropout", "beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1)")
-        if not self.weight_decay >= 0.0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < float("inf"):
+            raise ConfigError("weight_decay must be >= 0 and finite")
         if self.target_miou is not None and not 0.0 <= self.target_miou <= 100.0:
             raise ConfigError("target_miou must be in [0, 100] or none")
         if self.smoothing not in SMOOTHINGS:

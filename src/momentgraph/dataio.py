@@ -155,24 +155,28 @@ def write_annotations(samples: list[AnnotatedSample], path: str) -> None:
             )
 
 
+ANNOTATION_TIMES = ("t_start_s", "t_end_s", "duration_s")
+
+
 def read_annotations(path: str) -> list[dict]:
+    """One row per line: string video_id and query, and the times as JSON numbers."""
     rows = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                row = {
-                    "video_id": str(rec["video_id"]),
-                    "query": str(rec["query"]),
-                    "t_start_s": float(rec["t_start_s"]),
-                    "t_end_s": float(rec["t_end_s"]),
-                    "duration_s": float(rec["duration_s"]),
-                }
+                rec = json.loads(line, parse_int=float)  # an integer too large for a float loads as inf
+                row = {key: rec[key] for key in ("video_id", "query") + ANNOTATION_TIMES}
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed annotation: {exc}")
-            if not all(math.isfinite(row[k]) for k in ("t_start_s", "t_end_s", "duration_s")):
+            for key in ("video_id", "query"):
+                if type(row[key]) is not str:
+                    raise DataError(f"{path}:{lineno}: {key} {row[key]!r} is not a JSON string")
+            for key in ANNOTATION_TIMES:
+                if type(row[key]) is not float:  # exact type: a JSON true/false parses as a bool
+                    raise DataError(f"{path}:{lineno}: {key} {row[key]!r} is not a JSON number")
+            if not all(math.isfinite(row[k]) for k in ANNOTATION_TIMES):
                 raise DataError(f"{path}:{lineno}: times must be finite")
             if row["t_start_s"] > row["t_end_s"]:
                 raise DataError(f"{path}:{lineno}: t_start_s > t_end_s")

@@ -403,17 +403,19 @@ def spatial_graph(
     segment sums are exact zero rows. With n_iters = 0 the result is a0
     itself.
 
-    The node's inputs are a0, h0, o0, sv, sn, vn and the graph's blocks; a
-    block tied into several slots (single_query) collects every slot's
-    gradient. The iterations' caches are kept only while a tape records the
-    node, and the hand-written backward replays them in reverse. A block
-    the iterations do not read (the h and o side of a one-iteration graph)
-    gets no gradient.
+    The node's inputs are a0, h0, o0, the three views and the graph's
+    blocks; a query or block tied into several slots (single_query) collects
+    every slot's gradient. The iterations' caches are kept only while a tape
+    records the node, and the hand-written backward replays them in
+    reverse. A block the iterations do not read (the h and o side of a
+    one-iteration graph) gets no gradient.
     """
     if n_iters == 0:
         return a0
     mp = MessagePassing(params, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frame_sample, h_seg, o_seg)
-    tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "sn": sn, "vn": vn}
+    # the views in the order PAIRS first reads them, and the slots in PAIRS
+    # order, so a tied query or pair map sums its slots' gradients in that order
+    tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "vn": vn, "sn": sn}
     inputs = (*tensors.values(), *(t for slot in SLOTS for t in (getattr(params, slot).w, getattr(params, slot).b)))
     recording = ad.active_tape() is not None and any(t.requires_grad for t in inputs)
     # rows x latent views of MessagePassing's latent x rows copies
@@ -427,14 +429,9 @@ def spatial_graph(
 
     def backward(g):
         grads, blocks = mp.backward(caches, g)
-        for name, grad in grads.items():
-            ad._accumulate(tensors[name], grad)
-        for slot, (w, b) in blocks.items():
-            pm = getattr(params, slot)
-            ad._accumulate(pm.w, w)
-            ad._accumulate(pm.b, b)
+        return [grads.get(name) for name in tensors] + [d for slot in SLOTS for d in blocks.get(slot, (None, None))]
 
-    return ad._make(np.ascontiguousarray(a), inputs, backward)
+    return ad.record(np.ascontiguousarray(a), inputs, backward)
 
 
 def create_single_query_params(

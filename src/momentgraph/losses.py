@@ -83,9 +83,9 @@ def kl_divergence(p: Tensor, q: np.ndarray) -> Tensor:
     log_ratio = np.log(floored) - np.log(np.maximum(q, EPS))
 
     def backward(g):
-        ad._accumulate(p, g * log_ratio + ((g * p.data) / floored) * (p.data > EPS))
+        return (g * log_ratio + ((g * p.data) / floored) * (p.data > EPS),)
 
-    return ad._make((p.data * log_ratio).sum(), (p,), backward)
+    return ad.record((p.data * log_ratio).sum(), (p,), backward)
 
 
 def kl_loss(pred_start: Tensor, pred_end: Tensor, targets: list[MomentTarget]) -> Tensor:
@@ -116,9 +116,9 @@ def spatial_loss(y: Tensor, start_index, end_index) -> Tensor:
     floored = np.maximum(rest, EPS)
 
     def backward(g):
-        ad._accumulate(y, ((g * outside) / floored) * (rest > EPS))
+        return (((g * outside) / floored) * (rest > EPS),)
 
-    return ad._make(-(outside * np.log(floored)).sum(), (y,), backward)
+    return ad.record(-(outside * np.log(floored)).sum(), (y,), backward)
 
 
 def total_loss(kl: Tensor, spatial: Tensor) -> Tensor:

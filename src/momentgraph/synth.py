@@ -37,10 +37,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise InputError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.t_range[0] < 4:
             raise InputError(f"t_range minimum must be >= 4, got {self.t_range[0]}")
-        if self.signal_strength < 0:
-            raise InputError("signal_strength must be non-negative")
+        if self.t_range[0] > self.t_range[1]:
+            raise InputError(f"t_range minimum {self.t_range[0]} exceeds its maximum {self.t_range[1]}")
+        for name in ("signal_strength", "noise_std"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
 
 
 def _unit(rng: np.random.Generator, d: int) -> np.ndarray:

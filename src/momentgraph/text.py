@@ -84,7 +84,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
     are one sequence); in each direction every sequence starts from a zero
     hidden state, the backward one at the sequence's own last row. Row i
     holds its sequence's states after row i. The layer is one tape node
-    whose inputs are x and both directions' w, u and b.
+    whose inputs are x, w, u and b of each direction, the backward one first.
 
     The sequences run side by side, longest first, so the ones still running
     at step s are the first k_s rows of each direction's state and a finished
@@ -130,6 +130,9 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
         out[:, sl] = hk
     result = np.empty((n, 2, hidden))
     result[perm[0], 0], result[perm[1], 1] = out
+    # x is an input of each direction, the backward one first, so it sums their gradients in that order
+    directions = ((1, bwd), (0, fwd))
+    inputs = tuple(t for _, p in directions for t in (x, p.w, p.u, p.b))
 
     def backward(g):
         gs = np.stack([g[perm[0], :hidden], g[perm[1], hidden:]])
@@ -149,16 +152,15 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
             daz = dhk * (cand - hp) * z * (1.0 - z)
             d_az[:, sl], d_ar[:, sl], d_ac[:, sl] = daz, dar, dac
             dhk[:] = dhk * (1.0 - z) + d_rh * r + d_azr[:, sl] @ u_zr_t
-        # x takes the backward direction's gradient before the forward one's
-        for d, p in ((1, bwd), (0, fwd)):
+        grads = []
+        for d, p in directions:
             dx = np.empty_like(x.data)
             dx[perm[d]] = da[d] @ p.w.data.T
-            ad._accumulate(x, dx)
-            ad._accumulate(p.w, xs[d].T @ da[d])
-            ad._accumulate(p.u, np.hstack([h_prev[d].T @ d_azr[d], (rs[d] * h_prev[d]).T @ d_ac[d]]))
-            ad._accumulate(p.b, da[d].sum(axis=0, keepdims=True))
+            u = np.hstack([h_prev[d].T @ d_azr[d], (rs[d] * h_prev[d]).T @ d_ac[d]])
+            grads += [dx, xs[d].T @ da[d], u, da[d].sum(axis=0, keepdims=True)]
+        return grads
 
-    return ad._make(result.reshape(n, 2 * hidden), (x, fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), backward)
+    return ad.record(result.reshape(n, 2 * hidden), inputs, backward)
 
 
 def pool_query(contexts: Tensor, lengths) -> Tensor:
@@ -174,7 +176,6 @@ class QueryEncoding:
 
     q: Tensor
     views: list[Tensor]  # the heads' outputs in HEADS order; none for an encoder without heads
-    attention_weights: np.ndarray  # heads x stacked words; each query's words sum to 1 per head
 
 
 def attend_heads(
@@ -240,7 +241,5 @@ def encode_query(queries: list[list[str]], vocab: Vocabulary, params: TextEncode
     embeddings = embed_query([tok for tokens in queries for tok in tokens], vocab, params.embedding)
     contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, lengths)
     q = pool_query(contexts, lengths)
-    if not params.heads:
-        return QueryEncoding(q=q, views=[], attention_weights=np.empty((0, sum(lengths))))
-    views, weights = attend_heads(q, embeddings, contexts, params.heads, lengths)
-    return QueryEncoding(q=q, views=views, attention_weights=weights)
+    views = attend_heads(q, embeddings, contexts, params.heads, lengths)[0] if params.heads else []
+    return QueryEncoding(q=q, views=views)

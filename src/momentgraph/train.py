@@ -28,15 +28,7 @@ class TrainLog:
     best_val_miou: float = float("-inf")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.config,
-                "epochs": self.epochs,
-                "best_epoch": self.best_epoch,
-                "best_val_miou": self.best_val_miou,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:

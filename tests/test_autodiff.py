@@ -71,6 +71,25 @@ class TestElementwise:
         out = ad.mul(Tensor([[1.0, 2.0, 3.0]]), Tensor([[4.0, 5.0, 6.0]]))
         np.testing.assert_array_equal(out.data, [[4.0, 10.0, 18.0]])
 
+    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    def test_operands_of_different_rank_are_dimension_error(self, op):
+        with pytest.raises(DimensionError):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+        with pytest.raises(DimensionError):
+            op(Tensor(np.ones(())), Tensor(np.ones((1, 1))))
+
+    def test_operands_of_one_rank_broadcast(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
+        with GradientTape():
+            ad.backward(ad.sum_axis(ad.mul(x + b, Tensor([[2.0], [5.0]]))))
+        np.testing.assert_array_equal(x.grad, [[2.0] * 3, [5.0] * 3])
+        np.testing.assert_array_equal(b.grad, [[7.0] * 3])
+
+    def test_plus_takes_tensors_only(self):
+        with pytest.raises(TypeError):
+            Tensor([[1.0]]) + 1.0
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -79,7 +98,7 @@ class TestElementwise:
             lambda x: ad.mul(ad.segment_softmax(ad.sum_axis(x, axis=1, keepdims=True), [0, 1, 1], 2),
                              Tensor([[1.0], [2.0], [-3.0]])),
             lambda x: ad.mul(x, x),
-            lambda x: ad.tanh(ad.mul(x, x) + 1.0),
+            lambda x: ad.tanh(ad.mul(x, x) + Tensor([[1.0]])),
             lambda x: ad.dropout(x, 0.5, np.random.default_rng(3)),
             lambda x: ad.sum_axis(x, axis=1, keepdims=True),
             lambda x: x @ Tensor([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0], [-1.0, 2.0]]),
@@ -158,14 +177,32 @@ class TestBackward:
     def test_gradient_of_another_shape_is_contract_error(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         for g in (np.ones((1, 3)), np.ones((3, 2)), np.ones(6)):
-            with pytest.raises(ContractError, match="gradient of shape"):
-                ad._accumulate(x, g)
+            with GradientTape():
+                loss = ad.record(np.zeros(()), (x,), lambda _, g=g: (g,))
+                with pytest.raises(ContractError, match="gradient of shape"):
+                    ad.backward(loss)
         assert x.grad is None
+
+    @pytest.mark.parametrize("grads", [(), (np.ones((1, 2)),) * 3], ids=["too_few", "too_many"])
+    def test_wrong_gradient_count_is_contract_error(self, grads):
+        x, y = Tensor([[1.0, 2.0]], requires_grad=True), Tensor([[3.0, 4.0]], requires_grad=True)
+        with GradientTape():
+            loss = ad.record(np.zeros(()), (x, y), lambda g: grads)
+            with pytest.raises(ContractError, match=f"returned {len(grads)} gradients for 2 inputs"):
+                ad.backward(loss)
+        assert x.grad is None and y.grad is None
+
+    def test_none_gradient_skips_its_input(self):
+        x, y = Tensor([[1.0]], requires_grad=True), Tensor([[2.0]], requires_grad=True)
+        with GradientTape():
+            ad.backward(ad.record(np.zeros(()), (x, y), lambda g: (None, np.full((1, 1), 5.0))))
+        assert x.grad is None
+        np.testing.assert_array_equal(y.grad, [[5.0]])
 
     def test_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with GradientTape():
-            y = x + 1.0
+            y = x + Tensor([[1.0]])
             with pytest.raises(ContractError):
                 ad.backward(y)
 
@@ -183,7 +220,7 @@ class TestBackward:
 class TestTape:
     def test_no_recording_without_tape(self):
         x = Tensor([[1.0]], requires_grad=True)
-        y = ad.mul(x, Tensor([[2.0]])) + 1.0
+        y = ad.mul(x, Tensor([[2.0]])) + Tensor([[1.0]])
         assert not y.requires_grad
         assert y._backward is None
 

@@ -159,6 +159,17 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main(["synth"]) == 1  # --out is required
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t-min", "20", "--t-max", "10"], ["--noise", "-1"], ["--signal", "nan"], ["--samples", "0"]],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    def test_synth_spec_no_dataset_can_follow_is_data_error(self, tmp_path, capsys, flags):
+        assert main(["synth", "--out", str(tmp_path / "data")] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
     def test_unknown_variant(self):
         assert main(["train", "--variant", "bogus"]) == 1
 
@@ -191,7 +202,8 @@ class TestExitCodes:
         "section, line",
         [("training", "eval_every = 0"), ("graph", "top_n = 0"), ("loss", "smoothing = foo"),
          ("loss", "sigma_pos = -1"), ("optimizer", "dropout = 1.0"), ("training", "epochs = -1"),
-         ("optimizer", "beta1 = 1.0"), ("training", "target_miou = nan")],
+         ("optimizer", "beta1 = 1.0"), ("training", "target_miou = nan"), ("loss", "sigma_pos = inf"),
+         ("optimizer", "lr = inf")],
     )
     def test_config_value_no_run_can_use_is_usage_error(self, tmp_path, capsys, section, line):
         config = tmp_path / "run.ini"
@@ -227,6 +239,14 @@ class TestExitCodes:
         code, vid = self._edit_first_annotation(workspace, tmp_path, command, t_start_s=-50.0, t_end_s=999.0)
         assert code == 2
         assert f"data error: video '{vid}': annotation span [-50.0, 999.0] s lies outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("key, value", [("query", None), ("t_start_s", "0.5")])
+    def test_annotation_field_of_the_wrong_type_is_data_error(self, workspace, tmp_path, capsys, command, key, value):
+        code, _ = self._edit_first_annotation(workspace, tmp_path, command, **{key: value})
+        assert code == 2
+        assert f"annotations.jsonl:1: {key} {value!r} is not a JSON" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_data_dir(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "ghost"), "--epochs", "1"]) == 2

@@ -33,6 +33,9 @@ class TestRunConfig:
             ("sigma_pos", 0.0, "sigma_pos must be positive"),
             ("sigma_pos", -1.0, "sigma_pos must be positive"),
             ("sigma_pos", float("nan"), "sigma_pos must be positive"),
+            ("sigma_pos", float("inf"), "sigma_pos must be positive and finite"),
+            ("lr", float("inf"), "lr must be positive and finite"),
+            ("lr", float("nan"), "lr must be positive and finite"),
             ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
             ("dropout", 1.5, r"dropout must be in \[0, 1\)"),
             ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
@@ -42,6 +45,7 @@ class TestRunConfig:
             ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
             ("weight_decay", -1.0, "weight_decay must be >= 0"),
             ("weight_decay", float("nan"), "weight_decay must be >= 0"),
+            ("weight_decay", float("inf"), "weight_decay must be >= 0 and finite"),
             ("target_miou", float("nan"), r"target_miou must be in \[0, 100\] or none"),
             ("target_miou", float("inf"), r"target_miou must be in \[0, 100\] or none"),
             ("target_miou", -1.0, r"target_miou must be in \[0, 100\] or none"),

@@ -166,6 +166,30 @@ class TestAnnotations:
         with pytest.raises(DataError, match=r"ann\.jsonl:2: times must be finite"):
             read_annotations(str(path))
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [("video_id", 7, "string"), ("query", None, "string"), ("query", ["open"], "string"),
+         ("t_start_s", "0.5", "number"), ("t_end_s", True, "number"), ("duration_s", None, "number")],
+    )
+    def test_field_of_the_wrong_json_type_rejected_with_line_number(self, tmp_path, key, value, kind):
+        path = tmp_path / "ann.jsonl"
+        good = {"video_id": "v", "query": "q", "t_start_s": 0.0, "t_end_s": 1.0, "duration_s": 4.0}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{key: value})) + "\n")
+        with pytest.raises(DataError, match=rf"ann\.jsonl:2: {key} .* is not a JSON {kind}"):
+            read_annotations(str(path))
+
+    def test_integer_time_beyond_float_range_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"video_id": "v", "query": "q", "t_start_s": 0, "t_end_s": 1%s, "duration_s": 4}\n' % ("0" * 400))
+        with pytest.raises(DataError, match=r"ann\.jsonl:1: times must be finite"):
+            read_annotations(str(path))
+
+    def test_integer_times_load_as_floats(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"video_id": "v", "query": "q", "t_start_s": 0, "t_end_s": 1, "duration_s": 4}) + "\n")
+        [row] = read_annotations(str(path))
+        assert [type(row[k]) for k in ("t_start_s", "t_end_s", "duration_s")] == [float] * 3
+
     def test_missing_feature_file_names_video(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         rec = {"video_id": "ghost", "query": "q", "t_start_s": 0.0, "t_end_s": 1.0, "duration_s": 4.0}

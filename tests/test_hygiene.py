@@ -113,3 +113,36 @@ def test_class_scan_ignores_uses_inside_the_defining_module():
     user = ast.parse("from .errors import LiveError\ntry:\n    pass\nexcept BaseError:\n    raise LiveError()\n")
     assert unreferenced_classes(errors, [user]) == ["DeadError"]
     assert unreferenced_classes(errors, []) == ["BaseError", "LiveError", "DeadError"]
+
+
+def autodiff_privates(tree: ast.Module) -> list[str]:
+    """Private autodiff names that tree uses: `ad._x` / `autodiff._x`
+    attributes and `from .autodiff import _x`, with their lines."""
+    found = []
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            if sub.value.id in ("ad", "autodiff") and sub.attr.startswith("_"):
+                found.append(f"{sub.value.id}.{sub.attr} (line {sub.lineno})")
+        elif isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[-1] == "autodiff":
+            found.extend(f"{alias.name} (line {sub.lineno})" for alias in sub.names if alias.name.startswith("_"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "autodiff.py"], ids=lambda p: p.name)
+def test_only_autodiff_names_its_privates(path):
+    assert autodiff_privates(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_private_scan_sees_attributes_and_imports():
+    tree = ast.parse(
+        "from .autodiff import Tensor, _accumulate\n"
+        "ad._accumulate(x, g)\n"
+        "autodiff._make(d, (), f)\n"
+        "ad.record(d, (), f)\n"
+        "np._x\n"
+        "from momentgraph.autodiff import _wrap\n"
+        "from . import _private\n"
+    )
+    assert autodiff_privates(tree) == [
+        "_accumulate (line 1)", "_wrap (line 6)", "ad._accumulate (line 2)", "autodiff._make (line 3)"
+    ]

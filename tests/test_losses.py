@@ -132,12 +132,13 @@ class TestSpatial:
 
 
 def node_gradient(build, x, upstream=1.0):
-    """The loss node's gradient in x, for an upstream gradient handed straight to its backward."""
+    """The loss node's gradient in x, through backward(), with the loss scaled
+    by a constant so that its backward receives upstream."""
     x = Tensor(x, requires_grad=True)
     with GradientTape() as tape:
         out = build(x)
         assert len(tape) == 1 and out.data.shape == ()
-        out._backward(np.asarray(upstream))
+        ad.backward(ad.mul(out, Tensor(upstream)))
     return x.grad
 
 

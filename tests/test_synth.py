@@ -26,6 +26,26 @@ class TestSpec:
         with pytest.raises(InputError):
             SyntheticSpec(signal_strength=-1.0)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"t_range": (20, 10)}, "t_range minimum 20 exceeds its maximum 10"),
+            ({"noise_std": -1.0}, "noise_std must be non-negative and finite"),
+            ({"noise_std": float("nan")}, "noise_std must be non-negative and finite"),
+            ({"signal_strength": float("nan")}, "signal_strength must be non-negative and finite"),
+            ({"signal_strength": float("inf")}, "signal_strength must be non-negative and finite"),
+            ({"n_samples": 0}, "n_samples must be >= 1"),
+        ],
+        ids=["t_range_inverted", "noise_negative", "noise_nan", "signal_nan", "signal_inf", "no_samples"],
+    )
+    def test_spec_no_dataset_can_follow_rejected(self, changes, message):
+        with pytest.raises(InputError, match=message):
+            SyntheticSpec(**changes)
+
+    def test_single_length_and_noiseless_spec_accepted(self):
+        samples, _ = generate(SyntheticSpec(n_samples=1, t_range=(8, 8), noise_std=0.0, signal_strength=0.0))
+        assert len(samples) == 1 and samples[0].features.features.shape[0] == 8
+
 
 class TestGenerate:
     def test_sample_count_and_invariants(self):

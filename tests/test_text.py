@@ -296,15 +296,18 @@ class TestEncodeQuery:
         assert len(enc.views) == len(HEADS)
         for v in enc.views:
             assert v.data.shape == (1, 8)
-        assert enc.attention_weights.shape == (3, 3)
-        np.testing.assert_allclose(enc.attention_weights.sum(axis=1), 1.0)
+        # the heads' weights over the encoder's own words sum to 1 per head
+        emb = embed_query(["person", "opens", "door"], vocab, params.embedding)
+        _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads)
+        assert weights.shape == (3, 3)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0)
 
     def test_batch_rows_equal_single_query_encodings(self):
         vocab = Vocabulary(["person", "opens", "door", "the"])
         params = TextEncoderParams.create(np.random.default_rng(2), len(vocab), 5, 4, {})
         queries = [["person", "opens", "the", "door"], ["door"], ["the", "person"]]
         batch = encode_query(queries, vocab, params)
-        assert batch.attention_weights.shape == (3, 7)
+        assert [t.data.shape for t in [batch.q, *batch.views]] == [(3, 8)] * (1 + len(HEADS))
         for b, tokens in enumerate(queries):
             one = encode_query([tokens], vocab, params)
             for got, want in zip([batch.q, *batch.views], [one.q, *one.views]):
@@ -335,7 +338,7 @@ class TestEncodeQuery:
         assert params.heads == [] and not any(name.startswith("text.head") for name in registry)
         with GradientTape() as tape:
             enc = encode_query([["open", "door"], ["door"]], vocab, params)
-        assert enc.views == [] and enc.attention_weights.shape == (0, 3)
+        assert enc.views == []
         assert enc.q.data.shape == (2, 8)
         # embedding lookup, the BiGRU layer, pool: nothing for heads
         assert len(tape) == 4
