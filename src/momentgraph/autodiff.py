@@ -165,17 +165,13 @@ def tanh(a: Tensor) -> Tensor:
     return record(data, (a,), backward)
 
 
-def sum_axis(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def row_sum(a: Tensor) -> Tensor:
+    """The n x 1 column of a 2-D tensor's row sums."""
 
     def backward(g):
-        if axis is None:
-            return (np.full_like(a.data, g if np.isscalar(g) else g.reshape(())),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape),)
 
-    return record(data, (a,), backward)
+    return record(a.data.sum(axis=1, keepdims=True), (a,), backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -191,43 +187,74 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return record(data, (a,), backward)
 
 
+class SortedSegments:
+    """A sorted id -> segment map for np.add.reduceat and np.maximum.reduceat.
+
+    The starts of the non-empty segments are found once, so each reduction
+    is one CSR-style ufunc call along the axis the ids index: axis 0 of the
+    tape ops' rows x k tensors, the last axis of the spatial graph's
+    latent x rows arrays, where every segment reads contiguous memory. An
+    empty segment reduces to exact zeros. Unsorted or out-of-range ids are a
+    ContractError.
+    """
+
+    def __init__(self, ids, n_segments: int, what: str):
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and (ids[0] < 0 or ids[-1] >= n_segments or (ids[1:] < ids[:-1]).any()):
+            raise ContractError(f"{what}: segment ids must be sorted and in [0, {n_segments})")
+        self.counts = np.bincount(ids, minlength=n_segments)
+        self.present = np.flatnonzero(self.counts)
+        self.starts = (np.cumsum(self.counts) - self.counts)[self.present]
+
+    def sum(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """x with its slices along axis summed per segment: n_segments long there."""
+        return self._reduce(np.add, x, axis)
+
+    def _reduce(self, ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+        if self.present.size == self.counts.size:
+            return ufunc.reduceat(x, self.starts, axis=axis)
+        shape = list(x.shape)
+        shape[axis] = self.counts.size
+        out = np.zeros(shape)
+        if self.present.size:
+            np.moveaxis(out, axis, 0)[self.present] = np.moveaxis(ufunc.reduceat(x, self.starts, axis=axis), axis, 0)
+        return out
+
+    def expand(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Each id's segment slice of x along axis, the adjoint of sum, written C-ordered."""
+        return np.repeat(x, self.counts, axis=axis)
+
+
 def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Sum rows of a 2-D tensor into n_segments buckets; empty buckets are zero rows."""
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape[0] != a.data.shape[0]:
-        raise DimensionError(f"segment_sum: {seg.shape[0]} ids for {a.data.shape[0]} rows")
-    data = np.zeros((n_segments, a.data.shape[1]))
-    np.add.at(data, seg, a.data)
+    """Sum rows of a 2-D tensor into n_segments buckets by sorted ids; empty buckets are zero rows."""
+    if len(segment_ids) != a.data.shape[0]:
+        raise DimensionError(f"segment_sum: {len(segment_ids)} ids for {a.data.shape[0]} rows")
+    seg = SortedSegments(segment_ids, n_segments, "segment_sum")
 
     def backward(g):
-        return (g[seg],)
+        return (seg.expand(g, 0),)
 
-    return record(data, (a,), backward)
+    return record(seg.sum(a.data, 0), (a,), backward)
 
 
 def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Softmax over the rows of an n x 1 column within each segment.
+    """Softmax over the rows of an n x 1 column within each segment of sorted ids.
 
     Each segment is shifted by its own maximum, so a 1-row segment is
     exactly 1.0 and segments never share normalisation.
     """
-    seg = np.asarray(segment_ids, dtype=np.intp)
     if a.data.ndim != 2 or a.data.shape[1] != 1:
         raise DimensionError(f"segment_softmax expects an n x 1 column, got {a.data.shape}")
-    if seg.shape[0] != a.data.shape[0]:
-        raise DimensionError(f"segment_softmax: {seg.shape[0]} ids for {a.data.shape[0]} rows")
-    col = a.data[:, 0]
-    peak = np.full(n_segments, -np.inf)
-    np.maximum.at(peak, seg, col)
-    e = np.exp(col - peak[seg])
-    p = e / np.bincount(seg, weights=e, minlength=n_segments)[seg]
+    if len(segment_ids) != a.data.shape[0]:
+        raise DimensionError(f"segment_softmax: {len(segment_ids)} ids for {a.data.shape[0]} rows")
+    seg = SortedSegments(segment_ids, n_segments, "segment_softmax")
+    e = np.exp(a.data - seg.expand(seg._reduce(np.maximum, a.data, 0), 0))
+    p = e / seg.expand(seg.sum(e, 0), 0)
 
     def backward(g):
-        g = g[:, 0]
-        dot = np.bincount(seg, weights=g * p, minlength=n_segments)
-        return ((p * (g - dot[seg]))[:, None],)
+        return (p * (g - seg.expand(seg.sum(g * p, 0), 0)),)
 
-    return record(p[:, None], (a,), backward)
+    return record(p, (a,), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -1,6 +1,6 @@
 """Command-line entry points: synth, train, eval, gradcheck, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data or I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
-    except (DataError, InputError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, InputError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except ConfigError as exc:

@@ -96,8 +96,12 @@ def load_config(path: str | None = None, overrides: dict | None = None, stored: 
     may restate the stored values (a checkpoint's model fields) but not contradict them."""
     values: dict = {}
     if path:
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
+        parser = configparser.ConfigParser(interpolation=None)  # values are literal: a % in a path is a %
+        try:
+            found = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"malformed config file '{path}': {exc}") from None
+        if not found:
             raise ConfigError(f"cannot read config file '{path}'")
         for section, keys in _SECTIONS.items():
             if parser.has_section(section):

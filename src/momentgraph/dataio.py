@@ -61,11 +61,14 @@ def read_features(path: str) -> ActivityFeatures:
         if 8 * t * d_v != len(blob) - offset:
             raise DataError(f"{path}: {t} x {d_v} features need {8 * t * d_v} bytes, {len(blob) - offset} follow the header")
         feats = np.frombuffer(blob, dtype="<f8", count=t * d_v, offset=offset).copy().reshape(t, d_v)
-    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
+        if not (math.isfinite(stride) and math.isfinite(duration)):
+            raise DataError(f"{path}: stride {stride} and duration {duration} must be finite")
+        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+        if bad.size:
+            raise DataError(f"{path}: feature row {bad[0]} is not finite")
+        return ActivityFeatures(video_id=video_id, features=feats, stride_seconds=stride, duration_seconds=duration)
+    except (struct.error, ValueError, OverflowError, UnicodeDecodeError, InputError) as exc:
         raise DataError(f"{path}: truncated or corrupt feature file: {exc}")
-    if not (math.isfinite(stride) and math.isfinite(duration)):
-        raise DataError(f"{path}: stride {stride} and duration {duration} must be finite")
-    return ActivityFeatures(video_id=video_id, features=feats, stride_seconds=stride, duration_seconds=duration)
 
 
 def write_detections(video_id: str, per_frame: list[list[Detection]], path: str) -> None:
@@ -82,6 +85,18 @@ def write_detections(video_id: str, per_frame: list[list[Detection]], path: str)
             f.write(json.dumps(record) + "\n")
 
 
+def _jsonl_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line; bytes not in UTF-8 are a DataError naming their line."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}")
+    return [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
+
+
 def _detection(d: dict) -> Detection:
     """One parsed detection record. Exact types: a JSON true/false parses as a
     bool, which would pass as a confidence of 1 or 0."""
@@ -96,25 +111,22 @@ def _detection(d: dict) -> Detection:
 def read_detections(path: str) -> dict[int, list[Detection]]:
     """Frame index -> detection list for one video; each frame on one line."""
     frames: dict[int, list[Detection]] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                index = rec["frame_index"]
-                dets = [_detection(d) for d in rec["detections"]]
-            except (KeyError, ValueError, TypeError, InputError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed detection record: {exc}")
-            if type(index) is not int:  # exact type: a JSON true/false parses as a bool, which subclasses int
-                raise DataError(f"{path}:{lineno}: frame_index {index!r} is not a JSON integer")
-            if index in frames:
-                raise DataError(f"{path}:{lineno}: frame_index {index} appears on an earlier line")
-            if dets and not (
-                all(d.feature.ndim == 1 for d in dets) and np.isfinite(np.concatenate([d.feature for d in dets])).all()
-            ):
-                raise DataError(f"{path}:{lineno}: detection features must be finite 1-D arrays")
-            frames[index] = dets
+    for lineno, line in _jsonl_lines(path):
+        try:
+            rec = json.loads(line)
+            index = rec["frame_index"]
+            dets = [_detection(d) for d in rec["detections"]]
+        except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:  # OverflowError: an integer too large for a float
+            raise DataError(f"{path}:{lineno}: malformed detection record: {exc}")
+        if type(index) is not int:  # exact type: a JSON true/false parses as a bool, which subclasses int
+            raise DataError(f"{path}:{lineno}: frame_index {index!r} is not a JSON integer")
+        if index in frames:
+            raise DataError(f"{path}:{lineno}: frame_index {index} appears on an earlier line")
+        if dets and not (
+            all(d.feature.ndim == 1 for d in dets) and np.isfinite(np.concatenate([d.feature for d in dets])).all()
+        ):
+            raise DataError(f"{path}:{lineno}: detection features must be finite 1-D arrays")
+        frames[index] = dets
     return frames
 
 
@@ -161,26 +173,23 @@ ANNOTATION_TIMES = ("t_start_s", "t_end_s", "duration_s")
 def read_annotations(path: str) -> list[dict]:
     """One row per line: string video_id and query, and the times as JSON numbers."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line, parse_int=float)  # an integer too large for a float loads as inf
-                row = {key: rec[key] for key in ("video_id", "query") + ANNOTATION_TIMES}
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed annotation: {exc}")
-            for key in ("video_id", "query"):
-                if type(row[key]) is not str:
-                    raise DataError(f"{path}:{lineno}: {key} {row[key]!r} is not a JSON string")
-            for key in ANNOTATION_TIMES:
-                if type(row[key]) is not float:  # exact type: a JSON true/false parses as a bool
-                    raise DataError(f"{path}:{lineno}: {key} {row[key]!r} is not a JSON number")
-            if not all(math.isfinite(row[k]) for k in ANNOTATION_TIMES):
-                raise DataError(f"{path}:{lineno}: times must be finite")
-            if row["t_start_s"] > row["t_end_s"]:
-                raise DataError(f"{path}:{lineno}: t_start_s > t_end_s")
-            rows.append(row)
+    for lineno, line in _jsonl_lines(path):
+        try:
+            rec = json.loads(line, parse_int=float)  # an integer too large for a float loads as inf
+            row = {key: rec[key] for key in ("video_id", "query") + ANNOTATION_TIMES}
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed annotation: {exc}")
+        for key in ("video_id", "query"):
+            if type(row[key]) is not str:
+                raise DataError(f"{path}:{lineno}: {key} {row[key]!r} is not a JSON string")
+        for key in ANNOTATION_TIMES:
+            if type(row[key]) is not float:  # exact type: a JSON true/false parses as a bool
+                raise DataError(f"{path}:{lineno}: {key} {row[key]!r} is not a JSON number")
+        if not all(math.isfinite(row[k]) for k in ANNOTATION_TIMES):
+            raise DataError(f"{path}:{lineno}: times must be finite")
+        if row["t_start_s"] > row["t_end_s"]:
+            raise DataError(f"{path}:{lineno}: t_start_s > t_end_s")
+        rows.append(row)
     return rows
 
 

@@ -89,18 +89,12 @@ def tiny_instance(
     return model, [model.prepare(s, cmap) for s in samples]
 
 
-def run_gradcheck(
-    variant: str = "full",
-    entries_per_block: int = 24,
-    seed: int = 0,
-    corrupt_block: str | None = None,
-) -> list[BlockResult]:
+def run_gradcheck(variant: str = "full", entries_per_block: int = 24, seed: int = 0) -> list[BlockResult]:
     """Compare analytic gradients against the four-point central stencil,
     per block, on the loss of tiny_instance's GRADCHECK_LENGTHS batch.
 
     Entries are subsampled deterministically when a block is larger than
-    entries_per_block. corrupt_block is a test-only hook that offsets one
-    block's analytic gradient so the check must fail there.
+    entries_per_block.
     """
     model, batch = tiny_instance(variant=variant, seed=seed, lengths=GRADCHECK_LENGTHS)
     with GradientTape():
@@ -110,8 +104,6 @@ def run_gradcheck(
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in model.params.items()
     }
-    if corrupt_block is not None:
-        analytic[corrupt_block] = analytic[corrupt_block] + 1.0
 
     rng = np.random.default_rng(seed + 99)
     results = []

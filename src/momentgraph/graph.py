@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DimensionError
+from .autodiff import SortedSegments, Tensor
+from .errors import ConfigError, DimensionError
 from .init import glorot, zeros
 
 VARIANTS = ("full", "no_graph", "no_node_types", "no_human_node", "no_object_node", "single_query")
@@ -86,40 +86,6 @@ class SpatialGraphParams:
             m_a=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_a"),
             m_h=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_h"),
         )
-
-
-class SortedSegments:
-    """A sorted column -> segment map, summed with np.add.reduceat.
-
-    The starts of the non-empty segments are found once, so each sum is one
-    CSR-style reduction. It sums the columns of a k x rows array, the
-    latent x rows layout MessagePassing keeps, so every segment reads
-    contiguous memory; an empty segment is an exact zero column. Unsorted or
-    out-of-range ids are a ContractError.
-    """
-
-    def __init__(self, ids, n_segments: int, what: str):
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and (ids[0] < 0 or ids[-1] >= n_segments or (ids[1:] < ids[:-1]).any()):
-            raise ContractError(f"{what}: segment ids must be sorted and in [0, {n_segments})")
-        self.counts = np.bincount(ids, minlength=n_segments)
-        self.n = n_segments
-        self.present = np.flatnonzero(self.counts)
-        self.starts = (np.cumsum(self.counts) - self.counts)[self.present]
-
-    def sum(self, x: np.ndarray) -> np.ndarray:
-        """k x n_segments: the sum of x's columns in each segment."""
-        if self.present.size == self.n:
-            return np.add.reduceat(x, self.starts, axis=1)
-        out = np.zeros((x.shape[0], self.n))
-        if self.present.size:
-            out[:, self.present] = np.add.reduceat(x, self.starts, axis=1)
-        return out
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """k x rows: each row's segment column of x (k x n_segments), the
-        adjoint of sum. np.repeat writes it C-ordered; x[:, ids] would not."""
-        return np.repeat(x, self.counts, axis=1)
 
 
 # each pair map, the linguistic view it reads and the node kind it pairs with
@@ -192,7 +158,7 @@ class MessagePassing:
         one matmul by the folded product W_x·m_1 plus a frame-level term
         gathered to the nodes.
     frame_sample maps frames to samples and h_seg / o_seg map nodes to frames;
-    all three are SortedSegments.
+    all three are autodiff.SortedSegments, reduced along the last axis.
     """
 
     def __init__(self, params: SpatialGraphParams, a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg):
@@ -227,7 +193,7 @@ class MessagePassing:
         for kind, slots in STACKS.items():
             self.pair[kind] = np.concatenate([self.w_x[slot].T for slot in slots])
             lang = np.concatenate([self.lang[slot] for slot in slots])
-            self.pair_lang[kind] = lang if kind == "a" else self.samples.expand(lang) * self.counts[kind]
+            self.pair_lang[kind] = lang if kind == "a" else self.samples.expand(lang, 1) * self.counts[kind]
         # per node kind: the folded (W_x·m_1)^T and, per sample, the constant L·m_1 + b_m of its frame terms
         self.fold, self.frame = {}, {}
         for kind, folds in FOLDS.items():
@@ -243,9 +209,9 @@ class MessagePassing:
         sv1, sv2, b_sv = self.msg["msg_sv"]
         vn1, vn2, b_vn = self.msg["msg_vn"]
         sn2 = self.msg["msg_sn"][1]
-        pa = self.samples.expand(self.pair_lang["a"])  # [sva ; vna]
+        pa = self.samples.expand(self.pair_lang["a"], 1)  # [sva ; vna]
         pa += self.pair["a"] @ x["a"]
-        s = {kind: seg.sum(x[kind]) for kind, seg in self.nodes.items()}
+        s = {kind: seg.sum(x[kind], 1) for kind, seg in self.nodes.items()}
         # per frame, [Σ svh, Σ snh] and [Σ vno, Σ sno]; the last iteration reads only the first
         halves = (slice(0, n),) if last else (slice(0, n), slice(n, 2 * n))
         sums = {kind: [self.pair[kind][i] @ s[kind] + self.pair_lang[kind][i] for i in halves] for kind in s}
@@ -260,9 +226,9 @@ class MessagePassing:
         new = {}
         for kind, seg in self.nodes.items():
             frame = np.concatenate([m_2.T @ y for m_2, y in seconds[kind]])
-            frame += self.samples.expand(self.frame[kind])
+            frame += self.samples.expand(self.frame[kind], 1)
             msgs = self.fold[kind] @ x[kind]
-            msgs += seg.expand(frame)
+            msgs += seg.expand(frame, 1)
             del frame  # freed before the gate, where the step's memory peaks
             update = getattr(self.params, UPDATES[kind])
             new[kind], cache["gate_" + kind] = _gate(msgs[:n], msgs[n:], update, self.x0[kind])
@@ -314,7 +280,7 @@ class MessagePassing:
                 d_msgs[kind], d_x0 = _gate_backward(g, cache["gate_" + kind], getattr(p, slot), self.x0[kind], grads[slot])
                 grads[kind + "0"] += d_x0
             # a frame term gathered to nodes takes their gradient summed per frame
-            f_h, f_o = (self.nodes[kind].sum(d_msgs[kind]) for kind in ("h", "o"))
+            f_h, f_o = (self.nodes[kind].sum(d_msgs[kind], 1) for kind in ("h", "o"))
             grads["frame_h"] += f_h
             grads["frame_o"] += f_o
             # the second inputs: objects read Σ snh and vna, humans Σ sno and sva
@@ -328,7 +294,7 @@ class MessagePassing:
         for kind, seg in self.nodes.items():
             d = np.concatenate(d_sums[kind])
             grads["lang_" + kind][: d.shape[0]] += d
-            dx[kind] = seg.expand(self._pair_backward(kind, s[kind], d, grads))
+            dx[kind] = seg.expand(self._pair_backward(kind, s[kind], d, grads), 1)
             if kind in d_msgs:
                 dx[kind] += self._fold_backward(kind, x[kind], d_msgs[kind], grads)
         grads["lang_a"] += d_pa
@@ -359,11 +325,11 @@ class MessagePassing:
         # each pair map's L per sample feeds its stacked rows (n·L in a node sum) and its frame term
         d_lang = {}
         for kind, stack in STACKS.items():
-            d = self.samples.sum(grads["lang_" + kind] * self.counts[kind])
+            d = self.samples.sum(grads["lang_" + kind] * self.counts[kind], 1)
             for i, slot in enumerate(stack):
                 d_lang[slot] = d[i * n : (i + 1) * n]
         for kind, folds in FOLDS.items():
-            f = self.samples.sum(grads["frame_" + kind])
+            f = self.samples.sum(grads["frame_" + kind], 1)
             for i, (slot, msg) in enumerate(folds):
                 f_i = f[i * n : (i + 1) * n]
                 d_lang[slot] = d_lang[slot] + self.msg[msg][0] @ f_i

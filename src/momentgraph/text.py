@@ -196,7 +196,7 @@ def attend_heads(
     weights = []
     for head in heads:
         keys = embeddings @ head  # words x d_q
-        logits = ad.sum_axis(ad.mul(q_rows, keys), axis=1, keepdims=True)  # words x 1
+        logits = ad.row_sum(ad.mul(q_rows, keys))  # words x 1
         w = ad.segment_softmax(logits, word_seg, n_queries)
         outputs.append(ad.segment_sum(ad.mul(w, contexts), word_seg, n_queries))
         weights.append(w.data[:, 0])

@@ -10,11 +10,16 @@ from momentgraph.errors import ContractError, DimensionError
 from reference_impls import fd_grad, ref_segment_softmax
 
 
+def total(t):
+    """The 1 x 1 sum of a 2-D tensor's entries: its row sums summed by a row of ones."""
+    return Tensor(np.ones((1, t.data.shape[0]))) @ ad.row_sum(t)
+
+
 def check_op(build, *arrays, rtol=1e-6):
     """Compare analytic gradients of sum(build(tensors)) against finite differences."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     with GradientTape():
-        out = ad.sum_axis(build(*tensors))
+        out = total(build(*tensors))
         ad.backward(out)
     for t, a in zip(tensors, arrays):
         def f(t=t):
@@ -64,6 +69,11 @@ class TestElementwise:
         np.testing.assert_allclose(np.bincount(seg, weights=s1[:, 0]), 1.0)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
+    def test_segment_sum_empty_buckets_are_zero_rows(self):
+        x = np.arange(12.0).reshape(4, 3)
+        out = ad.segment_sum(Tensor(x), [1, 1, 3, 3], 5).data
+        np.testing.assert_array_equal(out, [[0.0] * 3, x[0] + x[1], [0.0] * 3, x[2] + x[3], [0.0] * 3])
+
     def test_tanh_at_zero(self):
         assert ad.tanh(Tensor([[0.0]])).data[0, 0] == 0.0
 
@@ -82,7 +92,7 @@ class TestElementwise:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(ad.sum_axis(ad.mul(x + b, Tensor([[2.0], [5.0]]))))
+            ad.backward(total(ad.mul(x + b, Tensor([[2.0], [5.0]]))))
         np.testing.assert_array_equal(x.grad, [[2.0] * 3, [5.0] * 3])
         np.testing.assert_array_equal(b.grad, [[7.0] * 3])
 
@@ -95,12 +105,12 @@ class TestElementwise:
         [
             lambda x: ad.tanh(x),
             lambda x: ad.mul(ad.add(x, x), Tensor([[-0.5]])),
-            lambda x: ad.mul(ad.segment_softmax(ad.sum_axis(x, axis=1, keepdims=True), [0, 1, 1], 2),
+            lambda x: ad.mul(ad.segment_softmax(ad.row_sum(x), [0, 1, 1], 2),
                              Tensor([[1.0], [2.0], [-3.0]])),
             lambda x: ad.mul(x, x),
             lambda x: ad.tanh(ad.mul(x, x) + Tensor([[1.0]])),
             lambda x: ad.dropout(x, 0.5, np.random.default_rng(3)),
-            lambda x: ad.sum_axis(x, axis=1, keepdims=True),
+            lambda x: ad.row_sum(x),
             lambda x: x @ Tensor([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0], [-1.0, 2.0]]),
             lambda x: ad.gather_rows(ad.segment_sum(x, [0, 0, 1], 2), [1, 0, 1]),
             lambda x: ad.gather_rows(x, [2, 0, 0, 1]),
@@ -113,7 +123,7 @@ class TestElementwise:
 
 
 class TestSegmentSoftmax:
-    SEG = [2, 0, 0, 1, 2, 2, 0]  # unsorted ids, segment 1 has one row, segment 3 none
+    SEG = [0, 0, 0, 1, 2, 2, 2]  # segment 1 has one row, segment 3 none
 
     def test_matches_loop_oracle(self):
         x = np.random.default_rng(5).normal(size=(7, 1)) * 5
@@ -134,8 +144,14 @@ class TestSegmentSoftmax:
             return float((ad.segment_softmax(x, self.SEG, 4).data * weights).sum())
 
         with GradientTape():
-            ad.backward(ad.sum_axis(ad.mul(ad.segment_softmax(x, self.SEG, 4), Tensor(weights))))
+            ad.backward(total(ad.mul(ad.segment_softmax(x, self.SEG, 4), Tensor(weights))))
         np.testing.assert_allclose(x.grad, fd_grad(loss, x.data), rtol=1e-6, atol=1e-10)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 0], [0, 0, 2], [-1, 0, 0]], ids=["unsorted", "too_large", "negative"])
+    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_softmax], ids=["sum", "softmax"])
+    def test_unsorted_or_out_of_range_ids_are_contract_error(self, op, ids):
+        with pytest.raises(ContractError, match=f"{op.__name__}: segment ids must be sorted and in \\[0, 2\\)"):
+            op(Tensor(np.zeros((3, 1))), ids, 2)
 
     def test_rejects_non_column_and_id_count(self):
         with pytest.raises(DimensionError):
@@ -146,16 +162,16 @@ class TestSegmentSoftmax:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = Tensor([1.0, 2.0, 5.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0, 5.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(ad.sum_axis(x))
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+            ad.backward(total(x))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0]])
 
     def test_quadratic_gradient(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0], [2.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(ad.sum_axis(ad.mul(x, x)))
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+            ad.backward(total(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [[2.0], [4.0]])
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([[2.0]], requires_grad=True)
@@ -169,7 +185,7 @@ class TestBackward:
         g = np.array([[3.0, 5.0]])
         with GradientTape():
             y = ad.add(x, x)
-            ad.backward(ad.sum_axis(ad.mul(y, Tensor(g))))
+            ad.backward(total(ad.mul(y, Tensor(g))))
         np.testing.assert_array_equal(x.grad, 2.0 * g)
         np.testing.assert_array_equal(y.grad, g)
         assert not np.shares_memory(x.grad, y.grad)
@@ -242,7 +258,7 @@ class TestTape:
         for _ in range(2):
             x.grad = None
             with GradientTape():
-                ad.backward(ad.sum_axis(ad.tanh(x @ x)))
+                ad.backward(total(ad.tanh(x @ x)))
             grads.append(x.grad.copy())
         np.testing.assert_array_equal(grads[0], grads[1])
 

@@ -213,6 +213,77 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: {line.split()[0]} ")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"d_w = 5\n", b"[model]\nd_w\n", b"[model]\nd_w = 5\nd_w = 6\n", b"[paths]\nreport = r\xe9port.json\n"],
+        ids=["no-section", "no-equals", "repeated-key", "not-utf8"],
+    )
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, text):
+        config = tmp_path / "run.ini"
+        config.write_bytes(text)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(tmp_path / "ghost"), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed config file '{config}'") and "Traceback" not in err
+        assert not ckpt.exists()
+
+    def test_percent_in_a_config_path_is_literal(self, workspace, tmp_path):
+        config = write_model_config(tmp_path / "run.ini")
+        report = tmp_path / "run%1.json"
+        with open(config, "a") as f:
+            f.write(f"[paths]\nreport = {report}\ncheckpoint = {tmp_path / 'm%%.ckpt'}\n")
+        assert main(["train", "--config", config, "--data", str(workspace / "data"), "--epochs", "1", "--quiet"]) == 0
+        assert json.loads(report.read_text())["epochs"]
+        assert (tmp_path / "m%%.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_checkpoint_that_is_a_directory_is_data_error(self, workspace, tmp_path, capsys, command):
+        argv = [command, "--data", str(workspace / "data"), "--checkpoint", str(tmp_path)]
+        assert main(argv + (["--epochs", "1", "--quiet"] if command == "train" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Is a directory" in err and str(tmp_path) in err
+
+    def test_feature_file_that_is_a_directory_is_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = sorted((data / "features").iterdir())[0]
+        path.unlink()
+        path.mkdir()
+        code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(path) in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_feature_is_data_error(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = sorted((data / "features").iterdir())[0]
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", float("nan"))  # the last row's last value
+        path.write_bytes(bytes(blob))
+        argv = [command, "--data", str(data), "--checkpoint", str(workspace / "model.ckpt")]
+        if command == "train":
+            argv = [command, "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]
+        assert main(argv) == 2
+        assert f"data error: {path}: feature row " in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("name", ["annotations.jsonl", "detections"])
+    def test_undecodable_byte_in_a_jsonl_file_is_data_error(self, workspace, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = data / name if name.endswith(".jsonl") else sorted((data / name).iterdir())[0]
+        n_lines = len(path.read_bytes().splitlines())
+        with open(path, "ab") as f:
+            f.write(b"\xff")
+        code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}:{n_lines + 1}: not UTF-8 text") and "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @staticmethod
     def _edit_first_annotation(workspace, tmp_path, command, **changes):
         """Run command on a copy of the workspace data whose first annotation

@@ -100,6 +100,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{raw}'"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"d_w = 5\n", b"[model]\nd_w\n", b"[model]\nd_w = 5\nd_w = 6\n", b"[model]\nd_w = 5\n[model]\n", b"[paths]\nreport = r\xe9port.json\n"],
+        ids=["no-section", "no-equals", "repeated-key", "repeated-section", "not-utf8"],
+    )
+    def test_malformed_file_is_config_error_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "run.ini"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=f"malformed config file '{path}'"):
+            load_config(str(path))
+
+    def test_values_are_literal(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[paths]\nreport = run%1.json\ncheckpoint = %(data_dir)s.ckpt\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert (cfg.report, cfg.checkpoint) == ("run%1.json", "%(data_dir)s.ckpt")
+
+    def test_file_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes("[paths]\nreport = r\u00e9port.json\n".encode("utf-8"))
+        assert load_config(str(path)).report == "r\u00e9port.json"
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.ini")

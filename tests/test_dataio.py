@@ -67,13 +67,28 @@ class TestFeatureFiles:
             b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, float("nan"), 1.0) + b"\x00" * 8,
             b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, 1.0, float("inf")) + b"\x00" * 8,
             b"FEAT" + struct.pack("<IQ", 1, 1) + b"\xff" + struct.pack("<QQdd", 1, 1, 1.0, 1.0) + b"\x00" * 8,
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 0, 1, 1.0, 1.0),
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, 0.0, 0.0) + b"\x00" * 8,
+            b"FEAT" + struct.pack("<IQ", 1, 1) + b"v" + struct.pack("<QQdd", 1, 1, 1.0, 9.0) + b"\x00" * 8,
         ],
-        ids=["short-version", "long-id", "overflow", "trailing", "nan-stride", "inf-duration", "bad-utf8"],
+        ids=[
+            "short-version", "long-id", "overflow", "trailing", "nan-stride", "inf-duration", "bad-utf8",
+            "no-rows", "zero-stride", "duration-off-stride",
+        ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, blob):
         path = tmp_path / "v.feat"
         path.write_bytes(blob)
         with pytest.raises(DataError):
+            read_features(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_file_and_first_row(self, tmp_path, value):
+        feats = np.ones((4, 3))
+        feats[2, 1] = feats[3, 0] = value
+        path = tmp_path / "v.feat"
+        write_features(ActivityFeatures("v", feats, 1.0, 4.0), str(path))
+        with pytest.raises(DataError, match=rf"v\.feat: feature row 2 is not finite"):
             read_features(str(path))
 
 
@@ -115,11 +130,12 @@ class TestDetectionFiles:
             '{"video_id": "v", "frame_index": 1, "detections": [{"label": 7, "confidence": 0.5, "feature": [1.0, 1.0]}]}',
             '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": true, "feature": [1.0, 1.0]}]}',
             '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": "0.5", "feature": [1.0, 1.0]}]}',
+            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [1%s, 1.0]}]}' % ("0" * 400),
         ],
         ids=[
             "nan", "inf", "overflow-to-inf", "2-d", "0-d", "confidence", "repeated-frame",
             "float-frame", "bool-frame", "string-frame", "list-label", "number-label", "bool-confidence",
-            "string-confidence",
+            "string-confidence", "integer-beyond-float",
         ],
     )
     def test_malformed_record_is_data_error_with_line_number(self, tmp_path, second_line):
@@ -127,6 +143,13 @@ class TestDetectionFiles:
         first = {"video_id": "v", "frame_index": 0, "detections": [{"label": "cup", "confidence": 0.9, "feature": [1.0, 2.0]}]}
         path.write_text(json.dumps(first) + "\n" + second_line + "\n")
         with pytest.raises(DataError, match=r"v\.jsonl:2: "):
+            read_detections(str(path))
+
+    def test_undecodable_bytes_are_data_error_with_line_number(self, tmp_path):
+        path = tmp_path / "v.jsonl"
+        record = {"video_id": "v", "frame_index": 0, "detections": []}
+        path.write_bytes(json.dumps(record).encode() + b"\n\xff\n")
+        with pytest.raises(DataError, match=r"v\.jsonl:2: not UTF-8 text"):
             read_detections(str(path))
 
     def test_integer_confidence_loads(self, tmp_path):
@@ -182,6 +205,13 @@ class TestAnnotations:
         path = tmp_path / "ann.jsonl"
         path.write_text('{"video_id": "v", "query": "q", "t_start_s": 0, "t_end_s": 1%s, "duration_s": 4}\n' % ("0" * 400))
         with pytest.raises(DataError, match=r"ann\.jsonl:1: times must be finite"):
+            read_annotations(str(path))
+
+    def test_undecodable_bytes_are_data_error_with_line_number(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        good = {"video_id": "v", "query": "q", "t_start_s": 0.0, "t_end_s": 1.0, "duration_s": 4.0}
+        path.write_bytes(json.dumps(good).encode() + b"\n" + json.dumps(dict(good, query="caf\u00e9"), ensure_ascii=False).encode("latin-1") + b"\n")
+        with pytest.raises(DataError, match=r"ann\.jsonl:2: not UTF-8 text"):
             read_annotations(str(path))
 
     def test_integer_times_load_as_floats(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 
+from momentgraph import autodiff as ad
+from momentgraph import gradcheck
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, format_results, run_gradcheck, tiny_instance
 
 
@@ -21,8 +23,22 @@ def test_subsampling_is_deterministic():
     assert [(r.name, r.max_rel_err) for r in one] == [(r.name, r.max_rel_err) for r in two]
 
 
-def test_corrupt_block_negative_control():
-    results = run_gradcheck(entries_per_block=2, corrupt_block="temporal.w_start")
+def test_corrupt_block_negative_control(monkeypatch):
+    # the check must fail on a block whose analytic gradient is offset
+    models, backward = [], ad.backward
+
+    def instance(**kwargs):
+        model, batch = tiny_instance(**kwargs)
+        models.append(model)
+        return model, batch
+
+    def offset_backward(loss):
+        backward(loss)
+        models[-1].params["temporal.w_start"].grad += 1.0
+
+    monkeypatch.setattr(gradcheck, "tiny_instance", instance)
+    monkeypatch.setattr(ad, "backward", offset_backward)
+    results = run_gradcheck(entries_per_block=2)
     failed = [r.name for r in results if not r.passed]
     assert failed == ["temporal.w_start"]
 

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from momentgraph import autodiff as ad
-from momentgraph.autodiff import Tensor
-from momentgraph.autodiff import GradientTape
+from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ConfigError, ContractError
 from momentgraph.graph import (
     VARIANTS,
     MessagePassing,
-    SortedSegments,
     SpatialGraphParams,
     check_variant,
     create_single_query_params,
@@ -94,7 +92,7 @@ class TestMessagePassing:
         # an empty segment sums to an exact zero column, so the human pair maps
         # cannot reach the activity or object latents
         np.testing.assert_array_equal(
-            SortedSegments([1, 1], 3, "ids").sum(np.ones((LATENT, 2)))[:, [0, 2]], np.zeros((LATENT, 2))
+            SortedSegments([1, 1], 3, "ids").sum(np.ones((LATENT, 2)), 1)[:, [0, 2]], np.zeros((LATENT, 2))
         )
         p, registry = make_params()
         a0, h0, o0, sv, sn, vn = make_instance(K=0)
@@ -107,7 +105,7 @@ class TestMessagePassing:
 
     def test_singletons_degenerate_to_lone_pair(self):
         cols = np.random.default_rng(31).normal(size=(LATENT, 2))
-        np.testing.assert_array_equal(SortedSegments([0, 1], 2, "ids").sum(cols), cols)
+        np.testing.assert_array_equal(SortedSegments([0, 1], 2, "ids").sum(cols, 1), cols)
         p, registry = make_params(seed=2)
         a0, h0, o0, sv, sn, vn = make_instance(seed=3, K=1, J=1)
         out = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
@@ -272,7 +270,7 @@ def unread_after_central_differences(p, registry, inputs, maps, n_iters):
 
     with GradientTape():
         out = spatial_graph(*inputs, *maps, p, n_iters)
-        ad.backward(ad.sum_axis(ad.mul(out, Tensor(weights))))
+        ad.backward(Tensor(np.ones((1, weights.shape[0]))) @ ad.row_sum(ad.mul(out, Tensor(weights))))
     tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
     unread = set()
     for name, t in tensors.items():
@@ -338,7 +336,7 @@ class TestSingleQueryVariant:
 class TestNoObjectNode:
     def test_object_sums_are_zero(self):
         np.testing.assert_array_equal(
-            SortedSegments(np.zeros(0, dtype=np.intp), 2, "ids").sum(np.ones((LATENT, 0))), np.zeros((LATENT, 2))
+            SortedSegments(np.zeros(0, dtype=np.intp), 2, "ids").sum(np.ones((LATENT, 0)), 1), np.zeros((LATENT, 2))
         )
         p, registry = make_params(seed=25)
         a0, h0, o0, sv, sn, vn = make_instance(seed=26, J=0)

@@ -65,7 +65,7 @@ class TestEmbedding:
             return float((embed_query(tokens, vocab, table).data * weights).sum())
 
         with GradientTape():
-            ad.backward(ad.sum_axis(ad.mul(embed_query(tokens, vocab, table), Tensor(weights))))
+            ad.backward(Tensor(np.ones((1, 3))) @ ad.row_sum(ad.mul(embed_query(tokens, vocab, table), Tensor(weights))))
         np.testing.assert_allclose(table.grad, fd_grad(loss, table.data), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(table.grad[vocab.index("open")], weights[0] + weights[2], atol=1e-15)
         np.testing.assert_array_equal(table.grad[[0, 1]], 0.0)
@@ -146,10 +146,11 @@ class TestGru:
             return float((bigru_forward(x, fwd, bwd, lengths).data * weights).sum() + other)
 
         with GradientTape():
-            total = ad.sum_axis(ad.mul(bigru_forward(x, fwd, bwd, lengths), Tensor(weights)))
+            ones = Tensor(np.ones((1, n)))
+            total = ones @ ad.row_sum(ad.mul(bigru_forward(x, fwd, bwd, lengths), Tensor(weights)))
             if x_feeds_another_op:
                 # recorded after the layer, so its gradient reaches x first
-                total = ad.add(total, ad.sum_axis(ad.mul(x, Tensor(x_weights))))
+                total = ad.add(total, ones @ ad.row_sum(ad.mul(x, Tensor(x_weights))))
             ad.backward(total)
         blocks = {"x": x, **{f"{d}.{k}": t for d, p in (("fwd", fwd), ("bwd", bwd)) for k, t in vars(p).items()}}
         assert len(blocks) == 7  # x and each direction's stacked w, u and b
