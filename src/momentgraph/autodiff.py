@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: 2-D (and 1-D) arrays, a handful of
-primitives, and a tape that records operations in execution order. Every op,
-the fused stages (the BiGRU layers, the spatial graph, the two losses) too,
+The engine is deliberately small: 2-D (and 1-D) arrays, five primitives
+(add, matmul, gather_rows, segment_softmax, dropout), SortedSegments for the
+segment sums and softmaxes, and a tape that records operations in execution
+order. Every op, the fused stages of text, visual, graph and losses too,
 records one node through record(); only backward() adds to .grad.
 Recording only happens while a GradientTape is active, so evaluation-mode
 forward passes carry no bookkeeping overhead.
@@ -110,34 +111,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _broadcast(name: str, op, a: Tensor, b: Tensor) -> np.ndarray:
-    """op on two operands of one rank whose shapes broadcast."""
-    if a.data.ndim == b.data.ndim:
-        try:
-            return op(a.data, b.data)
-        except ValueError:
-            pass
-    raise DimensionError(f"{name}: shapes {a.data.shape} and {b.data.shape}")
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two operands of one rank whose shapes broadcast."""
+    if a.data.ndim != b.data.ndim:
+        raise DimensionError(f"add: operands of rank {a.data.ndim} and {b.data.ndim}")
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}") from None
+
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return record(_broadcast("add", np.add, a, b), (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard (elementwise, broadcasting) product."""
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return record(_broadcast("hadamard", np.multiply, a, b), (a, b), backward)
+    return record(data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -154,24 +144,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return record(a.data @ b.data, (a, b), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - data * data),)
-
-    return record(data, (a,), backward)
-
-
-def row_sum(a: Tensor) -> Tensor:
-    """The n x 1 column of a 2-D tensor's row sums."""
-
-    def backward(g):
-        return (np.broadcast_to(g, a.data.shape),)
-
-    return record(a.data.sum(axis=1, keepdims=True), (a,), backward)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -224,35 +196,28 @@ class SortedSegments:
         """Each id's segment slice of x along axis, the adjoint of sum, written C-ordered."""
         return np.repeat(x, self.counts, axis=axis)
 
+    def softmax(self, x: np.ndarray) -> np.ndarray:
+        """Softmax of x's rows within each segment, shifted by its maximum: a 1-row segment is 1.0."""
+        e = np.exp(x - self.expand(self._reduce(np.maximum, x, 0), 0))
+        return e / self.expand(self.sum(e, 0), 0)
 
-def segment_sum(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Sum rows of a 2-D tensor into n_segments buckets by sorted ids; empty buckets are zero rows."""
-    if len(segment_ids) != a.data.shape[0]:
-        raise DimensionError(f"segment_sum: {len(segment_ids)} ids for {a.data.shape[0]} rows")
-    seg = SortedSegments(segment_ids, n_segments, "segment_sum")
-
-    def backward(g):
-        return (seg.expand(g, 0),)
-
-    return record(seg.sum(a.data, 0), (a,), backward)
+    def softmax_backward(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The gradient in softmax's input, given its output p and the gradient g in p."""
+        return p * (g - self.expand(self.sum(g * p, 0), 0))
 
 
 def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Softmax over the rows of an n x 1 column within each segment of sorted ids.
-
-    Each segment is shifted by its own maximum, so a 1-row segment is
-    exactly 1.0 and segments never share normalisation.
-    """
+    """Softmax over the rows of an n x 1 column within each segment of sorted
+    ids (SortedSegments.softmax); segments never share normalisation."""
     if a.data.ndim != 2 or a.data.shape[1] != 1:
         raise DimensionError(f"segment_softmax expects an n x 1 column, got {a.data.shape}")
     if len(segment_ids) != a.data.shape[0]:
         raise DimensionError(f"segment_softmax: {len(segment_ids)} ids for {a.data.shape[0]} rows")
     seg = SortedSegments(segment_ids, n_segments, "segment_softmax")
-    e = np.exp(a.data - seg.expand(seg._reduce(np.maximum, a.data, 0), 0))
-    p = e / seg.expand(seg.sum(e, 0), 0)
+    p = seg.softmax(a.data)
 
     def backward(g):
-        return (p * (g - seg.expand(seg.sum(g * p, 0), 0)),)
+        return (seg.softmax_backward(p, g),)
 
     return record(p, (a,), backward)
 

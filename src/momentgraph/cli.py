@@ -80,7 +80,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     meta, params = load_params(_resolve_config(args).checkpoint)
     config = _resolve_config(args, meta["model"])
-    model = MomentModel(config, Vocabulary.from_tokens(meta["vocab"]))
+    model = MomentModel(config, Vocabulary(meta["vocab"]))
     model.restore(meta, params)
     train_samples, val_samples, cmap = load_dataset(config.data_dir)
     samples = train_samples if args.split == "train" else val_samples

@@ -103,6 +103,9 @@ def load_config(path: str | None = None, overrides: dict | None = None, stored: 
             raise ConfigError(f"malformed config file '{path}': {exc}") from None
         if not found:
             raise ConfigError(f"cannot read config file '{path}'")
+        unknown = [section for section in parser.sections() if section not in _SECTIONS]
+        if unknown:
+            raise ConfigError(f"malformed config file '{path}': unknown section [{unknown[0]}] (known: {', '.join(_SECTIONS)})")
         for section, keys in _SECTIONS.items():
             if parser.has_section(section):
                 for key in parser[section]:

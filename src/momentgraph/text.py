@@ -2,11 +2,11 @@
 attention heads that produce the linguistic node vectors, for a minibatch
 of queries at once.
 
-A BiGRU layer is one fused autodiff op: `bigru_forward` runs both
-directions over a ragged batch of sequences stacked in the rows of a matrix
-as a single tape node with a hand-written backward pass (backpropagation
-through time). The temporal head in temporal.py runs its two BiGRU layers
-through the same op.
+Every stage after the embedding lookup is a fused autodiff op with a
+hand-written backward: `bigru_forward` (one tape node per BiGRU layer, both
+directions over a ragged batch of stacked sequences; the temporal head runs
+its two layers through it too), `pool_query` (one node) and `attend_heads`
+(one node per head).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":
+        """Vocabulary(tokens); kept only for benchmarks/workload.py, which calls it."""
         return cls(tokens)
 
 
@@ -164,10 +165,15 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
 
 
 def pool_query(contexts: Tensor, lengths) -> Tensor:
-    """Mean over each query's words: N x d stacked words -> B x d, one row per query."""
+    """Mean over each query's words: N x d stacked words -> B x d, one row per query; one tape node."""
     lengths = np.asarray(lengths, dtype=np.intp)
-    summed = ad.segment_sum(contexts, np.repeat(np.arange(lengths.size), lengths), lengths.size)
-    return ad.mul(summed, Tensor(1.0 / lengths[:, None]))
+    words = ad.SortedSegments(np.repeat(np.arange(lengths.size), lengths), lengths.size, "pool_query")
+    inv = 1.0 / lengths[:, None]
+
+    def backward(g):
+        return (words.expand(g * inv, 0),)
+
+    return ad.record(words.sum(contexts.data, 0) * inv, (contexts,), backward)
 
 
 @dataclass
@@ -187,19 +193,28 @@ def attend_heads(
     q·b to every word of a query, which the softmax cancels. q is B x d_q,
     one row per query; embeddings and contexts stack the queries' words,
     partitioned by lengths (None: all rows are one query). Returns one
-    B x d_ctx tensor per head and the heads x words weights.
+    B x d_ctx tensor per head and the heads x words weights. Each head is
+    one tape node with inputs (q, embeddings, contexts, head).
     """
     n_queries = q.data.shape[0]
-    word_seg = np.repeat(np.arange(n_queries), embeddings.data.shape[0] if lengths is None else lengths)
-    q_rows = ad.gather_rows(q, word_seg)  # each word's query
+    counts = embeddings.data.shape[0] if lengths is None else lengths
+    words = ad.SortedSegments(np.repeat(np.arange(n_queries), counts), n_queries, "attend_heads")
+    q_rows = words.expand(q.data, 0)  # each word's query
+    e, c = embeddings.data, contexts.data
     outputs = []
     weights = []
     for head in heads:
-        keys = embeddings @ head  # words x d_q
-        logits = ad.row_sum(ad.mul(q_rows, keys))  # words x 1
-        w = ad.segment_softmax(logits, word_seg, n_queries)
-        outputs.append(ad.segment_sum(ad.mul(w, contexts), word_seg, n_queries))
-        weights.append(w.data[:, 0])
+        keys = e @ head.data  # words x d_q
+        w = words.softmax((q_rows * keys).sum(axis=1, keepdims=True))  # words x 1
+
+        def backward(g, head=head, keys=keys, w=w):
+            g_rows = words.expand(g, 0)  # each word's share of its query's output gradient
+            g_logits = words.softmax_backward(w, (g_rows * c).sum(axis=1, keepdims=True))
+            g_keys = g_logits * q_rows
+            return words.sum(g_logits * keys, 0), g_keys @ head.data.T, g_rows * w, e.T @ g_keys
+
+        outputs.append(ad.record(words.sum(w * c, 0), (q, embeddings, contexts, head), backward))
+        weights.append(w[:, 0])
     return outputs, np.stack(weights)
 
 

@@ -39,7 +39,7 @@ def build_vocab(samples: list[AnnotatedSample]) -> Vocabulary:
     tokens = []
     for s in samples:
         tokens.extend(tokenize(s.query))
-    return Vocabulary.from_tokens(tokens)
+    return Vocabulary(tokens)
 
 
 def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalReport, list[dict]]:

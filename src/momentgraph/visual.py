@@ -136,14 +136,26 @@ class NodeEmbedParams:
 
 
 def embed_nodes(features: np.ndarray, humans: np.ndarray, objects: np.ndarray, params: NodeEmbedParams):
-    """Initial latents: tanh(W x + b) per row, separate maps per node kind.
+    """Initial latents: tanh(x·w + b) per row, separate maps per node kind.
 
     features is a video's t x d_v activity matrix; humans / objects stack
     every frame's K / J detection features. Returns (a0: t x latent,
-    h0: K x latent, o0: J x latent). An empty set is a 0-row matrix on the
-    same path and yields a 0-row latent matrix.
+    h0: K x latent, o0: J x latent), each one tape node with inputs (w, b):
+    the features are constants. An empty set is a 0-row matrix on the same
+    path and yields a 0-row latent matrix.
     """
-    a0 = ad.tanh(Tensor(features) @ params.w_a + params.b_a)
-    h0 = ad.tanh(Tensor(humans) @ params.w_h + params.b_h)
-    o0 = ad.tanh(Tensor(objects) @ params.w_o + params.b_o)
-    return a0, h0, o0
+
+    def embed(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+        y = np.tanh(x @ w.data + b.data)
+
+        def backward(g):
+            d = g * (1.0 - y * y)
+            return x.T @ d, d.sum(axis=0, keepdims=True)
+
+        return ad.record(y, (w, b), backward)
+
+    return (
+        embed(features, params.w_a, params.b_a),
+        embed(humans, params.w_h, params.b_h),
+        embed(objects, params.w_o, params.b_o),
+    )

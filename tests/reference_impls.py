@@ -80,6 +80,29 @@ def ref_attention(q, embeddings, contexts, wk):
     return out, w
 
 
+def ref_attention_grad(q, embeddings, contexts, wk, g):
+    """Gradients of sum(g * ref_attention(q, embeddings, contexts, wk)[0]) in
+    q (1 x d_q), embeddings (m x d_w), contexts (m x d_ctx) and wk (d_w x d_q),
+    in closed form: with s_i = g·c_i and a_i = w_i (s_i - sum_j w_j s_j), the
+    logit gradients, dq = sum_i a_i k_i, de_i = a_i wk q, dc_i = w_i g and
+    dwk = sum_i a_i e_i q^T."""
+    _, w = ref_attention(q, embeddings, contexts, wk)
+    m = embeddings.shape[0]
+    s = [float(g[0] @ contexts[i]) for i in range(m)]
+    mean_s = sum(w[j] * s[j] for j in range(m))
+    dq = np.zeros_like(q)
+    de = np.zeros_like(embeddings)
+    dc = np.zeros_like(contexts)
+    dwk = np.zeros_like(wk)
+    for i in range(m):
+        a = w[i] * (s[i] - mean_s)
+        dq[0] += a * (embeddings[i] @ wk)
+        de[i] = a * (wk @ q[0])
+        dc[i] = w[i] * g[0]
+        dwk += a * np.outer(embeddings[i], q[0])
+    return dq, de, dc, dwk
+
+
 def ref_graph_iteration(a, h, o, a0, h0, o0, sv, sn, vn, p):
     """One message-passing round for a single timestep.
 

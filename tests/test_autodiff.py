@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from momentgraph import autodiff as ad
-from momentgraph.autodiff import GradientTape, Tensor
+from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ContractError, DimensionError
+from momentgraph.text import attend_heads, pool_query
+from momentgraph.visual import NodeEmbedParams, embed_nodes
 
 from reference_impls import fd_grad, ref_segment_softmax
-
-
-def total(t):
-    """The 1 x 1 sum of a 2-D tensor's entries: its row sums summed by a row of ones."""
-    return Tensor(np.ones((1, t.data.shape[0]))) @ ad.row_sum(t)
+from tape_sum import weighted_sum
 
 
 def check_op(build, *arrays, rtol=1e-6):
     """Compare analytic gradients of sum(build(tensors)) against finite differences."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     with GradientTape():
-        out = total(build(*tensors))
+        out = weighted_sum(build(*tensors))
         ad.backward(out)
     for t, a in zip(tensors, arrays):
         def f(t=t):
@@ -54,6 +52,18 @@ class TestMatmul:
             ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
+def embed_activity(w):
+    """The activity node's embedding, tanh(x·w + b), with w as its weight."""
+    rng = np.random.default_rng(8)
+    p = NodeEmbedParams.create(rng, w.data.shape[0], 2, w.data.shape[1], {})
+    p.w_a, p.b_a.data = w, rng.normal(size=p.b_a.data.shape)
+    return embed_nodes(rng.normal(size=(2, w.data.shape[0])), np.zeros((0, 2)), np.zeros((0, 2)), p)[0]
+
+
+# attention operands around a 3 x 4 key matrix: two queries of 1 and 2 words
+ATT_Q, ATT_E, ATT_C = (np.random.default_rng(9).normal(size=shape) for shape in [(2, 4), (3, 3), (3, 2)])
+
+
 class TestElementwise:
     def test_softmax_symmetry(self):
         out = ad.segment_softmax(Tensor([[0.0], [0.0], [0.0]]), [0, 0, 0], 1)
@@ -71,17 +81,22 @@ class TestElementwise:
 
     def test_segment_sum_empty_buckets_are_zero_rows(self):
         x = np.arange(12.0).reshape(4, 3)
-        out = ad.segment_sum(Tensor(x), [1, 1, 3, 3], 5).data
+        out = SortedSegments([1, 1, 3, 3], 5, "ids").sum(x, 0)
         np.testing.assert_array_equal(out, [[0.0] * 3, x[0] + x[1], [0.0] * 3, x[2] + x[3], [0.0] * 3])
 
     def test_tanh_at_zero(self):
-        assert ad.tanh(Tensor([[0.0]])).data[0, 0] == 0.0
+        # the node embedding's tanh: a zero input with the zero initial bias embeds to exact zeros
+        p = NodeEmbedParams.create(np.random.default_rng(0), 3, 2, 4, {})
+        a0 = embed_nodes(np.zeros((1, 3)), np.zeros((0, 2)), np.zeros((0, 2)), p)[0]
+        assert a0.data[0, 0] == 0.0 and (a0.data == 0.0).all()
 
     def test_hadamard(self):
-        out = ad.mul(Tensor([[1.0, 2.0, 3.0]]), Tensor([[4.0, 5.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[4.0, 10.0, 18.0]])
+        # dropout is x times its inverted-scaling mask, entry by entry
+        out = ad.dropout(Tensor([[1.0, 2.0, 3.0]]), 0.5, np.random.default_rng(0))
+        mask = (np.random.default_rng(0).random((1, 3)) < 0.5) / 0.5
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]] * mask)
 
-    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("op", [ad.add, ad.matmul], ids=["add", "mul"])
     def test_operands_of_different_rank_are_dimension_error(self, op):
         with pytest.raises(DimensionError):
             op(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
@@ -92,7 +107,7 @@ class TestElementwise:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(total(ad.mul(x + b, Tensor([[2.0], [5.0]]))))
+            ad.backward(weighted_sum(x + b, [[2.0], [5.0]]))
         np.testing.assert_array_equal(x.grad, [[2.0] * 3, [5.0] * 3])
         np.testing.assert_array_equal(b.grad, [[7.0] * 3])
 
@@ -103,18 +118,19 @@ class TestElementwise:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda x: ad.tanh(x),
-            lambda x: ad.mul(ad.add(x, x), Tensor([[-0.5]])),
-            lambda x: ad.mul(ad.segment_softmax(ad.row_sum(x), [0, 1, 1], 2),
-                             Tensor([[1.0], [2.0], [-3.0]])),
-            lambda x: ad.mul(x, x),
-            lambda x: ad.tanh(ad.mul(x, x) + Tensor([[1.0]])),
+            lambda x: embed_activity(x),
+            lambda x: ad.add(x, x) @ Tensor([[-0.5], [1.0], [2.0], [0.25]]),
+            lambda x: Tensor([[1.0, 2.0, -3.0]]) @ ad.segment_softmax(
+                x @ Tensor([[1.0], [-2.0], [0.5], [3.0]]), [0, 1, 1], 2),
+            lambda x: (x @ Tensor([[1.0, 0.5, -1.0], [0.0, 2.0, 1.0], [-0.5, 1.0, 0.0], [1.0, -1.0, 0.5]])) @ x,
+            lambda x: attend_heads(Tensor(ATT_Q), Tensor(ATT_E), Tensor(ATT_C), [x], [1, 2])[0][0],
             lambda x: ad.dropout(x, 0.5, np.random.default_rng(3)),
-            lambda x: ad.row_sum(x),
+            lambda x: pool_query(x, [1, 2]),
             lambda x: x @ Tensor([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0], [-1.0, 2.0]]),
-            lambda x: ad.gather_rows(ad.segment_sum(x, [0, 0, 1], 2), [1, 0, 1]),
+            lambda x: ad.gather_rows(pool_query(x, [2, 1]), [1, 0, 1]),
             lambda x: ad.gather_rows(x, [2, 0, 0, 1]),
-            lambda x: ad.segment_sum(x, [0, 2, 2], 4),
+            lambda x: Tensor([[1.0, -2.0, 0.5]]) @ ad.segment_softmax(
+                x @ Tensor([[0.5], [1.0], [-1.0], [2.0]]), [0, 2, 2], 4),
         ],
     )
     def test_op_gradients(self, build):
@@ -144,14 +160,19 @@ class TestSegmentSoftmax:
             return float((ad.segment_softmax(x, self.SEG, 4).data * weights).sum())
 
         with GradientTape():
-            ad.backward(total(ad.mul(ad.segment_softmax(x, self.SEG, 4), Tensor(weights))))
+            ad.backward(weighted_sum(ad.segment_softmax(x, self.SEG, 4), weights))
         np.testing.assert_allclose(x.grad, fd_grad(loss, x.data), rtol=1e-6, atol=1e-10)
 
     @pytest.mark.parametrize("ids", [[0, 1, 0], [0, 0, 2], [-1, 0, 0]], ids=["unsorted", "too_large", "negative"])
-    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_softmax], ids=["sum", "softmax"])
-    def test_unsorted_or_out_of_range_ids_are_contract_error(self, op, ids):
-        with pytest.raises(ContractError, match=f"{op.__name__}: segment ids must be sorted and in \\[0, 2\\)"):
-            op(Tensor(np.zeros((3, 1))), ids, 2)
+    @pytest.mark.parametrize(
+        "name, op",
+        [("ids", lambda ids: SortedSegments(ids, 2, "ids")),
+         ("segment_softmax", lambda ids: ad.segment_softmax(Tensor(np.zeros((3, 1))), ids, 2))],
+        ids=["sum", "softmax"],
+    )
+    def test_unsorted_or_out_of_range_ids_are_contract_error(self, name, op, ids):
+        with pytest.raises(ContractError, match=f"{name}: segment ids must be sorted and in \\[0, 2\\)"):
+            op(ids)
 
     def test_rejects_non_column_and_id_count(self):
         with pytest.raises(DimensionError):
@@ -164,14 +185,15 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor([[1.0, 2.0, 5.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(total(x))
+            ad.backward(weighted_sum(x))
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0, 1.0]])
 
     def test_quadratic_gradient(self):
-        x = Tensor([[1.0], [2.0]], requires_grad=True)
+        # sum(x x) = 1'x x 1, so entry (i, j) of the gradient is (x 1)_j + (x'1)_i
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(total(ad.mul(x, x)))
-        np.testing.assert_array_equal(x.grad, [[2.0], [4.0]])
+            ad.backward(weighted_sum(x @ x))
+        np.testing.assert_array_equal(x.grad, [[7.0, 11.0], [9.0, 13.0]])
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([[2.0]], requires_grad=True)
@@ -185,7 +207,7 @@ class TestBackward:
         g = np.array([[3.0, 5.0]])
         with GradientTape():
             y = ad.add(x, x)
-            ad.backward(total(ad.mul(y, Tensor(g))))
+            ad.backward(weighted_sum(y, g))
         np.testing.assert_array_equal(x.grad, 2.0 * g)
         np.testing.assert_array_equal(y.grad, g)
         assert not np.shares_memory(x.grad, y.grad)
@@ -229,14 +251,14 @@ class TestBackward:
     def test_tape_consumed(self):
         x = Tensor([[1.0]], requires_grad=True)
         with GradientTape() as tape:
-            ad.backward(ad.mul(x, Tensor([[2.0]])))
+            ad.backward(weighted_sum(x, [[2.0]]))
             assert len(tape) == 0
 
 
 class TestTape:
     def test_no_recording_without_tape(self):
         x = Tensor([[1.0]], requires_grad=True)
-        y = ad.mul(x, Tensor([[2.0]])) + Tensor([[1.0]])
+        y = x @ Tensor([[2.0]]) + Tensor([[1.0]])
         assert not y.requires_grad
         assert y._backward is None
 
@@ -258,7 +280,7 @@ class TestTape:
         for _ in range(2):
             x.grad = None
             with GradientTape():
-                ad.backward(total(ad.tanh(x @ x)))
+                ad.backward(weighted_sum(embed_activity(x @ x)))
             grads.append(x.grad.copy())
         np.testing.assert_array_equal(grads[0], grads[1])
 

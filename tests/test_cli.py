@@ -215,8 +215,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "text",
-        [b"d_w = 5\n", b"[model]\nd_w\n", b"[model]\nd_w = 5\nd_w = 6\n", b"[paths]\nreport = r\xe9port.json\n"],
-        ids=["no-section", "no-equals", "repeated-key", "not-utf8"],
+        [b"d_w = 5\n", b"[model]\nd_w\n", b"[model]\nd_w = 5\nd_w = 6\n", b"[paths]\nreport = r\xe9port.json\n",
+         b"[optimiser]\nlr = 0.5\n"],
+        ids=["no-section", "no-equals", "repeated-key", "not-utf8", "unknown-section"],
     )
     def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, text):
         config = tmp_path / "run.ini"

@@ -89,6 +89,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="width"):
             load_config(str(path))
 
+    def test_unknown_section_rejected(self, tmp_path):
+        # a misspelt section would otherwise leave its values at their defaults
+        path = tmp_path / "run.ini"
+        path.write_text("[optimiser]\nlr = 0.5\n")
+        with pytest.raises(ConfigError, match=r"unknown section \[optimiser\]"):
+            load_config(str(path))
+
     @pytest.mark.parametrize(
         "section, key, raw",
         [("graph", "iterations", "x"), ("model", "latent", "1.5"), ("optimizer", "lr", "fast"), ("training", "target_miou", "high"),

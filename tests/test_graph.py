@@ -14,6 +14,7 @@ from momentgraph.graph import (
 )
 
 from reference_impls import fd_grad, ref_graph_iteration
+from tape_sum import weighted_sum
 
 D_LANG = 6
 LATENT = 5
@@ -270,7 +271,7 @@ def unread_after_central_differences(p, registry, inputs, maps, n_iters):
 
     with GradientTape():
         out = spatial_graph(*inputs, *maps, p, n_iters)
-        ad.backward(Tensor(np.ones((1, weights.shape[0]))) @ ad.row_sum(ad.mul(out, Tensor(weights))))
+        ad.backward(weighted_sum(out, weights))
     tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
     unread = set()
     for name, t in tensors.items():

@@ -15,6 +15,7 @@ from momentgraph.losses import (
 )
 
 from reference_impls import fd_grad, ref_kl_grad, ref_spatial_grad
+from tape_sum import weighted_sum
 
 
 class TestTargets:
@@ -138,7 +139,7 @@ def node_gradient(build, x, upstream=1.0):
     with GradientTape() as tape:
         out = build(x)
         assert len(tape) == 1 and out.data.shape == ()
-        ad.backward(ad.mul(out, Tensor(upstream)))
+        ad.backward(weighted_sum(out, upstream))
     return x.grad
 
 

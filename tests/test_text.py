@@ -18,7 +18,8 @@ from momentgraph.text import (
     tokenize,
 )
 
-from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_bigru, ref_gru_sequence
+from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_attention_grad, ref_bigru, ref_gru_sequence
+from tape_sum import weighted_sum
 
 
 class TestTokenizeAndVocab:
@@ -41,7 +42,7 @@ class TestTokenizeAndVocab:
 
     def test_tokens_round_trip(self):
         vocab = Vocabulary(["walk", "run"])
-        again = Vocabulary.from_tokens(vocab.tokens()[2:])
+        again = Vocabulary(vocab.tokens()[2:])
         assert again.index("run") == vocab.index("run")
 
 
@@ -65,7 +66,7 @@ class TestEmbedding:
             return float((embed_query(tokens, vocab, table).data * weights).sum())
 
         with GradientTape():
-            ad.backward(Tensor(np.ones((1, 3))) @ ad.row_sum(ad.mul(embed_query(tokens, vocab, table), Tensor(weights))))
+            ad.backward(weighted_sum(embed_query(tokens, vocab, table), weights))
         np.testing.assert_allclose(table.grad, fd_grad(loss, table.data), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(table.grad[vocab.index("open")], weights[0] + weights[2], atol=1e-15)
         np.testing.assert_array_equal(table.grad[[0, 1]], 0.0)
@@ -146,11 +147,10 @@ class TestGru:
             return float((bigru_forward(x, fwd, bwd, lengths).data * weights).sum() + other)
 
         with GradientTape():
-            ones = Tensor(np.ones((1, n)))
-            total = ones @ ad.row_sum(ad.mul(bigru_forward(x, fwd, bwd, lengths), Tensor(weights)))
+            total = weighted_sum(bigru_forward(x, fwd, bwd, lengths), weights)
             if x_feeds_another_op:
                 # recorded after the layer, so its gradient reaches x first
-                total = ad.add(total, ones @ ad.row_sum(ad.mul(x, Tensor(x_weights))))
+                total = ad.add(total, weighted_sum(x, x_weights))
             ad.backward(total)
         blocks = {"x": x, **{f"{d}.{k}": t for d, p in (("fwd", fwd), ("bwd", bwd)) for k, t in vars(p).items()}}
         assert len(blocks) == 7  # x and each direction's stacked w, u and b
@@ -229,6 +229,24 @@ class TestPooling:
         x = Tensor([[1.0, 3.0], [3.0, 5.0], [7.0, -1.0], [0.0, 2.0], [4.0, 4.0], [2.0, 0.0]])
         np.testing.assert_array_equal(pool_query(x, [2, 1, 3]).data, [[2.0, 4.0], [7.0, -1.0], [2.0, 2.0]])
 
+    def test_one_node_whose_gradient_is_upstream_over_length(self):
+        rng = np.random.default_rng(4)
+        lengths = [2, 1, 3]
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        g = rng.normal(size=(3, 3))
+        with GradientTape() as tape:
+            out = pool_query(x, lengths)
+            assert len(tape) == 1
+            ad.backward(weighted_sum(out, g))
+        # closed form: every word of query b gets g_b / len_b
+        want = np.zeros((6, 3))
+        row = 0
+        for b, m in enumerate(lengths):
+            for _ in range(m):
+                want[row] = g[b] / m
+                row += 1
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
 
 class TestAttention:
     def test_single_word_gets_weight_one(self):
@@ -287,6 +305,38 @@ class TestAttention:
                 np.testing.assert_allclose(weights[k, words], ref_w, rtol=0, atol=1e-12)
                 start += m
 
+    def test_gradients_match_closed_form(self):
+        # a ragged batch with a one-word query; every head feeds the loss with its own weights
+        rng = np.random.default_rng(5)
+        lengths = [3, 1, 4]
+        q = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        emb = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        ctx = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+        heads = [glorot(rng, 4, 6) for _ in range(3)]
+        gs = [rng.normal(size=(3, 5)) for _ in heads]
+        with GradientTape() as tape:
+            outputs, _ = attend_heads(q, emb, ctx, heads, lengths)
+            assert len(tape) == len(heads)  # one node per head
+            total = weighted_sum(outputs[0], gs[0])
+            for out, g in zip(outputs[1:], gs[1:]):
+                total = ad.add(total, weighted_sum(out, g))
+            ad.backward(total)
+        want = {"q": np.zeros_like(q.data), "emb": np.zeros_like(emb.data), "ctx": np.zeros_like(ctx.data)}
+        for k, (head, g) in enumerate(zip(heads, gs)):
+            want_head = np.zeros_like(head.data)
+            start = 0
+            for b, m in enumerate(lengths):
+                words = slice(start, start + m)
+                dq, de, dc, dk = ref_attention_grad(q.data[b : b + 1], emb.data[words], ctx.data[words], head.data, g[b : b + 1])
+                want["q"][b : b + 1] += dq
+                want["emb"][words] += de
+                want["ctx"][words] += dc
+                want_head += dk
+                start += m
+            np.testing.assert_allclose(head.grad, want_head, rtol=0, atol=1e-12 * np.abs(want_head).max(), err_msg=f"head {k}")
+        for name, t in (("q", q), ("emb", emb), ("ctx", ctx)):
+            np.testing.assert_allclose(t.grad, want[name], rtol=0, atol=1e-12 * np.abs(want[name]).max(), err_msg=name)
+
 
 class TestEncodeQuery:
     def test_shapes_and_weight_rows(self):
@@ -342,4 +392,4 @@ class TestEncodeQuery:
         assert enc.views == []
         assert enc.q.data.shape == (2, 8)
         # embedding lookup, the BiGRU layer, pool: nothing for heads
-        assert len(tape) == 4
+        assert len(tape) == 3

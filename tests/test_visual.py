@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from momentgraph import autodiff as ad
+from momentgraph.autodiff import GradientTape
 from momentgraph.errors import InputError
 from momentgraph.visual import (
     HUMAN,
@@ -15,6 +17,7 @@ from momentgraph.visual import (
 )
 
 from reference_impls import ref_route_detections
+from tape_sum import weighted_sum
 
 
 def box_blur(img):
@@ -181,6 +184,36 @@ class TestNodeEmbedding:
             np.testing.assert_allclose(h0.data[k], np.tanh(humans[k] @ p.w_h.data + p.b_h.data[0]), atol=1e-12)
         for j in range(3):
             np.testing.assert_allclose(o0.data[j], np.tanh(objects[j] @ p.w_o.data + p.b_o.data[0]), atol=1e-12)
+
+    def test_one_node_per_kind_with_closed_form_gradients(self):
+        # no human rows: the human node still runs, and its weight and bias get exact zeros
+        rng = np.random.default_rng(6)
+        p = self._params(seed=7)
+        for t in (p.b_a, p.b_o):
+            t.data = rng.normal(size=t.data.shape)
+        xs = {"a": rng.normal(size=(3, 3)), "h": np.zeros((0, 4)), "o": rng.normal(size=(4, 4))}
+        gs = {kind: rng.normal(size=(x.shape[0], 5)) for kind, x in xs.items()}
+        with GradientTape() as tape:
+            outs = dict(zip("aho", embed_nodes(xs["a"], xs["h"], xs["o"], p)))
+            assert len(tape) == 3
+            total = weighted_sum(outs["a"], gs["a"])
+            for kind in "ho":
+                total = ad.add(total, weighted_sum(outs[kind], gs[kind]))
+            ad.backward(total)
+        for kind, x in xs.items():
+            w, b = getattr(p, f"w_{kind}"), getattr(p, f"b_{kind}")
+            # closed form: d_r = g_r (1 - y_r^2) per row r, dw = sum_r x_r d_r^T, db = sum_r d_r
+            want_w, want_b = np.zeros_like(w.data), np.zeros_like(b.data)
+            for r in range(x.shape[0]):
+                y = np.tanh(x[r] @ w.data + b.data[0])
+                d = gs[kind][r] * (1.0 - y * y)
+                want_w += np.outer(x[r], d)
+                want_b[0] += d
+            if x.shape[0] == 0:
+                assert not w.grad.any() and not b.grad.any()
+                continue
+            np.testing.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12 * np.abs(want_w).max(), err_msg=kind)
+            np.testing.assert_allclose(b.grad, want_b, rtol=0, atol=1e-12 * np.abs(want_b).max(), err_msg=kind)
 
 
 class TestValidation:
