@@ -77,12 +77,18 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
+def recording(inputs) -> bool:
+    """Whether an op over inputs is recorded: a tape is active and a gradient
+    flows to one of them. A fused op keeps its backward state only then."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap an op's output, recording it on the active tape when gradients flow.
     backward_fn(g) returns one gradient (an array of the input's shape) or
     None per input, in inputs order, and writes no .grad itself."""
     out = Tensor(data)
-    if _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs):
+    if recording(inputs):
         out.requires_grad = True
         out._inputs = inputs
         out._backward = backward_fn
@@ -175,6 +181,7 @@ class SortedSegments:
         if ids.size and (ids[0] < 0 or ids[-1] >= n_segments or (ids[1:] < ids[:-1]).any()):
             raise ContractError(f"{what}: segment ids must be sorted and in [0, {n_segments})")
         self.counts = np.bincount(ids, minlength=n_segments)
+        self.rows = ids.size
         self.present = np.flatnonzero(self.counts)
         self.starts = (np.cumsum(self.counts) - self.counts)[self.present]
 
@@ -206,14 +213,16 @@ class SortedSegments:
         return p * (g - self.expand(self.sum(g * p, 0), 0))
 
 
-def segment_softmax(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Softmax over the rows of an n x 1 column within each segment of sorted
-    ids (SortedSegments.softmax); segments never share normalisation."""
+def segment_softmax(a: Tensor, segments, n_segments: int | None = None) -> Tensor:
+    """Softmax over the rows of an n x 1 column within each segment
+    (SortedSegments.softmax); segments never share normalisation. segments
+    is a built SortedSegments, so callers with one id array share it, or
+    sorted ids with their n_segments."""
     if a.data.ndim != 2 or a.data.shape[1] != 1:
         raise DimensionError(f"segment_softmax expects an n x 1 column, got {a.data.shape}")
-    if len(segment_ids) != a.data.shape[0]:
-        raise DimensionError(f"segment_softmax: {len(segment_ids)} ids for {a.data.shape[0]} rows")
-    seg = SortedSegments(segment_ids, n_segments, "segment_softmax")
+    seg = segments if isinstance(segments, SortedSegments) else SortedSegments(segments, n_segments, "segment_softmax")
+    if seg.rows != a.data.shape[0]:
+        raise DimensionError(f"segment_softmax: {seg.rows} ids for {a.data.shape[0]} rows")
     p = seg.softmax(a.data)
 
     def backward(g):

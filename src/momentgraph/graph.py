@@ -111,13 +111,18 @@ FOLDS = {"o": (("phi_sno", "msg_sn"), ("phi_vno", "msg_vn")), "h": (("phi_snh", 
 UPDATES = {"h": "m_h", "o": "m_o"}
 
 
-def _gate(left, right, m: PairMap, x0):
+def _gate(left, right, m: PairMap, x0, keep: bool):
     """sigmoid(m(left ⊙ right) ⊙ x0) on latent x rows arrays, the update of
-    one node kind, and its cache."""
+    one node kind, and its cache (None unless keep)."""
     prod = left * right
     pre = m.w.data.T @ prod + m.b.data.T
-    new = 1.0 / (1.0 + np.exp(-(pre * x0)))
-    return new, (left, right, prod, pre, new)
+    # the sigmoid in one buffer: where the step's memory peaks, a temporary per op would add node arrays
+    new = pre * x0
+    np.negative(new, out=new)
+    np.exp(new, out=new)
+    new += 1.0
+    np.divide(1.0, new, out=new)
+    return new, (left, right, prod, pre, new) if keep else None
 
 
 def _gate_backward(g, cache, m: PairMap, x0, grad):
@@ -200,10 +205,12 @@ class MessagePassing:
             self.fold[kind] = np.concatenate([(self.w_x[slot] @ self.msg[msg][0]).T for slot, msg in folds])
             self.frame[kind] = np.concatenate([self.msg[msg][0].T @ self.lang[slot] + self.msg[msg][2] for slot, msg in folds])
 
-    def step(self, a, h, o, last: bool = False):
+    def step(self, a, h, o, last: bool = False, keep: bool = True):
         """One message-passing iteration: the updated (a, h, o) and the cache
-        step_backward reads. The last iteration updates a only, so h and o
-        come back as None and what feeds only them is not computed."""
+        step_backward reads, or None unless keep, so an untaped step holds
+        no gate's inputs past the gate. The last iteration updates a only,
+        so h and o come back as None and what feeds only them is not
+        computed."""
         n = self.n
         x = {kind: np.ascontiguousarray(rows.T) for kind, rows in zip("aho", (a, h, o))}
         sv1, sv2, b_sv = self.msg["msg_sv"]
@@ -217,8 +224,8 @@ class MessagePassing:
         sums = {kind: [self.pair[kind][i] @ s[kind] + self.pair_lang[kind][i] for i in halves] for kind in s}
         h_sv_a = sv1.T @ pa[:n] + sv2.T @ sums["h"][0] + b_sv
         o_vn_a = vn1.T @ pa[n:] + vn2.T @ sums["o"][0] + b_vn
-        a_new, gate = _gate(h_sv_a, o_vn_a, self.params.m_a, self.x0["a"])
-        cache = {"x": x, "pa": pa, "s": s, "sums": sums, "gate_a": gate}
+        a_new, gate = _gate(h_sv_a, o_vn_a, self.params.m_a, self.x0["a"], keep)
+        cache = {"x": x, "pa": pa, "s": s, "sums": sums, "gate_a": gate} if keep else None
         if last:
             return a_new.T, None, None, cache
         # each node message's second input with its m_2
@@ -231,7 +238,10 @@ class MessagePassing:
             msgs += seg.expand(frame, 1)
             del frame  # freed before the gate, where the step's memory peaks
             update = getattr(self.params, UPDATES[kind])
-            new[kind], cache["gate_" + kind] = _gate(msgs[:n], msgs[n:], update, self.x0[kind])
+            new[kind], gate = _gate(msgs[:n], msgs[n:], update, self.x0[kind], keep)
+            del msgs  # untaped, freed before the next kind's messages are formed
+            if keep:
+                cache["gate_" + kind] = gate
         return a_new.T, new["h"].T, new["o"].T, cache
 
     def _pair_backward(self, kind, x, d, grads):
@@ -383,15 +393,13 @@ def spatial_graph(
     # order, so a tied query or pair map sums its slots' gradients in that order
     tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "vn": vn, "sn": sn}
     inputs = (*tensors.values(), *(t for slot in SLOTS for t in (getattr(params, slot).w, getattr(params, slot).b)))
-    recording = ad.active_tape() is not None and any(t.requires_grad for t in inputs)
+    recording = ad.recording(inputs)
     # rows x latent views of MessagePassing's latent x rows copies
     a, h, o = mp.x0["a"].T, mp.x0["h"].T, mp.x0["o"].T
     caches = []
     for i in range(n_iters):
-        a, h, o, cache = mp.step(a, h, o, last=i == n_iters - 1)
-        if recording:
-            caches.append(cache)
-        del cache  # untaped, an iteration's cache is freed before the next one runs
+        a, h, o, cache = mp.step(a, h, o, last=i == n_iters - 1, keep=recording)
+        caches.append(cache)
 
     def backward(g):
         grads, blocks = mp.backward(caches, g)

@@ -6,7 +6,7 @@ sample is a batch of one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,10 @@ from .visual import CategoryMap, NodeEmbedParams, embed_nodes, route_detections
 
 @dataclass
 class PreparedSample:
-    """A sample with tokenization and detection routing done once up front."""
+    """A sample with tokenization and detection routing done once up front.
+
+    sample keeps no detections: once routed into the stacked arrays, the
+    parsed Detection objects are released, not held for the whole run."""
 
     sample: AnnotatedSample
     tokens: list[str]
@@ -39,6 +42,11 @@ class PreparedSample:
     human_frame_ids: np.ndarray
     object_frame_ids: np.ndarray
     target: MomentTarget
+
+    @property
+    def frames(self) -> int:
+        """Timesteps of the sample's video."""
+        return self.sample.features.features.shape[0]
 
 
 class MomentModel:
@@ -93,7 +101,7 @@ class MomentModel:
             sigma_pos=cfg.sigma_pos,
         )
         return PreparedSample(
-            sample=sample,
+            sample=replace(sample, detections=[]),
             tokens=tokenize(sample.query),
             humans_stacked=humans,
             objects_stacked=objects,
@@ -133,6 +141,7 @@ class MomentModel:
         frame_sample = np.repeat(np.arange(len(batch)), lengths)
         views = [encoding.q] * 3 if cfg.variant == "single_query" else encoding.views
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
+        del features, humans, objects  # untaped, nothing holds them through the graph
         return spatial_graph(a0, h0, o0, *views, frame_sample, h_seg, o_seg, self.graph_params, cfg.iterations)
 
     def forward(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
@@ -198,4 +207,4 @@ class MomentModel:
 
 def _lengths(batch: list[PreparedSample]) -> np.ndarray:
     """Timesteps per sample, in batch order."""
-    return np.array([p.sample.features.features.shape[0] for p in batch], dtype=np.intp)
+    return np.array([p.frames for p in batch], dtype=np.intp)

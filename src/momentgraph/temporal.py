@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import InputError
 from .init import glorot
-from .text import GruParams, bigru_forward
+from .text import GruParams, Packing, bigru_forward
 
 
 @dataclass
@@ -74,17 +74,18 @@ def temporal_forward(
     InputError. Returns tape tensors so losses can backpropagate through them.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
-    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, lengths)
+    packing = Packing(lengths)  # both layers run over the same lengths
+    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, packing)
     if training and params.dropout > 0.0:
         if rng is None:
             raise InputError("training-mode dropout requires an rng")
         h1 = ad.dropout(h1, params.dropout, rng)
-    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, lengths)
-    seg = np.repeat(np.arange(lengths.size), lengths)
+    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, packing)
+    samples = ad.SortedSegments(np.repeat(np.arange(lengths.size), lengths), lengths.size, "temporal_forward")
     return {
-        "start_dist": ad.segment_softmax(h2 @ params.w_start, seg, lengths.size),
-        "end_dist": ad.segment_softmax(h2 @ params.w_end, seg, lengths.size),
-        "y": ad.segment_softmax(a_ctx @ params.w_score, seg, lengths.size),
+        "start_dist": ad.segment_softmax(h2 @ params.w_start, samples),
+        "end_dist": ad.segment_softmax(h2 @ params.w_end, samples),
+        "y": ad.segment_softmax(a_ctx @ params.w_score, samples),
     }
 
 

@@ -77,63 +77,84 @@ class GruParams:
         return p
 
 
+class Packing:
+    """The packed step order bigru_forward runs B stacked sequences in.
+
+    The sequences run side by side, longest first, so the ones still
+    running at step s are the first k_s rows of each direction's state and
+    a finished sequence keeps its state untouched. perm maps each
+    direction's packed rows (step by step, running sequences longest first)
+    to stacked rows, forward then reversed; both orders share the step
+    bounds, so every step's rows are one contiguous slice. Built once per
+    lengths, it serves every layer over them.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.size < 1 or lengths.min() < 1:
+            raise InputError("bigru_forward needs at least one row per sequence")
+        self.rows = int(lengths.sum())
+        self.batch = lengths.size
+        order = np.argsort(-lengths, kind="stable")
+        lens, starts = lengths[order], (np.cumsum(lengths) - lengths)[order]
+        steps = np.arange(lens[0])[:, None]
+        running = lens > steps
+        self.perm = np.stack([(starts + steps)[running], (starts + (lens - 1 - steps))[running]])
+        self.bounds = np.concatenate([[0], np.cumsum(running.sum(axis=1))])
+
+
 def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Tensor:
     """Run a bidirectional GRU over B sequences stacked in the rows of an
     N x d_in tensor: N x 2*hidden, forward and backward states side by side.
 
     lengths partitions the rows into consecutive sequences (None: all rows
-    are one sequence); in each direction every sequence starts from a zero
-    hidden state, the backward one at the sequence's own last row. Row i
-    holds its sequence's states after row i. The layer is one tape node
-    whose inputs are x, w, u and b of each direction, the backward one first.
+    are one sequence), given as the lengths or as their Packing; in each
+    direction every sequence starts from a zero hidden state, the backward
+    one at the sequence's own last row. Row i holds its sequence's states
+    after row i. The layer is one tape node whose inputs are x, w, u and b
+    of each direction, the backward one first.
 
-    The sequences run side by side, longest first, so the ones still running
-    at step s are the first k_s rows of each direction's state and a finished
-    sequence keeps its state untouched. Each direction reads x in its own
-    packed step order (an index map from (step, sequence) to stacked row);
-    the two orders share their step bounds, so one loop advances a
-    2 x B x hidden state and every step's rows are one contiguous slice.
-    The input projections are one stacked matmul; each step does one stacked
-    recurrent matmul for z and r and one for the candidate. The forward pass
-    caches z, r, the candidate and the previous hidden state per step; the
-    backward pass is hand-written backpropagation through time over the same
-    packed steps, carrying only the hidden-state gradient across steps.
+    Each direction reads x in its packed step order, so one loop advances a
+    2 x B x hidden state. The input projections are one stacked matmul;
+    each step does one stacked recurrent matmul for z and r and one for the
+    candidate. While a tape records the layer, the forward pass caches z, r,
+    the candidate and the previous hidden state per step, and the backward
+    pass is hand-written backpropagation through time over the same packed
+    steps, carrying only the hidden-state gradient across steps. Untaped, it
+    allocates none of those caches.
     """
     n = x.data.shape[0]
-    lengths = np.array([n] if lengths is None else lengths, dtype=np.intp)
-    if lengths.size < 1 or lengths.min() < 1:
-        raise InputError("bigru_forward needs at least one row per sequence")
-    if lengths.sum() != n:
-        raise DimensionError(f"bigru_forward: lengths sum to {lengths.sum()}, x has {n} rows")
+    packing = lengths if isinstance(lengths, Packing) else Packing([n] if lengths is None else lengths)
+    if packing.rows != n:
+        raise DimensionError(f"bigru_forward: lengths sum to {packing.rows}, x has {n} rows")
+    perm, bounds = packing.perm, packing.bounds
     hidden = fwd.u.data.shape[0]
-    order = np.argsort(-lengths, kind="stable")
-    lens, starts = lengths[order], (np.cumsum(lengths) - lengths)[order]
-    steps = np.arange(lens[0])[:, None]
-    running = lens > steps
-    # stacked row of each running (step, sequence), forward then reversed, in
-    # packed order: step by step, running sequences longest first
-    perm = np.stack([(starts + steps)[running], (starts + (lens - 1 - steps))[running]])
-    bounds = np.concatenate([[0], np.cumsum(running.sum(axis=1))])
+    # x is an input of each direction, the backward one first, so it sums their gradients in that order
+    directions = ((1, bwd), (0, fwd))
+    inputs = tuple(t for _, p in directions for t in (x, p.w, p.u, p.b))
+    taped = ad.recording(inputs)
 
     xs = x.data[perm]
     w, u, b = (np.stack([getattr(fwd, k).data, getattr(bwd, k).data]) for k in "wub")
     # each block splits into its z and r columns and its candidate columns
     (x_zr, x_c), (u_zr, u_c), (b_zr, b_c) = (np.split(a, [2 * hidden], axis=2) for a in (xs @ w, u, b))
-    out, h_prev, zs, rs, cands = (np.empty((2, n, hidden)) for _ in range(5))
-    h = np.zeros((2, lens.size, hidden))
+    out = np.empty((2, n, hidden))
+    if taped:
+        h_prev, zs, rs, cands = (np.empty((2, n, hidden)) for _ in range(4))
+    h = np.zeros((2, packing.batch, hidden))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sl, hk = slice(lo, hi), h[:, : hi - lo]
         zr = 1.0 / (1.0 + np.exp(-(x_zr[:, sl] + hk @ u_zr + b_zr)))
         z, r = zr[..., :hidden], zr[..., hidden:]
         cand = np.tanh(x_c[:, sl] + (r * hk) @ u_c + b_c)
-        h_prev[:, sl], zs[:, sl], rs[:, sl], cands[:, sl] = hk, z, r, cand
+        if taped:
+            h_prev[:, sl], zs[:, sl], rs[:, sl], cands[:, sl] = hk, z, r, cand
         hk[:] = (1.0 - z) * hk + z * cand
         out[:, sl] = hk
     result = np.empty((n, 2, hidden))
     result[perm[0], 0], result[perm[1], 1] = out
-    # x is an input of each direction, the backward one first, so it sums their gradients in that order
-    directions = ((1, bwd), (0, fwd))
-    inputs = tuple(t for _, p in directions for t in (x, p.w, p.u, p.b))
+    if not taped:
+        return Tensor(result.reshape(n, 2 * hidden))
 
     def backward(g):
         gs = np.stack([g[perm[0], :hidden], g[perm[1], hidden:]])
@@ -142,7 +163,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
         d_az, d_ar, d_ac = np.split(da, 3, axis=2)
         d_azr = da[..., : 2 * hidden]
         u_zr_t, u_c_t = u_zr.transpose(0, 2, 1), u_c.transpose(0, 2, 1)
-        dh = np.zeros((2, lens.size, hidden))
+        dh = np.zeros((2, packing.batch, hidden))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             sl, dhk = slice(lo, hi), dh[:, : hi - lo]
             z, r, cand, hp = zs[:, sl], rs[:, sl], cands[:, sl], h_prev[:, sl]
@@ -194,7 +215,8 @@ def attend_heads(
     one row per query; embeddings and contexts stack the queries' words,
     partitioned by lengths (None: all rows are one query). Returns one
     B x d_ctx tensor per head and the heads x words weights. Each head is
-    one tape node with inputs (q, embeddings, contexts, head).
+    one tape node with inputs (q, embeddings, contexts, head). A head that
+    is not embeddings-wide by q-wide is a DimensionError.
     """
     n_queries = q.data.shape[0]
     counts = embeddings.data.shape[0] if lengths is None else lengths
@@ -204,6 +226,11 @@ def attend_heads(
     outputs = []
     weights = []
     for head in heads:
+        if head.data.shape != (e.shape[1], q.data.shape[1]):
+            raise DimensionError(
+                f"attend_heads: a key matrix is {head.data.shape[0]} x {head.data.shape[1]}, "
+                f"the embeddings are {e.shape[1]} wide and the queries {q.data.shape[1]}"
+            )
         keys = e @ head.data  # words x d_q
         w = words.softmax((q_rows * keys).sum(axis=1, keepdims=True))  # words x 1
 

@@ -42,11 +42,31 @@ def build_vocab(samples: list[AnnotatedSample]) -> Vocabulary:
     return Vocabulary(tokens)
 
 
+# Frames per evaluation forward. A forward pays a fixed cost per call (the
+# BiGRU's step loop, the segment maps, the graph's folded products), so wide
+# runs amortise it, while the graph's working set grows with the frames.
+# 512, 640 and 768 scored alike; 512 keeps peak memory at the narrow
+# chunks' level (CHANGES.md has the sweep).
+EVAL_FRAMES = 512
+
+
+def _eval_chunks(prepared: list[PreparedSample]):
+    """Runs of whole consecutive samples, each closed once its frames reach EVAL_FRAMES."""
+    chunk, frames = [], 0
+    for p in prepared:
+        chunk.append(p)
+        frames += p.frames
+        if frames >= EVAL_FRAMES:
+            yield chunk
+            chunk, frames = [], 0
+    if chunk:
+        yield chunk
+
+
 def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalReport, list[dict]]:
-    """Forward + decode on a split, config.batch_size samples per forward;
-    returns the report and per-pair dump rows."""
-    step = model.config.batch_size
-    preds = [pred for i in range(0, len(prepared), step) for pred in model.predict(prepared[i : i + step])]
+    """Forward + decode on a split, one forward per _eval_chunks run, in
+    input order; returns the report and per-pair dump rows."""
+    preds = [pred for chunk in _eval_chunks(prepared) for pred in model.predict(chunk)]
     pairs = []
     rows = []
     n_degenerate = 0

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError
+from .errors import DimensionError, InputError
 from .init import glorot, zeros
 
 HUMAN = "human"
@@ -142,10 +142,13 @@ def embed_nodes(features: np.ndarray, humans: np.ndarray, objects: np.ndarray, p
     every frame's K / J detection features. Returns (a0: t x latent,
     h0: K x latent, o0: J x latent), each one tape node with inputs (w, b):
     the features are constants. An empty set is a 0-row matrix on the same
-    path and yields a 0-row latent matrix.
+    path and yields a 0-row latent matrix. A feature array whose width is
+    not its map's input width is a DimensionError.
     """
 
-    def embed(x: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    def embed(x: np.ndarray, w: Tensor, b: Tensor, kind: str) -> Tensor:
+        if x.ndim != 2 or x.shape[1] != w.data.shape[0]:
+            raise DimensionError(f"embed_nodes: {kind} features have shape {x.shape}, the map takes {w.data.shape[0]} columns")
         y = np.tanh(x @ w.data + b.data)
 
         def backward(g):
@@ -155,7 +158,7 @@ def embed_nodes(features: np.ndarray, humans: np.ndarray, objects: np.ndarray, p
         return ad.record(y, (w, b), backward)
 
     return (
-        embed(features, params.w_a, params.b_a),
-        embed(humans, params.w_h, params.b_h),
-        embed(objects, params.w_o, params.b_o),
+        embed(features, params.w_a, params.b_a, "activity"),
+        embed(humans, params.w_h, params.b_h, "human"),
+        embed(objects, params.w_o, params.b_o, "object"),
     )

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from momentgraph.graph import VARIANTS
 from momentgraph.model import MomentModel
 from momentgraph.text import Vocabulary, encode_query
 
-from reference_impls import per_gate_checkpoint_params
+from momentgraph.visual import Detection
+
+from reference_impls import per_gate_checkpoint_params, ref_route_detections
 
 # the blocks that read only human (object) nodes
 HUMAN_BLOCKS = {"embed.w_h", "embed.b_h", *(f"graph.{m}.{k}" for m in ("phi_snh", "phi_svh", "m_h") for k in "wb")}
@@ -122,6 +126,66 @@ def loss_and_grads(model, batch):
         ad.backward(total)
     grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for name, p in model.params.items()}
     return [total.item(), kl.item(), sp.item()], grads
+
+
+@pytest.mark.parametrize("variant", ["full", "single_query", "no_graph"])
+def test_untaped_forward_matches_taped_forward(variant):
+    # predict runs untaped, so the BiGRU and the graph keep no backward state;
+    # the arithmetic is the taped forward's, bit for bit
+    model, batch = tiny_instance(variant=variant, seed=3, lengths=RAGGED)
+    with GradientTape() as tape:
+        out = model.forward(batch)
+        assert len(tape) > 0
+    bounds = np.cumsum(RAGGED)[:-1]
+    preds = model.predict(batch)
+    for key, attr in (("start_dist", "start_dist"), ("end_dist", "end_dist")):
+        taped = np.split(out[key].data[:, 0], bounds)
+        for pred, want in zip(preds, taped):
+            assert getattr(pred, attr).tobytes() == want.tobytes()
+
+
+def test_untaped_forwards_leave_taped_gradients_unchanged():
+    model, batch = tiny_instance(seed=4, lengths=RAGGED)
+    before = loss_and_grads(model, batch)
+    model.predict(batch)
+    model.predict(batch[:2])
+    after = loss_and_grads(model, batch)
+    assert before[0] == after[0]
+    for name, g in before[1].items():
+        assert g.tobytes() == after[1][name].tobytes(), name
+
+
+def reachable(root):
+    """Every object reachable from root through gc referents, classes, modules and functions aside."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
+
+
+def test_prepare_releases_detections(monkeypatch):
+    prepared = []
+    prepare = MomentModel.prepare
+
+    def spy(self, sample, cmap):
+        prep = prepare(self, sample, cmap)
+        prepared.append((sample, prep))
+        return prep
+
+    monkeypatch.setattr(MomentModel, "prepare", spy)
+    model, batch = tiny_instance(lengths=(4, 3))
+    assert [prep for _, prep in prepared] == batch
+    for sample, prep in prepared:
+        assert not any(isinstance(obj, Detection) for obj in reachable(prep))
+        # the routed arrays are what routing every parsed detection gives
+        want = ref_route_detections(sample.detections, {"person": "human"}, model.config.top_n, model.config.d_o)
+        got = (prep.humans_stacked, prep.human_frame_ids, prep.objects_stacked, prep.object_frame_ids)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

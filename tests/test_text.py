@@ -262,6 +262,13 @@ class TestAttention:
         _, weights = attend_heads(Tensor([[1.0, 2.0]]), emb, Tensor(np.eye(4)), [head])
         np.testing.assert_allclose(weights, np.full((1, 4), 0.25))
 
+    @pytest.mark.parametrize("head_shape", [(4, 2), (3, 5)], ids=["rows", "columns"])
+    def test_wrong_key_width_is_dimension_error(self, head_shape):
+        head = Tensor(np.zeros(head_shape))
+        with pytest.raises(DimensionError, match=f"a key matrix is {head_shape[0]} x {head_shape[1]}, "
+                           "the embeddings are 3 wide and the queries 2"):
+            attend_heads(Tensor([[0.5, -0.2]]), Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head])
+
     def test_hand_softmax_logits(self):
         # engineered so the three key logits are exactly [1, 0, 0]
         head = Tensor(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))

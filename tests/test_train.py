@@ -1,4 +1,4 @@
-import dataclasses
+import importlib
 import json
 from types import SimpleNamespace
 
@@ -10,6 +10,8 @@ from momentgraph import synthetic_config, train
 from momentgraph.synth import SyntheticSpec, generate
 from momentgraph.temporal import decode
 from momentgraph.train import build_vocab, evaluate
+
+train_module = importlib.import_module("momentgraph.train")  # the package's `train` is the function
 
 
 @pytest.fixture(scope="module")
@@ -108,17 +110,34 @@ class TestTrain:
     def test_evaluate_chunking_does_not_change_predictions(self, tiny_data, monkeypatch):
         tr, va, cmap = tiny_data
         model, _ = train(small_config(), tr, va, cmap)
-        prepared = [model.prepare(s, cmap) for s in tr]
-        calls = []
+        # more frames than the default budget, so the default makes several runs
+        split, _ = generate(SyntheticSpec(n_samples=140, t_range=(8, 12), seed=1))
+        prepared = [model.prepare(s, cmap) for s in split]
+        assert sum(p.frames for p in prepared) > 2 * train_module.EVAL_FRAMES
+        chunks = []
         predict = model.predict
-        monkeypatch.setattr(model, "predict", lambda batch: calls.append(len(batch)) or predict(batch))
-        report, rows = evaluate(model, prepared)
-        assert calls == [4, 4, 4]  # config.batch_size samples per forward
-        model.config = dataclasses.replace(model.config, batch_size=5)
-        report5, rows5 = evaluate(model, prepared)
-        assert calls[3:] == [5, 5, 2]
-        assert rows5 == rows
-        assert report5.miou == report.miou
+        monkeypatch.setattr(model, "predict", lambda batch: chunks.append(batch) or predict(batch))
+
+        def run(budget):
+            chunks.clear()
+            monkeypatch.setattr(train_module, "EVAL_FRAMES", budget)
+            return (*evaluate(model, prepared), list(chunks))
+
+        default = train_module.EVAL_FRAMES
+        report, rows, runs = run(default)
+        # runs of whole samples that cover the split once, in order
+        assert [p for chunk in runs for p in chunk] == prepared
+        assert len(runs) > 2
+        for chunk in runs[:-1]:
+            frames = [p.frames for p in chunk]
+            assert sum(frames) >= default > sum(frames[:-1])  # closed once its frames reach the budget
+        assert sum(p.frames for p in runs[-1][:-1]) < default
+        report1, rows1, runs1 = run(1)
+        assert [len(chunk) for chunk in runs1] == [1] * len(prepared)  # one sample per forward
+        report_all, rows_all, runs_all = run(10**9)
+        assert runs_all == [prepared]  # one forward
+        assert rows1 == rows == rows_all
+        assert report1.miou == report.miou == report_all.miou
 
 
 class ReversedByOneModel:
@@ -133,7 +152,7 @@ class ReversedByOneModel:
 
 
 class TestDegeneratePolicy:
-    GT = SimpleNamespace(sample=SimpleNamespace(video_id="v", query="q", t_start_s=1.0, t_end_s=3.0))
+    GT = SimpleNamespace(frames=4, sample=SimpleNamespace(video_id="v", query="q", t_start_s=1.0, t_end_s=3.0))
 
     def test_reversed_by_one_is_counted(self):
         # the decoded interval is [2, 2]: zero length, not reversed in seconds

@@ -3,7 +3,7 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape
-from momentgraph.errors import InputError
+from momentgraph.errors import DimensionError, InputError
 from momentgraph.visual import (
     HUMAN,
     ActivityFeatures,
@@ -214,6 +214,13 @@ class TestNodeEmbedding:
                 continue
             np.testing.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12 * np.abs(want_w).max(), err_msg=kind)
             np.testing.assert_allclose(b.grad, want_b, rtol=0, atol=1e-12 * np.abs(want_b).max(), err_msg=kind)
+
+    def test_wrong_width_is_dimension_error(self):
+        p = self._params()  # d_v 3, d_o 4
+        with pytest.raises(DimensionError, match=r"activity features have shape \(2, 5\), the map takes 3 columns"):
+            embed_nodes(np.zeros((2, 5)), np.zeros((1, 4)), np.zeros((1, 4)), p)
+        with pytest.raises(DimensionError, match=r"object features have shape \(1, 2\), the map takes 4 columns"):
+            embed_nodes(np.zeros((2, 3)), np.zeros((1, 4)), np.zeros((1, 2)), p)
 
 
 class TestValidation:
