@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: 2-D (and 1-D) arrays, five primitives
-(add, matmul, gather_rows, segment_softmax, dropout), SortedSegments for the
-segment sums and softmaxes, and a tape that records operations in execution
-order. Every op, the fused stages of text, visual, graph and losses too,
+The engine is deliberately small: 2-D (and 1-D) arrays, three primitives
+(add, gather_rows, dropout), SortedSegments for the segment sums and
+softmaxes, and a tape that records operations in execution order. Every
+op, the fused stages of text, visual, graph, temporal and losses too,
 records one node through record(); only backward() adds to .grad.
 Recording only happens while a GradientTape is active, so evaluation-mode
 forward passes carry no bookkeeping overhead.
@@ -64,12 +64,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # the two operators the package uses, both between tensors
+    # the one operator the package uses, between tensors of one shape
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else NotImplemented
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -109,47 +106,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient over the axes where the operand's shape has 1."""
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two operands of one rank whose shapes broadcast."""
-    if a.data.ndim != b.data.ndim:
-        raise DimensionError(f"add: operands of rank {a.data.ndim} and {b.data.ndim}")
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}") from None
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return record(data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions disagree, {a.data.shape} x {b.data.shape}"
-        )
-
-    def backward(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return record(a.data @ b.data, (a, b), backward)
+    """Elementwise sum of two operands of one shape."""
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}")
+    return record(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
@@ -211,24 +176,6 @@ class SortedSegments:
     def softmax_backward(self, p: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The gradient in softmax's input, given its output p and the gradient g in p."""
         return p * (g - self.expand(self.sum(g * p, 0), 0))
-
-
-def segment_softmax(a: Tensor, segments, n_segments: int | None = None) -> Tensor:
-    """Softmax over the rows of an n x 1 column within each segment
-    (SortedSegments.softmax); segments never share normalisation. segments
-    is a built SortedSegments, so callers with one id array share it, or
-    sorted ids with their n_segments."""
-    if a.data.ndim != 2 or a.data.shape[1] != 1:
-        raise DimensionError(f"segment_softmax expects an n x 1 column, got {a.data.shape}")
-    seg = segments if isinstance(segments, SortedSegments) else SortedSegments(segments, n_segments, "segment_softmax")
-    if seg.rows != a.data.shape[0]:
-        raise DimensionError(f"segment_softmax: {seg.rows} ids for {a.data.shape[0]} rows")
-    p = seg.softmax(a.data)
-
-    def backward(g):
-        return (seg.softmax_backward(p, g),)
-
-    return record(p, (a,), backward)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _positive_int(text: str) -> int:
+    """An integer flag value of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _resolve_config(args, stored: dict | None = None) -> RunConfig:
     """Flags over the --config file or the synthetic preset; stored as in load_config.
     A flag that was given overrides the config field its dest names."""
@@ -73,7 +80,10 @@ def cmd_train(args) -> int:
     model.save(config.checkpoint)
     if config.report:
         log.save(config.report)
-    print(f"best val mIoU {log.best_val_miou:.2f} at epoch {log.best_epoch}; checkpoint: {config.checkpoint}")
+    if log.best_epoch is None:
+        print(f"no validation ran; checkpoint: {config.checkpoint}")
+    else:
+        print(f"best val mIoU {log.best_val_miou:.2f} at epoch {log.best_epoch}; checkpoint: {config.checkpoint}")
     return 0
 
 
@@ -179,7 +189,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--entries", type=int, default=24)
+    p.add_argument("--entries", type=_positive_int, default=24)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 

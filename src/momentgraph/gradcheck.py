@@ -11,6 +11,7 @@ from . import autodiff as ad
 from .autodiff import GradientTape
 from .config import RunConfig
 from .dataio import AnnotatedSample
+from .errors import ConfigError
 from .model import MomentModel, PreparedSample
 from .train import build_vocab
 from .visual import ActivityFeatures, CategoryMap, Detection, HUMAN
@@ -94,8 +95,10 @@ def run_gradcheck(variant: str = "full", entries_per_block: int = 24, seed: int 
     per block, on the loss of tiny_instance's GRADCHECK_LENGTHS batch.
 
     Entries are subsampled deterministically when a block is larger than
-    entries_per_block.
+    entries_per_block. An entries_per_block below 1 is a ConfigError.
     """
+    if entries_per_block < 1:
+        raise ConfigError(f"gradcheck needs at least 1 entry per block, got {entries_per_block}")
     model, batch = tiny_instance(variant=variant, seed=seed, lengths=GRADCHECK_LENGTHS)
     with GradientTape():
         loss, _, _ = model.loss(batch)

@@ -450,3 +450,13 @@ class NoGraphParams:
         registry["nograph.b"] = p.b
         return p
 
+    def project(self, x: np.ndarray) -> Tensor:
+        """x·w + b as one tape node with inputs (w, b): the rows of x are
+        constants. An x that is not w's input width is a DimensionError."""
+        if x.ndim != 2 or x.shape[1] != self.w.data.shape[0]:
+            raise DimensionError(f"no_graph: features of shape {x.shape}, the map takes {self.w.data.shape[0]} columns")
+
+        def backward(g):
+            return x.T @ g, g.sum(axis=0, keepdims=True)
+
+        return ad.record(x @ self.w.data + self.b.data, (self.w, self.b), backward)

@@ -136,8 +136,7 @@ class MomentModel:
             pooled = np.zeros((t, cfg.d_o))
             np.add.at(pooled, frame_ids, np.concatenate([humans, objects]))
             pooled /= np.maximum(np.bincount(frame_ids, minlength=t), 1)[:, None]
-            joint = Tensor(np.hstack([features, pooled]))
-            return joint @ self.nograph_params.w + self.nograph_params.b
+            return self.nograph_params.project(np.hstack([features, pooled]))
         frame_sample = np.repeat(np.arange(len(batch)), lengths)
         views = [encoding.q] * 3 if cfg.variant == "single_query" else encoding.views
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)

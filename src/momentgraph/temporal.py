@@ -1,5 +1,8 @@
 """Temporal model: 2-layer bidirectional GRU over contextualized activity
-representations, start/end heads and index -> seconds decoding.
+representations, the three softmax heads and index -> seconds decoding.
+
+Each head, softmax(x·w) within each sample's rows, is one fused tape node
+(`softmax_head`) with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import InputError
+from .errors import DimensionError, InputError
 from .init import glorot
 from .text import GruParams, Packing, bigru_forward
 
@@ -57,6 +60,24 @@ class MomentPrediction:
     degenerate: bool  # end index decoded before start index
 
 
+def softmax_head(x: Tensor, w: Tensor, samples: ad.SortedSegments) -> Tensor:
+    """softmax(x·w) over each sample's rows of x: an N x 1 column, one tape
+    node with inputs (x, w). samples maps x's rows to their samples. A w
+    that is not x-wide by 1, or a map of another row count, is a DimensionError.
+    """
+    if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], 1):
+        raise DimensionError(f"softmax_head: a map of shape {w.data.shape} for rows of shape {x.data.shape}")
+    if samples.rows != x.data.shape[0]:
+        raise DimensionError(f"softmax_head: {samples.rows} ids for {x.data.shape[0]} rows")
+    p = samples.softmax(x.data @ w.data)
+
+    def backward(g):
+        d = samples.softmax_backward(p, g)
+        return d @ w.data.T, x.data.T @ d
+
+    return ad.record(p, (x, w), backward)
+
+
 def temporal_forward(
     a_ctx: Tensor,
     lengths,
@@ -83,9 +104,9 @@ def temporal_forward(
     h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, packing)
     samples = ad.SortedSegments(np.repeat(np.arange(lengths.size), lengths), lengths.size, "temporal_forward")
     return {
-        "start_dist": ad.segment_softmax(h2 @ params.w_start, samples),
-        "end_dist": ad.segment_softmax(h2 @ params.w_end, samples),
-        "y": ad.segment_softmax(a_ctx @ params.w_score, samples),
+        "start_dist": softmax_head(h2, params.w_start, samples),
+        "end_dist": softmax_head(h2, params.w_end, samples),
+        "y": softmax_head(a_ctx, params.w_score, samples),
     }
 
 

@@ -185,11 +185,13 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
     return ad.record(result.reshape(n, 2 * hidden), inputs, backward)
 
 
-def pool_query(contexts: Tensor, lengths) -> Tensor:
-    """Mean over each query's words: N x d stacked words -> B x d, one row per query; one tape node."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    words = ad.SortedSegments(np.repeat(np.arange(lengths.size), lengths), lengths.size, "pool_query")
-    inv = 1.0 / lengths[:, None]
+def pool_query(contexts: Tensor, words: ad.SortedSegments) -> Tensor:
+    """Mean over each query's words: N x d stacked words -> B x d, one row per
+    query; one tape node. words maps the stacked words to their queries; a
+    map of another row count is a DimensionError."""
+    if words.rows != contexts.data.shape[0]:
+        raise DimensionError(f"pool_query: {words.rows} ids for {contexts.data.shape[0]} rows")
+    inv = 1.0 / words.counts[:, None]
 
     def backward(g):
         return (words.expand(g * inv, 0),)
@@ -206,23 +208,22 @@ class QueryEncoding:
 
 
 def attend_heads(
-    q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[Tensor], lengths=None
+    q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[Tensor], words: ad.SortedSegments
 ) -> tuple[list[Tensor], np.ndarray]:
     """softmax(q k^T) v per head and query: keys from raw embeddings, values from contexts.
 
     A head is its d_w x d_q key matrix: a key bias would add the same
     q·b to every word of a query, which the softmax cancels. q is B x d_q,
     one row per query; embeddings and contexts stack the queries' words,
-    partitioned by lengths (None: all rows are one query). Returns one
-    B x d_ctx tensor per head and the heads x words weights. Each head is
-    one tape node with inputs (q, embeddings, contexts, head). A head that
-    is not embeddings-wide by q-wide is a DimensionError.
+    which words maps to their queries. Returns one B x d_ctx tensor per head
+    and the heads x words weights. Each head is one tape node with inputs
+    (q, embeddings, contexts, head). A head that is not embeddings-wide by
+    q-wide, or a map of another row count, is a DimensionError.
     """
-    n_queries = q.data.shape[0]
-    counts = embeddings.data.shape[0] if lengths is None else lengths
-    words = ad.SortedSegments(np.repeat(np.arange(n_queries), counts), n_queries, "attend_heads")
-    q_rows = words.expand(q.data, 0)  # each word's query
     e, c = embeddings.data, contexts.data
+    if not words.rows == e.shape[0] == c.shape[0]:
+        raise DimensionError(f"attend_heads: {words.rows} ids for {e.shape[0]} embeddings and {c.shape[0]} contexts")
+    q_rows = words.expand(q.data, 0)  # each word's query
     outputs = []
     weights = []
     for head in heads:
@@ -282,6 +283,8 @@ def encode_query(queries: list[list[str]], vocab: Vocabulary, params: TextEncode
         raise InputError("empty query")
     embeddings = embed_query([tok for tokens in queries for tok in tokens], vocab, params.embedding)
     contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, lengths)
-    q = pool_query(contexts, lengths)
-    views = attend_heads(q, embeddings, contexts, params.heads, lengths)[0] if params.heads else []
+    # the word -> query map, shared by pooling and the heads
+    words = ad.SortedSegments(np.repeat(np.arange(len(queries)), lengths), len(queries), "encode_query")
+    q = pool_query(contexts, words)
+    views = attend_heads(q, embeddings, contexts, params.heads, words)[0] if params.heads else []
     return QueryEncoding(q=q, views=views)

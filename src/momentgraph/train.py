@@ -24,11 +24,11 @@ from .visual import CategoryMap
 class TrainLog:
     config: dict
     epochs: list[dict] = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_miou: float = float("-inf")
+    best_epoch: int | None = None  # None until a validation pass runs
+    best_val_miou: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return json.dumps(asdict(self), indent=2, allow_nan=False)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -156,7 +156,7 @@ def train(
             entry["train_miou"] = train_report.miou
             entry["val_miou"] = val_report.miou
             entry["val_degenerate"] = val_report.n_degenerate
-            if val_report.miou > log.best_val_miou:
+            if log.best_val_miou is None or val_report.miou > log.best_val_miou:
                 log.best_val_miou = val_report.miou
                 log.best_epoch = epoch
                 best_params = {name: p.data.copy() for name, p in model.params.items()}

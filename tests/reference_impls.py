@@ -44,6 +44,36 @@ def ref_segment_softmax(x, segment_ids, n_segments):
     return out
 
 
+def ref_softmax_head_grad(x, w, segment_ids, n_segments, g):
+    """Gradients of sum(g * softmax_head(x, w)) in x (n x d) and w (d x 1),
+    where row i's logit is l_i = x_i·w and the softmax runs within each
+    segment, in closed form: with p the segment softmax of l and
+    a_i = p_i (g_i - sum_{j in i's segment} p_j g_j), dx_i = a_i w^T and
+    dw = sum_i a_i x_i."""
+    n = x.shape[0]
+    logits = np.array([float(x[i] @ w[:, 0]) for i in range(n)])
+    p = ref_segment_softmax(logits, segment_ids, n_segments)
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for i in range(n):
+        mean_g = sum(p[j] * g[j, 0] for j in range(n) if segment_ids[j] == segment_ids[i])
+        a = p[i] * (g[i, 0] - mean_g)
+        dx[i] = a * w[:, 0]
+        dw[:, 0] += a * x[i]
+    return dx, dw
+
+
+def ref_nograph_grad(x, g):
+    """Gradients of sum(g * (x·w + b)) in w (d x latent) and b (1 x latent):
+    dw = sum_r x_r g_r^T and db = sum_r g_r, row by row."""
+    dw = np.zeros((x.shape[1], g.shape[1]))
+    db = np.zeros((1, g.shape[1]))
+    for r in range(x.shape[0]):
+        dw += np.outer(x[r], g[r])
+        db[0] += g[r]
+    return dw, db
+
+
 def ref_gru_sequence(x, p, reverse=False):
     """x: m x d_in; p: dict of wz,uz,bz,wr,ur,br,wh,uh,bh arrays. Returns m x hidden."""
     m = x.shape[0]

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from momentgraph.autodiff import Tensor
+from momentgraph.autodiff import SortedSegments, Tensor
 from momentgraph.config import synthetic_config
 from momentgraph.gradcheck import run_gradcheck
 from momentgraph.graph import MessagePassing, SpatialGraphParams, spatial_graph
@@ -238,7 +238,7 @@ def test_reference_loop_equivalence():
     q = rng.normal(size=(1, 6))
     emb = rng.normal(size=(5, 4))
     ctx = rng.normal(size=(5, 6))
-    outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), [head])
+    outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), [head], SortedSegments([0] * 5, 1, "words"))
     ref_out, ref_w = ref_attention(q, emb, ctx, head.data)
     assert np.abs(outputs[0].data - ref_out).max() < 1e-10
     assert np.abs(weights[0] - ref_w).max() < 1e-10

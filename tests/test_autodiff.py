@@ -6,11 +6,13 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ContractError, DimensionError
+from momentgraph.graph import NoGraphParams
+from momentgraph.temporal import softmax_head
 from momentgraph.text import attend_heads, pool_query
 from momentgraph.visual import NodeEmbedParams, embed_nodes
 
 from reference_impls import fd_grad, ref_segment_softmax
-from tape_sum import weighted_sum
+from tape_sum import matmul, weighted_sum
 
 
 def check_op(build, *arrays, rtol=1e-6):
@@ -27,29 +29,42 @@ def check_op(build, *arrays, rtol=1e-6):
         np.testing.assert_allclose(t.grad, fd, rtol=rtol, atol=1e-7)
 
 
+def segments(ids, n_segments):
+    return SortedSegments(ids, n_segments, "ids")
+
+
+def nograph_map(w, b, x):
+    """The no-graph map x·w + b with w and b as its weight and bias."""
+    return NoGraphParams(w=w, b=b).project(np.asarray(x, dtype=np.float64))
+
+
 class TestMatmul:
+    """The x·w products the tape records: the no-graph map x·w + b and softmax_head's logits."""
+
     def test_identity(self):
-        a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal((a @ b).data, [[1, 2], [3, 4]])
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(nograph_map(Tensor(np.eye(2)), Tensor(np.zeros((1, 2))), x).data, x)
 
     def test_selector_row(self):
-        out = Tensor([[1.0, 0.0]]) @ Tensor([[2.0], [5.0]])
+        out = nograph_map(Tensor([[2.0], [5.0]]), Tensor([[0.0]]), [[1.0, 0.0]])
         np.testing.assert_array_equal(out.data, [[2.0]])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        check_op(lambda x, y: x @ y, a, b)
+        x = rng.normal(size=(3, 4))
+        check_op(lambda w, b: nograph_map(w, b, x), rng.normal(size=(4, 2)), rng.normal(size=(1, 2)))
 
     def test_inner_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 2)))
+        with pytest.raises(DimensionError, match="a map of shape \\(4, 1\\) for rows of shape \\(2, 3\\)"):
+            softmax_head(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 1))), segments([0, 0], 1))
+        with pytest.raises(DimensionError, match="the map takes 4 columns"):
+            nograph_map(Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 2))), np.zeros((2, 3)))
 
     def test_rejects_1d(self):
         with pytest.raises(DimensionError):
-            ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+            softmax_head(Tensor(np.zeros(3)), Tensor(np.zeros((3, 1))), segments([0, 0, 0], 1))
+        with pytest.raises(DimensionError):
+            nograph_map(Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 2))), np.zeros(3))
 
 
 def embed_activity(w):
@@ -66,16 +81,16 @@ ATT_Q, ATT_E, ATT_C = (np.random.default_rng(9).normal(size=shape) for shape in 
 
 class TestElementwise:
     def test_softmax_symmetry(self):
-        out = ad.segment_softmax(Tensor([[0.0], [0.0], [0.0]]), [0, 0, 0], 1)
-        np.testing.assert_allclose(out.data, [[1 / 3], [1 / 3], [1 / 3]])
+        out = segments([0, 0, 0], 1).softmax(np.zeros((3, 1)))
+        np.testing.assert_allclose(out, [[1 / 3], [1 / 3], [1 / 3]])
 
     def test_softmax_normalized_and_shift_invariant(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 1)) * 10
         seg = np.repeat([0, 1], 5)
-        s1 = ad.segment_softmax(Tensor(x), seg, 2).data
+        s1 = segments(seg, 2).softmax(x)
         # each segment shifted by its own constant
-        s2 = ad.segment_softmax(Tensor(x + np.where(seg == 0, 100.0, -50.0)[:, None]), seg, 2).data
+        s2 = segments(seg, 2).softmax(x + np.where(seg == 0, 100.0, -50.0)[:, None])
         np.testing.assert_allclose(np.bincount(seg, weights=s1[:, 0]), 1.0)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
@@ -96,19 +111,28 @@ class TestElementwise:
         mask = (np.random.default_rng(0).random((1, 3)) < 0.5) / 0.5
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]] * mask)
 
-    @pytest.mark.parametrize("op", [ad.add, ad.matmul], ids=["add", "mul"])
+    @pytest.mark.parametrize(
+        "op", [ad.add, lambda x, w: softmax_head(x, w, segments([0, 0], 1))], ids=["add", "mul"]
+    )
     def test_operands_of_different_rank_are_dimension_error(self, op):
         with pytest.raises(DimensionError):
             op(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
         with pytest.raises(DimensionError):
             op(Tensor(np.ones(())), Tensor(np.ones((1, 1))))
 
+    @pytest.mark.parametrize("shapes", [((2, 3), (1, 3)), ((2, 3), (3, 2)), ((1, 1), ())], ids=["row", "transposed", "scalar"])
+    def test_add_of_unequal_shapes_is_dimension_error(self, shapes):
+        # nothing broadcasts: one operand's shape of 1 is still another shape
+        with pytest.raises(DimensionError, match="add: shapes"):
+            ad.add(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
+
     def test_operands_of_one_rank_broadcast(self):
-        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        # the no-graph map's 1 x k bias row broadcasts over the rows, so its gradient sums them
+        w = Tensor(np.zeros((2, 3)), requires_grad=True)
         b = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(weighted_sum(x + b, [[2.0], [5.0]]))
-        np.testing.assert_array_equal(x.grad, [[2.0] * 3, [5.0] * 3])
+            ad.backward(weighted_sum(nograph_map(w, b, [[1.0, 0.0], [0.0, 1.0]]), [[2.0], [5.0]]))
+        np.testing.assert_array_equal(w.grad, [[2.0] * 3, [5.0] * 3])
         np.testing.assert_array_equal(b.grad, [[7.0] * 3])
 
     def test_plus_takes_tensors_only(self):
@@ -119,18 +143,18 @@ class TestElementwise:
         "build",
         [
             lambda x: embed_activity(x),
-            lambda x: ad.add(x, x) @ Tensor([[-0.5], [1.0], [2.0], [0.25]]),
-            lambda x: Tensor([[1.0, 2.0, -3.0]]) @ ad.segment_softmax(
-                x @ Tensor([[1.0], [-2.0], [0.5], [3.0]]), [0, 1, 1], 2),
-            lambda x: (x @ Tensor([[1.0, 0.5, -1.0], [0.0, 2.0, 1.0], [-0.5, 1.0, 0.0], [1.0, -1.0, 0.5]])) @ x,
-            lambda x: attend_heads(Tensor(ATT_Q), Tensor(ATT_E), Tensor(ATT_C), [x], [1, 2])[0][0],
+            lambda x: matmul(ad.add(x, x), Tensor([[-0.5], [1.0], [2.0], [0.25]])),
+            lambda x: matmul(Tensor([[1.0, 2.0, -3.0]]), softmax_head(
+                x, Tensor([[1.0], [-2.0], [0.5], [3.0]]), segments([0, 1, 1], 2))),
+            lambda x: matmul(matmul(x, Tensor([[1.0, 0.5, -1.0], [0.0, 2.0, 1.0], [-0.5, 1.0, 0.0], [1.0, -1.0, 0.5]])), x),
+            lambda x: attend_heads(Tensor(ATT_Q), Tensor(ATT_E), Tensor(ATT_C), [x], segments([0, 1, 1], 2))[0][0],
             lambda x: ad.dropout(x, 0.5, np.random.default_rng(3)),
-            lambda x: pool_query(x, [1, 2]),
-            lambda x: x @ Tensor([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0], [-1.0, 2.0]]),
-            lambda x: ad.gather_rows(pool_query(x, [2, 1]), [1, 0, 1]),
+            lambda x: pool_query(x, segments([0, 1, 1], 2)),
+            lambda x: matmul(x, Tensor([[1.0, -2.0], [0.5, 0.0], [3.0, 1.0], [-1.0, 2.0]])),
+            lambda x: ad.gather_rows(pool_query(x, segments([0, 0, 1], 2)), [1, 0, 1]),
             lambda x: ad.gather_rows(x, [2, 0, 0, 1]),
-            lambda x: Tensor([[1.0, -2.0, 0.5]]) @ ad.segment_softmax(
-                x @ Tensor([[0.5], [1.0], [-1.0], [2.0]]), [0, 2, 2], 4),
+            lambda x: matmul(Tensor([[1.0, -2.0, 0.5]]), softmax_head(
+                x, Tensor([[0.5], [1.0], [-1.0], [2.0]]), segments([0, 2, 2], 4))),
         ],
     )
     def test_op_gradients(self, build):
@@ -139,35 +163,42 @@ class TestElementwise:
 
 
 class TestSegmentSoftmax:
+    """SortedSegments.softmax and the tape op that runs it, softmax_head."""
+
     SEG = [0, 0, 0, 1, 2, 2, 2]  # segment 1 has one row, segment 3 none
 
     def test_matches_loop_oracle(self):
         x = np.random.default_rng(5).normal(size=(7, 1)) * 5
-        out = ad.segment_softmax(Tensor(x), self.SEG, 4)
-        np.testing.assert_allclose(out.data[:, 0], ref_segment_softmax(x[:, 0], self.SEG, 4), rtol=0, atol=1e-12)
+        out = segments(self.SEG, 4).softmax(x)
+        np.testing.assert_allclose(out[:, 0], ref_segment_softmax(x[:, 0], self.SEG, 4), rtol=0, atol=1e-12)
 
     def test_one_row_segment_is_exactly_one(self):
-        out = ad.segment_softmax(Tensor([[-3.0], [40.0], [7.5]]), [0, 1, 1], 2)
-        assert out.data[0, 0] == 1.0
-        assert ad.segment_softmax(Tensor([[123.4]]), [0], 1).data[0, 0] == 1.0
+        out = segments([0, 1, 1], 2).softmax(np.array([[-3.0], [40.0], [7.5]]))
+        assert out[0, 0] == 1.0
+        head = softmax_head(Tensor([[123.4, -7.0]]), Tensor([[0.5], [2.0]]), segments([0], 1))
+        assert head.data[0, 0] == 1.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(7, 1)), requires_grad=True)
+        x = Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
         weights = rng.normal(size=(7, 1))
+        seg = segments(self.SEG, 4)
 
         def loss():
-            return float((ad.segment_softmax(x, self.SEG, 4).data * weights).sum())
+            return float((softmax_head(x, w, seg).data * weights).sum())
 
         with GradientTape():
-            ad.backward(weighted_sum(ad.segment_softmax(x, self.SEG, 4), weights))
+            ad.backward(weighted_sum(softmax_head(x, w, seg), weights))
         np.testing.assert_allclose(x.grad, fd_grad(loss, x.data), rtol=1e-6, atol=1e-10)
+        np.testing.assert_allclose(w.grad, fd_grad(loss, w.data), rtol=1e-6, atol=1e-10)
 
     @pytest.mark.parametrize("ids", [[0, 1, 0], [0, 0, 2], [-1, 0, 0]], ids=["unsorted", "too_large", "negative"])
     @pytest.mark.parametrize(
         "name, op",
         [("ids", lambda ids: SortedSegments(ids, 2, "ids")),
-         ("segment_softmax", lambda ids: ad.segment_softmax(Tensor(np.zeros((3, 1))), ids, 2))],
+         ("softmax_head", lambda ids: softmax_head(
+             Tensor(np.zeros((3, 1))), Tensor([[1.0]]), SortedSegments(ids, 2, "softmax_head")))],
         ids=["sum", "softmax"],
     )
     def test_unsorted_or_out_of_range_ids_are_contract_error(self, name, op, ids):
@@ -175,10 +206,11 @@ class TestSegmentSoftmax:
             op(ids)
 
     def test_rejects_non_column_and_id_count(self):
-        with pytest.raises(DimensionError):
-            ad.segment_softmax(Tensor(np.zeros((1, 3))), [0], 1)
-        with pytest.raises(DimensionError):
-            ad.segment_softmax(Tensor(np.zeros((3, 1))), [0, 0], 1)
+        # the head's map must be x-wide by 1, and the segment map must cover x's rows
+        with pytest.raises(DimensionError, match="a map of shape \\(3, 2\\)"):
+            softmax_head(Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 2))), segments([0], 1))
+        with pytest.raises(DimensionError, match="softmax_head: 2 ids for 3 rows"):
+            softmax_head(Tensor(np.zeros((3, 1))), Tensor([[1.0]]), segments([0, 0], 1))
 
 
 class TestBackward:
@@ -192,7 +224,7 @@ class TestBackward:
         # sum(x x) = 1'x x 1, so entry (i, j) of the gradient is (x 1)_j + (x'1)_i
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         with GradientTape():
-            ad.backward(weighted_sum(x @ x))
+            ad.backward(weighted_sum(matmul(x, x)))
         np.testing.assert_array_equal(x.grad, [[7.0, 11.0], [9.0, 13.0]])
 
     def test_reused_tensor_accumulates(self):
@@ -240,7 +272,7 @@ class TestBackward:
     def test_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with GradientTape():
-            y = x + Tensor([[1.0]])
+            y = x + Tensor(np.ones((2, 2)))
             with pytest.raises(ContractError):
                 ad.backward(y)
 
@@ -258,7 +290,7 @@ class TestBackward:
 class TestTape:
     def test_no_recording_without_tape(self):
         x = Tensor([[1.0]], requires_grad=True)
-        y = x @ Tensor([[2.0]]) + Tensor([[1.0]])
+        y = matmul(x, Tensor([[2.0]])) + Tensor([[1.0]])
         assert not y.requires_grad
         assert y._backward is None
 
@@ -280,7 +312,7 @@ class TestTape:
         for _ in range(2):
             x.grad = None
             with GradientTape():
-                ad.backward(weighted_sum(embed_activity(x @ x)))
+                ad.backward(weighted_sum(embed_activity(matmul(x, x))))
             grads.append(x.grad.copy())
         np.testing.assert_array_equal(grads[0], grads[1])
 

@@ -66,6 +66,21 @@ class TestTrain:
         log = json.loads((workspace / "log.json").read_text())
         assert len(log["epochs"]) == 2
 
+    def test_zero_epochs_log_is_json_with_no_best_epoch(self, workspace, tmp_path, capsys):
+        log_path = tmp_path / "log.json"
+        code = main([
+            "train", "--data", str(workspace / "data"), "--epochs", "0", "--quiet",
+            "--checkpoint", str(tmp_path / "m.ckpt"), "--report", str(log_path),
+        ])
+        assert code == 0
+        assert "no validation ran" in capsys.readouterr().out
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        log = json.loads(log_path.read_text(), parse_constant=reject)
+        assert log["epochs"] == [] and log["best_epoch"] is None and log["best_val_miou"] is None
+
 
 class TestEval:
     def test_eval_runs_and_writes_report(self, workspace, capsys):
@@ -427,6 +442,13 @@ class TestGradcheck:
         assert main(["gradcheck", "--variant", "full", "--entries", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 failing" in out
+
+    @pytest.mark.parametrize("entries", ["0", "-1", "x"])
+    def test_entries_below_one_is_usage_error(self, capsys, entries):
+        assert main(["gradcheck", "--entries", entries]) == 1
+        captured = capsys.readouterr()
+        assert f"error: argument --entries: expected an integer of at least 1, got '{entries}'" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestAblate:

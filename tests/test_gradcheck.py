@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph import gradcheck
+from momentgraph.errors import ConfigError
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, format_results, run_gradcheck, tiny_instance
 
 
@@ -49,3 +51,10 @@ def test_format_lists_every_block():
     assert f"{len(results)} blocks" in text
     for r in results[:3]:
         assert r.name in text
+
+
+@pytest.mark.parametrize("entries", [0, -1])
+def test_entries_below_one_is_config_error(entries):
+    # 0 would check nothing and pass; a negative count has no sample to draw
+    with pytest.raises(ConfigError, match=f"at least 1 entry per block, got {entries}"):
+        run_gradcheck(entries_per_block=entries)

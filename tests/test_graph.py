@@ -7,13 +7,14 @@ from momentgraph.errors import ConfigError, ContractError
 from momentgraph.graph import (
     VARIANTS,
     MessagePassing,
+    NoGraphParams,
     SpatialGraphParams,
     check_variant,
     create_single_query_params,
     spatial_graph,
 )
 
-from reference_impls import fd_grad, ref_graph_iteration
+from reference_impls import fd_grad, ref_graph_iteration, ref_nograph_grad
 from tape_sum import weighted_sum
 
 D_LANG = 6
@@ -347,3 +348,18 @@ class TestNoObjectNode:
         np.testing.assert_allclose(h, rh, atol=1e-12)
         assert o.shape == (0, LATENT)
         assert_independent_of(("phi_sno", "phi_vno"), a0, h0, o0, sv, sn, vn, p, seed=32)
+
+
+class TestNoGraphMap:
+    def test_one_node_with_closed_form_gradients(self):
+        rng = np.random.default_rng(1)
+        p = NoGraphParams.create(rng, 3, 2, 4, {})
+        x = rng.normal(size=(6, 5))
+        g = rng.normal(size=(6, 4))
+        with GradientTape() as tape:
+            out = p.project(x)
+            assert len(tape) == 1 and out._inputs == (p.w, p.b)  # the features are constants
+            ad.backward(weighted_sum(out, g))
+        want_w, want_b = ref_nograph_grad(x, g)
+        np.testing.assert_allclose(p.w.grad, want_w, rtol=0, atol=1e-12 * np.abs(want_w).max())
+        np.testing.assert_allclose(p.b.grad, want_b, rtol=0, atol=1e-12 * np.abs(want_b).max())

@@ -229,9 +229,9 @@ class TestBatchInvariance:
 
 
 # tape nodes of one tiny training step; the spatial graph is one node at any
-# depth, and each BiGRU layer is one node
+# depth, and each BiGRU layer and each softmax head is one node
 TAPE_BUDGET = {
-    "full": 23, "no_node_types": 23, "no_human_node": 23, "no_object_node": 23, "single_query": 20, "no_graph": 15,
+    "full": 20, "no_node_types": 20, "no_human_node": 20, "no_object_node": 20, "single_query": 17, "no_graph": 11,
 }
 
 

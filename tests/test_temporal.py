@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from momentgraph.autodiff import Tensor
+from momentgraph import autodiff as ad
+from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import InputError
-from momentgraph.temporal import TemporalParams, decode, temporal_forward
+from momentgraph.temporal import TemporalParams, decode, softmax_head, temporal_forward
 
-from reference_impls import ref_temporal
+from reference_impls import ref_softmax_head_grad, ref_temporal
+from tape_sum import weighted_sum
 
 LATENT = 6
 HIDDEN = 4
@@ -85,6 +87,23 @@ class TestForward:
             temporal_forward(Tensor(np.zeros((0, LATENT))), [0], p)
         with pytest.raises(InputError):
             temporal_forward(Tensor(np.zeros((3, LATENT))), [3, 0], p)
+
+
+class TestSoftmaxHead:
+    IDS = [0, 0, 0, 1, 2, 2, 2, 2]  # a one-row sample among longer ones
+
+    def test_one_node_with_closed_form_gradients(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+        g = rng.normal(size=(8, 1))
+        with GradientTape() as tape:
+            out = softmax_head(x, w, SortedSegments(self.IDS, 3, "samples"))
+            assert len(tape) == 1 and out._inputs == (x, w)
+            ad.backward(weighted_sum(out, g))
+        want_x, want_w = ref_softmax_head_grad(x.data, w.data, self.IDS, 3, g)
+        np.testing.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12 * np.abs(want_x).max())
+        np.testing.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12 * np.abs(want_w).max())
 
 
 class TestDecode:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentgraph import autodiff as ad
-from momentgraph.autodiff import GradientTape, Tensor
+from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import DimensionError, InputError
 from momentgraph.init import glorot
 from momentgraph.text import (
@@ -20,6 +20,11 @@ from momentgraph.text import (
 
 from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_attention_grad, ref_bigru, ref_gru_sequence
 from tape_sum import weighted_sum
+
+
+def word_map(lengths):
+    """The word -> query map of stacked queries of these lengths, as encode_query builds it."""
+    return SortedSegments(np.repeat(np.arange(len(lengths)), lengths), len(lengths), "words")
 
 
 class TestTokenizeAndVocab:
@@ -216,18 +221,23 @@ class TestGru:
 class TestPooling:
     def test_single_row(self):
         x = Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(pool_query(x, [1]).data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(pool_query(x, word_map([1])).data, [[1.0, 2.0]])
 
     def test_opposite_rows_cancel(self):
         x = Tensor([[1.0, -3.0], [-1.0, 3.0]])
-        np.testing.assert_array_equal(pool_query(x, [2]).data, [[0.0, 0.0]])
+        np.testing.assert_array_equal(pool_query(x, word_map([2])).data, [[0.0, 0.0]])
 
     def test_hand_mean(self):
         x = Tensor([[1.0, 3.0], [3.0, 5.0]])
-        np.testing.assert_array_equal(pool_query(x, [2]).data, [[2.0, 4.0]])
+        np.testing.assert_array_equal(pool_query(x, word_map([2])).data, [[2.0, 4.0]])
         # three queries stacked: each row is the mean of its own words only
         x = Tensor([[1.0, 3.0], [3.0, 5.0], [7.0, -1.0], [0.0, 2.0], [4.0, 4.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(pool_query(x, [2, 1, 3]).data, [[2.0, 4.0], [7.0, -1.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(pool_query(x, word_map([2, 1, 3])).data, [[2.0, 4.0], [7.0, -1.0], [2.0, 2.0]])
+
+    def test_map_of_another_row_count_is_dimension_error(self):
+        # a 2-row map over 3 rows would pool rows 1 and 2 into the second query
+        with pytest.raises(DimensionError, match="pool_query: 2 ids for 3 rows"):
+            pool_query(Tensor(np.zeros((3, 2))), word_map([1, 1]))
 
     def test_one_node_whose_gradient_is_upstream_over_length(self):
         rng = np.random.default_rng(4)
@@ -235,7 +245,7 @@ class TestPooling:
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         g = rng.normal(size=(3, 3))
         with GradientTape() as tape:
-            out = pool_query(x, lengths)
+            out = pool_query(x, word_map(lengths))
             assert len(tape) == 1
             ad.backward(weighted_sum(out, g))
         # closed form: every word of query b gets g_b / len_b
@@ -252,14 +262,14 @@ class TestAttention:
     def test_single_word_gets_weight_one(self):
         head = glorot(np.random.default_rng(0), 3, 2)
         q = Tensor([[0.5, -0.2]])
-        outputs, weights = attend_heads(q, Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head])
+        outputs, weights = attend_heads(q, Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head], word_map([1]))
         np.testing.assert_allclose(weights, [[1.0]])
         np.testing.assert_allclose(outputs[0].data, [[7.0, 8.0]])
 
     def test_identical_keys_give_uniform_weights(self):
         head = glorot(np.random.default_rng(1), 3, 2)
         emb = Tensor(np.tile([[0.3, -0.1, 0.2]], (4, 1)))
-        _, weights = attend_heads(Tensor([[1.0, 2.0]]), emb, Tensor(np.eye(4)), [head])
+        _, weights = attend_heads(Tensor([[1.0, 2.0]]), emb, Tensor(np.eye(4)), [head], word_map([4]))
         np.testing.assert_allclose(weights, np.full((1, 4), 0.25))
 
     @pytest.mark.parametrize("head_shape", [(4, 2), (3, 5)], ids=["rows", "columns"])
@@ -267,7 +277,12 @@ class TestAttention:
         head = Tensor(np.zeros(head_shape))
         with pytest.raises(DimensionError, match=f"a key matrix is {head_shape[0]} x {head_shape[1]}, "
                            "the embeddings are 3 wide and the queries 2"):
-            attend_heads(Tensor([[0.5, -0.2]]), Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head])
+            attend_heads(Tensor([[0.5, -0.2]]), Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head], word_map([1]))
+
+    def test_map_of_another_row_count_is_dimension_error(self):
+        head = glorot(np.random.default_rng(0), 3, 2)
+        with pytest.raises(DimensionError, match="attend_heads: 2 ids for 3 embeddings and 3 contexts"):
+            attend_heads(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 2))), [head], word_map([1, 1]))
 
     def test_hand_softmax_logits(self):
         # engineered so the three key logits are exactly [1, 0, 0]
@@ -275,7 +290,7 @@ class TestAttention:
         q = Tensor([[1.0, 0.0]])
         emb = Tensor(np.eye(3))
         ctx = Tensor(np.eye(3))
-        outputs, weights = attend_heads(q, emb, ctx, [head])
+        outputs, weights = attend_heads(q, emb, ctx, [head], word_map([3]))
         expected0 = np.e / (np.e + 2.0)  # 0.57611...
         assert weights[0, 0] == pytest.approx(expected0, abs=1e-12)
         np.testing.assert_allclose(outputs[0].data[0], weights[0], atol=1e-12)
@@ -285,7 +300,7 @@ class TestAttention:
         heads = [glorot(rng, 4, 6) for _ in range(3)]
         emb = Tensor(rng.normal(size=(5, 4)))
         ctx = Tensor(rng.normal(size=(5, 6)))
-        outputs, weights = attend_heads(Tensor(rng.normal(size=(1, 6))), emb, ctx, heads)
+        outputs, weights = attend_heads(Tensor(rng.normal(size=(1, 6))), emb, ctx, heads, word_map([5]))
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
         assert (weights >= 0).all()
         for out in outputs:
@@ -300,7 +315,7 @@ class TestAttention:
         q = rng.normal(size=(3, 6))
         emb = rng.normal(size=(8, 4))
         ctx = rng.normal(size=(8, 6))
-        outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), heads, lengths)
+        outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), heads, word_map(lengths))
         assert weights.shape == (3, 8)
         for k, head in enumerate(heads):
             assert outputs[k].data.shape == (3, 6)
@@ -322,7 +337,7 @@ class TestAttention:
         heads = [glorot(rng, 4, 6) for _ in range(3)]
         gs = [rng.normal(size=(3, 5)) for _ in heads]
         with GradientTape() as tape:
-            outputs, _ = attend_heads(q, emb, ctx, heads, lengths)
+            outputs, _ = attend_heads(q, emb, ctx, heads, word_map(lengths))
             assert len(tape) == len(heads)  # one node per head
             total = weighted_sum(outputs[0], gs[0])
             for out, g in zip(outputs[1:], gs[1:]):
@@ -356,7 +371,7 @@ class TestEncodeQuery:
             assert v.data.shape == (1, 8)
         # the heads' weights over the encoder's own words sum to 1 per head
         emb = embed_query(["person", "opens", "door"], vocab, params.embedding)
-        _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads)
+        _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads, word_map([3]))
         assert weights.shape == (3, 3)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
 

@@ -36,6 +36,10 @@ class TestTrain:
         fresh = MomentModel(model.config, build_vocab(tr))
         for name, p in fresh.params.items():
             assert model.params[name].data.tobytes() == p.data.tobytes()
+        # no validation pass ran, so there is no best epoch, and the log is strict JSON
+        assert log.best_epoch is None and log.best_val_miou is None
+        data = json.loads(log.to_json())
+        assert data["best_epoch"] is None and data["best_val_miou"] is None
 
     def test_same_seed_identical_logs(self, tiny_data):
         tr, va, cmap = tiny_data
