@@ -41,11 +41,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _positive_int(text: str) -> int:
-    """An integer flag value of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """The type of an integer flag whose value must be at least low."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _resolve_config(args, stored: dict | None = None) -> RunConfig:
@@ -158,9 +162,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=250)
-    p.add_argument("--t-min", type=int, default=12)
-    p.add_argument("--t-max", type=int, default=32)
+    p.add_argument("--samples", type=_int_at_least(1), default=250)
+    p.add_argument("--t-min", type=_int_at_least(4), default=12)
+    p.add_argument("--t-max", type=int, default=32)  # checked against --t-min in main
     p.add_argument("--signal", type=float, default=3.0)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=None)
@@ -189,7 +193,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--entries", type=_positive_int, default=24)
+    p.add_argument("--entries", type=_int_at_least(1), default=24)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -200,6 +204,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "synth" and args.t_min > args.t_max:
+            parser.error(f"argument --t-max: {args.t_max} is below --t-min {args.t_min}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT

@@ -1,5 +1,11 @@
-"""On-disk dataset formats: binary feature files, detection/annotation
+"""On-disk dataset formats: binary feature and detection files, annotation
 JSON Lines, the category map and the train/val manifest.
+
+A detection file (version 1) is magic bytes "DETS", format version u32,
+header length u64, a UTF-8 JSON header {"video_id", "labels", "rows",
+"width"}, then little-endian arrays to end of file: frame index <i8, label
+id <i8 (an index into labels), confidence <f8 and the rows x width <f8
+feature matrix.
 """
 
 from __future__ import annotations
@@ -13,10 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InputError
-from .visual import ActivityFeatures, CategoryMap, Detection
+from .visual import ActivityFeatures, CategoryMap, Detection, Detections
 
 FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
+DETS_MAGIC = b"DETS"
+DETS_VERSION = 1
+DETS_HEADER = {"video_id": str, "labels": list, "rows": int, "width": int}
 
 
 @dataclass
@@ -28,7 +37,8 @@ class AnnotatedSample:
     t_start_s: float
     t_end_s: float
     features: ActivityFeatures  # the video's duration is features.duration_seconds
-    detections: list[list[Detection]]  # one list per feature row / keyframe
+    # one list per feature row / keyframe as generated, or columns as loaded
+    detections: list[list[Detection]] | Detections
 
 
 def write_features(af: ActivityFeatures, path: str) -> None:
@@ -71,18 +81,63 @@ def read_features(path: str) -> ActivityFeatures:
         raise DataError(f"{path}: truncated or corrupt feature file: {exc}")
 
 
-def write_detections(video_id: str, per_frame: list[list[Detection]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for frame_index, dets in enumerate(per_frame):
-            record = {
-                "video_id": video_id,
-                "frame_index": frame_index,
-                "detections": [
-                    {"label": d.label, "confidence": d.confidence, "feature": d.feature.tolist()}
-                    for d in dets
-                ],
-            }
-            f.write(json.dumps(record) + "\n")
+def write_detections(video_id: str, dets: Detections, path: str) -> None:
+    rows, width = dets.features.shape
+    header = json.dumps({"video_id": video_id, "labels": dets.labels, "rows": rows, "width": width}).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(DETS_MAGIC + struct.pack("<IQ", DETS_VERSION, len(header)) + header)
+        for column, dtype in ((dets.frame, "<i8"), (dets.label_id, "<i8"), (dets.confidence, "<f8"), (dets.features, "<f8")):
+            f.write(np.ascontiguousarray(column, dtype=dtype).tobytes())
+
+
+def read_detections(path: str, frames: int) -> Detections:
+    """One video's detection file as columns; frames is the video's timestep
+    count. Every malformed file is a DataError naming it, and the row if one
+    row is at fault."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    if blob[:4] != DETS_MAGIC:
+        raise DataError(f"{path}: bad magic bytes")
+    try:
+        version, n = struct.unpack_from("<IQ", blob, 4)
+        if version != DETS_VERSION:
+            raise DataError(f"{path}: unsupported detection-file version {version}")
+        header = json.loads(blob[16 : 16 + n].decode("utf-8"))
+    except (struct.error, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise DataError(f"{path}: truncated or corrupt detection header: {exc}")
+    # exact types: a JSON true/false parses as a bool, which subclasses int
+    if not (
+        type(header) is dict
+        and set(header) == set(DETS_HEADER)
+        and all(type(header[key]) is kind for key, kind in DETS_HEADER.items())
+        and all(type(label) is str for label in header["labels"])
+    ):
+        raise DataError(f'{path}: header is not {{"video_id": string, "labels": [strings], "rows": integer, "width": integer}}')
+    labels, rows, width = header["labels"], header["rows"], header["width"]
+    offset = 16 + n
+    if rows < 0 or width < 0:
+        raise DataError(f"{path}: rows {rows} and width {width} must not be negative")
+    size = 8 * rows * (3 + width)  # checked before any array is made, so a huge rows allocates nothing
+    if size != len(blob) - offset:
+        raise DataError(f"{path}: {rows} rows of width {width} need {size} bytes, {len(blob) - offset} follow the header")
+    try:
+        frame, label_id = (np.frombuffer(blob, "<i8", rows, offset + 8 * rows * i).astype(np.intp) for i in (0, 1))
+        confidence = np.frombuffer(blob, "<f8", rows, offset + 16 * rows).copy()
+        features = np.frombuffer(blob, "<f8", rows * width, offset + 24 * rows).copy().reshape(rows, width)
+    except (ValueError, OverflowError) as exc:  # a width numpy cannot shape, on zero rows
+        raise DataError(f"{path}: corrupt detection file: {exc}")
+    checks = (
+        (np.diff(frame, prepend=frame[:1]) < 0, lambda i: f"frame index {frame[i]} is below the row before it"),
+        ((frame < 0) | (frame >= frames), lambda i: f"frame index {frame[i]} is outside [0, {frames})"),
+        ((label_id < 0) | (label_id >= len(labels)), lambda i: f"label id {label_id[i]} is outside the {len(labels)}-label table"),
+        (~((confidence >= 0.0) & (confidence <= 1.0)), lambda i: f"confidence {confidence[i]} is not in [0, 1]"),
+        (~np.isfinite(features).all(axis=1), lambda i: "detection features are not finite"),
+    )
+    for bad, what in checks:
+        at = np.flatnonzero(bad)
+        if at.size:
+            raise DataError(f"{path}: row {at[0]}: {what(at[0])}")
+    return Detections(frames, frame, confidence, label_id, labels, features)
 
 
 def _jsonl_lines(path: str) -> list[tuple[int, str]]:
@@ -95,39 +150,6 @@ def _jsonl_lines(path: str) -> list[tuple[int, str]]:
         lineno = blob.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}:{lineno}: not UTF-8 text: {exc}")
     return [(lineno, line) for lineno, line in enumerate(text.split("\n"), 1) if line.strip()]
-
-
-def _detection(d: dict) -> Detection:
-    """One parsed detection record. Exact types: a JSON true/false parses as a
-    bool, which would pass as a confidence of 1 or 0."""
-    label, confidence = d["label"], d["confidence"]
-    if type(label) is not str:
-        raise TypeError(f"label {label!r} is not a JSON string")
-    if type(confidence) not in (int, float):
-        raise TypeError(f"confidence {confidence!r} is not a JSON number")
-    return Detection(label, confidence, np.array(d["feature"], dtype=np.float64))
-
-
-def read_detections(path: str) -> dict[int, list[Detection]]:
-    """Frame index -> detection list for one video; each frame on one line."""
-    frames: dict[int, list[Detection]] = {}
-    for lineno, line in _jsonl_lines(path):
-        try:
-            rec = json.loads(line)
-            index = rec["frame_index"]
-            dets = [_detection(d) for d in rec["detections"]]
-        except (KeyError, ValueError, TypeError, OverflowError, InputError) as exc:  # OverflowError: an integer too large for a float
-            raise DataError(f"{path}:{lineno}: malformed detection record: {exc}")
-        if type(index) is not int:  # exact type: a JSON true/false parses as a bool, which subclasses int
-            raise DataError(f"{path}:{lineno}: frame_index {index!r} is not a JSON integer")
-        if index in frames:
-            raise DataError(f"{path}:{lineno}: frame_index {index} appears on an earlier line")
-        if dets and not (
-            all(d.feature.ndim == 1 for d in dets) and np.isfinite(np.concatenate([d.feature for d in dets])).all()
-        ):
-            raise DataError(f"{path}:{lineno}: detection features must be finite 1-D arrays")
-        frames[index] = dets
-    return frames
 
 
 def write_category_map(cmap: CategoryMap, path: str) -> None:
@@ -220,7 +242,8 @@ def read_manifest(path: str) -> tuple[list[str], list[str]]:
 
 def write_dataset(samples: list[AnnotatedSample], cmap: CategoryMap, out_dir: str, val_fraction: float = 0.2) -> None:
     """Lay out a dataset directory: features/, detections/, annotations,
-    category map and an 80/20 by-video manifest."""
+    category map and an 80/20 by-video manifest. A sample's detections may
+    be per-frame Detection lists, as generated, or columns, as loaded."""
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "detections"), exist_ok=True)
     by_video: dict[str, AnnotatedSample] = {}
@@ -228,7 +251,10 @@ def write_dataset(samples: list[AnnotatedSample], cmap: CategoryMap, out_dir: st
         by_video.setdefault(s.video_id, s)
     for vid, s in by_video.items():
         write_features(s.features, os.path.join(out_dir, "features", f"{vid}.feat"))
-        write_detections(vid, s.detections, os.path.join(out_dir, "detections", f"{vid}.jsonl"))
+        dets = s.detections
+        if not isinstance(dets, Detections):  # a video without detections is written 0 wide
+            dets = Detections.from_frames(dets, next((d.feature.size for frame in dets for d in frame), 0))
+        write_detections(vid, dets, os.path.join(out_dir, "detections", f"{vid}.dets"))
     write_annotations(samples, os.path.join(out_dir, "annotations.jsonl"))
     write_category_map(cmap, os.path.join(out_dir, "category_map.json"))
     video_ids = sorted(by_video)
@@ -240,7 +266,7 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
     """Parse annotations and join against per-video feature/detection files."""
     rows = read_annotations(path)
     feature_cache: dict[str, ActivityFeatures] = {}
-    detection_cache: dict[str, list[list[Detection]]] = {}
+    detection_cache: dict[str, Detections] = {}
     samples = []
     for row in rows:
         vid = row["video_id"]
@@ -250,12 +276,17 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
                 raise DataError(f"missing feature file for video '{vid}' ({fpath})")
             feature_cache[vid] = read_features(fpath)
             t = feature_cache[vid].features.shape[0]
-            dpath = os.path.join(detections_dir, f"{vid}.jsonl")
-            frames = read_detections(dpath) if os.path.exists(dpath) else {}
-            for i in frames:
-                if not 0 <= i < t:
-                    raise DataError(f"{dpath}: frame_index {i} is outside [0, {t}) for video '{vid}'")
-            detection_cache[vid] = [frames.get(i, []) for i in range(t)]
+            dpath = os.path.join(detections_dir, f"{vid}.dets")
+            stale = os.path.join(detections_dir, f"{vid}.jsonl")
+            if os.path.exists(dpath):
+                detection_cache[vid] = read_detections(dpath, t)
+            elif os.path.exists(stale):
+                raise DataError(
+                    f"{stale}: detections in the old JSON Lines format; this version reads binary "
+                    f"detections/<video_id>.dets files only, so write the dataset again"
+                )
+            else:  # a video without a detection file has no detections
+                detection_cache[vid] = Detections.from_frames([[]] * t, 0)
         feats = feature_cache[vid]
         if row["duration_s"] != feats.duration_seconds:
             raise DataError(

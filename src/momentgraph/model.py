@@ -14,7 +14,7 @@ from .autodiff import Tensor
 from .checkpoint import load_params, save_params
 from .config import MODEL_FIELDS, RunConfig
 from .dataio import AnnotatedSample
-from .errors import CheckpointError, DataError
+from .errors import CheckpointError, DataError, InputError
 from .graph import (
     NoGraphParams,
     SpatialGraphParams,
@@ -25,15 +25,15 @@ from .graph import (
 from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
 from .text import HEADS, TextEncoderParams, Vocabulary, encode_query, tokenize
-from .visual import CategoryMap, NodeEmbedParams, embed_nodes, route_detections
+from .visual import CategoryMap, Detections, NodeEmbedParams, embed_nodes, route_detections
 
 
 @dataclass
 class PreparedSample:
     """A sample with tokenization and detection routing done once up front.
 
-    sample keeps no detections: once routed into the stacked arrays, the
-    parsed Detection objects are released, not held for the whole run."""
+    sample keeps no detections: once routed into the stacked arrays, its
+    detection lists or columns are released, not held for the whole run."""
 
     sample: AnnotatedSample
     tokens: list[str]
@@ -80,14 +80,19 @@ class MomentModel:
             raise DataError(
                 f"video '{sample.video_id}': activity features are {features.shape[1]} wide, config d_v is {cfg.d_v}"
             )
-        for det in (det for dets in sample.detections for det in dets):
-            if det.feature.shape[0] != cfg.d_o:
-                raise DataError(
-                    f"video '{sample.video_id}': detection features are {det.feature.shape[0]} wide, "
-                    f"config d_o is {cfg.d_o}"
-                )
+        dets = sample.detections
+        if not isinstance(dets, Detections):
+            try:
+                dets = Detections.from_frames(dets, cfg.d_o)
+            except InputError as exc:
+                raise DataError(f"video '{sample.video_id}': {exc}")
+        rows, width = dets.features.shape
+        if width != cfg.d_o:
+            if rows:
+                raise DataError(f"video '{sample.video_id}': detection features are {width} wide, config d_o is {cfg.d_o}")
+            dets = replace(dets, features=np.zeros((0, cfg.d_o)))  # no rows, so no width of its own
         route_map = CategoryMap() if cfg.variant == "no_node_types" else cmap
-        humans, h_seg, objects, o_seg = route_detections(sample.detections, route_map, cfg.top_n, cfg.d_o)
+        humans, h_seg, objects, o_seg = route_detections(dets, route_map, cfg.top_n)
         if cfg.variant == "no_human_node":
             humans, h_seg = humans[:0], h_seg[:0]
         if cfg.variant == "no_object_node":

@@ -40,6 +40,9 @@ class ActivityFeatures:
 
 @dataclass
 class Detection:
+    """One detection as a detector reports it; Detections.from_frames turns
+    per-frame lists of them into columns."""
+
     label: str
     confidence: float
     feature: np.ndarray
@@ -48,6 +51,47 @@ class Detection:
         if not 0.0 <= self.confidence <= 1.0:
             raise InputError(f"detection '{self.label}': confidence {self.confidence} outside [0, 1]")
         self.feature = np.asarray(self.feature, dtype=np.float64)
+
+
+@dataclass
+class Detections:
+    """One video's detections as columns, one row per detection.
+
+    Row i lies in frame frame[i], scores confidence[i] and is labelled
+    labels[label_id[i]], with feature row features[i]. Frames are
+    non-decreasing, and within a frame the rows keep the detector's order.
+    frames is the video's timestep count: a frame may have no rows.
+    Iterating yields each frame's rows as a range, frame by frame.
+    """
+
+    frames: int
+    frame: np.ndarray  # k, intp
+    confidence: np.ndarray  # k, float64
+    label_id: np.ndarray  # k, intp
+    labels: list[str]
+    features: np.ndarray  # k x width, float64
+
+    def __iter__(self):
+        bounds = np.searchsorted(self.frame, np.arange(self.frames + 1)).tolist()
+        return (range(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+
+    @classmethod
+    def from_frames(cls, per_frame: list[list[Detection]], width: int) -> "Detections":
+        """Columns of per-frame Detection lists, each feature 1-D and width wide."""
+        rows = [d for dets in per_frame for d in dets]
+        bad = next((d for d in rows if d.feature.shape != (width,)), None)
+        if bad is not None:
+            raise InputError(f"detection '{bad.label}' has a feature of shape {bad.feature.shape}, not ({width},)")
+        labels = list(dict.fromkeys(d.label for d in rows))
+        index = {label: i for i, label in enumerate(labels)}
+        return cls(
+            frames=len(per_frame),
+            frame=np.repeat(np.arange(len(per_frame), dtype=np.intp), [len(dets) for dets in per_frame]),
+            confidence=np.array([d.confidence for d in rows], dtype=np.float64),
+            label_id=np.array([index[d.label] for d in rows], dtype=np.intp),
+            labels=labels,
+            features=np.array([d.feature for d in rows], dtype=np.float64).reshape(len(rows), width),
+        )
 
 
 class CategoryMap:
@@ -90,22 +134,26 @@ def select_keyframe(frames: list[np.ndarray]) -> int:
     return int(np.argmax(scores))
 
 
-def route_detections(frames: list[list[Detection]], cmap: CategoryMap, top_n: int, d_o: int):
+def route_detections(dets: Detections, cmap: CategoryMap, top_n: int):
     """Keep each frame's top_n most confident detections, then route them by category.
 
-    Confidence ties keep input order (stable sort), and the cut is applied to
-    a frame's whole pool before the human/object split. Returns (humans,
-    human_frame_ids, objects, object_frame_ids): the kept d_o-wide feature
-    rows of every frame, stacked frame by frame in confidence order, with the
-    index of the frame each row came from.
+    One stable lexsort orders the rows by frame, then by confidence, highest
+    first, so confidence ties keep row order; a row's rank within its frame
+    then makes the cut, which applies to a frame's whole pool before the
+    human/object split. The category map is asked once per label in the
+    table. Returns (humans, human_frame_ids, objects, object_frame_ids): the
+    kept feature rows of every frame, stacked frame by frame in confidence
+    order, with the index of the frame each row came from.
     """
     if top_n < 1:
         raise InputError(f"top_n must be >= 1, got {top_n}")
-    kept = [sorted(dets, key=lambda d: -d.confidence)[:top_n] for dets in frames]
-    frame_ids = np.repeat(np.arange(len(kept), dtype=np.intp), [len(k) for k in kept])
-    dets = [det for k in kept for det in k]
-    rows = np.array([det.feature for det in dets], dtype=np.float64).reshape(len(dets), d_o)
-    is_human = np.array([cmap.category(det.label) == HUMAN for det in dets], dtype=bool)
+    order = np.lexsort((-dets.confidence, dets.frame))
+    frame = dets.frame[order]
+    rank = np.arange(frame.size) - np.searchsorted(frame, frame)
+    keep = order[rank < top_n]
+    human_label = np.array([cmap.category(label) == HUMAN for label in dets.labels], dtype=bool)
+    is_human = human_label[dets.label_id[keep]]
+    rows, frame_ids = dets.features[keep], dets.frame[keep]
     return rows[is_human], frame_ids[is_human], rows[~is_human], frame_ids[~is_human]
 
 

@@ -5,6 +5,7 @@ no code with the package, so agreement is evidence of correctness rather
 than of consistency.
 """
 
+import json
 import struct
 
 import numpy as np
@@ -299,3 +300,18 @@ def dori_record(name, dims, payload=b""):
     encoded = name.encode("utf-8")
     return struct.pack(f"<Q{len(encoded)}sQ{len(dims)}Q", len(encoded), encoded, len(dims), *dims) + payload
 
+
+
+def dets_blob(frame, label_id, confidence, features, labels=("cup",), **header):
+    """A detection file as bytes: "DETS", version 1, the JSON header (video
+    "v", the labels, and rows and width from the columns unless header
+    overrides them), then each column's bytes as given. A list column is
+    written as <i8 (frame, label id) or <f8 (confidence, features)."""
+    columns = [
+        c if isinstance(c, np.ndarray) else np.asarray(c, dtype=dtype)
+        for c, dtype in ((frame, "<i8"), (label_id, "<i8"), (confidence, "<f8"), (features, "<f8"))
+    ]
+    shape = np.shape(features)
+    head = {"video_id": "v", "labels": list(labels), "rows": shape[0], "width": shape[1] if len(shape) == 2 else 0}
+    encoded = json.dumps({**head, **header}).encode("utf-8")
+    return b"DETS" + struct.pack("<IQ", 1, len(encoded)) + encoded + b"".join(c.tobytes() for c in columns)

@@ -9,6 +9,7 @@ import pytest
 from momentgraph import cli
 from momentgraph.checkpoint import load_params, save_params
 from momentgraph.cli import main
+from momentgraph.dataio import read_detections, write_detections
 
 from reference_impls import dori_record, per_gate_checkpoint_params
 
@@ -174,15 +175,28 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main(["synth"]) == 1  # --out is required
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--t-min", "20", "--t-max", "10"], ["--noise", "-1"], ["--signal", "nan"], ["--samples", "0"]],
-        ids=lambda flags: flags[0].lstrip("-"),
-    )
+    @pytest.mark.parametrize("flags", [["--noise", "-1"], ["--signal", "nan"]], ids=lambda flags: flags[0].lstrip("-"))
     def test_synth_spec_no_dataset_can_follow_is_data_error(self, tmp_path, capsys, flags):
         assert main(["synth", "--out", str(tmp_path / "data")] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "0"], "argument --samples: expected an integer of at least 1, got '0'"),
+            (["--t-min", "5", "--t-max", "2"], "argument --t-max: 2 is below --t-min 5"),
+            (["--t-min", "3"], "argument --t-min: expected an integer of at least 4, got '3'"),
+            (["--t-max", "-1"], "argument --t-max: -1 is below --t-min 12"),
+        ],
+        ids=["samples", "t-min", "t-min-below-4", "t-max-below-the-default-t-min"],
+    )
+    def test_synth_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
+        assert main(["synth", "--out", str(tmp_path / "data")] + flags) == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "data").exists()
 
     def test_unknown_variant(self):
@@ -288,16 +302,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name", ["annotations.jsonl", "detections"])
     def test_undecodable_byte_in_a_jsonl_file_is_data_error(self, workspace, tmp_path, capsys, name):
+        """A byte that is not UTF-8 in annotations.jsonl is named by its line;
+        one in a detection file's JSON header is named by the file."""
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
-        path = data / name if name.endswith(".jsonl") else sorted((data / name).iterdir())[0]
-        n_lines = len(path.read_bytes().splitlines())
-        with open(path, "ab") as f:
-            f.write(b"\xff")
+        if name == "detections":
+            path = sorted((data / name).iterdir())[0]
+            blob = bytearray(path.read_bytes())
+            blob[17] = 0xFF  # inside the header's first key
+            path.write_bytes(bytes(blob))
+            where = f"{path}: truncated or corrupt detection header: 'utf-8' codec"
+        else:
+            path = data / name
+            n_lines = len(path.read_bytes().splitlines())
+            with open(path, "ab") as f:
+                f.write(b"\xff")
+            where = f"{path}:{n_lines + 1}: not UTF-8 text"
         code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {path}:{n_lines + 1}: not UTF-8 text") and "Traceback" not in err
+        assert err.startswith(f"data error: {where}") and "Traceback" not in err
         assert not (tmp_path / "m.ckpt").exists()
 
     @staticmethod
@@ -354,28 +378,46 @@ class TestExitCodes:
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         path = sorted((data / "detections").iterdir())[0]
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[0])
-        record["detections"][0]["feature"].pop()
-        lines[0] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        dets = read_detections(str(path), 10**6)
+        write_detections(path.stem, dataclasses.replace(dets, features=dets.features[:, :-1]), str(path))
         code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
         assert code == 2
-        assert "are 15 wide, config d_o is 16" in capsys.readouterr().err
+        assert f"video '{path.stem}': detection features are 15 wide, config d_o is 16" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("label", ["person"]), ("confidence", True)])
+    @pytest.mark.parametrize("key, value", [("label", ["person"]), ("rows", True)])
     def test_detection_of_the_wrong_type_is_data_error(self, workspace, tmp_path, capsys, key, value):
+        """A detection file's header holds values of exact JSON types: a
+        label is a string, rows an integer and not a boolean."""
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         path = sorted((data / "detections").iterdir())[0]
-        lines = path.read_text().splitlines()
-        record = json.loads(lines[1])
-        record["detections"][0][key] = value
-        lines[1] = json.dumps(record)
-        path.write_text("\n".join(lines) + "\n")
+        blob = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16 : 16 + n])
+        if key == "label":
+            header["labels"][0] = value
+        else:
+            header[key] = value
+        encoded = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(encoded)) + encoded + blob[16 + n :])
         code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
         assert code == 2
-        assert f"data error: {path}:2: malformed detection record: {key} " in capsys.readouterr().err
+        assert f'data error: {path}: header is not {{"video_id": string' in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_stale_jsonl_detection_file_is_data_error(self, workspace, tmp_path, capsys):
+        """A dataset written before the .dets format still holds .jsonl
+        detection files; training on it is an error naming the file."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        path = sorted((data / "detections").iterdir())[0]
+        stale = path.with_suffix(".jsonl")
+        path.unlink()
+        stale.write_text('{"video_id": "%s", "frame_index": 0, "detections": []}\n' % path.stem)
+        code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {stale}: detections in the old JSON Lines format;") and ".dets" in err
         assert not (tmp_path / "m.ckpt").exists()
 
     @staticmethod

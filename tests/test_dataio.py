@@ -17,9 +17,14 @@ from momentgraph.dataio import (
     write_detections,
     write_features,
 )
+from momentgraph.config import synthetic_config
 from momentgraph.errors import DataError
+from momentgraph.model import MomentModel
 from momentgraph.synth import SyntheticSpec, generate
-from momentgraph.visual import ActivityFeatures, Detection
+from momentgraph.train import build_vocab
+from momentgraph.visual import ActivityFeatures, Detection, Detections
+
+from reference_impls import dets_blob
 
 
 class TestFeatureFiles:
@@ -92,45 +97,53 @@ class TestFeatureFiles:
             read_features(str(path))
 
 
+# a two-row detection file of a four-frame video: row 0 in frame 0, row 1 in frame 1
+TWO_ROWS = {"frame": [0, 1], "label_id": [0, 0], "confidence": [0.9, 0.5], "features": [[1.0, 2.0], [1.0, 1.0]]}
+
+
 class TestDetectionFiles:
     def test_round_trip(self, tmp_path):
         frames = [
             [Detection("cup", 0.9, np.array([1.0, 2.0]))],
             [],
             [Detection("person", 0.7, np.array([3.0, 4.0])), Detection("box", 0.5, np.array([5.0, 6.0]))],
+            [],
         ]
-        path = tmp_path / "v.jsonl"
-        write_detections("v", frames, str(path))
-        back = read_detections(str(path))
-        assert sorted(back) == [0, 1, 2]
-        assert back[2][1].label == "box"
-        np.testing.assert_array_equal(back[0][0].feature, [1.0, 2.0])
+        path = tmp_path / "v.dets"
+        dets = Detections.from_frames(frames, 2)
+        write_detections("v", dets, str(path))
+        back = read_detections(str(path), 4)
+        assert back.frames == 4 and back.labels == ["cup", "person", "box"]
+        assert [len(rows) for rows in back] == [1, 0, 2, 0]
+        for key in ("frame", "label_id", "confidence", "features"):
+            got, want = getattr(back, key), getattr(dets, key)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_malformed_line_number(self, tmp_path):
-        path = tmp_path / "v.jsonl"
-        path.write_text('{"video_id": "v", "frame_index": 0, "detections": []}\n{"nope": 1}\n')
-        with pytest.raises(DataError, match=r"v\.jsonl:2"):
-            read_detections(str(path))
-
+        """A bad row is named by its number: here row 1's label id is outside the table."""
+        path = tmp_path / "v.dets"
+        path.write_bytes(dets_blob(**dict(TWO_ROWS, label_id=[0, 3])))
+        with pytest.raises(DataError, match=r"v\.dets: row 1: label id 3 is outside the 1-label table"):
+            read_detections(str(path), 4)
 
     @pytest.mark.parametrize(
-        "second_line",
+        "changes, message",
         [
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [NaN, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [Infinity, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [1e999, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [[1.0], [1.0]]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": 1.0}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 1.5, "feature": [1.0, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 0, "detections": []}',
-            '{"video_id": "v", "frame_index": 2.7, "detections": []}',
-            '{"video_id": "v", "frame_index": true, "detections": []}',
-            '{"video_id": "v", "frame_index": "3", "detections": []}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": ["cup"], "confidence": 0.5, "feature": [1.0, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": 7, "confidence": 0.5, "feature": [1.0, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": true, "feature": [1.0, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": "0.5", "feature": [1.0, 1.0]}]}',
-            '{"video_id": "v", "frame_index": 1, "detections": [{"label": "cup", "confidence": 0.5, "feature": [1%s, 1.0]}]}' % ("0" * 400),
+            ({"features": [[1.0, 2.0], [np.nan, 1.0]]}, "row 1: detection features are not finite"),
+            ({"features": [[1.0, 2.0], [np.inf, 1.0]]}, "row 1: detection features are not finite"),
+            ({"confidence": [0.9, np.inf]}, r"row 1: confidence inf is not in \[0, 1\]"),
+            ({"width": [2, 1]}, "header is not"),
+            ({"width": None}, "header is not"),
+            ({"confidence": [0.9, 1.5]}, r"row 1: confidence 1.5 is not in \[0, 1\]"),
+            ({"frame": [1, 0]}, "row 1: frame index 0 is below the row before it"),
+            ({"frame": np.array([0.0, 2.7])}, r"row 1: frame index \d+ is outside \[0, 4\)"),
+            ({"rows": True}, "header is not"),
+            ({"rows": "2"}, "header is not"),
+            ({"labels": [["cup"]]}, "header is not"),
+            ({"labels": [7]}, "header is not"),
+            ({"confidence": [0.9, np.nan]}, r"row 1: confidence nan is not in \[0, 1\]"),
+            ({"confidence": [0.9, -0.5]}, r"row 1: confidence -0.5 is not in \[0, 1\]"),
+            ({"rows": 10**400}, r"10{400} rows of width 2 need"),
         ],
         ids=[
             "nan", "inf", "overflow-to-inf", "2-d", "0-d", "confidence", "repeated-frame",
@@ -138,25 +151,61 @@ class TestDetectionFiles:
             "string-confidence", "integer-beyond-float",
         ],
     )
-    def test_malformed_record_is_data_error_with_line_number(self, tmp_path, second_line):
-        path = tmp_path / "v.jsonl"
-        first = {"video_id": "v", "frame_index": 0, "detections": [{"label": "cup", "confidence": 0.9, "feature": [1.0, 2.0]}]}
-        path.write_text(json.dumps(first) + "\n" + second_line + "\n")
-        with pytest.raises(DataError, match=r"v\.jsonl:2: "):
-            read_detections(str(path))
+    def test_malformed_record_is_data_error_with_line_number(self, tmp_path, changes, message):
+        """Each case names the file, and the row when one row is at fault."""
+        path = tmp_path / "v.dets"
+        path.write_bytes(dets_blob(**{**TWO_ROWS, **changes}))
+        with pytest.raises(DataError, match=rf"v\.dets: {message}"):
+            read_detections(str(path), 4)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"JUNK" + dets_blob(**TWO_ROWS)[4:], "bad magic bytes"),
+            (b"DETS" + struct.pack("<I", 2) + dets_blob(**TWO_ROWS)[8:], "unsupported detection-file version 2"),
+            (dets_blob(**TWO_ROWS)[:-8], "2 rows of width 2 need 80 bytes, 72 follow the header"),
+            (dets_blob(**TWO_ROWS) + b"\x00", "2 rows of width 2 need 80 bytes, 81 follow the header"),
+            (dets_blob(**TWO_ROWS, rows=2**60), r"1152921504606846976 rows of width 2 need \d+ bytes, 80 follow"),
+            (dets_blob(**TWO_ROWS, rows=-2, width=-8), "rows -2 and width -8 must not be negative"),
+            (dets_blob(**TWO_ROWS, width=2.0), "header is not"),
+            (dets_blob(**TWO_ROWS, video_id=7), "header is not"),
+            (dets_blob(**TWO_ROWS, frames=4), "header is not"),
+            (dets_blob(**dict(TWO_ROWS, frame=[0, 4])), r"row 1: frame index 4 is outside \[0, 4\)"),
+            (dets_blob(**dict(TWO_ROWS, frame=[-1, 0])), r"row 0: frame index -1 is outside \[0, 4\)"),
+            (dets_blob(**dict(TWO_ROWS, label_id=[-1, 0])), "row 0: label id -1 is outside the 1-label table"),
+            (dets_blob([], [], [], [], width=10**400), "corrupt detection file"),
+        ],
+        ids=[
+            "magic", "version", "short", "trailing", "huge-rows", "negative-size", "float-width", "number-video-id",
+            "extra-key", "frame-past-the-video", "negative-frame", "negative-label-id", "unshapeable-width",
+        ],
+    )
+    def test_malformed_file_is_data_error(self, tmp_path, blob, message):
+        path = tmp_path / "v.dets"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=rf"v\.dets: {message}"):
+            read_detections(str(path), 4)
+
+    def test_every_strict_prefix_is_data_error(self, tmp_path):
+        path = tmp_path / "v.dets"
+        blob = dets_blob(**TWO_ROWS)
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(DataError):
+                read_detections(str(path), 4)
 
     def test_undecodable_bytes_are_data_error_with_line_number(self, tmp_path):
-        path = tmp_path / "v.jsonl"
-        record = {"video_id": "v", "frame_index": 0, "detections": []}
-        path.write_bytes(json.dumps(record).encode() + b"\n\xff\n")
-        with pytest.raises(DataError, match=r"v\.jsonl:2: not UTF-8 text"):
-            read_detections(str(path))
+        """A header byte that is not UTF-8 is a DataError naming the file."""
+        path = tmp_path / "v.dets"
+        path.write_bytes(dets_blob(**TWO_ROWS).replace(b'"v"', b'"\xff"'))
+        with pytest.raises(DataError, match=r"v\.dets: truncated or corrupt detection header: 'utf-8' codec"):
+            read_detections(str(path), 4)
 
     def test_integer_confidence_loads(self, tmp_path):
-        path = tmp_path / "v.jsonl"
-        record = {"video_id": "v", "frame_index": 0, "detections": [{"label": "cup", "confidence": 1, "feature": [1.0]}]}
-        path.write_text(json.dumps(record) + "\n")
-        assert read_detections(str(path))[0][0].confidence == 1
+        path = tmp_path / "v.dets"
+        frames = [[Detection("cup", 1, np.ones(1)), Detection("cup", 0, np.ones(1))]]
+        write_detections("v", Detections.from_frames(frames, 1), str(path))
+        assert read_detections(str(path), 1).confidence.tolist() == [1.0, 0.0]
 
 
 class TestAnnotations:
@@ -228,21 +277,35 @@ class TestAnnotations:
             load_annotations(str(path), str(tmp_path), str(tmp_path))
 
     def _video(self, tmp_path, frame_index=0, duration_s=12.0, span=(0.0, 1.0)):
-        """A 12-frame, 12 s video 'v' with one detection line, and one annotation of it."""
+        """A 12-frame, 12 s video 'v' with one detection, and one annotation of it."""
         write_features(ActivityFeatures("v", np.ones((12, 2)), 1.0, 12.0), str(tmp_path / "v.feat"))
-        dets = {"video_id": "v", "frame_index": frame_index, "detections": [{"label": "cup", "confidence": 0.9, "feature": [1.0, 1.0]}]}
-        (tmp_path / "v.jsonl").write_text(json.dumps(dets) + "\n")
+        (tmp_path / "v.dets").write_bytes(dets_blob([frame_index], [0], [0.9], [[1.0, 1.0]]))
         rec = {"video_id": "v", "query": "q", "t_start_s": span[0], "t_end_s": span[1], "duration_s": duration_s}
         (tmp_path / "ann.jsonl").write_text(json.dumps(rec) + "\n")
         return str(tmp_path / "ann.jsonl"), str(tmp_path), str(tmp_path)
 
     def test_frame_index_inside_the_video_loads(self, tmp_path):
         [sample] = load_annotations(*self._video(tmp_path, frame_index=11))
-        assert len(sample.detections) == 12 and len(sample.detections[11]) == 1
+        frames = list(sample.detections)
+        assert len(frames) == 12 and len(frames[11]) == 1 and not any(frames[:11])
+
+    def test_video_without_a_detection_file_has_no_detections(self, tmp_path):
+        args = self._video(tmp_path)
+        os.remove(tmp_path / "v.dets")
+        [sample] = load_annotations(*args)
+        assert [len(rows) for rows in sample.detections] == [0] * 12
+
+    def test_stale_jsonl_detection_file_is_data_error(self, tmp_path):
+        """A detection file in the JSON Lines format that came before .dets
+        is an error, not a video without detections."""
+        args = self._video(tmp_path)
+        os.replace(tmp_path / "v.dets", tmp_path / "v.jsonl")
+        with pytest.raises(DataError, match=r"v\.jsonl: detections in the old JSON Lines format; .* detections/<video_id>\.dets files only"):
+            load_annotations(*args)
 
     @pytest.mark.parametrize("frame_index", [999, 12, -1])
     def test_frame_index_outside_the_video_is_data_error(self, tmp_path, frame_index):
-        with pytest.raises(DataError, match=rf"v\.jsonl: frame_index {frame_index} is outside \[0, 12\) for video 'v'"):
+        with pytest.raises(DataError, match=rf"v\.dets: row 0: frame index {frame_index} is outside \[0, 12\)"):
             load_annotations(*self._video(tmp_path, frame_index=frame_index))
 
     @pytest.mark.parametrize("duration_s", [-5.0, 11.0, 12.5])
@@ -273,10 +336,35 @@ class TestDatasetLayout:
         for s in samples:
             back = loaded[(s.video_id, s.query, s.t_start_s)]
             assert back.features.features.tobytes() == s.features.features.tobytes()
-            for da, db in zip(s.detections, back.detections):
-                assert [d.label for d in da] == [d.label for d in db]
-                for x, y in zip(da, db):
-                    assert x.feature.tobytes() == y.feature.tobytes()
+            want = Detections.from_frames(s.detections, 16)
+            assert (back.detections.frames, back.detections.labels) == (want.frames, want.labels)
+            for key in ("frame", "label_id", "confidence", "features"):
+                got, expected = getattr(back.detections, key), getattr(want, key)
+                assert (got.dtype, got.shape, got.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+    def test_loaded_dataset_writes_back_byte_identical(self, tmp_path):
+        samples, cmap = generate(SyntheticSpec(n_samples=8, seed=4))
+        write_dataset(samples, cmap, str(tmp_path / "a"))
+        train, val, cmap_back = load_dataset(str(tmp_path / "a"))
+        write_dataset(train + val, cmap_back, str(tmp_path / "b"))
+        for name in sorted(os.listdir(tmp_path / "a" / "detections")):
+            assert (tmp_path / "a" / "detections" / name).read_bytes() == (tmp_path / "b" / "detections" / name).read_bytes()
+
+    @pytest.mark.parametrize("variant", ["full", "no_node_types"])
+    def test_prepare_after_a_round_trip_is_byte_identical(self, tmp_path, variant):
+        """generate -> write_dataset -> load_dataset -> prepare routes what
+        prepare routes from the generated lists; top_n 2 makes the cut bind."""
+        samples, cmap = generate(SyntheticSpec(n_samples=12, seed=3))
+        write_dataset(samples, cmap, str(tmp_path))
+        train, val, cmap_back = load_dataset(str(tmp_path))
+        model = MomentModel(synthetic_config(variant=variant, top_n=2), build_vocab(samples))
+        generated = {(s.video_id, s.query, s.t_start_s): s for s in samples}
+        for s in train + val:
+            got = model.prepare(s, cmap_back)
+            want = model.prepare(generated[(s.video_id, s.query, s.t_start_s)], cmap)
+            for key in ("humans_stacked", "objects_stacked", "human_frame_ids", "object_frame_ids"):
+                g, w = getattr(got, key), getattr(want, key)
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
     def test_manifest_split_by_video(self, tmp_path):
         samples, cmap = generate(SyntheticSpec(n_samples=30, seed=1))

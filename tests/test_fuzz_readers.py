@@ -2,6 +2,8 @@
 reader raises only its typed error, never another exception, and returns
 within the deadline."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from momentgraph.synth import SyntheticSpec, generate
 READERS = {
     "feat": (read_features, DataError),
     "dori": (load_params, CheckpointError),
-    "detections": (read_detections, DataError),
+    "detections": (partial(read_detections, frames=4), DataError),
     "annotations": (read_annotations, DataError),
     "category_map": (read_category_map, DataError),
     "manifest": (read_manifest, DataError),
@@ -61,7 +63,7 @@ def seeds(tmp_path_factory):
     files = {
         "feat": f"features/{vid}.feat",
         "dori": "m.ckpt",
-        "detections": f"detections/{vid}.jsonl",
+        "detections": f"detections/{vid}.dets",
         "annotations": "annotations.jsonl",
         "category_map": "category_map.json",
         "manifest": "manifest.json",

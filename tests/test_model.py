@@ -8,13 +8,16 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape
 from momentgraph.checkpoint import load_params, save_params
-from momentgraph.errors import CheckpointError
+from momentgraph.config import synthetic_config
+from momentgraph.errors import CheckpointError, DataError
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, tiny_instance
 from momentgraph.graph import VARIANTS
 from momentgraph.model import MomentModel
+from momentgraph.synth import SyntheticSpec, generate
 from momentgraph.text import Vocabulary, encode_query
+from momentgraph.train import build_vocab
 
-from momentgraph.visual import Detection
+from momentgraph.visual import Detection, Detections
 
 from reference_impls import per_gate_checkpoint_params, ref_route_detections
 
@@ -180,12 +183,29 @@ def test_prepare_releases_detections(monkeypatch):
     model, batch = tiny_instance(lengths=(4, 3))
     assert [prep for _, prep in prepared] == batch
     for sample, prep in prepared:
-        assert not any(isinstance(obj, Detection) for obj in reachable(prep))
+        assert not any(isinstance(obj, (Detection, Detections)) for obj in reachable(prep))
         # the routed arrays are what routing every parsed detection gives
         want = ref_route_detections(sample.detections, {"person": "human"}, model.config.top_n, model.config.d_o)
         got = (prep.humans_stacked, prep.human_frame_ids, prep.objects_stacked, prep.object_frame_ids)
         for g, w in zip(got, want):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def test_prepare_checks_the_detection_width():
+    samples, cmap = generate(SyntheticSpec(n_samples=2, seed=0))
+    model = MomentModel(synthetic_config(), build_vocab(samples))
+    sample, t = samples[0], samples[0].features.features.shape[0]
+    lists = [dets + [Detection("cup", 0.5, np.ones(15))] if i == 2 else dets for i, dets in enumerate(sample.detections)]
+    match = rf"video '{sample.video_id}': detection 'cup' has a feature of shape \(15,\), not \(16,\)"
+    with pytest.raises(DataError, match=match):
+        model.prepare(dataclasses.replace(sample, detections=lists), cmap)
+    columns = Detections.from_frames(sample.detections, 16)
+    narrow = dataclasses.replace(columns, features=columns.features[:, :15])
+    with pytest.raises(DataError, match=rf"video '{sample.video_id}': detection features are 15 wide, config d_o is 16"):
+        model.prepare(dataclasses.replace(sample, detections=narrow), cmap)
+    # a video without detections has no width of its own; it routes to d_o-wide empty sets
+    empty = model.prepare(dataclasses.replace(sample, detections=Detections.from_frames([[]] * t, 0)), cmap)
+    assert empty.humans_stacked.shape == empty.objects_stacked.shape == (0, 16)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -9,6 +9,7 @@ from momentgraph.visual import (
     ActivityFeatures,
     CategoryMap,
     Detection,
+    Detections,
     NodeEmbedParams,
     embed_nodes,
     route_detections,
@@ -71,7 +72,7 @@ class TestRouting:
     def test_basic_split(self):
         cmap = CategoryMap({"hand": HUMAN})
         dets = [Detection("hand", 0.9, np.ones(4)), Detection("table", 0.8, np.zeros(4))]
-        humans, human_ids, objects, object_ids = route_detections([dets], cmap, top_n=15, d_o=4)
+        humans, human_ids, objects, object_ids = route_detections(Detections.from_frames([dets], 4), cmap, top_n=15)
         assert len(humans) == 1 and len(objects) == 1
         assert np.array_equal(humans, np.ones((1, 4)))
         assert np.array_equal(objects, np.zeros((1, 4)))
@@ -80,7 +81,7 @@ class TestRouting:
     def test_all_human_gives_zero_row_objects(self):
         cmap = CategoryMap({"person": HUMAN})
         dets = [Detection("person", 0.5, np.ones(4)) for _ in range(3)]
-        humans, _, objects, object_ids = route_detections([dets], cmap, top_n=15, d_o=4)
+        humans, _, objects, object_ids = route_detections(Detections.from_frames([dets], 4), cmap, top_n=15)
         assert objects.shape == (0, 4)
         assert object_ids.shape == (0,)
         assert len(humans) == 3
@@ -89,7 +90,7 @@ class TestRouting:
         cmap = CategoryMap({"person": HUMAN})
         dets = [Detection(f"obj{i}", 0.9 - 0.05 * i, np.full(2, i)) for i in range(5)]
         dets.append(Detection("person", 0.1, np.zeros(2)))
-        humans, _, objects, _ = route_detections([dets], cmap, top_n=5, d_o=2)
+        humans, _, objects, _ = route_detections(Detections.from_frames([dets], 2), cmap, top_n=5)
         # the human is the least confident detection and falls to the cut
         assert len(humans) == 0
         assert len(objects) == 5
@@ -104,17 +105,51 @@ class TestRouting:
                 for _ in range(int(rng.integers(0, 10)))
             ]
             top_n = int(rng.integers(1, 8))
-            humans, _, objects, _ = route_detections([dets], cmap, top_n, d_o=3)
+            humans, _, objects, _ = route_detections(Detections.from_frames([dets], 3), cmap, top_n)
             assert len(humans) + len(objects) == min(len(dets), top_n)
 
     def test_stable_order_on_ties(self):
         dets = [Detection("a", 0.5, np.array([1.0])), Detection("b", 0.5, np.array([2.0]))]
-        _, _, objects, _ = route_detections([dets], CategoryMap(), top_n=15, d_o=1)
+        _, _, objects, _ = route_detections(Detections.from_frames([dets], 1), CategoryMap(), top_n=15)
         assert np.array_equal(objects, [[1.0], [2.0]])
+
+    def test_category_map_is_asked_once_per_label(self):
+        asked = []
+
+        class CountingMap(CategoryMap):
+            def category(self, label):
+                asked.append(label)
+                return super().category(label)
+
+        frames = [[Detection(label, 0.5, np.zeros(1)) for label in ("person", "cup", "person", "box")] for _ in range(5)]
+        humans, _, objects, _ = route_detections(Detections.from_frames(frames, 1), CountingMap({"person": HUMAN}), top_n=3)
+        assert sorted(asked) == ["box", "cup", "person"]
+        assert (len(humans), len(objects)) == (10, 5)
 
     def test_top_n_must_be_positive(self):
         with pytest.raises(InputError):
-            route_detections([[]], CategoryMap(), top_n=0, d_o=1)
+            route_detections(Detections.from_frames([[]], 1), CategoryMap(), top_n=0)
+
+
+class TestDetections:
+    def test_from_frames_makes_columns_in_frame_order(self):
+        frames = [[Detection("cup", 0.4, np.ones(2)), Detection("person", 0.9, np.zeros(2))], [], [Detection("cup", 0.7, np.full(2, 3.0))]]
+        dets = Detections.from_frames(frames, 2)
+        assert dets.frames == 3 and dets.labels == ["cup", "person"]
+        assert dets.frame.tolist() == [0, 0, 2] and dets.label_id.tolist() == [0, 1, 0]
+        assert dets.confidence.tolist() == [0.4, 0.9, 0.7]
+        np.testing.assert_array_equal(dets.features, [[1.0, 1.0], [0.0, 0.0], [3.0, 3.0]])
+        assert list(dets) == [range(0, 2), range(2, 2), range(2, 3)]
+
+    def test_empty_video_has_the_given_width(self):
+        dets = Detections.from_frames([[], []], 5)
+        assert dets.features.shape == (0, 5) and [len(rows) for rows in dets] == [0, 0]
+
+    @pytest.mark.parametrize("feature", [np.ones(3), np.ones((1, 2)), np.float64(1.0)], ids=["wide", "2-d", "0-d"])
+    def test_feature_of_another_shape_is_input_error(self, feature):
+        frames = [[Detection("cup", 0.5, np.ones(2))], [Detection("box", 0.5, feature)]]
+        with pytest.raises(InputError, match=r"detection 'box' has a feature of shape .*, not \(2,\)"):
+            Detections.from_frames(frames, 2)
 
 
 def random_video(seed, labels):
@@ -137,7 +172,7 @@ class TestRoutingMatchesOracle:
         frames = random_video(seed, self.LABELS)
         if seed == 0:
             frames = [[] for _ in frames]  # a video without a single detection
-        got = route_detections(frames, CategoryMap(mapping), top_n, d_o=3)
+        got = route_detections(Detections.from_frames(frames, 3), CategoryMap(mapping), top_n)
         want = ref_route_detections(frames, mapping, top_n, d_o=3)
         for g, w in zip(got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
