@@ -41,13 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _int_at_least(low: int):
-    """The type of an integer flag whose value must be at least low."""
+def _at_least(low: int, kind=int):
+    """The type of a flag whose value must be a finite int (or float) of at least low."""
 
-    def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
-        return int(text)
+    def parse(text: str):
+        try:
+            if low <= kind(text) < float("inf"):
+                return kind(text)
+        except ValueError:
+            pass
+        noun = "an integer" if kind is int else "a finite number"
+        raise argparse.ArgumentTypeError(f"expected {noun} of at least {low}, got {text!r}")
 
     return parse
 
@@ -68,7 +72,7 @@ def cmd_synth(args) -> int:
         t_range=(args.t_min, args.t_max),
         signal_strength=args.signal,
         noise_std=args.noise,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     samples, cmap = generate(spec)
     write_dataset(samples, cmap, args.out)
@@ -112,11 +116,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradcheck(
-        variant=args.variant,
-        entries_per_block=args.entries,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    results = run_gradcheck(variant=args.variant, entries_per_block=args.entries, seed=args.seed)
     print(format_results(results))
     if any(not r.passed for r in results):
         return NUMERIC_EXIT
@@ -162,12 +162,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=_int_at_least(1), default=250)
-    p.add_argument("--t-min", type=_int_at_least(4), default=12)
+    p.add_argument("--samples", type=_at_least(1), default=250)
+    p.add_argument("--t-min", type=_at_least(4), default=12)
     p.add_argument("--t-max", type=int, default=32)  # checked against --t-min in main
-    p.add_argument("--signal", type=float, default=3.0)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--signal", type=_at_least(0, float), default=3.0)
+    p.add_argument("--noise", type=_at_least(0, float), default=0.3)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_synth)
 
     for name, fn in (("train", cmd_train), ("eval", cmd_eval), ("ablate", cmd_ablate)):
@@ -178,7 +178,7 @@ def build_parser() -> _Parser:
         p.add_argument("--swap-degenerate", action="store_true", default=None)
         if name != "eval":  # eval's model comes from its checkpoint, and it trains nothing
             p.add_argument("--iterations", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=_at_least(0), default=None)
             p.add_argument("--epochs", type=int, default=None)
             p.add_argument("--target-miou", type=float, default=None, dest="target_miou")
         if name != "ablate":  # ablate saves no checkpoint
@@ -193,8 +193,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--variant", choices=VARIANTS, default="full")
-    p.add_argument("--entries", type=_int_at_least(1), default=24)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--entries", type=_at_least(1), default=24)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

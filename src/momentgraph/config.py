@@ -47,7 +47,7 @@ class RunConfig:
         for name in ("d_w", "d_v", "d_o", "latent", "hidden", "top_n", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("iterations", "epochs"):
+        for name in ("iterations", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("lr", "sigma_pos"):

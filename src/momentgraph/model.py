@@ -206,7 +206,7 @@ class MomentModel:
                 raise CheckpointError(
                     f"checkpoint parameter '{name}' has shape {arr.shape}, config expects {self.params[name].data.shape}"
                 )
-            self.params[name].data = arr
+            self.params[name].data[...] = arr  # in place: the block may be a view of Adam's vector
 
 
 def _lengths(batch: list[PreparedSample]) -> np.ndarray:

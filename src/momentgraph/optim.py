@@ -13,6 +13,9 @@ class Adam:
 
     The decay is applied directly to the parameter (p -= lr * wd * p)
     before the moment-based update, so it never enters the m/v buffers.
+
+    One vector `data` (and `grad`) packs every block in registry order; each
+    parameter's .data and .grad are views into it, written in place, never rebound.
     """
 
     def __init__(
@@ -31,35 +34,32 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._ends = np.cumsum([p.data.size for p in params.values()])
+        self.data = np.concatenate([p.data.ravel() for p in params.values()])
+        self.grad = np.zeros_like(self.data)
+        for p, data, grad in zip(params.values(), np.split(self.data, self._ends[:-1]), np.split(self.grad, self._ends[:-1])):
+            p.data, p.grad = data.reshape(p.data.shape), grad.reshape(p.data.shape)
+        self._m = np.zeros_like(self.data)
+        self._v = np.zeros_like(self.data)
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self.grad.fill(0.0)
 
     def step(self) -> None:
-        """One update of every block, or none: every gradient is checked
-        before the first block is written or step_count advances."""
-        for name, p in self.params.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise TrainingError(f"non-finite gradient in parameter '{name}'")
+        """One update of the whole vector, or none: the gradient is checked
+        before anything is written or step_count advances."""
+        finite = np.isfinite(self.grad)
+        if not finite.all():
+            block = np.searchsorted(self._ends, np.argmin(finite), side="right")
+            raise TrainingError(f"non-finite gradient in parameter '{list(self.params)[block]}'")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.weight_decay:
+            self.data -= self.lr * self.weight_decay * self.data
+        self._m *= self.beta1
+        self._m += (1.0 - self.beta1) * self.grad
+        self._v *= self.beta2
+        self._v += (1.0 - self.beta2) * (self.grad * self.grad)
+        self.data -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)

@@ -37,8 +37,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise InputError(f"n_samples must be >= 1, got {self.n_samples}")
+        for name, low in (("n_samples", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise InputError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.t_range[0] < 4:
             raise InputError(f"t_range minimum must be >= 4, got {self.t_range[0]}")
         if self.t_range[0] > self.t_range[1]:

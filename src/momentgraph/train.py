@@ -119,7 +119,7 @@ def train(
     )
     rng = np.random.default_rng(config.seed + 1)
     log = TrainLog(config=asdict(config))
-    best_params = {name: p.data.copy() for name, p in model.params.items()}
+    best = opt.data.copy()
     n = len(prepared_train)
     t0 = time.time()
 
@@ -159,7 +159,7 @@ def train(
             if log.best_val_miou is None or val_report.miou > log.best_val_miou:
                 log.best_val_miou = val_report.miou
                 log.best_epoch = epoch
-                best_params = {name: p.data.copy() for name, p in model.params.items()}
+                best = opt.data.copy()
             if verbose:
                 print(
                     f"epoch {epoch:4d}  loss {entry['total_loss']:.4f}  "
@@ -170,6 +170,5 @@ def train(
         if target_reached:
             break
 
-    for name, data in best_params.items():
-        model.params[name].data = data
+    opt.data[:] = best
     return model, log

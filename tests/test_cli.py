@@ -175,13 +175,6 @@ class TestExitCodes:
     def test_usage_error(self):
         assert main(["synth"]) == 1  # --out is required
 
-    @pytest.mark.parametrize("flags", [["--noise", "-1"], ["--signal", "nan"]], ids=lambda flags: flags[0].lstrip("-"))
-    def test_synth_spec_no_dataset_can_follow_is_data_error(self, tmp_path, capsys, flags):
-        assert main(["synth", "--out", str(tmp_path / "data")] + flags) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "Traceback" not in err
-        assert not (tmp_path / "data").exists()
-
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -189,8 +182,16 @@ class TestExitCodes:
             (["--t-min", "5", "--t-max", "2"], "argument --t-max: 2 is below --t-min 5"),
             (["--t-min", "3"], "argument --t-min: expected an integer of at least 4, got '3'"),
             (["--t-max", "-1"], "argument --t-max: -1 is below --t-min 12"),
+            (["--noise", "-1"], "argument --noise: expected a finite number of at least 0, got '-1'"),
+            (["--noise", "nan"], "argument --noise: expected a finite number of at least 0, got 'nan'"),
+            (["--noise", "inf"], "argument --noise: expected a finite number of at least 0, got 'inf'"),
+            (["--signal", "-1"], "argument --signal: expected a finite number of at least 0, got '-1'"),
+            (["--signal", "nan"], "argument --signal: expected a finite number of at least 0, got 'nan'"),
+            (["--signal", "x"], "argument --signal: expected a finite number of at least 0, got 'x'"),
+            (["--seed", "-1"], "argument --seed: expected an integer of at least 0, got '-1'"),
         ],
-        ids=["samples", "t-min", "t-min-below-4", "t-max-below-the-default-t-min"],
+        ids=["samples", "t-min", "t-min-below-4", "t-max-below-the-default-t-min", "noise-negative", "noise-nan",
+             "noise-inf", "signal-negative", "signal-nan", "signal-not-a-number", "seed-negative"],
     )
     def test_synth_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
         assert main(["synth", "--out", str(tmp_path / "data")] + flags) == 1
@@ -198,6 +199,21 @@ class TestExitCodes:
         assert f"error: {message}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "gradcheck"])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, command):
+        assert main([command, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: expected an integer of at least 0, got '-1'\n")
+        assert err.count("error:") == 1 and "Traceback" not in err
+
+    def test_negative_seed_in_a_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[training]\nseed = -1\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(tmp_path / "ghost"), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        assert not ckpt.exists()
 
     def test_unknown_variant(self):
         assert main(["train", "--variant", "bogus"]) == 1

@@ -29,6 +29,7 @@ class TestRunConfig:
             ("eval_every", 0, "eval_every must be >= 1"),
             ("top_n", 0, "top_n must be >= 1"),
             ("epochs", -1, "epochs must be >= 0"),
+            ("seed", -1, "seed must be >= 0"),
             ("smoothing", "foo", "smoothing 'foo' is not one of onehot, gaussian"),
             ("sigma_pos", 0.0, "sigma_pos must be positive"),
             ("sigma_pos", -1.0, "sigma_pos must be positive"),

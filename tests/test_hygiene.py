@@ -146,3 +146,34 @@ def test_private_scan_sees_attributes_and_imports():
     assert autodiff_privates(tree) == [
         "_accumulate (line 1)", "_wrap (line 6)", "ad._accumulate (line 2)", "autodiff._make (line 3)"
     ]
+
+
+def data_or_grad_rebinds(tree: ast.Module) -> list[str]:
+    """Assignments that rebind a `.data` or `.grad` attribute, with their lines.
+    A write through a subscript (`p.data[...] = x`) is in place and not one."""
+    return sorted(
+        f"{ast.unparse(sub)} (line {sub.lineno})"
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) and sub.attr in ("data", "grad")
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name not in ("autodiff.py", "optim.py")], ids=lambda p: p.name
+)
+def test_only_autodiff_and_optim_rebind_data_or_grad(path):
+    # a parameter's .data and .grad are views of Adam's vector: rebinding one detaches the block
+    assert data_or_grad_rebinds(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_rebind_scan_sees_assignments_but_not_in_place_writes():
+    tree = ast.parse(
+        "p.data = x\n"
+        "a.grad, b.data = g, d\n"
+        "p.grad += g\n"
+        "p.data[...] = x\n"
+        "p.grad[0] += 1\n"
+        "y = p.data\n"
+        "self.data_dir = d\n"
+    )
+    assert data_or_grad_rebinds(tree) == ["a.grad (line 2)", "b.data (line 2)", "p.data (line 1)", "p.grad (line 3)"]

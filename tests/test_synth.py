@@ -35,8 +35,9 @@ class TestSpec:
             ({"signal_strength": float("nan")}, "signal_strength must be non-negative and finite"),
             ({"signal_strength": float("inf")}, "signal_strength must be non-negative and finite"),
             ({"n_samples": 0}, "n_samples must be >= 1"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
-        ids=["t_range_inverted", "noise_negative", "noise_nan", "signal_nan", "signal_inf", "no_samples"],
+        ids=["t_range_inverted", "noise_negative", "noise_nan", "signal_nan", "signal_inf", "no_samples", "seed_negative"],
     )
     def test_spec_no_dataset_can_follow_rejected(self, changes, message):
         with pytest.raises(InputError, match=message):

@@ -91,6 +91,12 @@ class TestTrain:
         prepared_val = [model.prepare(s, cmap) for s in va]
         report, _ = evaluate(model, prepared_val)
         assert report.miou == pytest.approx(log.best_val_miou, abs=1e-9)
+        # the run stopped at the best epoch trains the same steps, so its
+        # parameters are the ones the 4-epoch run must restore
+        assert log.best_epoch < 4
+        best, _ = train(small_config(epochs=log.best_epoch), tr, va, cmap)
+        for name, p in model.params.items():
+            assert p.data.tobytes() == best.params[name].data.tobytes(), name
 
     def test_target_miou_stops_early(self, tiny_data):
         tr, va, cmap = tiny_data
