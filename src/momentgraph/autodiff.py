@@ -14,9 +14,11 @@ shared between workers.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, InputError
 
 _ACTIVE_TAPE: "GradientTape | None" = None
 
@@ -131,7 +133,8 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 class SortedSegments:
-    """A sorted id -> segment map for np.add.reduceat and np.maximum.reduceat.
+    """A sorted id -> segment map for np.add.reduceat and np.maximum.reduceat,
+    the one layout of a stacked axis, built once by the code that stacks it.
 
     The starts of the non-empty segments are found once, so each reduction
     is one CSR-style ufunc call along the axis the ids index: axis 0 of the
@@ -149,6 +152,29 @@ class SortedSegments:
         self.rows = ids.size
         self.present = np.flatnonzero(self.counts)
         self.starts = (np.cumsum(self.counts) - self.counts)[self.present]
+
+    @classmethod
+    def from_counts(cls, counts, what: str) -> "SortedSegments":
+        """The map of consecutive segments of these row counts."""
+        return cls(np.repeat(np.arange(len(counts)), counts), len(counts), what)
+
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, bounds), the order a BiGRU runs the segments in as sequences,
+        built on first use and kept for every layer over them: side by side,
+        longest first, so the ones running at step s are the first k_s rows
+        of the state and a finished one keeps its state. perm maps each
+        direction's packed rows (step by step) to stacked rows, forward then
+        reversed; both share the step bounds, so each step is one contiguous
+        slice. An empty segment, or none, is an InputError."""
+        if self.counts.size < 1 or self.present.size < self.counts.size:
+            raise InputError("bigru_forward needs at least one row per sequence")
+        order = np.argsort(-self.counts, kind="stable")
+        lens, starts = self.counts[order], self.starts[order]
+        steps = np.arange(lens[0])[:, None]
+        running = lens > steps
+        perm = np.stack([(starts + steps)[running], (starts + (lens - 1 - steps))[running]])
+        return perm, np.concatenate([[0], np.cumsum(running.sum(axis=1))])
 
     def sum(self, x: np.ndarray, axis: int) -> np.ndarray:
         """x with its slices along axis summed per segment: n_segments long there."""

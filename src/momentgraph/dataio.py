@@ -90,10 +90,10 @@ def write_detections(video_id: str, dets: Detections, path: str) -> None:
             f.write(np.ascontiguousarray(column, dtype=dtype).tobytes())
 
 
-def read_detections(path: str, frames: int) -> Detections:
+def read_detections(path: str, frames: int, video_id: str) -> Detections:
     """One video's detection file as columns; frames is the video's timestep
-    count. Every malformed file is a DataError naming it, and the row if one
-    row is at fault."""
+    count. Every malformed file, or one of a video other than video_id, is a
+    DataError naming it, and the row if one row is at fault."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != DETS_MAGIC:
@@ -113,6 +113,8 @@ def read_detections(path: str, frames: int) -> Detections:
         and all(type(label) is str for label in header["labels"])
     ):
         raise DataError(f'{path}: header is not {{"video_id": string, "labels": [strings], "rows": integer, "width": integer}}')
+    if header["video_id"] != video_id:
+        raise DataError(f"{path}: holds the detections of video '{header['video_id']}', not of '{video_id}'")
     labels, rows, width = header["labels"], header["rows"], header["width"]
     offset = 16 + n
     if rows < 0 or width < 0:
@@ -275,11 +277,13 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
             if not os.path.exists(fpath):
                 raise DataError(f"missing feature file for video '{vid}' ({fpath})")
             feature_cache[vid] = read_features(fpath)
+            if feature_cache[vid].video_id != vid:
+                raise DataError(f"{fpath}: holds the features of video '{feature_cache[vid].video_id}', not of '{vid}'")
             t = feature_cache[vid].features.shape[0]
             dpath = os.path.join(detections_dir, f"{vid}.dets")
             stale = os.path.join(detections_dir, f"{vid}.jsonl")
             if os.path.exists(dpath):
-                detection_cache[vid] = read_detections(dpath, t)
+                detection_cache[vid] = read_detections(dpath, t, vid)
             elif os.path.exists(stale):
                 raise DataError(
                     f"{stale}: detections in the old JSON Lines format; this version reads binary "

@@ -162,24 +162,24 @@ class MessagePassing:
       - a node message m([phi(x) ; y]) is x·(W_x·m_1) + (L·m_1 + y·m_2 + b_m),
         one matmul by the folded product W_x·m_1 plus a frame-level term
         gathered to the nodes.
-    frame_sample maps frames to samples and h_seg / o_seg map nodes to frames;
-    all three are autodiff.SortedSegments, reduced along the last axis.
+    frames maps frames to samples and humans / objects map nodes to frames:
+    the caller's autodiff.SortedSegments, reduced along the last axis.
     """
 
-    def __init__(self, params: SpatialGraphParams, a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg):
+    def __init__(self, params: SpatialGraphParams, a0, h0, o0, sv, sn, vn, frames, humans, objects):
         t, n = a0.shape
-        if (len(frame_sample), len(h_seg), len(o_seg)) != (t, h0.shape[0], o0.shape[0]):
+        shapes = [(m.rows, m.counts.size) for m in (frames, humans, objects)]
+        if shapes != [(t, sv.shape[0]), (h0.shape[0], t), (o0.shape[0], t)]:
             raise DimensionError(
-                f"spatial graph: {len(frame_sample)} frame ids for {t} frames, {len(h_seg)} for "
-                f"{h0.shape[0]} humans, {len(o_seg)} for {o0.shape[0]} objects"
+                f"spatial graph: maps of (rows, segments) {shapes} for {t} frames of {sv.shape[0]} samples, "
+                f"{h0.shape[0]} humans and {o0.shape[0]} objects"
             )
         self.params = params
         self.n = n
         self.x0 = {"a": a0.T.copy(), "h": h0.T.copy(), "o": o0.T.copy()}
         self.views = {"sv": sv, "sn": sn, "vn": vn}
-        self.samples = SortedSegments(frame_sample, sv.shape[0], "frame_sample")
-        self.nodes = {"h": SortedSegments(h_seg, t, "h_seg"), "o": SortedSegments(o_seg, t, "o_seg")}
-        self.counts = {"a": 1.0, "h": self.nodes["h"].counts, "o": self.nodes["o"].counts}
+        self.samples, self.nodes = frames, {"h": humans, "o": objects}
+        self.counts = {"a": 1.0, "h": humans.counts, "o": objects.counts}
         self.d_lang = d = sv.shape[1]
         # per pair map: W_x, and L = l·W_l + b per sample (latent x samples)
         self.w_x, self.lang = {}, {}
@@ -362,22 +362,22 @@ def spatial_graph(
     sv: Tensor,
     sn: Tensor,
     vn: Tensor,
-    frame_sample,
-    h_seg,
-    o_seg,
+    frames: SortedSegments,
+    humans: SortedSegments,
+    objects: SortedSegments,
     params: SpatialGraphParams,
     n_iters: int,
 ) -> Tensor:
     """The activity latents after n_iters rounds of message passing, as one tape node.
 
-    a0 stacks the frames of a minibatch and frame_sample maps each frame to
-    its sample; h0 / o0 stack every frame's human / object latents, and
-    h_seg / o_seg map each row to its frame. sv / sn / vn hold one
-    linguistic row per sample. All three maps must be sorted. Frames never
-    exchange information, so each gets exactly its per-frame update. An
-    empty human (object) set is a 0-row matrix on the same path whose
-    segment sums are exact zero rows. With n_iters = 0 the result is a0
-    itself.
+    a0 stacks the frames of a minibatch and frames maps each frame to its
+    sample; h0 / o0 stack every frame's human / object latents, and humans
+    / objects map each row to its frame. sv / sn / vn hold one linguistic
+    row per sample. A map that does not fit the inputs is a DimensionError.
+    Frames never exchange information, so each gets exactly its per-frame
+    update. An empty human (object) set is a 0-row matrix on the same path
+    whose segment sums are exact zero rows. With n_iters = 0 the result is
+    a0 itself.
 
     The node's inputs are a0, h0, o0, the three views and the graph's
     blocks; a query or block tied into several slots (single_query) collects
@@ -388,7 +388,7 @@ def spatial_graph(
     """
     if n_iters == 0:
         return a0
-    mp = MessagePassing(params, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frame_sample, h_seg, o_seg)
+    mp = MessagePassing(params, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frames, humans, objects)
     # the views in the order PAIRS first reads them, and the slots in PAIRS
     # order, so a tied query or pair map sums its slots' gradients in that order
     tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "vn": vn, "sn": sn}

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import SortedSegments, Tensor
 from .checkpoint import load_params, save_params
 from .config import MODEL_FIELDS, RunConfig
 from .dataio import AnnotatedSample
@@ -75,6 +75,9 @@ class MomentModel:
 
     def prepare(self, sample: AnnotatedSample, cmap: CategoryMap) -> PreparedSample:
         cfg = self.config
+        tokens = tokenize(sample.query)
+        if not tokens:  # no_graph reads no query, but ablate trains every variant on one dataset
+            raise DataError(f"video '{sample.video_id}': query {sample.query!r} has no words")
         features = sample.features.features
         if features.shape[1] != cfg.d_v:
             raise DataError(
@@ -107,7 +110,7 @@ class MomentModel:
         )
         return PreparedSample(
             sample=replace(sample, detections=[]),
-            tokens=tokenize(sample.query),
+            tokens=tokens,
             humans_stacked=humans,
             objects_stacked=objects,
             human_frame_ids=h_seg,
@@ -118,59 +121,63 @@ class MomentModel:
     # ------------------------------------------------------------------
     # forward
 
-    def spatial_forward(self, batch: list[PreparedSample], encoding) -> Tensor:
+    def spatial_forward(self, batch: list[PreparedSample], encoding, frames: SortedSegments) -> Tensor:
         """Contextualized activity representations of a minibatch, stacked: N x latent.
 
         Every timestep of every sample runs through one spatial_graph node
         (frames are independent): node frame ids are offset by their sample's
         first stacked row, and the graph reads each sample's linguistic rows
-        through the frame-to-sample map.
+        through frames, the frame -> sample map.
         """
         cfg = self.config
-        lengths = _lengths(batch)
-        first = np.cumsum(lengths) - lengths
         features = np.concatenate([p.sample.features.features for p in batch])
         humans = np.concatenate([p.humans_stacked for p in batch])
         objects = np.concatenate([p.objects_stacked for p in batch])
-        h_seg = np.concatenate([p.human_frame_ids + f for p, f in zip(batch, first)])
-        o_seg = np.concatenate([p.object_frame_ids + f for p, f in zip(batch, first)])
+        h_seg = np.concatenate([p.human_frame_ids + f for p, f in zip(batch, frames.starts)])
+        o_seg = np.concatenate([p.object_frame_ids + f for p, f in zip(batch, frames.starts)])
+        t = frames.rows
         if cfg.variant == "no_graph":
             # per-frame mean of the kept detections, humans before objects
-            t = features.shape[0]
             frame_ids = np.concatenate([h_seg, o_seg])
             pooled = np.zeros((t, cfg.d_o))
             np.add.at(pooled, frame_ids, np.concatenate([humans, objects]))
             pooled /= np.maximum(np.bincount(frame_ids, minlength=t), 1)[:, None]
             return self.nograph_params.project(np.hstack([features, pooled]))
-        frame_sample = np.repeat(np.arange(len(batch)), lengths)
         views = [encoding.q] * 3 if cfg.variant == "single_query" else encoding.views
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
         del features, humans, objects  # untaped, nothing holds them through the graph
-        return spatial_graph(a0, h0, o0, *views, frame_sample, h_seg, o_seg, self.graph_params, cfg.iterations)
+        nodes = SortedSegments(h_seg, t, "humans"), SortedSegments(o_seg, t, "objects")
+        return spatial_graph(a0, h0, o0, *views, frames, *nodes, self.graph_params, cfg.iterations)
 
-    def forward(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
-        """One forward pass over a minibatch; outputs stack the samples in batch order."""
+    def forward(
+        self,
+        batch: list[PreparedSample],
+        frames: SortedSegments,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+    ):
+        """One forward pass over a minibatch; outputs stack the samples in batch order.
+        frames, the batch's frame_map, is the one map the graph and the temporal head read."""
         encoding = None if self.text is None else encode_query([p.tokens for p in batch], self.vocab, self.text)
-        a_ctx = self.spatial_forward(batch, encoding)
-        return temporal_forward(a_ctx, _lengths(batch), self.temporal, training=training, rng=rng)
+        a_ctx = self.spatial_forward(batch, encoding, frames)
+        return temporal_forward(a_ctx, frames, self.temporal, training=training, rng=rng)
 
     def loss(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
         """Total loss tensor plus its components, each summed over the minibatch."""
-        out = self.forward(batch, training=training, rng=rng)
-        lengths = _lengths(batch)
-        first = np.cumsum(lengths) - lengths
+        frames = frame_map(batch)
+        out = self.forward(batch, frames, training=training, rng=rng)
         kl = kl_loss(out["start_dist"], out["end_dist"], [p.target for p in batch])
-        starts = first + [p.target.start_index for p in batch]
-        ends = first + [p.target.end_index for p in batch]
+        starts = frames.starts + [p.target.start_index for p in batch]
+        ends = frames.starts + [p.target.end_index for p in batch]
         sp = spatial_loss(out["y"], starts, ends)
         return total_loss(kl, sp), kl, sp
 
     def predict(self, batch: list[PreparedSample]) -> list[MomentPrediction]:
         """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample."""
-        out = self.forward(batch, training=False)
-        bounds = np.cumsum(_lengths(batch))
-        start_dists = np.split(out["start_dist"].data[:, 0], bounds[:-1])
-        end_dists = np.split(out["end_dist"].data[:, 0], bounds[:-1])
+        frames = frame_map(batch)
+        out = self.forward(batch, frames)
+        start_dists = np.split(out["start_dist"].data[:, 0], frames.starts[1:])
+        end_dists = np.split(out["end_dist"].data[:, 0], frames.starts[1:])
         videos = [p.sample.features for p in batch]
         return [
             decode(s, e, v.stride_seconds, v.duration_seconds, swap_degenerate=self.config.swap_degenerate)
@@ -209,6 +216,7 @@ class MomentModel:
             self.params[name].data[...] = arr  # in place: the block may be a view of Adam's vector
 
 
-def _lengths(batch: list[PreparedSample]) -> np.ndarray:
-    """Timesteps per sample, in batch order."""
-    return np.array([p.frames for p in batch], dtype=np.intp)
+def frame_map(batch: list[PreparedSample]) -> SortedSegments:
+    """The frame -> sample map of a minibatch's stacked frames, in batch order. Every video has a
+    frame (ActivityFeatures checks), so its starts hold each sample's first stacked row."""
+    return SortedSegments.from_counts([p.frames for p in batch], "frames")

@@ -81,6 +81,7 @@ def generate(spec: SyntheticSpec) -> tuple[list[AnnotatedSample], CategoryMap]:
             detections.append(dets)
 
         # disjoint spans, one per equal-width segment of the timeline
+        moments = []  # (query, start s, end s)
         seg = t // n_moments
         moment_objects = rng.choice(spec.objects, size=n_moments, replace=False)
         for m in range(n_moments):
@@ -106,20 +107,8 @@ def generate(spec: SyntheticSpec) -> tuple[list[AnnotatedSample], CategoryMap]:
                     )
             t_start = (si + float(rng.uniform(0.0, 0.5))) * stride
             t_end = (ei + float(rng.uniform(0.5, 1.0))) * stride
-            t_end = min(t_end, duration)
-            if len(samples) < spec.n_samples:
-                samples.append(
-                    AnnotatedSample(
-                        video_id=vid,
-                        query=f"{HUMAN_LABEL} {action} the {obj}",
-                        t_start_s=t_start,
-                        t_end_s=t_end,
-                        features=None,  # filled below, all moments share the video
-                        detections=detections,
-                    )
-                )
+            moments.append((f"{HUMAN_LABEL} {action} the {obj}", t_start, min(t_end, duration)))
+        # the video's samples share its features and one per-frame detection list
         af = ActivityFeatures(video_id=vid, features=features, stride_seconds=stride, duration_seconds=duration)
-        for s in samples:
-            if s.video_id == vid:
-                s.features = af
-    return samples, CategoryMap({HUMAN_LABEL: HUMAN})
+        samples += [AnnotatedSample(vid, query, t0, t1, af, detections) for query, t0, t1 in moments]
+    return samples[: spec.n_samples], CategoryMap({HUMAN_LABEL: HUMAN})

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError, InputError
 from .init import glorot
-from .text import GruParams, Packing, bigru_forward
+from .text import GruParams, bigru_forward
 
 
 @dataclass
@@ -80,33 +80,30 @@ def softmax_head(x: Tensor, w: Tensor, samples: ad.SortedSegments) -> Tensor:
 
 def temporal_forward(
     a_ctx: Tensor,
-    lengths,
+    frames: ad.SortedSegments,
     params: TemporalParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
     """Stacked N x latent -> per-sample start/end distributions over time plus spatial scores y.
 
-    a_ctx stacks B samples' timesteps, partitioned by lengths; both BiGRU
-    layers and the three softmax heads run over all of them at once. Each
+    a_ctx stacks B samples' timesteps, which frames maps to their samples;
+    both BiGRU layers and the three softmax heads read that one map. Each
     output is an N x 1 column holding every sample's distribution in its own
     rows. Dropout is applied between the two GRU layers, training mode only,
     as one draw over the stacked rows. A sample with no timestep is an
     InputError. Returns tape tensors so losses can backpropagate through them.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    packing = Packing(lengths)  # both layers run over the same lengths
-    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, packing)
+    h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, frames)
     if training and params.dropout > 0.0:
         if rng is None:
             raise InputError("training-mode dropout requires an rng")
         h1 = ad.dropout(h1, params.dropout, rng)
-    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, packing)
-    samples = ad.SortedSegments(np.repeat(np.arange(lengths.size), lengths), lengths.size, "temporal_forward")
+    h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, frames)
     return {
-        "start_dist": softmax_head(h2, params.w_start, samples),
-        "end_dist": softmax_head(h2, params.w_end, samples),
-        "y": softmax_head(a_ctx, params.w_score, samples),
+        "start_dist": softmax_head(h2, params.w_start, frames),
+        "end_dist": softmax_head(h2, params.w_end, frames),
+        "y": softmax_head(a_ctx, params.w_score, frames),
     }
 
 

@@ -77,57 +77,32 @@ class GruParams:
         return p
 
 
-class Packing:
-    """The packed step order bigru_forward runs B stacked sequences in.
-
-    The sequences run side by side, longest first, so the ones still
-    running at step s are the first k_s rows of each direction's state and
-    a finished sequence keeps its state untouched. perm maps each
-    direction's packed rows (step by step, running sequences longest first)
-    to stacked rows, forward then reversed; both orders share the step
-    bounds, so every step's rows are one contiguous slice. Built once per
-    lengths, it serves every layer over them.
-    """
-
-    def __init__(self, lengths):
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.size < 1 or lengths.min() < 1:
-            raise InputError("bigru_forward needs at least one row per sequence")
-        self.rows = int(lengths.sum())
-        self.batch = lengths.size
-        order = np.argsort(-lengths, kind="stable")
-        lens, starts = lengths[order], (np.cumsum(lengths) - lengths)[order]
-        steps = np.arange(lens[0])[:, None]
-        running = lens > steps
-        self.perm = np.stack([(starts + steps)[running], (starts + (lens - 1 - steps))[running]])
-        self.bounds = np.concatenate([[0], np.cumsum(running.sum(axis=1))])
-
-
-def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Tensor:
+def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.SortedSegments | None = None) -> Tensor:
     """Run a bidirectional GRU over B sequences stacked in the rows of an
     N x d_in tensor: N x 2*hidden, forward and backward states side by side.
 
-    lengths partitions the rows into consecutive sequences (None: all rows
-    are one sequence), given as the lengths or as their Packing; in each
-    direction every sequence starts from a zero hidden state, the backward
-    one at the sequence's own last row. Row i holds its sequence's states
-    after row i. The layer is one tape node whose inputs are x, w, u and b
-    of each direction, the backward one first.
+    segments maps the rows to consecutive sequences (None: all rows are one);
+    in each direction every sequence starts from a zero hidden state, the
+    backward one at the sequence's own last row. Row i holds its sequence's
+    states after row i. The layer is one tape node whose inputs are x, w, u
+    and b of each direction, the backward one first. A map of another row
+    count is a DimensionError, an empty sequence an InputError.
 
-    Each direction reads x in its packed step order, so one loop advances a
-    2 x B x hidden state. The input projections are one stacked matmul;
-    each step does one stacked recurrent matmul for z and r and one for the
-    candidate. While a tape records the layer, the forward pass caches z, r,
-    the candidate and the previous hidden state per step, and the backward
-    pass is hand-written backpropagation through time over the same packed
-    steps, carrying only the hidden-state gradient across steps. Untaped, it
-    allocates none of those caches.
+    Each direction reads x in the map's packed step order, so one loop
+    advances a 2 x B x hidden state. The input projections are one stacked
+    matmul; each step does one stacked recurrent matmul for z and r and one
+    for the candidate. While a tape records the layer, the forward pass
+    caches z, r, the candidate and the previous hidden state per step, and
+    the backward pass is hand-written backpropagation through time over the
+    same packed steps, carrying only the hidden-state gradient across steps.
+    Untaped, it allocates none of those caches.
     """
     n = x.data.shape[0]
-    packing = lengths if isinstance(lengths, Packing) else Packing([n] if lengths is None else lengths)
-    if packing.rows != n:
-        raise DimensionError(f"bigru_forward: lengths sum to {packing.rows}, x has {n} rows")
-    perm, bounds = packing.perm, packing.bounds
+    if segments is None:
+        segments = ad.SortedSegments.from_counts([n], "bigru_forward")
+    if segments.rows != n:
+        raise DimensionError(f"bigru_forward: the map has {segments.rows} rows, x has {n}")
+    perm, bounds = segments.packed
     hidden = fwd.u.data.shape[0]
     # x is an input of each direction, the backward one first, so it sums their gradients in that order
     directions = ((1, bwd), (0, fwd))
@@ -141,7 +116,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
     out = np.empty((2, n, hidden))
     if taped:
         h_prev, zs, rs, cands = (np.empty((2, n, hidden)) for _ in range(4))
-    h = np.zeros((2, packing.batch, hidden))
+    h = np.zeros((2, segments.counts.size, hidden))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sl, hk = slice(lo, hi), h[:, : hi - lo]
         zr = 1.0 / (1.0 + np.exp(-(x_zr[:, sl] + hk @ u_zr + b_zr)))
@@ -163,7 +138,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, lengths=None) -> Te
         d_az, d_ar, d_ac = np.split(da, 3, axis=2)
         d_azr = da[..., : 2 * hidden]
         u_zr_t, u_c_t = u_zr.transpose(0, 2, 1), u_c.transpose(0, 2, 1)
-        dh = np.zeros((2, packing.batch, hidden))
+        dh = np.zeros((2, segments.counts.size, hidden))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             sl, dhk = slice(lo, hi), dh[:, : hi - lo]
             z, r, cand, hp = zs[:, sl], rs[:, sl], cands[:, sl], h_prev[:, sl]
@@ -281,10 +256,10 @@ def encode_query(queries: list[list[str]], vocab: Vocabulary, params: TextEncode
     lengths = [len(tokens) for tokens in queries]
     if 0 in lengths:
         raise InputError("empty query")
+    # the word -> query map, shared by the BiGRU, pooling and the heads
+    words = ad.SortedSegments.from_counts(lengths, "encode_query")
     embeddings = embed_query([tok for tokens in queries for tok in tokens], vocab, params.embedding)
-    contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, lengths)
-    # the word -> query map, shared by pooling and the heads
-    words = ad.SortedSegments(np.repeat(np.arange(len(queries)), lengths), len(queries), "encode_query")
+    contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, words)
     q = pool_query(contexts, words)
     views = attend_heads(q, embeddings, contexts, params.heads, words)[0] if params.heads else []
     return QueryEncoding(q=q, views=views)

@@ -5,7 +5,7 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
-from momentgraph.errors import ContractError, DimensionError
+from momentgraph.errors import ContractError, DimensionError, InputError
 from momentgraph.graph import NoGraphParams
 from momentgraph.temporal import softmax_head
 from momentgraph.text import attend_heads, pool_query
@@ -211,6 +211,32 @@ class TestSegmentSoftmax:
             softmax_head(Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 2))), segments([0], 1))
         with pytest.raises(DimensionError, match="softmax_head: 2 ids for 3 rows"):
             softmax_head(Tensor(np.zeros((3, 1))), Tensor([[1.0]]), segments([0, 0], 1))
+
+
+class TestPackedOrder:
+    """SortedSegments.packed: the step order bigru_forward runs the segments in."""
+
+    def test_from_counts_is_the_map_of_consecutive_ids(self):
+        m = SortedSegments.from_counts([2, 3, 1], "rows")
+        want = SortedSegments([0, 0, 1, 1, 1, 2], 3, "rows")
+        assert m.rows == want.rows == 6
+        for key in ("counts", "present", "starts"):
+            np.testing.assert_array_equal(getattr(m, key), getattr(want, key))
+
+    def test_longest_first_by_hand(self):
+        # sequences of 2, 3 and 1 rows starting at rows 0, 2 and 5 run as 1, 0, 2
+        perm, bounds = SortedSegments.from_counts([2, 3, 1], "rows").packed
+        np.testing.assert_array_equal(perm, [[2, 0, 5, 3, 1, 4], [4, 1, 5, 3, 0, 2]])
+        np.testing.assert_array_equal(bounds, [0, 3, 5, 6])
+
+    def test_built_once_per_map(self):
+        m = SortedSegments.from_counts([4, 2], "rows")
+        assert m.packed is m.packed
+
+    @pytest.mark.parametrize("counts", [[1, 0, 3], [0], []], ids=["empty-segment", "no-rows", "no-segment"])
+    def test_empty_sequence_is_input_error(self, counts):
+        with pytest.raises(InputError, match="at least one row per sequence"):
+            SortedSegments.from_counts(counts, "rows").packed
 
 
 class TestBackward:

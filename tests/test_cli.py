@@ -355,6 +355,12 @@ class TestExitCodes:
             argv = [command, "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]
         return main(argv), records[0]["video_id"]
 
+    def test_query_without_words_is_data_error(self, workspace, tmp_path, capsys):
+        code, vid = self._edit_first_annotation(workspace, tmp_path, "train", query="?!")
+        assert code == 2
+        assert f"data error: video '{vid}': query '?!' has no words" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_annotation_duration_that_disagrees_with_the_features_is_data_error(self, workspace, tmp_path, capsys, command):
         code, vid = self._edit_first_annotation(workspace, tmp_path, command, duration_s=-5.0)
@@ -390,11 +396,21 @@ class TestExitCodes:
         assert "video '" in err
         assert f"are 16 wide, config {key} is 8" in err
 
+    def test_files_of_another_video_are_data_error(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        first, second = (path.stem for path in sorted((data / "features").iterdir())[:2])
+        for kind, suffix in (("features", "feat"), ("detections", "dets")):
+            (data / kind / f"{second}.{suffix}").write_bytes((data / kind / f"{first}.{suffix}").read_bytes())
+        code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
+        assert code == 2
+        assert f"{second}.feat: holds the features of video '{first}', not of '{second}'" in capsys.readouterr().err
+
     def test_one_short_detection_is_data_error(self, workspace, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         path = sorted((data / "detections").iterdir())[0]
-        dets = read_detections(str(path), 10**6)
+        dets = read_detections(str(path), 10**6, path.stem)
         write_detections(path.stem, dataclasses.replace(dets, features=dets.features[:, :-1]), str(path))
         code = main(["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"])
         assert code == 2

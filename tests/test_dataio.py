@@ -112,7 +112,7 @@ class TestDetectionFiles:
         path = tmp_path / "v.dets"
         dets = Detections.from_frames(frames, 2)
         write_detections("v", dets, str(path))
-        back = read_detections(str(path), 4)
+        back = read_detections(str(path), 4, "v")
         assert back.frames == 4 and back.labels == ["cup", "person", "box"]
         assert [len(rows) for rows in back] == [1, 0, 2, 0]
         for key in ("frame", "label_id", "confidence", "features"):
@@ -124,7 +124,7 @@ class TestDetectionFiles:
         path = tmp_path / "v.dets"
         path.write_bytes(dets_blob(**dict(TWO_ROWS, label_id=[0, 3])))
         with pytest.raises(DataError, match=r"v\.dets: row 1: label id 3 is outside the 1-label table"):
-            read_detections(str(path), 4)
+            read_detections(str(path), 4, "v")
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -156,7 +156,7 @@ class TestDetectionFiles:
         path = tmp_path / "v.dets"
         path.write_bytes(dets_blob(**{**TWO_ROWS, **changes}))
         with pytest.raises(DataError, match=rf"v\.dets: {message}"):
-            read_detections(str(path), 4)
+            read_detections(str(path), 4, "v")
 
     @pytest.mark.parametrize(
         "blob, message",
@@ -184,7 +184,7 @@ class TestDetectionFiles:
         path = tmp_path / "v.dets"
         path.write_bytes(blob)
         with pytest.raises(DataError, match=rf"v\.dets: {message}"):
-            read_detections(str(path), 4)
+            read_detections(str(path), 4, "v")
 
     def test_every_strict_prefix_is_data_error(self, tmp_path):
         path = tmp_path / "v.dets"
@@ -192,20 +192,20 @@ class TestDetectionFiles:
         for n in range(len(blob)):
             path.write_bytes(blob[:n])
             with pytest.raises(DataError):
-                read_detections(str(path), 4)
+                read_detections(str(path), 4, "v")
 
     def test_undecodable_bytes_are_data_error_with_line_number(self, tmp_path):
         """A header byte that is not UTF-8 is a DataError naming the file."""
         path = tmp_path / "v.dets"
         path.write_bytes(dets_blob(**TWO_ROWS).replace(b'"v"', b'"\xff"'))
         with pytest.raises(DataError, match=r"v\.dets: truncated or corrupt detection header: 'utf-8' codec"):
-            read_detections(str(path), 4)
+            read_detections(str(path), 4, "v")
 
     def test_integer_confidence_loads(self, tmp_path):
         path = tmp_path / "v.dets"
         frames = [[Detection("cup", 1, np.ones(1)), Detection("cup", 0, np.ones(1))]]
         write_detections("v", Detections.from_frames(frames, 1), str(path))
-        assert read_detections(str(path), 1).confidence.tolist() == [1.0, 0.0]
+        assert read_detections(str(path), 1, "v").confidence.tolist() == [1.0, 0.0]
 
 
 class TestAnnotations:
@@ -365,6 +365,17 @@ class TestDatasetLayout:
             for key in ("humans_stacked", "objects_stacked", "human_frame_ids", "object_frame_ids"):
                 g, w = getattr(got, key), getattr(want, key)
                 assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    @pytest.mark.parametrize("kind, suffix", [("features", "feat"), ("detections", "dets")])
+    def test_file_copied_over_another_video_of_the_same_length_is_data_error(self, tmp_path, kind, suffix):
+        samples, cmap = generate(SyntheticSpec(n_samples=40, seed=1))
+        lengths = {s.video_id: s.features.features.shape[0] for s in samples}
+        assert lengths["vid0002"] == lengths["vid0014"]  # only the stored id tells the files apart
+        write_dataset(samples, cmap, str(tmp_path))
+        target = tmp_path / kind / f"vid0002.{suffix}"
+        target.write_bytes((tmp_path / kind / f"vid0014.{suffix}").read_bytes())
+        with pytest.raises(DataError, match=rf"vid0002\.{suffix}: holds the {kind} of video 'vid0014', not of 'vid0002'"):
+            load_dataset(str(tmp_path))
 
     def test_manifest_split_by_video(self, tmp_path):
         samples, cmap = generate(SyntheticSpec(n_samples=30, seed=1))

@@ -25,7 +25,7 @@ from momentgraph.synth import SyntheticSpec, generate
 READERS = {
     "feat": (read_features, DataError),
     "dori": (load_params, CheckpointError),
-    "detections": (partial(read_detections, frames=4), DataError),
+    "detections": (partial(read_detections, frames=4, video_id="vid0000"), DataError),
     "annotations": (read_annotations, DataError),
     "category_map": (read_category_map, DataError),
     "manifest": (read_manifest, DataError),

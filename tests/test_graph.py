@@ -3,7 +3,7 @@ import pytest
 
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
-from momentgraph.errors import ConfigError, ContractError
+from momentgraph.errors import ConfigError, ContractError, DimensionError
 from momentgraph.graph import (
     VARIANTS,
     MessagePassing,
@@ -15,6 +15,7 @@ from momentgraph.graph import (
 )
 
 from reference_impls import fd_grad, ref_graph_iteration, ref_nograph_grad
+from segment_maps import graph_maps
 from tape_sum import weighted_sum
 
 D_LANG = 6
@@ -41,8 +42,9 @@ def make_instance(seed=1, K=2, J=3):
 def latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters):
     """(a, h, o) after n_iters: a from spatial_graph, h and o from n_iters of
     its per-iteration step, whose a must be the op's bit for bit."""
-    a = spatial_graph(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters).data
-    mp = MessagePassing(p, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frame_sample, h_seg, o_seg)
+    maps = graph_maps(frame_sample, h_seg, o_seg)
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, *maps, p, n_iters).data
+    mp = MessagePassing(p, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *maps)
     x = a0.data, h0.data, o0.data
     for _ in range(n_iters):
         x = mp.step(*x)[:3]
@@ -143,7 +145,7 @@ class TestMessagePassing:
         p, _ = make_params(seed=10)
         a0, h0, o0, sv, sn, vn = make_instance(seed=11)
         seg_h, seg_o = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
-        assert spatial_graph(a0, h0, o0, sv, sn, vn, [0], seg_h, seg_o, p, 0) is a0
+        assert spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], seg_h, seg_o), p, 0) is a0
 
     def test_message_map_sharing(self):
         # the three message maps are shared across edge directions, so the
@@ -209,7 +211,7 @@ class TestBatchedSequence:
         # a frame without humans (objects) sums them to exact zeros, in
         # every iteration: the latents' sum and both pair-map sums
         empty = {"h": [1, 3], "o": [1, 2]}
-        mp = MessagePassing(p, *(t.data for t in inputs), *maps)
+        mp = MessagePassing(p, *(t.data for t in inputs), *graph_maps(*maps))
         x = tuple(t.data for t in inputs[:3])
         for _ in range(3):
             *x, cache = mp.step(*x)
@@ -223,7 +225,7 @@ class TestBatchedSequence:
         empty = Tensor(np.zeros((0, LATENT)))
         seg = np.zeros(0, dtype=int)
         sv = sn = vn = Tensor(np.zeros((1, D_LANG)))
-        assert spatial_graph(a0, empty, empty, sv, sn, vn, [0, 0, 0], seg, seg, p, 0) is a0
+        assert spatial_graph(a0, empty, empty, sv, sn, vn, *graph_maps([0, 0, 0], seg, seg), p, 0) is a0
 
     @pytest.mark.parametrize("name", ["frame_sample", "h_seg", "o_seg"])
     def test_unsorted_segment_ids_rejected(self, name):
@@ -234,7 +236,21 @@ class TestBatchedSequence:
         maps = {"frame_sample": [0, 1, 1], "h_seg": [0, 2], "o_seg": [1, 2]}
         maps[name] = maps[name][::-1]
         with pytest.raises(ContractError, match=f"{name}: segment ids must be sorted"):
-            spatial_graph(a0, h0, o0, sv, sn, vn, maps["frame_sample"], maps["h_seg"], maps["o_seg"], p, 1)
+            spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps(maps["frame_sample"], maps["h_seg"], maps["o_seg"]), p, 1)
+
+
+    @pytest.mark.parametrize(
+        "maps",
+        [([0, 1, 1], [0, 2], [1]), ([0, 0, 0], [0, 2], [1, 2]), ([0, 1], [0, 1], [1, 1])],
+        ids=["objects-rows", "frames-segments", "frames-rows"],
+    )
+    def test_map_that_does_not_fit_the_inputs_is_dimension_error(self, maps):
+        p, _ = make_params(seed=37)
+        rng = np.random.default_rng(38)
+        a0, h0, o0 = (Tensor(rng.normal(size=(n, LATENT))) for n in (3, 2, 2))
+        sv = sn = vn = Tensor(rng.normal(size=(2, D_LANG)))
+        with pytest.raises(DimensionError, match="spatial graph: maps of"):
+            spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps(*maps), p, 1)
 
 
 # frame_sample, h_seg and o_seg of the finite-difference batches
@@ -266,12 +282,13 @@ def unread_after_central_differences(p, registry, inputs, maps, n_iters):
     differences on every entry of every input and block; returns the names of
     those without a gradient, after checking that no entry of them moves the output."""
     weights = np.random.default_rng(50).normal(size=(len(maps[0]), LATENT))
+    segments = graph_maps(*maps)
 
     def f():
-        return float((spatial_graph(*inputs, *maps, p, n_iters).data * weights).sum())
+        return float((spatial_graph(*inputs, *segments, p, n_iters).data * weights).sum())
 
     with GradientTape():
-        out = spatial_graph(*inputs, *maps, p, n_iters)
+        out = spatial_graph(*inputs, *segments, p, n_iters)
         ad.backward(weighted_sum(out, weights))
     tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
     unread = set()

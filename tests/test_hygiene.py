@@ -177,3 +177,33 @@ def test_rebind_scan_sees_assignments_but_not_in_place_writes():
         "self.data_dir = d\n"
     )
     assert data_or_grad_rebinds(tree) == ["a.grad (line 2)", "b.data (line 2)", "p.data (line 1)", "p.grad (line 3)"]
+
+
+def segment_map_constructions(tree: ast.Module) -> list[str]:
+    """Calls that construct a SortedSegments (`SortedSegments(...)`,
+    `ad.SortedSegments(...)`, `SortedSegments.from_counts(...)`), with their lines."""
+    return sorted(
+        f"{ast.unparse(sub.func)} (line {sub.lineno})"
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Call) and "SortedSegments" in ast.unparse(sub.func)
+    )
+
+
+@pytest.mark.parametrize("name", ["graph.py", "temporal.py"])
+def test_graph_and_temporal_head_build_no_segment_map(name):
+    # each stacked axis gets one map, built by the code that stacks it: the model
+    path = SRC / name
+    assert segment_map_constructions(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_construction_scan_sees_every_spelling():
+    tree = ast.parse(
+        "SortedSegments(ids, 3, 'x')\n"
+        "m = ad.SortedSegments(ids, 3, 'x')\n"
+        "f(autodiff.SortedSegments.from_counts([2, 1], 'x'))\n"
+        "def g(frames: SortedSegments) -> SortedSegments:\n"
+        "    return frames.sum(x, 1)\n"
+    )
+    assert segment_map_constructions(tree) == [
+        "SortedSegments (line 1)", "ad.SortedSegments (line 2)", "autodiff.SortedSegments.from_counts (line 3)"
+    ]

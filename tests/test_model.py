@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from momentgraph import autodiff as ad
-from momentgraph.autodiff import GradientTape
+from momentgraph.autodiff import GradientTape, SortedSegments
 from momentgraph.checkpoint import load_params, save_params
 from momentgraph.config import synthetic_config
 from momentgraph.errors import CheckpointError, DataError
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, tiny_instance
 from momentgraph.graph import VARIANTS
-from momentgraph.model import MomentModel
+from momentgraph import model as model_module
+from momentgraph.model import MomentModel, frame_map
 from momentgraph.synth import SyntheticSpec, generate
 from momentgraph.text import Vocabulary, encode_query
 from momentgraph.train import build_vocab
@@ -29,14 +30,14 @@ OBJECT_BLOCKS = {"embed.w_o", "embed.b_o", *(f"graph.{m}.{k}" for m in ("phi_sno
 class TestForward:
     def test_output_shapes(self):
         model, batch = tiny_instance(seed=0, lengths=(4, 3))
-        out = model.forward(batch)
+        out = model.forward(batch, frame_map(batch))
         n = 4 + 3
         for key in ("start_dist", "end_dist", "y"):
             assert out[key].data.shape == (n, 1)
             for rows in (slice(0, 4), slice(4, 7)):
                 assert out[key].data[rows].sum() == pytest.approx(1.0, abs=1e-12)
         encoding = encode_query([p.tokens for p in batch], model.vocab, model.text)
-        assert model.spatial_forward(batch, encoding).data.shape == (n, model.config.latent)
+        assert model.spatial_forward(batch, encoding, frame_map(batch)).data.shape == (n, model.config.latent)
 
     def test_one_block_per_gru_weight_kind(self):
         counts = {v: len(tiny_instance(variant=v)[0].params) for v in ("full", "single_query", "no_graph")}
@@ -80,7 +81,7 @@ class TestForward:
             pooled[i] = np.concatenate(frame).mean(axis=0)
         w, b = model.nograph_params.w.data, model.nograph_params.b.data
         expected = np.concatenate([prep.sample.features.features, pooled], axis=1) @ w + b
-        np.testing.assert_array_equal(model.spatial_forward([prep], None).data, expected)
+        np.testing.assert_array_equal(model.spatial_forward([prep], None, frame_map([prep])).data, expected)
 
     def test_full_variant_uses_query(self):
         model, [prep] = tiny_instance(seed=3)
@@ -137,7 +138,7 @@ def test_untaped_forward_matches_taped_forward(variant):
     # the arithmetic is the taped forward's, bit for bit
     model, batch = tiny_instance(variant=variant, seed=3, lengths=RAGGED)
     with GradientTape() as tape:
-        out = model.forward(batch)
+        out = model.forward(batch, frame_map(batch))
         assert len(tape) > 0
     bounds = np.cumsum(RAGGED)[:-1]
     preds = model.predict(batch)
@@ -206,6 +207,67 @@ def test_prepare_checks_the_detection_width():
     # a video without detections has no width of its own; it routes to d_o-wide empty sets
     empty = model.prepare(dataclasses.replace(sample, detections=Detections.from_frames([[]] * t, 0)), cmap)
     assert empty.humans_stacked.shape == empty.objects_stacked.shape == (0, 16)
+
+
+class TestSegmentMaps:
+    """Each stacked axis gets one map, built once per call by the code that stacks it."""
+
+    @staticmethod
+    def built_maps(monkeypatch):
+        """The `what` of every SortedSegments constructed from here on, in order."""
+        built = []
+        init = SortedSegments.__init__
+
+        def counting_init(self, ids, n_segments, what):
+            built.append(what)
+            init(self, ids, n_segments, what)
+
+        monkeypatch.setattr(SortedSegments, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize(
+        "variant, maps",
+        [
+            ("full", ["frames", "encode_query", "humans", "objects"]),
+            ("single_query", ["frames", "encode_query", "humans", "objects"]),
+            ("no_graph", ["frames"]),
+        ],
+    )
+    def test_one_map_per_stacked_axis(self, variant, maps, monkeypatch):
+        model, batch = tiny_instance(variant=variant, lengths=(4, 3))
+        built = self.built_maps(monkeypatch)
+        with GradientTape():
+            loss, _, _ = model.loss(batch, training=True, rng=np.random.default_rng(0))
+            ad.backward(loss)
+        assert built == maps
+        built.clear()
+        model.predict(batch)
+        assert built == maps
+
+    @pytest.mark.parametrize("variant", ["full", "single_query"])
+    def test_graph_and_temporal_head_share_the_frame_map(self, variant, monkeypatch):
+        model, batch = tiny_instance(variant=variant, lengths=(4, 3))
+        seen = {}
+        for name, position in (("spatial_graph", 6), ("temporal_forward", 1)):
+            original = getattr(model_module, name)
+
+            def spy(*args, original=original, name=name, position=position, **kwargs):
+                seen[name] = args[position]
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(model_module, name, spy)
+        model.loss(batch)
+        frames = seen["spatial_graph"]
+        assert frames is seen["temporal_forward"]
+        assert frames.counts.tolist() == [4, 3]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prepare_rejects_a_query_without_words(variant):
+    samples, cmap = generate(SyntheticSpec(n_samples=2, seed=0))
+    model = MomentModel(synthetic_config(variant=variant), build_vocab(samples))
+    with pytest.raises(DataError, match=rf"video '{samples[1].video_id}': query '\?!' has no words"):
+        model.prepare(dataclasses.replace(samples[1], query="?!"), cmap)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -7,6 +7,7 @@ from momentgraph.errors import InputError
 from momentgraph.temporal import TemporalParams, decode, softmax_head, temporal_forward
 
 from reference_impls import ref_softmax_head_grad, ref_temporal
+from segment_maps import seq_map
 from tape_sum import weighted_sum
 
 LATENT = 6
@@ -20,7 +21,7 @@ def make_params(seed=0, dropout=0.0):
 class TestForward:
     def test_single_timestep_distributions(self):
         p = make_params()
-        out = temporal_forward(Tensor(np.random.default_rng(1).normal(size=(1, LATENT))), [1], p)
+        out = temporal_forward(Tensor(np.random.default_rng(1).normal(size=(1, LATENT))), seq_map([1]), p)
         np.testing.assert_array_equal(out["start_dist"].data, [[1.0]])
         np.testing.assert_array_equal(out["end_dist"].data, [[1.0]])
         np.testing.assert_array_equal(out["y"].data, [[1.0]])
@@ -28,7 +29,7 @@ class TestForward:
     def test_distributions_normalized(self):
         p = make_params(seed=2)
         x = Tensor(np.tile(np.random.default_rng(3).normal(size=(1, LATENT)), (5, 1)))
-        out = temporal_forward(x, [5], p)
+        out = temporal_forward(x, seq_map([5]), p)
         for key in ("start_dist", "end_dist", "y"):
             assert out[key].data.shape == (5, 1)
             assert out[key].data.sum() == pytest.approx(1.0, abs=1e-12)
@@ -37,7 +38,7 @@ class TestForward:
     def test_matches_reference_loops(self):
         p = make_params(seed=4)
         a_ctx = np.random.default_rng(5).normal(size=(5, LATENT))
-        out = temporal_forward(Tensor(a_ctx), [5], p)
+        out = temporal_forward(Tensor(a_ctx), seq_map([5]), p)
         start, end, y = ref_temporal(a_ctx, p)
         np.testing.assert_allclose(out["start_dist"].data[:, 0], start, atol=1e-12)
         np.testing.assert_allclose(out["end_dist"].data[:, 0], end, atol=1e-12)
@@ -47,7 +48,7 @@ class TestForward:
         p = make_params(seed=10)
         lengths = [3, 1, 6]
         a_ctx = np.random.default_rng(11).normal(size=(sum(lengths), LATENT))
-        out = temporal_forward(Tensor(a_ctx), lengths, p)
+        out = temporal_forward(Tensor(a_ctx), seq_map(lengths), p)
         start = 0
         for t in lengths:
             rows = slice(start, start + t)
@@ -60,33 +61,33 @@ class TestForward:
         p = make_params(seed=12, dropout=0.5)
         lengths = [4, 2]
         a_ctx = np.random.default_rng(13).normal(size=(6, LATENT))
-        out = temporal_forward(Tensor(a_ctx), lengths, p, training=True, rng=np.random.default_rng(14))
+        out = temporal_forward(Tensor(a_ctx), seq_map(lengths), p, training=True, rng=np.random.default_rng(14))
         rng = np.random.default_rng(14)
         start = 0
         for t in lengths:
             rows = slice(start, start + t)
-            one = temporal_forward(Tensor(a_ctx[rows]), [t], p, training=True, rng=rng)
+            one = temporal_forward(Tensor(a_ctx[rows]), seq_map([t]), p, training=True, rng=rng)
             np.testing.assert_allclose(out["start_dist"].data[rows], one["start_dist"].data, rtol=1e-12)
             start += t
 
     def test_eval_mode_deterministic_despite_dropout_config(self):
         p = make_params(seed=6, dropout=0.5)
         x = Tensor(np.random.default_rng(7).normal(size=(4, LATENT)))
-        one = temporal_forward(x, [4], p)["start_dist"].data
-        two = temporal_forward(x, [4], p)["start_dist"].data
+        one = temporal_forward(x, seq_map([4]), p)["start_dist"].data
+        two = temporal_forward(x, seq_map([4]), p)["start_dist"].data
         np.testing.assert_array_equal(one, two)
 
     def test_training_dropout_requires_rng(self):
         p = make_params(seed=8, dropout=0.5)
         with pytest.raises(InputError):
-            temporal_forward(Tensor(np.zeros((3, LATENT))), [3], p, training=True)
+            temporal_forward(Tensor(np.zeros((3, LATENT))), seq_map([3]), p, training=True)
 
     def test_empty_sequence_rejected(self):
         p = make_params(seed=9)
         with pytest.raises(InputError):
-            temporal_forward(Tensor(np.zeros((0, LATENT))), [0], p)
+            temporal_forward(Tensor(np.zeros((0, LATENT))), seq_map([0]), p)
         with pytest.raises(InputError):
-            temporal_forward(Tensor(np.zeros((3, LATENT))), [3, 0], p)
+            temporal_forward(Tensor(np.zeros((3, LATENT))), seq_map([3, 0]), p)
 
 
 class TestSoftmaxHead:

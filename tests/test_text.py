@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentgraph import autodiff as ad
-from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
+from momentgraph.autodiff import GradientTape, Tensor
 from momentgraph.errors import DimensionError, InputError
 from momentgraph.init import glorot
 from momentgraph.text import (
@@ -19,12 +19,8 @@ from momentgraph.text import (
 )
 
 from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_attention_grad, ref_bigru, ref_gru_sequence
+from segment_maps import seq_map
 from tape_sum import weighted_sum
-
-
-def word_map(lengths):
-    """The word -> query map of stacked queries of these lengths, as encode_query builds it."""
-    return SortedSegments(np.repeat(np.arange(len(lengths)), lengths), len(lengths), "words")
 
 
 class TestTokenizeAndVocab:
@@ -149,10 +145,10 @@ class TestGru:
 
         def loss():
             other = (x.data * x_weights).sum() if x_feeds_another_op else 0.0
-            return float((bigru_forward(x, fwd, bwd, lengths).data * weights).sum() + other)
+            return float((bigru_forward(x, fwd, bwd, seq_map(lengths)).data * weights).sum() + other)
 
         with GradientTape():
-            total = weighted_sum(bigru_forward(x, fwd, bwd, lengths), weights)
+            total = weighted_sum(bigru_forward(x, fwd, bwd, seq_map(lengths)), weights)
             if x_feeds_another_op:
                 # recorded after the layer, so its gradient reaches x first
                 total = ad.add(total, weighted_sum(x, x_weights))
@@ -177,7 +173,7 @@ class TestGru:
         fwd, bwd = self._params(seed=13), self._params(seed=17)
         lengths = (1, 5, 3)
         x = np.random.default_rng(14).normal(size=(sum(lengths), 3))
-        out = self._half(bigru_forward(Tensor(x), fwd, bwd, lengths).data, reverse)
+        out = self._half(bigru_forward(Tensor(x), fwd, bwd, seq_map(lengths)).data, reverse)
         start = 0
         for m in lengths:
             ref = ref_gru_sequence(x[start : start + m], gru_param_arrays(bwd if reverse else fwd), reverse=reverse)
@@ -190,17 +186,17 @@ class TestGru:
 
     def test_zero_length_sequence_is_typed_error(self):
         with pytest.raises(InputError, match="at least one row"):
-            bigru_forward(Tensor(np.zeros((4, 3))), self._params(), self._params(seed=1), (1, 0, 3))
+            bigru_forward(Tensor(np.zeros((4, 3))), self._params(), self._params(seed=1), seq_map((1, 0, 3)))
 
     def test_row_count_mismatch_is_typed_error(self):
-        with pytest.raises(DimensionError, match="lengths sum to 5, x has 4 rows"):
-            bigru_forward(Tensor(np.zeros((4, 3))), self._params(), self._params(seed=1), (2, 3))
+        with pytest.raises(DimensionError, match="the map has 5 rows, x has 4"):
+            bigru_forward(Tensor(np.zeros((4, 3))), self._params(), self._params(seed=1), seq_map((2, 3)))
 
     def test_bigru_adds_one_tape_node(self):
         fwd, bwd = self._params(seed=1), self._params(seed=2)
         x = Tensor(np.random.default_rng(3).normal(size=(9, 3)), requires_grad=True)
         with GradientTape() as tape:
-            bigru_forward(x, fwd, bwd, (4, 5))
+            bigru_forward(x, fwd, bwd, seq_map((4, 5)))
             assert len(tape) == 1
 
     def test_no_per_row_tensors_without_tape(self, monkeypatch):
@@ -221,23 +217,23 @@ class TestGru:
 class TestPooling:
     def test_single_row(self):
         x = Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(pool_query(x, word_map([1])).data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(pool_query(x, seq_map([1])).data, [[1.0, 2.0]])
 
     def test_opposite_rows_cancel(self):
         x = Tensor([[1.0, -3.0], [-1.0, 3.0]])
-        np.testing.assert_array_equal(pool_query(x, word_map([2])).data, [[0.0, 0.0]])
+        np.testing.assert_array_equal(pool_query(x, seq_map([2])).data, [[0.0, 0.0]])
 
     def test_hand_mean(self):
         x = Tensor([[1.0, 3.0], [3.0, 5.0]])
-        np.testing.assert_array_equal(pool_query(x, word_map([2])).data, [[2.0, 4.0]])
+        np.testing.assert_array_equal(pool_query(x, seq_map([2])).data, [[2.0, 4.0]])
         # three queries stacked: each row is the mean of its own words only
         x = Tensor([[1.0, 3.0], [3.0, 5.0], [7.0, -1.0], [0.0, 2.0], [4.0, 4.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(pool_query(x, word_map([2, 1, 3])).data, [[2.0, 4.0], [7.0, -1.0], [2.0, 2.0]])
+        np.testing.assert_array_equal(pool_query(x, seq_map([2, 1, 3])).data, [[2.0, 4.0], [7.0, -1.0], [2.0, 2.0]])
 
     def test_map_of_another_row_count_is_dimension_error(self):
         # a 2-row map over 3 rows would pool rows 1 and 2 into the second query
         with pytest.raises(DimensionError, match="pool_query: 2 ids for 3 rows"):
-            pool_query(Tensor(np.zeros((3, 2))), word_map([1, 1]))
+            pool_query(Tensor(np.zeros((3, 2))), seq_map([1, 1]))
 
     def test_one_node_whose_gradient_is_upstream_over_length(self):
         rng = np.random.default_rng(4)
@@ -245,7 +241,7 @@ class TestPooling:
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         g = rng.normal(size=(3, 3))
         with GradientTape() as tape:
-            out = pool_query(x, word_map(lengths))
+            out = pool_query(x, seq_map(lengths))
             assert len(tape) == 1
             ad.backward(weighted_sum(out, g))
         # closed form: every word of query b gets g_b / len_b
@@ -262,14 +258,14 @@ class TestAttention:
     def test_single_word_gets_weight_one(self):
         head = glorot(np.random.default_rng(0), 3, 2)
         q = Tensor([[0.5, -0.2]])
-        outputs, weights = attend_heads(q, Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head], word_map([1]))
+        outputs, weights = attend_heads(q, Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head], seq_map([1]))
         np.testing.assert_allclose(weights, [[1.0]])
         np.testing.assert_allclose(outputs[0].data, [[7.0, 8.0]])
 
     def test_identical_keys_give_uniform_weights(self):
         head = glorot(np.random.default_rng(1), 3, 2)
         emb = Tensor(np.tile([[0.3, -0.1, 0.2]], (4, 1)))
-        _, weights = attend_heads(Tensor([[1.0, 2.0]]), emb, Tensor(np.eye(4)), [head], word_map([4]))
+        _, weights = attend_heads(Tensor([[1.0, 2.0]]), emb, Tensor(np.eye(4)), [head], seq_map([4]))
         np.testing.assert_allclose(weights, np.full((1, 4), 0.25))
 
     @pytest.mark.parametrize("head_shape", [(4, 2), (3, 5)], ids=["rows", "columns"])
@@ -277,12 +273,12 @@ class TestAttention:
         head = Tensor(np.zeros(head_shape))
         with pytest.raises(DimensionError, match=f"a key matrix is {head_shape[0]} x {head_shape[1]}, "
                            "the embeddings are 3 wide and the queries 2"):
-            attend_heads(Tensor([[0.5, -0.2]]), Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head], word_map([1]))
+            attend_heads(Tensor([[0.5, -0.2]]), Tensor(np.ones((1, 3))), Tensor([[7.0, 8.0]]), [head], seq_map([1]))
 
     def test_map_of_another_row_count_is_dimension_error(self):
         head = glorot(np.random.default_rng(0), 3, 2)
         with pytest.raises(DimensionError, match="attend_heads: 2 ids for 3 embeddings and 3 contexts"):
-            attend_heads(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 2))), [head], word_map([1, 1]))
+            attend_heads(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 3))), Tensor(np.ones((3, 2))), [head], seq_map([1, 1]))
 
     def test_hand_softmax_logits(self):
         # engineered so the three key logits are exactly [1, 0, 0]
@@ -290,7 +286,7 @@ class TestAttention:
         q = Tensor([[1.0, 0.0]])
         emb = Tensor(np.eye(3))
         ctx = Tensor(np.eye(3))
-        outputs, weights = attend_heads(q, emb, ctx, [head], word_map([3]))
+        outputs, weights = attend_heads(q, emb, ctx, [head], seq_map([3]))
         expected0 = np.e / (np.e + 2.0)  # 0.57611...
         assert weights[0, 0] == pytest.approx(expected0, abs=1e-12)
         np.testing.assert_allclose(outputs[0].data[0], weights[0], atol=1e-12)
@@ -300,7 +296,7 @@ class TestAttention:
         heads = [glorot(rng, 4, 6) for _ in range(3)]
         emb = Tensor(rng.normal(size=(5, 4)))
         ctx = Tensor(rng.normal(size=(5, 6)))
-        outputs, weights = attend_heads(Tensor(rng.normal(size=(1, 6))), emb, ctx, heads, word_map([5]))
+        outputs, weights = attend_heads(Tensor(rng.normal(size=(1, 6))), emb, ctx, heads, seq_map([5]))
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
         assert (weights >= 0).all()
         for out in outputs:
@@ -315,7 +311,7 @@ class TestAttention:
         q = rng.normal(size=(3, 6))
         emb = rng.normal(size=(8, 4))
         ctx = rng.normal(size=(8, 6))
-        outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), heads, word_map(lengths))
+        outputs, weights = attend_heads(Tensor(q), Tensor(emb), Tensor(ctx), heads, seq_map(lengths))
         assert weights.shape == (3, 8)
         for k, head in enumerate(heads):
             assert outputs[k].data.shape == (3, 6)
@@ -337,7 +333,7 @@ class TestAttention:
         heads = [glorot(rng, 4, 6) for _ in range(3)]
         gs = [rng.normal(size=(3, 5)) for _ in heads]
         with GradientTape() as tape:
-            outputs, _ = attend_heads(q, emb, ctx, heads, word_map(lengths))
+            outputs, _ = attend_heads(q, emb, ctx, heads, seq_map(lengths))
             assert len(tape) == len(heads)  # one node per head
             total = weighted_sum(outputs[0], gs[0])
             for out, g in zip(outputs[1:], gs[1:]):
@@ -371,7 +367,7 @@ class TestEncodeQuery:
             assert v.data.shape == (1, 8)
         # the heads' weights over the encoder's own words sum to 1 per head
         emb = embed_query(["person", "opens", "door"], vocab, params.embedding)
-        _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads, word_map([3]))
+        _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads, seq_map([3]))
         assert weights.shape == (3, 3)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
 
