@@ -205,7 +205,7 @@ class SortedSegments:
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted-scaling dropout; call only in training mode."""
+    """Inverted-scaling dropout, its mask drawn from rng; a rate of 0 returns a itself."""
     if rate <= 0.0:
         return a
     keep = 1.0 - rate

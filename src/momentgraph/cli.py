@@ -102,6 +102,8 @@ def cmd_eval(args) -> int:
     model.restore(meta, params)
     train_samples, val_samples, cmap = load_dataset(config.data_dir)
     samples = train_samples if args.split == "train" else val_samples
+    if not samples:
+        raise DataError(f"the {args.split} split has no samples")
     prepared = [model.prepare(s, cmap) for s in samples]
     report, rows = evaluate(model, prepared)
     print(report.table())

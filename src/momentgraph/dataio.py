@@ -316,15 +316,22 @@ def load_annotations(path: str, features_dir: str, detections_dir: str) -> list[
 
 
 def load_dataset(data_dir: str) -> tuple[list[AnnotatedSample], list[AnnotatedSample], CategoryMap]:
-    """Load a dataset directory into (train, val, category_map) using the manifest."""
+    """Load a dataset directory into (train, val, category_map) using the manifest.
+    A manifest id without an annotation line is a DataError; an annotated
+    video in neither split is left out."""
     samples = load_annotations(
         os.path.join(data_dir, "annotations.jsonl"),
         os.path.join(data_dir, "features"),
         os.path.join(data_dir, "detections"),
     )
     cmap = read_category_map(os.path.join(data_dir, "category_map.json"))
-    train_ids, val_ids = read_manifest(os.path.join(data_dir, "manifest.json"))
-    train_set, val_set = set(train_ids), set(val_ids)
-    train = [s for s in samples if s.video_id in train_set]
-    val = [s for s in samples if s.video_id in val_set]
-    return train, val, cmap
+    manifest = os.path.join(data_dir, "manifest.json")
+    annotated = {s.video_id for s in samples}
+    splits = []
+    for split, ids in zip(("train", "val"), read_manifest(manifest)):
+        missing = [vid for vid in ids if vid not in annotated]
+        if missing:
+            raise DataError(f"{manifest}: {split} video {missing[0]!r} has no annotation")
+        wanted = set(ids)
+        splits.append([s for s in samples if s.video_id in wanted])
+    return splits[0], splits[1], cmap

@@ -30,13 +30,15 @@ from .visual import CategoryMap, Detections, NodeEmbedParams, embed_nodes, route
 
 @dataclass
 class PreparedSample:
-    """A sample with tokenization and detection routing done once up front.
+    """A sample with every per-sample input settled up front: the query as
+    vocabulary ids and the routed detections (for no_graph, one human row
+    per frame: the mean of its kept detections, zeros where it kept none).
 
     sample keeps no detections: once routed into the stacked arrays, its
     detection lists or columns are released, not held for the whole run."""
 
     sample: AnnotatedSample
-    tokens: list[str]
+    word_ids: np.ndarray
     humans_stacked: np.ndarray  # all frames' human features, with frame ids
     objects_stacked: np.ndarray
     human_frame_ids: np.ndarray
@@ -96,21 +98,26 @@ class MomentModel:
             dets = replace(dets, features=np.zeros((0, cfg.d_o)))  # no rows, so no width of its own
         route_map = CategoryMap() if cfg.variant == "no_node_types" else cmap
         humans, h_seg, objects, o_seg = route_detections(dets, route_map, cfg.top_n)
+        t = features.shape[0]
+        if cfg.variant == "no_graph":  # each frame's mean, summing humans before objects
+            h_map, o_map = SortedSegments(h_seg, t, "humans"), SortedSegments(o_seg, t, "objects")
+            counts = np.maximum(h_map.counts + o_map.counts, 1)[:, None]
+            humans, h_seg = (h_map.sum(humans, 0) + o_map.sum(objects, 0)) / counts, np.arange(t)
         if cfg.variant == "no_human_node":
             humans, h_seg = humans[:0], h_seg[:0]
-        if cfg.variant == "no_object_node":
+        if cfg.variant in ("no_object_node", "no_graph"):
             objects, o_seg = objects[:0], o_seg[:0]
         target = build_targets(
             sample.t_start_s,
             sample.t_end_s,
             sample.features.stride_seconds,
-            features.shape[0],
+            t,
             smoothing=cfg.smoothing,
             sigma_pos=cfg.sigma_pos,
         )
         return PreparedSample(
             sample=replace(sample, detections=[]),
-            tokens=tokens,
+            word_ids=np.array([self.vocab.index(tok) for tok in tokens], dtype=np.intp),
             humans_stacked=humans,
             objects_stacked=objects,
             human_frame_ids=h_seg,
@@ -132,40 +139,28 @@ class MomentModel:
         cfg = self.config
         features = np.concatenate([p.sample.features.features for p in batch])
         humans = np.concatenate([p.humans_stacked for p in batch])
+        if cfg.variant == "no_graph":  # prepare left each frame's detection mean as its human row
+            return self.nograph_params.project(np.hstack([features, humans]))
         objects = np.concatenate([p.objects_stacked for p in batch])
         h_seg = np.concatenate([p.human_frame_ids + f for p, f in zip(batch, frames.starts)])
         o_seg = np.concatenate([p.object_frame_ids + f for p, f in zip(batch, frames.starts)])
-        t = frames.rows
-        if cfg.variant == "no_graph":
-            # per-frame mean of the kept detections, humans before objects
-            frame_ids = np.concatenate([h_seg, o_seg])
-            pooled = np.zeros((t, cfg.d_o))
-            np.add.at(pooled, frame_ids, np.concatenate([humans, objects]))
-            pooled /= np.maximum(np.bincount(frame_ids, minlength=t), 1)[:, None]
-            return self.nograph_params.project(np.hstack([features, pooled]))
-        views = [encoding.q] * 3 if cfg.variant == "single_query" else encoding.views
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
         del features, humans, objects  # untaped, nothing holds them through the graph
-        nodes = SortedSegments(h_seg, t, "humans"), SortedSegments(o_seg, t, "objects")
-        return spatial_graph(a0, h0, o0, *views, frames, *nodes, self.graph_params, cfg.iterations)
+        nodes = SortedSegments(h_seg, frames.rows, "humans"), SortedSegments(o_seg, frames.rows, "objects")
+        return spatial_graph(a0, h0, o0, *encoding.views, frames, *nodes, self.graph_params, cfg.iterations)
 
-    def forward(
-        self,
-        batch: list[PreparedSample],
-        frames: SortedSegments,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ):
+    def forward(self, batch: list[PreparedSample], frames: SortedSegments, rng: np.random.Generator | None = None):
         """One forward pass over a minibatch; outputs stack the samples in batch order.
-        frames, the batch's frame_map, is the one map the graph and the temporal head read."""
-        encoding = None if self.text is None else encode_query([p.tokens for p in batch], self.vocab, self.text)
+        frames, the batch's frame_map, is the one map the graph and the temporal head read.
+        Dropout runs if and only if an rng is given."""
+        encoding = None if self.text is None else encode_query([p.word_ids for p in batch], self.text)
         a_ctx = self.spatial_forward(batch, encoding, frames)
-        return temporal_forward(a_ctx, frames, self.temporal, training=training, rng=rng)
+        return temporal_forward(a_ctx, frames, self.temporal, rng=rng)
 
-    def loss(self, batch: list[PreparedSample], training: bool = False, rng: np.random.Generator | None = None):
-        """Total loss tensor plus its components, each summed over the minibatch."""
+    def loss(self, batch: list[PreparedSample], rng: np.random.Generator | None = None):
+        """Total loss tensor plus its components, each summed over the minibatch; dropout iff an rng is given."""
         frames = frame_map(batch)
-        out = self.forward(batch, frames, training=training, rng=rng)
+        out = self.forward(batch, frames, rng=rng)
         kl = kl_loss(out["start_dist"], out["end_dist"], [p.target for p in batch])
         starts = frames.starts + [p.target.start_index for p in batch]
         ends = frames.starts + [p.target.end_index for p in batch]

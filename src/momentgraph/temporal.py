@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError, InputError
+from .errors import DimensionError
 from .init import glorot
 from .text import GruParams, bigru_forward
 
@@ -82,7 +82,6 @@ def temporal_forward(
     a_ctx: Tensor,
     frames: ad.SortedSegments,
     params: TemporalParams,
-    training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> dict[str, Tensor]:
     """Stacked N x latent -> per-sample start/end distributions over time plus spatial scores y.
@@ -90,14 +89,12 @@ def temporal_forward(
     a_ctx stacks B samples' timesteps, which frames maps to their samples;
     both BiGRU layers and the three softmax heads read that one map. Each
     output is an N x 1 column holding every sample's distribution in its own
-    rows. Dropout is applied between the two GRU layers, training mode only,
-    as one draw over the stacked rows. A sample with no timestep is an
+    rows. Dropout between the GRU layers runs if and only if an rng is given,
+    one draw over the stacked rows. A sample with no timestep is an
     InputError. Returns tape tensors so losses can backpropagate through them.
     """
     h1 = bigru_forward(a_ctx, params.layer1_fwd, params.layer1_bwd, frames)
-    if training and params.dropout > 0.0:
-        if rng is None:
-            raise InputError("training-mode dropout requires an rng")
+    if rng is not None:
         h1 = ad.dropout(h1, params.dropout, rng)
     h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, frames)
     return {

@@ -179,7 +179,7 @@ class QueryEncoding:
     """Pooled query vectors plus one attended vector per head, one row per query."""
 
     q: Tensor
-    views: list[Tensor]  # the heads' outputs in HEADS order; none for an encoder without heads
+    views: list[Tensor]  # the heads' outputs in HEADS order; q in each place for an encoder without heads
 
 
 def attend_heads(
@@ -243,23 +243,17 @@ class TextEncoderParams:
         return cls(embedding=embedding, gru_fwd=gru_fwd, gru_bwd=gru_bwd, heads=keys)
 
 
-def embed_query(tokens: list[str], vocab: Vocabulary, table: Tensor) -> Tensor:
-    """Look up token embeddings; unknown tokens map to the <unk> row."""
-    if not tokens:
-        raise InputError("empty query")
-    return ad.gather_rows(table, [vocab.index(tok) for tok in tokens])
-
-
-def encode_query(queries: list[list[str]], vocab: Vocabulary, params: TextEncoderParams) -> QueryEncoding:
-    """Full linguistic pipeline for a batch of tokenized queries:
-    embed -> BiGRU -> pool -> the attention heads, each one op over all queries' words."""
-    lengths = [len(tokens) for tokens in queries]
+def encode_query(word_ids: list[np.ndarray], params: TextEncoderParams) -> QueryEncoding:
+    """Full linguistic pipeline for a batch of queries, each an array of vocabulary ids:
+    embed -> BiGRU -> pool -> the attention heads, each one op over all queries' words.
+    An encoder without heads gives its pooled query as every view."""
+    lengths = [len(ids) for ids in word_ids]
     if 0 in lengths:
         raise InputError("empty query")
     # the word -> query map, shared by the BiGRU, pooling and the heads
     words = ad.SortedSegments.from_counts(lengths, "encode_query")
-    embeddings = embed_query([tok for tokens in queries for tok in tokens], vocab, params.embedding)
+    embeddings = ad.gather_rows(params.embedding, np.concatenate(word_ids))
     contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, words)
     q = pool_query(contexts, words)
-    views = attend_heads(q, embeddings, contexts, params.heads, words)[0] if params.heads else []
+    views = attend_heads(q, embeddings, contexts, params.heads, words)[0] if params.heads else [q] * len(HEADS)
     return QueryEncoding(q=q, views=views)

@@ -130,7 +130,7 @@ def train(
             batch = order[start : start + config.batch_size]
             opt.zero_grad()
             with GradientTape():
-                batch_loss, kl, sp = model.loss([prepared_train[i] for i in batch], training=True, rng=rng)
+                batch_loss, kl, sp = model.loss([prepared_train[i] for i in batch], rng=rng)
                 if not np.isfinite(batch_loss.data):
                     raise TrainingError(f"non-finite loss at epoch {epoch}, step {start // config.batch_size}")
                 ad.backward(batch_loss)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class ActivityFeatures:
         t = self.features.shape[0]
         if t < 1:
             raise InputError(f"{self.video_id}: need at least one feature row")
-        if self.stride_seconds <= 0:
-            raise InputError(f"{self.video_id}: stride must be positive")
+        if not (math.isfinite(self.stride_seconds) and self.stride_seconds > 0):
+            raise InputError(f"{self.video_id}: stride must be finite and positive, got {self.stride_seconds}")
+        if not math.isfinite(self.duration_seconds):
+            raise InputError(f"{self.video_id}: duration must be finite, got {self.duration_seconds}")
         if abs(t * self.stride_seconds - self.duration_seconds) > self.stride_seconds:
             raise InputError(
                 f"{self.video_id}: duration {self.duration_seconds}s inconsistent with "

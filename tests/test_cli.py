@@ -487,6 +487,21 @@ class TestExitCodes:
         assert code == 2
         assert f"data error: {path}: video '{shared[0]}' is in both the train and val splits" in capsys.readouterr().err
 
+    def test_manifest_id_without_annotations_is_data_error(self, workspace, tmp_path, capsys):
+        code, path = self._train_with_file(workspace, tmp_path, "manifest.json", lambda m: {**m, "val": m["val"] + ["vid9999"]})
+        assert code == 2
+        assert f"data error: {path}: val video 'vid9999' has no annotation" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_eval_on_an_empty_split_names_it(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "val": []}))
+        code = main(["eval", "--data", str(data), "--checkpoint", str(workspace / "model.ckpt"), "--split", "val"])
+        assert code == 2
+        assert "data error: the val split has no samples" in capsys.readouterr().err
+
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_empty_split_is_data_error(self, workspace, tmp_path, capsys, split):
         code, _ = self._train_with_file(workspace, tmp_path, "manifest.json", lambda m: {**m, split: []})

@@ -389,6 +389,28 @@ class TestDatasetLayout:
         assert os.path.isdir(out / "features")
         assert os.path.isdir(out / "detections")
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_manifest_id_without_annotations_is_data_error(self, tmp_path, split):
+        samples, cmap = generate(SyntheticSpec(n_samples=20, seed=0))
+        write_dataset(samples, cmap, str(tmp_path))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[split].append("vid9999")
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=rf"^{path}: {split} video 'vid9999' has no annotation$"):
+            load_dataset(str(tmp_path))
+
+    def test_annotated_video_in_neither_split_is_left_out(self, tmp_path):
+        samples, cmap = generate(SyntheticSpec(n_samples=20, seed=0))
+        write_dataset(samples, cmap, str(tmp_path))
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        dropped = manifest["train"].pop(0)
+        path.write_text(json.dumps(manifest))
+        train, val, _ = load_dataset(str(tmp_path))
+        assert len(train) + len(val) == len(samples) - sum(s.video_id == dropped for s in samples)
+        assert dropped not in {s.video_id for s in train + val}
+
     def test_category_map_round_trip(self, tmp_path):
         _, cmap = generate(SyntheticSpec(n_samples=5, seed=2))
         path = tmp_path / "cmap.json"

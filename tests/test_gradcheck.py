@@ -16,7 +16,7 @@ def test_tiny_instance_is_forced_small():
         assert np.bincount(prep.object_frame_ids, minlength=t).max() <= 3
     # the gradient-check batch is ragged in both t and query length
     assert [p.sample.features.features.shape[0] for p in batch[:2]] == [4, 3]
-    assert len(batch[0].tokens) != len(batch[1].tokens)
+    assert len(batch[0].word_ids) != len(batch[1].word_ids)
 
 
 def test_subsampling_is_deterministic():

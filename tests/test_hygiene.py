@@ -207,3 +207,70 @@ def test_construction_scan_sees_every_spelling():
     assert segment_map_constructions(tree) == [
         "SortedSegments (line 1)", "ad.SortedSegments (line 2)", "autodiff.SortedSegments.from_counts (line 3)"
     ]
+
+
+def add_at_calls(tree: ast.Module) -> list[str]:
+    """Calls of `np.add.at` (or `numpy.add.at`), with their lines."""
+    return sorted(
+        f"{ast.unparse(sub.func)} (line {sub.lineno})"
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("np.add.at", "numpy.add.at")
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "autodiff.py"], ids=lambda p: p.name)
+def test_only_autodiff_scatters_with_add_at(path):
+    # gather_rows' backward scatters unsorted ids; a sorted axis reduces through its SortedSegments
+    assert add_at_calls(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_add_at_scan_sees_both_spellings():
+    tree = ast.parse(
+        "np.add.at(out, idx, g)\n"
+        "f(numpy.add.at(out, idx, g))\n"
+        "np.add.reduceat(x, starts)\n"
+        "np.add(a, b)\n"
+        "at = np.add.at\n"
+    )
+    assert add_at_calls(tree) == ["np.add.at (line 1)", "numpy.add.at (line 2)"]
+
+
+def methods_reading(tree: ast.Module, cls: str, attr: str) -> list[str]:
+    """Methods of class cls that read self.<attr> anywhere in their body, in order."""
+    found = []
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.ClassDef) and stmt.name == cls:
+            for method in stmt.body:
+                if isinstance(method, ast.FunctionDef) and any(
+                    isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) and sub.attr == attr
+                    and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                    for sub in ast.walk(method)
+                ):
+                    found.append(method.name)
+    return found
+
+
+def test_model_reads_its_vocabulary_only_to_prepare_and_persist():
+    # the forward pass reads word ids that prepare settled, never the vocabulary
+    path = SRC / "model.py"
+    readers = methods_reading(ast.parse(path.read_text(), filename=str(path)), "MomentModel", "vocab")
+    assert set(readers) <= {"__init__", "prepare", "save", "restore"}
+
+
+def test_vocab_read_scan_sees_loads_inside_methods_only():
+    tree = ast.parse(
+        "class MomentModel:\n"
+        "    def __init__(self, vocab):\n"
+        "        self.vocab = vocab\n"
+        "    def forward(self, batch):\n"
+        "        return [self.vocab.index(t) for t in batch]\n"
+        "    def size(self, other):\n"
+        "        return len(other.vocab)\n"
+        "    def save(self):\n"
+        "        def inner():\n"
+        "            return self.vocab\n"
+        "class Other:\n"
+        "    def forward(self):\n"
+        "        return self.vocab\n"
+    )
+    assert methods_reading(tree, "MomentModel", "vocab") == ["forward", "save"]

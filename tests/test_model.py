@@ -15,16 +15,20 @@ from momentgraph.graph import VARIANTS
 from momentgraph import model as model_module
 from momentgraph.model import MomentModel, frame_map
 from momentgraph.synth import SyntheticSpec, generate
-from momentgraph.text import Vocabulary, encode_query
+from momentgraph.text import Vocabulary, encode_query, tokenize
 from momentgraph.train import build_vocab
 
-from momentgraph.visual import Detection, Detections
+from momentgraph.visual import HUMAN, CategoryMap, Detection, Detections
 
 from reference_impls import per_gate_checkpoint_params, ref_route_detections
 
 # the blocks that read only human (object) nodes
 HUMAN_BLOCKS = {"embed.w_h", "embed.b_h", *(f"graph.{m}.{k}" for m in ("phi_snh", "phi_svh", "m_h") for k in "wb")}
 OBJECT_BLOCKS = {"embed.w_o", "embed.b_o", *(f"graph.{m}.{k}" for m in ("phi_sno", "phi_vno", "m_o") for k in "wb")}
+
+
+def word_ids(vocab, tokens):
+    return np.array([vocab.index(tok) for tok in tokens], dtype=np.intp)
 
 
 class TestForward:
@@ -36,7 +40,7 @@ class TestForward:
             assert out[key].data.shape == (n, 1)
             for rows in (slice(0, 4), slice(4, 7)):
                 assert out[key].data[rows].sum() == pytest.approx(1.0, abs=1e-12)
-        encoding = encode_query([p.tokens for p in batch], model.vocab, model.text)
+        encoding = encode_query([p.word_ids for p in batch], model.text)
         assert model.spatial_forward(batch, encoding, frame_map(batch)).data.shape == (n, model.config.latent)
 
     def test_one_block_per_gru_weight_kind(self):
@@ -66,19 +70,27 @@ class TestForward:
     def test_no_graph_ignores_query(self):
         model, [prep] = tiny_instance(variant="no_graph", seed=2)
         base = model.predict([prep])[0]
-        prep.tokens = ["person", "throw"]  # different query, same visuals
+        prep.word_ids = word_ids(model.vocab, ["person", "throw"])  # different query, same visuals
         again = model.predict([prep])[0]
         np.testing.assert_array_equal(base.start_dist, again.start_dist)
 
     def test_no_graph_pools_each_frame_mean(self):
-        model, [prep] = tiny_instance(variant="no_graph", seed=10)
-        keep_h, keep_o = prep.human_frame_ids != 0, prep.object_frame_ids != 0  # frame 0 has no detections
-        prep.humans_stacked, prep.human_frame_ids = prep.humans_stacked[keep_h], prep.human_frame_ids[keep_h]
-        prep.objects_stacked, prep.object_frame_ids = prep.objects_stacked[keep_o], prep.object_frame_ids[keep_o]
-        pooled = np.zeros((prep.sample.features.features.shape[0], model.config.d_o))
-        for i in range(1, pooled.shape[0]):
-            frame = [prep.humans_stacked[prep.human_frame_ids == i], prep.objects_stacked[prep.object_frame_ids == i]]
-            pooled[i] = np.concatenate(frame).mean(axis=0)
+        model, [tiny] = tiny_instance(variant="no_graph", seed=10, lengths=(5,))
+        rng = np.random.default_rng(10)
+        # frame 0 keeps no detections, frame 1 only humans, frame 2 only objects, the rest both; at
+        # most two rows of a kind per frame, so a kind's sum is one addition in any order
+        kinds = [[], ["person"] * 2, ["cup"] * 2, ["person", "cup"], ["cup", "person", "cup", "person"]]
+        frames = [[Detection(label, float(rng.uniform()), rng.normal(size=6)) for label in labels] for labels in kinds]
+        prep = model.prepare(dataclasses.replace(tiny.sample, detections=frames), CategoryMap({"person": HUMAN}))
+        humans, human_ids, objects, object_ids = ref_route_detections(frames, {"person": "human"}, model.config.top_n, 6)
+        pooled = np.zeros((5, 6))
+        for i in range(1, 5):
+            kept = (human_ids == i).sum() + (object_ids == i).sum()
+            pooled[i] = (humans[human_ids == i].sum(axis=0) + objects[object_ids == i].sum(axis=0)) / kept
+        # prepare keeps the means as one human row per frame and no object rows
+        np.testing.assert_array_equal(prep.humans_stacked, pooled)
+        np.testing.assert_array_equal(prep.human_frame_ids, np.arange(5))
+        assert prep.objects_stacked.shape == (0, 6) and prep.object_frame_ids.shape == (0,)
         w, b = model.nograph_params.w.data, model.nograph_params.b.data
         expected = np.concatenate([prep.sample.features.features, pooled], axis=1) @ w + b
         np.testing.assert_array_equal(model.spatial_forward([prep], None, frame_map([prep])).data, expected)
@@ -86,7 +98,7 @@ class TestForward:
     def test_full_variant_uses_query(self):
         model, [prep] = tiny_instance(seed=3)
         base = model.predict([prep])[0]
-        prep.tokens = ["person", "throw"]
+        prep.word_ids = word_ids(model.vocab, ["person", "throw"])
         again = model.predict([prep])[0]
         assert not np.array_equal(base.start_dist, again.start_dist)
 
@@ -110,6 +122,16 @@ class TestForward:
         t = prep.sample.features.features.shape[0]
         assert prep.humans_stacked.shape[0] == 0
         assert (np.bincount(prep.object_frame_ids, minlength=t) > 0).all()
+
+    def test_dropout_runs_if_and_only_if_an_rng_is_given(self):
+        model, batch = tiny_instance(seed=8, lengths=(4, 3))
+        model.temporal.dropout = 0.5
+        assert model.loss(batch)[0].item() != model.loss(batch, rng=np.random.default_rng(0))[0].item()
+        out = model.forward(batch, frame_map(batch))
+        preds = model.predict(batch)
+        for key in ("start_dist", "end_dist"):
+            want = np.concatenate([getattr(pred, key) for pred in preds])
+            assert out[key].data[:, 0].tobytes() == want.tobytes()
 
     def test_predict_deterministic(self):
         model, [prep] = tiny_instance(seed=6)
@@ -237,7 +259,7 @@ class TestSegmentMaps:
         model, batch = tiny_instance(variant=variant, lengths=(4, 3))
         built = self.built_maps(monkeypatch)
         with GradientTape():
-            loss, _, _ = model.loss(batch, training=True, rng=np.random.default_rng(0))
+            loss, _, _ = model.loss(batch, rng=np.random.default_rng(0))
             ad.backward(loss)
         assert built == maps
         built.clear()
@@ -268,6 +290,16 @@ def test_prepare_rejects_a_query_without_words(variant):
     model = MomentModel(synthetic_config(variant=variant), build_vocab(samples))
     with pytest.raises(DataError, match=rf"video '{samples[1].video_id}': query '\?!' has no words"):
         model.prepare(dataclasses.replace(samples[1], query="?!"), cmap)
+
+
+def test_prepare_stores_the_query_as_word_ids():
+    samples, cmap = generate(SyntheticSpec(n_samples=2, seed=0))
+    model = MomentModel(synthetic_config(), build_vocab(samples))
+    prep = model.prepare(samples[0], cmap)
+    assert prep.word_ids.dtype == np.intp
+    assert prep.word_ids.tolist() == [model.vocab.index(tok) for tok in tokenize(samples[0].query)]
+    unseen = model.prepare(dataclasses.replace(samples[0], query="person zzyzx"), cmap)
+    assert unseen.word_ids.tolist() == [model.vocab.index("person"), 0]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -305,7 +337,7 @@ class TestBatchInvariance:
         sizes = []
         for b in (batch[:1], batch):
             with GradientTape() as tape:
-                model.loss(b, training=True, rng=np.random.default_rng(0))
+                model.loss(b, rng=np.random.default_rng(0))
                 sizes.append(len(tape))
         assert sizes[0] == sizes[1]
 
@@ -324,7 +356,7 @@ def test_training_step_tape_budget(variant):
         model, batch = tiny_instance(variant=variant, lengths=GRADCHECK_LENGTHS)
         model.config = dataclasses.replace(model.config, iterations=n_iters)
         with GradientTape() as tape:
-            model.loss(batch, training=True, rng=np.random.default_rng(0))
+            model.loss(batch, rng=np.random.default_rng(0))
             sizes.append(len(tape))
     assert sizes[0] == sizes[1] == TAPE_BUDGET[variant]
 

@@ -61,12 +61,12 @@ class TestForward:
         p = make_params(seed=12, dropout=0.5)
         lengths = [4, 2]
         a_ctx = np.random.default_rng(13).normal(size=(6, LATENT))
-        out = temporal_forward(Tensor(a_ctx), seq_map(lengths), p, training=True, rng=np.random.default_rng(14))
+        out = temporal_forward(Tensor(a_ctx), seq_map(lengths), p, rng=np.random.default_rng(14))
         rng = np.random.default_rng(14)
         start = 0
         for t in lengths:
             rows = slice(start, start + t)
-            one = temporal_forward(Tensor(a_ctx[rows]), seq_map([t]), p, training=True, rng=rng)
+            one = temporal_forward(Tensor(a_ctx[rows]), seq_map([t]), p, rng=rng)
             np.testing.assert_allclose(out["start_dist"].data[rows], one["start_dist"].data, rtol=1e-12)
             start += t
 
@@ -76,11 +76,6 @@ class TestForward:
         one = temporal_forward(x, seq_map([4]), p)["start_dist"].data
         two = temporal_forward(x, seq_map([4]), p)["start_dist"].data
         np.testing.assert_array_equal(one, two)
-
-    def test_training_dropout_requires_rng(self):
-        p = make_params(seed=8, dropout=0.5)
-        with pytest.raises(InputError):
-            temporal_forward(Tensor(np.zeros((3, LATENT))), seq_map([3]), p, training=True)
 
     def test_empty_sequence_rejected(self):
         p = make_params(seed=9)

@@ -12,7 +12,6 @@ from momentgraph.text import (
     Vocabulary,
     attend_heads,
     bigru_forward,
-    embed_query,
     encode_query,
     pool_query,
     tokenize,
@@ -21,6 +20,10 @@ from momentgraph.text import (
 from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_attention_grad, ref_bigru, ref_gru_sequence
 from segment_maps import seq_map
 from tape_sum import weighted_sum
+
+
+def word_ids(vocab, tokens):
+    return np.array([vocab.index(tok) for tok in tokens], dtype=np.intp)
 
 
 class TestTokenizeAndVocab:
@@ -51,7 +54,7 @@ class TestEmbedding:
     def test_two_token_query_rows(self):
         vocab = Vocabulary(["open", "door"])
         table = Tensor(np.arange(20.0).reshape(4, 5))
-        out = embed_query(["open", "door"], vocab, table)
+        out = ad.gather_rows(table, word_ids(vocab, ["open", "door"]))
         assert out.data.shape == (2, 5)
         np.testing.assert_array_equal(out.data[0], table.data[vocab.index("open")])
         np.testing.assert_array_equal(out.data[1], table.data[vocab.index("door")])
@@ -61,20 +64,16 @@ class TestEmbedding:
         rng = np.random.default_rng(7)
         table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         weights = rng.normal(size=(3, 3))
-        tokens = ["open", "door", "open"]
+        ids = word_ids(vocab, ["open", "door", "open"])
 
         def loss():
-            return float((embed_query(tokens, vocab, table).data * weights).sum())
+            return float((ad.gather_rows(table, ids).data * weights).sum())
 
         with GradientTape():
-            ad.backward(weighted_sum(embed_query(tokens, vocab, table), weights))
+            ad.backward(weighted_sum(ad.gather_rows(table, ids), weights))
         np.testing.assert_allclose(table.grad, fd_grad(loss, table.data), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(table.grad[vocab.index("open")], weights[0] + weights[2], atol=1e-15)
         np.testing.assert_array_equal(table.grad[[0, 1]], 0.0)
-
-    def test_empty_query_rejected(self):
-        with pytest.raises(InputError):
-            embed_query([], Vocabulary(), Tensor(np.zeros((2, 3))))
 
 
 class TestGru:
@@ -360,13 +359,13 @@ class TestEncodeQuery:
     def test_shapes_and_weight_rows(self):
         vocab = Vocabulary(["person", "opens", "door"])
         params = TextEncoderParams.create(np.random.default_rng(0), len(vocab), 5, 4, {})
-        enc = encode_query([["person", "opens", "door"]], vocab, params)
+        enc = encode_query([word_ids(vocab, ["person", "opens", "door"])], params)
         assert enc.q.data.shape == (1, 8)
         assert len(enc.views) == len(HEADS)
         for v in enc.views:
             assert v.data.shape == (1, 8)
         # the heads' weights over the encoder's own words sum to 1 per head
-        emb = embed_query(["person", "opens", "door"], vocab, params.embedding)
+        emb = ad.gather_rows(params.embedding, word_ids(vocab, ["person", "opens", "door"]))
         _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads, seq_map([3]))
         assert weights.shape == (3, 3)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
@@ -375,10 +374,10 @@ class TestEncodeQuery:
         vocab = Vocabulary(["person", "opens", "door", "the"])
         params = TextEncoderParams.create(np.random.default_rng(2), len(vocab), 5, 4, {})
         queries = [["person", "opens", "the", "door"], ["door"], ["the", "person"]]
-        batch = encode_query(queries, vocab, params)
+        batch = encode_query([word_ids(vocab, tokens) for tokens in queries], params)
         assert [t.data.shape for t in [batch.q, *batch.views]] == [(3, 8)] * (1 + len(HEADS))
         for b, tokens in enumerate(queries):
-            one = encode_query([tokens], vocab, params)
+            one = encode_query([word_ids(vocab, tokens)], params)
             for got, want in zip([batch.q, *batch.views], [one.q, *one.views]):
                 np.testing.assert_allclose(got.data[b : b + 1], want.data, rtol=1e-12)
 
@@ -386,7 +385,7 @@ class TestEncodeQuery:
         vocab = Vocabulary(["door"])
         params = TextEncoderParams.create(np.random.default_rng(3), len(vocab), 5, 4, {})
         with pytest.raises(InputError, match="empty query"):
-            encode_query([["door"], []], vocab, params)
+            encode_query([word_ids(vocab, ["door"]), word_ids(vocab, [])], params)
 
     def test_identical_heads_collapse(self):
         vocab = Vocabulary(["open", "door"])
@@ -395,7 +394,7 @@ class TestEncodeQuery:
         sv_key, sn_key, vn_key = params.heads
         sn_key.data = sv_key.data.copy()
         vn_key.data = sv_key.data.copy()
-        enc = encode_query([["open", "door"]], vocab, params)
+        enc = encode_query([word_ids(vocab, ["open", "door"])], params)
         sv, sn, vn = enc.views
         np.testing.assert_array_equal(sv.data, sn.data)
         np.testing.assert_array_equal(sv.data, vn.data)
@@ -406,8 +405,9 @@ class TestEncodeQuery:
         params = TextEncoderParams.create(np.random.default_rng(1), len(vocab), 5, 4, registry, heads=())
         assert params.heads == [] and not any(name.startswith("text.head") for name in registry)
         with GradientTape() as tape:
-            enc = encode_query([["open", "door"], ["door"]], vocab, params)
-        assert enc.views == []
+            enc = encode_query([word_ids(vocab, ["open", "door"]), word_ids(vocab, ["door"])], params)
+        # its pooled query stands in for every head's view
+        assert len(enc.views) == len(HEADS) and all(v is enc.q for v in enc.views)
         assert enc.q.data.shape == (2, 8)
         # embedding lookup, the BiGRU layer, pool: nothing for heads
         assert len(tape) == 3

@@ -269,6 +269,20 @@ class TestValidation:
         with pytest.raises(InputError):
             ActivityFeatures("v", np.zeros((4, 4)), 1.0, 99.0)
 
+    @pytest.mark.parametrize(
+        "stride, duration, message",
+        [
+            (np.nan, 3.0, "stride must be finite and positive, got nan"),
+            (np.inf, np.inf, "stride must be finite and positive, got inf"),
+            (-1.0, -3.0, "stride must be finite and positive, got -1.0"),
+            (1.0, np.nan, "duration must be finite, got nan"),
+            (1.0, np.inf, "duration must be finite, got inf"),
+        ],
+    )
+    def test_activity_features_reject_a_non_finite_stride_or_duration(self, stride, duration, message):
+        with pytest.raises(InputError, match=f"^v: {message}$"):
+            ActivityFeatures("v", np.zeros((3, 2)), stride, duration)
+
     def test_category_map_rejects_unknown_category(self):
         with pytest.raises(InputError):
             CategoryMap({"cup": "vehicle"})
