@@ -104,7 +104,7 @@ def cmd_eval(args) -> int:
     samples = train_samples if args.split == "train" else val_samples
     if not samples:
         raise DataError(f"the {args.split} split has no samples")
-    prepared = [model.prepare(s, cmap) for s in samples]
+    prepared = model.prepare_all(samples, cmap)
     report, rows = evaluate(model, prepared)
     print(report.table())
     if config.report:
@@ -133,7 +133,7 @@ def cmd_ablate(args) -> int:
     def run_one(label: str, **cfg_overrides):
         cfg = dataclasses.replace(config, **cfg_overrides)
         model, _ = train(cfg, train_samples, val_samples, cmap)
-        prepared_val = [model.prepare(s, cmap) for s in val_samples]
+        prepared_val = model.prepare_all(val_samples, cmap)
         report, _ = evaluate(model, prepared_val)
         row = {"name": label, "mIoU": report.miou}
         row.update({f"R@{a:g}": v for a, v in report.recall_at.items()})

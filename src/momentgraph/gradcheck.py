@@ -87,7 +87,7 @@ def tiny_instance(
         )
     cmap = CategoryMap({"person": HUMAN})
     model = MomentModel(config, build_vocab(samples))
-    return model, [model.prepare(s, cmap) for s in samples]
+    return model, model.prepare_all(samples, cmap)
 
 
 def run_gradcheck(variant: str = "full", entries_per_block: int = 24, seed: int = 0) -> list[BlockResult]:

@@ -34,8 +34,10 @@ class PreparedSample:
     vocabulary ids and the routed detections (for no_graph, one human row
     per frame: the mean of its kept detections, zeros where it kept none).
 
-    sample keeps no detections: once routed into the stacked arrays, its
-    detection lists or columns are released, not held for the whole run."""
+    The four node arrays are the video's: every sample of one video prepared
+    in one prepare_all call shares them, so they are read-only. sample keeps
+    no detections: once routed into the stacked arrays, its detection lists
+    or columns are released, not held for the whole run."""
 
     sample: AnnotatedSample
     word_ids: np.ndarray
@@ -76,11 +78,41 @@ class MomentModel:
     # data preparation
 
     def prepare(self, sample: AnnotatedSample, cmap: CategoryMap) -> PreparedSample:
+        """One sample's inputs: prepare_all of a one-sample split."""
+        return self.prepare_all([sample], cmap)[0]
+
+    def prepare_all(self, samples: list[AnnotatedSample], cmap: CategoryMap) -> list[PreparedSample]:
+        """Every sample's inputs, in input order.
+
+        A video's work (its checks, routing and no_graph's frame means) runs
+        once per call: samples holding the same features and detections
+        objects, as load_dataset and synth.generate hand out a video's
+        tuples, are one video and share its read-only node arrays. Nothing is
+        kept between calls. A sample's own work is its query's word ids and
+        its target. Errors come in input order, a video's at its first sample.
+        """
         cfg = self.config
-        tokens = tokenize(sample.query)
-        if not tokens:  # no_graph reads no query, but ablate trains every variant on one dataset
-            raise DataError(f"video '{sample.video_id}': query {sample.query!r} has no words")
+        videos: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}  # (features, detections) ids -> node arrays
+        prepared = []
+        for sample in samples:
+            tokens = tokenize(sample.query)
+            if not tokens:  # no_graph reads no query, but ablate trains every variant on one dataset
+                raise DataError(f"video '{sample.video_id}': query {sample.query!r} has no words")
+            key = (id(sample.features), id(sample.detections))
+            if key not in videos:
+                videos[key] = self._route_video(sample, cmap)
+            word_ids = np.array([self.vocab.index(tok) for tok in tokens], dtype=np.intp)
+            t, stride = sample.features.features.shape[0], sample.features.stride_seconds
+            target = build_targets(sample.t_start_s, sample.t_end_s, stride, t, cfg.smoothing, cfg.sigma_pos)
+            prepared.append(PreparedSample(replace(sample, detections=[]), word_ids, *videos[key], target))
+        return prepared
+
+    def _route_video(self, sample: AnnotatedSample, cmap: CategoryMap) -> tuple[np.ndarray, ...]:
+        """A video's node arrays in PreparedSample's field order: (humans, objects, human frame ids,
+        object frame ids), read-only."""
+        cfg = self.config
         features = sample.features.features
+        t = features.shape[0]
         if features.shape[1] != cfg.d_v:
             raise DataError(
                 f"video '{sample.video_id}': activity features are {features.shape[1]} wide, config d_v is {cfg.d_v}"
@@ -91,6 +123,8 @@ class MomentModel:
                 dets = Detections.from_frames(dets, cfg.d_o)
             except InputError as exc:
                 raise DataError(f"video '{sample.video_id}': {exc}")
+        if dets.frames != t:
+            raise DataError(f"video '{sample.video_id}': detections span {dets.frames} frames, its activity features {t}")
         rows, width = dets.features.shape
         if width != cfg.d_o:
             if rows:
@@ -98,7 +132,6 @@ class MomentModel:
             dets = replace(dets, features=np.zeros((0, cfg.d_o)))  # no rows, so no width of its own
         route_map = CategoryMap() if cfg.variant == "no_node_types" else cmap
         humans, h_seg, objects, o_seg = route_detections(dets, route_map, cfg.top_n)
-        t = features.shape[0]
         if cfg.variant == "no_graph":  # each frame's mean, summing humans before objects
             h_map, o_map = SortedSegments(h_seg, t, "humans"), SortedSegments(o_seg, t, "objects")
             counts = np.maximum(h_map.counts + o_map.counts, 1)[:, None]
@@ -107,23 +140,10 @@ class MomentModel:
             humans, h_seg = humans[:0], h_seg[:0]
         if cfg.variant in ("no_object_node", "no_graph"):
             objects, o_seg = objects[:0], o_seg[:0]
-        target = build_targets(
-            sample.t_start_s,
-            sample.t_end_s,
-            sample.features.stride_seconds,
-            t,
-            smoothing=cfg.smoothing,
-            sigma_pos=cfg.sigma_pos,
-        )
-        return PreparedSample(
-            sample=replace(sample, detections=[]),
-            word_ids=np.array([self.vocab.index(tok) for tok in tokens], dtype=np.intp),
-            humans_stacked=humans,
-            objects_stacked=objects,
-            human_frame_ids=h_seg,
-            object_frame_ids=o_seg,
-            target=target,
-        )
+        nodes = humans, objects, h_seg, o_seg
+        for arr in nodes:  # shared by the video's samples: a write raises instead of reaching them all
+            arr.flags.writeable = False
+        return nodes
 
     # ------------------------------------------------------------------
     # forward
@@ -158,7 +178,10 @@ class MomentModel:
         return temporal_forward(a_ctx, frames, self.temporal, rng=rng)
 
     def loss(self, batch: list[PreparedSample], rng: np.random.Generator | None = None):
-        """Total loss tensor plus its components, each summed over the minibatch; dropout iff an rng is given."""
+        """Total loss tensor plus its components, each summed over the minibatch; dropout iff an rng is given.
+        An empty batch is an InputError: it has no loss."""
+        if not batch:
+            raise InputError("loss of an empty batch: a minibatch needs at least one sample")
         frames = frame_map(batch)
         out = self.forward(batch, frames, rng=rng)
         kl = kl_loss(out["start_dist"], out["end_dist"], [p.target for p in batch])
@@ -169,6 +192,8 @@ class MomentModel:
 
     def predict(self, batch: list[PreparedSample]) -> list[MomentPrediction]:
         """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample."""
+        if not batch:
+            return []
         frames = frame_map(batch)
         out = self.forward(batch, frames)
         start_dists = np.split(out["start_dist"].data[:, 0], frames.starts[1:])

@@ -108,8 +108,8 @@ def train(
             raise DataError(f"the {split} split has no samples")
     vocab = build_vocab(train_samples)
     model = MomentModel(config, vocab)
-    prepared_train = [model.prepare(s, cmap) for s in train_samples]
-    prepared_val = [model.prepare(s, cmap) for s in val_samples]
+    prepared_train = model.prepare_all(train_samples, cmap)
+    prepared_val = model.prepare_all(val_samples, cmap)
     opt = Adam(
         model.params,
         lr=config.lr,

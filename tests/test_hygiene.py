@@ -251,10 +251,10 @@ def methods_reading(tree: ast.Module, cls: str, attr: str) -> list[str]:
 
 
 def test_model_reads_its_vocabulary_only_to_prepare_and_persist():
-    # the forward pass reads word ids that prepare settled, never the vocabulary
+    # the forward pass reads word ids that prepare_all settled, never the vocabulary
     path = SRC / "model.py"
     readers = methods_reading(ast.parse(path.read_text(), filename=str(path)), "MomentModel", "vocab")
-    assert set(readers) <= {"__init__", "prepare", "save", "restore"}
+    assert set(readers) <= {"__init__", "prepare_all", "save", "restore"}
 
 
 def test_vocab_read_scan_sees_loads_inside_methods_only():
@@ -274,3 +274,62 @@ def test_vocab_read_scan_sees_loads_inside_methods_only():
         "        return self.vocab\n"
     )
     assert methods_reading(tree, "MomentModel", "vocab") == ["forward", "save"]
+
+
+def calls_of(tree: ast.Module, name: str) -> list[str]:
+    """Calls of a function or method called name (`name(...)` or `x.name(...)`), with the
+    enclosing top-level def or class method as `Class.method`, in line order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if called == name:
+                    found.append((child.lineno, f"{where or '<module>'} (line {child.lineno})"))
+            visit(child, where)
+
+    visit(tree, "")
+    return [text for _, text in sorted(found)]
+
+
+def src_calls_of(name: str) -> list[str]:
+    return [
+        f"{path.name}: {call}"
+        for path in sorted(SRC.glob("*.py"))
+        for call in calls_of(ast.parse(path.read_text(), filename=str(path)), name)
+    ]
+
+
+def test_splits_are_prepared_together():
+    # prepare_all routes each video once for all its tuples; a loop over prepare routes it per tuple
+    assert src_calls_of("prepare") == []
+
+
+def test_detections_are_routed_in_one_place():
+    # the per-video step is the one caller, so a video is routed once per prepare_all call
+    assert [call.split(" (line")[0] for call in src_calls_of("route_detections")] == [
+        "model.py: MomentModel._route_video"
+    ]
+
+
+def test_call_scan_sees_bare_and_attribute_calls_with_their_scope():
+    tree = ast.parse(
+        "prepare(s)\n"
+        "class Model:\n"
+        "    def run(self, s):\n"
+        "        return [self.prepare(x) for x in s]\n"
+        "    def prepare_all(self, s):\n"
+        "        def inner():\n"
+        "            return m.prepare(s)\n"
+        "        return self.prepare\n"
+        "def f():\n"
+        "    g(prepared(1), x.prepare_all(2))\n"
+    )
+    assert calls_of(tree, "prepare") == [
+        "<module> (line 1)", "Model.run (line 4)", "Model.prepare_all.inner (line 7)"
+    ]

@@ -9,7 +9,8 @@ from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments
 from momentgraph.checkpoint import load_params, save_params
 from momentgraph.config import synthetic_config
-from momentgraph.errors import CheckpointError, DataError
+from momentgraph.dataio import load_dataset, write_dataset
+from momentgraph.errors import CheckpointError, DataError, InputError
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, tiny_instance
 from momentgraph.graph import VARIANTS
 from momentgraph import model as model_module
@@ -195,14 +196,14 @@ def reachable(root):
 
 def test_prepare_releases_detections(monkeypatch):
     prepared = []
-    prepare = MomentModel.prepare
+    prepare_all = MomentModel.prepare_all
 
-    def spy(self, sample, cmap):
-        prep = prepare(self, sample, cmap)
-        prepared.append((sample, prep))
-        return prep
+    def spy(self, samples, cmap):
+        preps = prepare_all(self, samples, cmap)
+        prepared.extend(zip(samples, preps))
+        return preps
 
-    monkeypatch.setattr(MomentModel, "prepare", spy)
+    monkeypatch.setattr(MomentModel, "prepare_all", spy)
     model, batch = tiny_instance(lengths=(4, 3))
     assert [prep for _, prep in prepared] == batch
     for sample, prep in prepared:
@@ -300,6 +301,101 @@ def test_prepare_stores_the_query_as_word_ids():
     assert prep.word_ids.tolist() == [model.vocab.index(tok) for tok in tokenize(samples[0].query)]
     unseen = model.prepare(dataclasses.replace(samples[0], query="person zzyzx"), cmap)
     assert unseen.word_ids.tolist() == [model.vocab.index("person"), 0]
+
+
+def prepared_arrays(prep):
+    """Every array a PreparedSample holds, with its dtype and shape, and what it keeps of its sample."""
+    arrays = (
+        prep.word_ids, prep.humans_stacked, prep.objects_stacked, prep.human_frame_ids, prep.object_frame_ids,
+        prep.target.start_dist, prep.target.end_dist,
+    )
+    s = prep.sample
+    kept = (s.video_id, s.query, s.t_start_s, s.t_end_s, id(s.features), s.detections)
+    return kept, prep.target.start_index, prep.target.end_index, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestPrepareAll:
+    """prepare_all does a video's work once for all its tuples and changes no byte of what prepare gives."""
+
+    @pytest.mark.parametrize("order", ["video", "shuffled"])
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_prepare_per_sample(self, variant, source, order, tmp_path):
+        samples, cmap = generate(SyntheticSpec(n_samples=30, seed=5))
+        if source == "loaded":
+            write_dataset(samples, cmap, str(tmp_path))
+            train_samples, val_samples, cmap = load_dataset(str(tmp_path))
+            samples = train_samples + val_samples
+        if order == "shuffled":
+            samples = [samples[i] for i in np.random.default_rng(5).permutation(len(samples))]
+        assert len({id(s.detections) for s in samples}) < len(samples)  # some video has several tuples
+        model = MomentModel(synthetic_config(variant=variant, top_n=2), build_vocab(samples))
+        want = [prepared_arrays(model.prepare(s, cmap)) for s in samples]
+        assert [prepared_arrays(p) for p in model.prepare_all(samples, cmap)] == want
+
+    def test_routes_each_video_once_per_call(self, monkeypatch):
+        samples, cmap = generate(SyntheticSpec(n_samples=250, seed=0))
+        model = MomentModel(synthetic_config(), build_vocab(samples))
+        calls = []
+        route = model_module.route_detections
+        monkeypatch.setattr(model_module, "route_detections", lambda *args: calls.append(1) or route(*args))
+        model.prepare_all(samples, cmap)
+        assert len(calls) == len({s.video_id for s in samples}) == 103
+        model.prepare_all(samples, cmap)  # nothing is kept between calls
+        assert len(calls) == 2 * 103
+
+    def test_a_videos_samples_share_read_only_node_arrays(self):
+        samples, cmap = generate(SyntheticSpec(n_samples=30, seed=5))
+        first, second = [s for s in samples if s.video_id == samples[0].video_id][:2]
+        a, b = MomentModel(synthetic_config(), build_vocab(samples)).prepare_all([first, second], cmap)
+        assert np.shares_memory(a.humans_stacked, b.humans_stacked)
+        for key in ("humans_stacked", "objects_stacked", "human_frame_ids", "object_frame_ids"):
+            assert getattr(a, key) is getattr(b, key)
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, key)[...] = 0
+
+    def test_a_videos_error_names_it(self):
+        samples, cmap = generate(SyntheticSpec(n_samples=30, seed=5))
+        model = MomentModel(synthetic_config(), build_vocab(samples))
+        vid = samples[-1].video_id
+        tuples = [s for s in samples if s.video_id == vid]
+        assert len(tuples) > 1
+        columns = Detections.from_frames(tuples[0].detections, 16)
+        narrow = dataclasses.replace(columns, features=columns.features[:, :15])
+        bad = [dataclasses.replace(s, detections=narrow) for s in tuples]
+        with pytest.raises(DataError, match=rf"video '{vid}': detection features are 15 wide, config d_o is 16"):
+            model.prepare_all(samples[: -len(tuples)] + bad, cmap)
+        wordless = [tuples[0], dataclasses.replace(tuples[1], query="?!")]
+        with pytest.raises(DataError, match=rf"video '{vid}': query '\?!' has no words"):
+            model.prepare_all(samples[: -len(tuples)] + wordless, cmap)
+
+    def test_empty_split_prepares_to_nothing(self):
+        model, _ = tiny_instance()
+        assert model.prepare_all([], CategoryMap()) == []
+
+
+@pytest.mark.parametrize("source", ["lists", "columns"])
+def test_prepare_rejects_detections_over_other_frames(source):
+    model, [prep] = tiny_instance(seed=6, lengths=(4,))
+    rng = np.random.default_rng(6)
+    frames = [[Detection("person", 0.9, rng.normal(size=model.config.d_o))] for _ in range(7)]
+    dets = frames if source == "lists" else Detections.from_frames(frames, model.config.d_o)
+    sample = dataclasses.replace(prep.sample, detections=dets)
+    with pytest.raises(DataError, match=r"video 'tiny0': detections span 7 frames, its activity features 4"):
+        model.prepare(sample, CategoryMap({"person": HUMAN}))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_empty_batch_predicts_nothing(variant):
+    model, _ = tiny_instance(variant=variant)
+    assert model.predict([]) == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_empty_batch_has_no_loss(variant):
+    model, _ = tiny_instance(variant=variant)
+    with pytest.raises(InputError, match="empty batch"):
+        model.loss([])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
