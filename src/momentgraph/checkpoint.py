@@ -4,7 +4,7 @@ Layout (version 2): magic bytes "DORI", format version u32, header length
 (u64), UTF-8 JSON header {"model": {config.MODEL_FIELDS}, "vocab": [tokens]},
 then one record per parameter: name length (u64), UTF-8 name, rank (u64),
 dims (u64 each), row-major f64 little-endian payload. Records run to end of
-file. No other version loads.
+file. No other version loads, and no record with a non-finite entry.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def save_params(params: dict, path: str, meta: dict) -> None:
 
 def load_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint back into (header, name -> ndarray). Every malformed
-    file is a CheckpointError."""
+    file, and one with a non-finite parameter, is a CheckpointError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
@@ -72,7 +72,12 @@ def _parse(blob: bytes, path: str) -> tuple[dict, dict[str, np.ndarray]]:
         (rank,) = u64s()
         dims = u64s(rank)
         count = math.prod(dims)
-        params[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count)).copy().reshape(dims)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=take(8 * count)).copy().reshape(dims)
+        if not np.isfinite(arr).all():  # it would predict NaN, which decodes to index 0 without a word
+            first = int(np.flatnonzero(~np.isfinite(arr))[0])
+            index = tuple(int(i) for i in np.unravel_index(first, dims))
+            raise CheckpointError(f"{path}: record '{name}' holds {arr.flat[first]} at index {index}: parameters must be finite")
+        params[name] = arr
 
     (version,) = struct.unpack_from("<I", blob, take(4))
     if version != VERSION:

@@ -145,6 +145,29 @@ def _gate_backward(g, cache, m: PairMap, x0, grad):
     return d_msgs, d_z
 
 
+class GraphWeights:
+    """The parameter-only products MessagePassing reads, shared by every call
+    over the same parameter values: each pair map's W_x rows, each message
+    map as (m_1, m_2, b_m^T), and per node kind its stacked W_x^T and its
+    folded (W_x·m_1)^T. An update of the parameters leaves it stale, so a
+    taped call builds its own."""
+
+    def __init__(self, params: SpatialGraphParams):
+        self.params = params
+        self.n = n = params.m_a.w.data.shape[0]
+        self.d_lang = d = params.phi_sva.w.data.shape[0] - n
+        self.w_x = {slot: getattr(params, slot).w.data[d:] for slot, _, _ in PAIRS}
+        self.msg = {}
+        for slot in ("msg_sv", "msg_vn", "msg_sn"):
+            m = getattr(params, slot)
+            self.msg[slot] = (m.w.data[:n], m.w.data[n:], m.b.data.T)
+        self.pair = {kind: np.concatenate([self.w_x[slot].T for slot in slots]) for kind, slots in STACKS.items()}
+        self.fold = {
+            kind: np.concatenate([(self.w_x[slot] @ self.msg[msg][0]).T for slot, msg in folds])
+            for kind, folds in FOLDS.items()
+        }
+
+
 class MessagePassing:
     """The fixed inputs of one spatial_graph call, in the form its iterations read.
 
@@ -166,44 +189,35 @@ class MessagePassing:
     the caller's autodiff.SortedSegments, reduced along the last axis.
     """
 
-    def __init__(self, params: SpatialGraphParams, a0, h0, o0, sv, sn, vn, frames, humans, objects):
+    def __init__(self, weights: GraphWeights, a0, h0, o0, sv, sn, vn, frames, humans, objects):
         t, n = a0.shape
         shapes = [(m.rows, m.counts.size) for m in (frames, humans, objects)]
-        if shapes != [(t, sv.shape[0]), (h0.shape[0], t), (o0.shape[0], t)]:
+        if shapes != [(t, sv.shape[0]), (h0.shape[0], t), (o0.shape[0], t)] or sv.shape[1] != weights.d_lang:
             raise DimensionError(
                 f"spatial graph: maps of (rows, segments) {shapes} for {t} frames of {sv.shape[0]} samples, "
-                f"{h0.shape[0]} humans and {o0.shape[0]} objects"
+                f"{h0.shape[0]} humans and {o0.shape[0]} objects, views {sv.shape[1]} wide for {weights.d_lang}"
             )
-        self.params = params
-        self.n = n
+        self.params, self.n, self.d_lang = weights.params, weights.n, weights.d_lang
+        self.w_x, self.msg, self.pair, self.fold = weights.w_x, weights.msg, weights.pair, weights.fold
         self.x0 = {"a": a0.T.copy(), "h": h0.T.copy(), "o": o0.T.copy()}
         self.views = {"sv": sv, "sn": sn, "vn": vn}
         self.samples, self.nodes = frames, {"h": humans, "o": objects}
         self.counts = {"a": 1.0, "h": humans.counts, "o": objects.counts}
-        self.d_lang = d = sv.shape[1]
-        # per pair map: W_x, and L = l·W_l + b per sample (latent x samples)
-        self.w_x, self.lang = {}, {}
+        # per pair map, L = l·W_l + b per sample (latent x samples)
+        self.lang = {}
         for slot, view, _ in PAIRS:
-            pm = getattr(params, slot)
-            self.w_x[slot] = pm.w.data[d:]
-            self.lang[slot] = pm.w.data[:d].T @ self.views[view].T + pm.b.data.T
-        # each message map as (m_1, m_2, b_m^T)
-        self.msg = {}
-        for slot in ("msg_sv", "msg_vn", "msg_sn"):
-            m = getattr(params, slot)
-            self.msg[slot] = (m.w.data[:n], m.w.data[n:], m.b.data.T)
-        # per node kind: its stacked W_x^T and its stacked L, per sample for the
-        # activity and per frame as n·L for a node sum
-        self.pair, self.pair_lang = {}, {}
+            pm = getattr(self.params, slot)
+            self.lang[slot] = pm.w.data[: self.d_lang].T @ self.views[view].T + pm.b.data.T
+        # per node kind: its stacked L, per sample for the activity and per frame as n·L for a node sum
+        self.pair_lang = {}
         for kind, slots in STACKS.items():
-            self.pair[kind] = np.concatenate([self.w_x[slot].T for slot in slots])
             lang = np.concatenate([self.lang[slot] for slot in slots])
             self.pair_lang[kind] = lang if kind == "a" else self.samples.expand(lang, 1) * self.counts[kind]
-        # per node kind: the folded (W_x·m_1)^T and, per sample, the constant L·m_1 + b_m of its frame terms
-        self.fold, self.frame = {}, {}
-        for kind, folds in FOLDS.items():
-            self.fold[kind] = np.concatenate([(self.w_x[slot] @ self.msg[msg][0]).T for slot, msg in folds])
-            self.frame[kind] = np.concatenate([self.msg[msg][0].T @ self.lang[slot] + self.msg[msg][2] for slot, msg in folds])
+        # per node kind, per sample: the constant L·m_1 + b_m of its frame terms
+        self.frame = {
+            kind: np.concatenate([self.msg[msg][0].T @ self.lang[slot] + self.msg[msg][2] for slot, msg in folds])
+            for kind, folds in FOLDS.items()
+        }
 
     def step(self, a, h, o, last: bool = False, keep: bool = True):
         """One message-passing iteration: the updated (a, h, o) and the cache
@@ -367,6 +381,7 @@ def spatial_graph(
     objects: SortedSegments,
     params: SpatialGraphParams,
     n_iters: int,
+    weights: GraphWeights | None = None,
 ) -> Tensor:
     """The activity latents after n_iters rounds of message passing, as one tape node.
 
@@ -385,10 +400,14 @@ def spatial_graph(
     records the node, and the hand-written backward replays them in
     reverse. A block the iterations do not read (the h and o side of a
     one-iteration graph) gets no gradient.
+
+    weights, params' GraphWeights, lets calls over unchanged parameters
+    share them; without it the call builds its own.
     """
     if n_iters == 0:
         return a0
-    mp = MessagePassing(params, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frames, humans, objects)
+    weights = weights or GraphWeights(params)
+    mp = MessagePassing(weights, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frames, humans, objects)
     # the views in the order PAIRS first reads them, and the slots in PAIRS
     # order, so a tied query or pair map sums its slots' gradients in that order
     tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "vn": vn, "sn": sn}

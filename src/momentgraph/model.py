@@ -16,6 +16,7 @@ from .config import MODEL_FIELDS, RunConfig
 from .dataio import AnnotatedSample
 from .errors import CheckpointError, DataError, InputError
 from .graph import (
+    GraphWeights,
     NoGraphParams,
     SpatialGraphParams,
     check_variant,
@@ -148,13 +149,16 @@ class MomentModel:
     # ------------------------------------------------------------------
     # forward
 
-    def spatial_forward(self, batch: list[PreparedSample], encoding, frames: SortedSegments) -> Tensor:
+    def spatial_forward(
+        self, batch: list[PreparedSample], encoding, frames: SortedSegments, weights: GraphWeights | None = None
+    ) -> Tensor:
         """Contextualized activity representations of a minibatch, stacked: N x latent.
 
         Every timestep of every sample runs through one spatial_graph node
         (frames are independent): node frame ids are offset by their sample's
         first stacked row, and the graph reads each sample's linguistic rows
-        through frames, the frame -> sample map.
+        through frames, the frame -> sample map. weights, the graph's
+        parameter-only products, may be shared by calls between updates.
         """
         cfg = self.config
         features = np.concatenate([p.sample.features.features for p in batch])
@@ -167,7 +171,27 @@ class MomentModel:
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
         del features, humans, objects  # untaped, nothing holds them through the graph
         nodes = SortedSegments(h_seg, frames.rows, "humans"), SortedSegments(o_seg, frames.rows, "objects")
-        return spatial_graph(a0, h0, o0, *encoding.views, frames, *nodes, self.graph_params, cfg.iterations)
+        return spatial_graph(a0, h0, o0, *encoding.views, frames, *nodes, self.graph_params, cfg.iterations, weights)
+
+    def _spatial_blocks(self, batch: list[PreparedSample], encoding, frames: SortedSegments) -> Tensor:
+        """spatial_forward's untaped rows, one call per block of budget_runs over
+        the samples' node rows with GRAPH_BLOCK_NODES: the graph's latent x node
+        arrays stay block-sized whatever the batch. The blocks share one
+        GraphWeights and write into one stacked array; no block's arrays outlive
+        it. A one-block batch reads the batch's own frame map."""
+        nodes = [p.humans_stacked.shape[0] + p.objects_stacked.shape[0] for p in batch]
+        blocks = list(budget_runs(nodes, GRAPH_BLOCK_NODES))
+        if self.graph_params is None or len(blocks) == 1:
+            return self.spatial_forward(batch, encoding, frames)
+        weights = GraphWeights(self.graph_params)
+        a_ctx = np.empty((frames.rows, self.config.latent))
+        row = 0
+        for start, stop in blocks:
+            block_frames = frame_map(batch[start:stop])
+            rows = slice(row, row + block_frames.rows)
+            a_ctx[rows] = self.spatial_forward(batch[start:stop], encoding.rows(start, stop), block_frames, weights).data
+            row = rows.stop
+        return Tensor(a_ctx)
 
     def forward(self, batch: list[PreparedSample], frames: SortedSegments, rng: np.random.Generator | None = None):
         """One forward pass over a minibatch; outputs stack the samples in batch order.
@@ -191,11 +215,17 @@ class MomentModel:
         return total_loss(kl, sp), kl, sp
 
     def predict(self, batch: list[PreparedSample]) -> list[MomentPrediction]:
-        """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample."""
+        """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample.
+
+        forward's stages by cost: the query encoder and the temporal head run
+        once over the batch, whose per-step loops amortise over wide batches,
+        and the spatial graph once per block of about GRAPH_BLOCK_NODES node
+        rows, whose memory-bound arrays stay near the cache."""
         if not batch:
             return []
         frames = frame_map(batch)
-        out = self.forward(batch, frames)
+        encoding = None if self.text is None else encode_query([p.word_ids for p in batch], self.text)
+        out = temporal_forward(self._spatial_blocks(batch, encoding, frames), frames, self.temporal)
         start_dists = np.split(out["start_dist"].data[:, 0], frames.starts[1:])
         end_dists = np.split(out["end_dist"].data[:, 0], frames.starts[1:])
         videos = [p.sample.features for p in batch]
@@ -234,6 +264,30 @@ class MomentModel:
                     f"checkpoint parameter '{name}' has shape {arr.shape}, config expects {self.params[name].data.shape}"
                 )
             self.params[name].data[...] = arr  # in place: the block may be a view of Adam's vector
+
+
+# Human plus object rows per spatial_graph block of an untaped forward. The
+# graph is memory-bound per node row and its gate is the forward's peak: at
+# 512 rows its latent x node arrays are 128 KB each, so a block's working set
+# stays within a core's L2 and is reused by the next block. Blocks of 1024
+# rows scored alike in a process that had trained, but in a fresh one (as
+# `momentgraph eval`) the allocator handed each block's freed arrays back to
+# the kernel, and every block faulted them in again. A taped forward runs its
+# minibatch as one block: there, blocks were slower. CHANGES.md has the sweep.
+GRAPH_BLOCK_NODES = 512
+
+
+def budget_runs(costs, budget):
+    """(start, stop) of runs of consecutive items, in order, each closed once
+    its costs reach budget; the last run may fall short."""
+    start, total = 0, 0
+    for i, cost in enumerate(costs):
+        total += cost
+        if total >= budget:
+            yield start, i + 1
+            start, total = i + 1, 0
+    if start < len(costs):
+        yield start, len(costs)
 
 
 def frame_map(batch: list[PreparedSample]) -> SortedSegments:

@@ -181,6 +181,10 @@ class QueryEncoding:
     q: Tensor
     views: list[Tensor]  # the heads' outputs in HEADS order; q in each place for an encoder without heads
 
+    def rows(self, start: int, stop: int) -> "QueryEncoding":
+        """Queries start:stop, as constants that view this encoding's arrays: no tape records through them."""
+        return QueryEncoding(Tensor(self.q.data[start:stop]), [Tensor(v.data[start:stop]) for v in self.views])
+
 
 def attend_heads(
     q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[Tensor], words: ad.SortedSegments

@@ -14,7 +14,7 @@ from .config import RunConfig
 from .dataio import AnnotatedSample
 from .errors import DataError, TrainingError
 from .metrics import EvalReport, Interval, evaluate_pairs, tiou
-from .model import MomentModel, PreparedSample
+from .model import MomentModel, PreparedSample, budget_runs
 from .optim import Adam
 from .text import Vocabulary, tokenize
 from .visual import CategoryMap
@@ -43,30 +43,19 @@ def build_vocab(samples: list[AnnotatedSample]) -> Vocabulary:
 
 
 # Frames per evaluation forward. A forward pays a fixed cost per call (the
-# BiGRU's step loop, the segment maps, the graph's folded products), so wide
-# runs amortise it, while the graph's working set grows with the frames.
-# 512, 640 and 768 scored alike; 512 keeps peak memory at the narrow
-# chunks' level (CHANGES.md has the sweep).
-EVAL_FRAMES = 512
-
-
-def _eval_chunks(prepared: list[PreparedSample]):
-    """Runs of whole consecutive samples, each closed once its frames reach EVAL_FRAMES."""
-    chunk, frames = [], 0
-    for p in prepared:
-        chunk.append(p)
-        frames += p.frames
-        if frames >= EVAL_FRAMES:
-            yield chunk
-            chunk, frames = [], 0
-    if chunk:
-        yield chunk
+# BiGRU's and the query encoder's step loops, the segment maps), so wide runs
+# amortise it. The graph runs in blocks of its own (model.GRAPH_BLOCK_NODES),
+# so the width bounds only the text and temporal arrays. CHANGES.md has the
+# sweep.
+EVAL_FRAMES = 2048
 
 
 def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalReport, list[dict]]:
-    """Forward + decode on a split, one forward per _eval_chunks run, in
-    input order; returns the report and per-pair dump rows."""
-    preds = [pred for chunk in _eval_chunks(prepared) for pred in model.predict(chunk)]
+    """Forward + decode on a split, in input order: one predict per run of
+    whole samples closed once its frames reach EVAL_FRAMES. Returns the
+    report and per-pair dump rows."""
+    runs = budget_runs([p.frames for p in prepared], EVAL_FRAMES)
+    preds = [pred for start, stop in runs for pred in model.predict(prepared[start:stop])]
     pairs = []
     rows = []
     n_degenerate = 0

@@ -13,7 +13,7 @@ import pytest
 from momentgraph.autodiff import SortedSegments, Tensor
 from momentgraph.config import synthetic_config
 from momentgraph.gradcheck import run_gradcheck
-from momentgraph.graph import MessagePassing, SpatialGraphParams, spatial_graph
+from momentgraph.graph import GraphWeights, MessagePassing, SpatialGraphParams, spatial_graph
 from momentgraph.init import glorot
 from momentgraph.losses import kl_divergence, spatial_loss
 from momentgraph.metrics import Interval, miou, recall_at, tiou
@@ -255,7 +255,7 @@ def test_reference_loop_equivalence():
     h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
     a = spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], h_seg, o_seg), params, 1)
     # h and o from the op's per-iteration step, which the op runs for every iteration but the last
-    mp = MessagePassing(params, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *graph_maps([0], h_seg, o_seg))
+    mp = MessagePassing(GraphWeights(params), a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *graph_maps([0], h_seg, o_seg))
     a_step, h, o, _ = mp.step(a0.data, h0.data, o0.data)
     ra, rh, ro = ref_graph_iteration(
         a0.data, h0.data, o0.data, a0.data, h0.data, o0.data,

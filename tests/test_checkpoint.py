@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from momentgraph.checkpoint import MAGIC, VERSION, load_params, save_params
 from momentgraph.config import MODEL_FIELDS, RunConfig
 from momentgraph.errors import CheckpointError
+from momentgraph.gradcheck import tiny_instance
 
 from reference_impls import dori_record
 
@@ -142,3 +144,29 @@ def test_malformed_file_is_typed_error(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(CheckpointError):
         load_params(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_is_typed_error_naming_the_first(tmp_path, bad):
+    params = {"a.w": np.zeros((3, 4)), "b": np.ones(2)}
+    params["a.w"][1, 2] = bad
+    params["a.w"][2, 0] = np.nan  # a later bad entry of the same record
+    path = tmp_path / "model.ckpt"
+    save_params(params, str(path), META)
+    match = rf"{re.escape(str(path))}: record 'a\.w' holds {bad} at index \(1, 2\)"
+    with pytest.raises(CheckpointError, match=match):
+        load_params(str(path))
+
+
+def test_model_with_a_nan_parameter_does_not_load(tmp_path):
+    # it would predict all-NaN distributions, which decode to index 0
+    model, _ = tiny_instance(seed=3)
+    model.params["temporal.w_start"].data[1, 0] = np.nan
+    path = tmp_path / "model.ckpt"
+    model.save(str(path))
+    fresh, _ = tiny_instance(seed=4)
+    before = {name: p.data.copy() for name, p in fresh.params.items()}
+    with pytest.raises(CheckpointError, match=r"record 'temporal\.w_start' holds nan at index \(1, 0\)"):
+        fresh.load(str(path))
+    for name, p in fresh.params.items():  # nothing of the bad file reaches the model
+        assert p.data.tobytes() == before[name].tobytes()

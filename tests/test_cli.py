@@ -164,6 +164,16 @@ class TestEval:
         assert code == 2
         assert "missing [], unexpected ['temporal.b_start']" in capsys.readouterr().err
 
+    def test_checkpoint_with_a_nan_parameter_is_data_error(self, workspace, tmp_path, capsys):
+        meta, params = load_params(str(workspace / "model.ckpt"))
+        params["temporal.w_start"][3, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_params(params, str(bad), meta)
+        code = main(["eval", "--data", str(workspace / "data"), "--checkpoint", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: record 'temporal.w_start' holds nan at index (3, 0)" in err
+
     def test_missing_checkpoint_is_data_error(self, workspace):
         code = main([
             "eval", "--data", str(workspace / "data"), "--checkpoint", str(workspace / "nope.ckpt"),

@@ -6,6 +6,7 @@ from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ConfigError, ContractError, DimensionError
 from momentgraph.graph import (
     VARIANTS,
+    GraphWeights,
     MessagePassing,
     NoGraphParams,
     SpatialGraphParams,
@@ -44,7 +45,7 @@ def latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters):
     its per-iteration step, whose a must be the op's bit for bit."""
     maps = graph_maps(frame_sample, h_seg, o_seg)
     a = spatial_graph(a0, h0, o0, sv, sn, vn, *maps, p, n_iters).data
-    mp = MessagePassing(p, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *maps)
+    mp = MessagePassing(GraphWeights(p), a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *maps)
     x = a0.data, h0.data, o0.data
     for _ in range(n_iters):
         x = mp.step(*x)[:3]
@@ -211,7 +212,7 @@ class TestBatchedSequence:
         # a frame without humans (objects) sums them to exact zeros, in
         # every iteration: the latents' sum and both pair-map sums
         empty = {"h": [1, 3], "o": [1, 2]}
-        mp = MessagePassing(p, *(t.data for t in inputs), *graph_maps(*maps))
+        mp = MessagePassing(GraphWeights(p), *(t.data for t in inputs), *graph_maps(*maps))
         x = tuple(t.data for t in inputs[:3])
         for _ in range(3):
             *x, cache = mp.step(*x)

@@ -267,6 +267,16 @@ class TestSegmentMaps:
         model.predict(batch)
         assert built == maps
 
+    @pytest.mark.parametrize("variant", ["full", "single_query", "no_graph"])
+    def test_one_map_per_axis_of_each_graph_block(self, variant, monkeypatch):
+        model, batch = tiny_instance(variant=variant, lengths=(4, 3, 5))
+        monkeypatch.setattr(model_module, "GRAPH_BLOCK_NODES", 1)  # one sample per block
+        built = self.built_maps(monkeypatch)
+        model.predict(batch)
+        # the batch's frames feed the temporal head; no_graph has no graph to block
+        blocks = ["frames", "humans", "objects"] * len(batch)
+        assert built == (["frames"] if variant == "no_graph" else ["frames", "encode_query", *blocks])
+
     @pytest.mark.parametrize("variant", ["full", "single_query"])
     def test_graph_and_temporal_head_share_the_frame_map(self, variant, monkeypatch):
         model, batch = tiny_instance(variant=variant, lengths=(4, 3))
@@ -455,6 +465,23 @@ def test_training_step_tape_budget(variant):
             model.loss(batch, rng=np.random.default_rng(0))
             sizes.append(len(tape))
     assert sizes[0] == sizes[1] == TAPE_BUDGET[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_graph_block_budget_leaves_a_training_step_alone(variant, monkeypatch):
+    def step():
+        model, batch = tiny_instance(variant=variant, lengths=GRADCHECK_LENGTHS)
+        with GradientTape() as tape:
+            losses = model.loss(batch, rng=np.random.default_rng(0))
+            size = len(tape)
+            ad.backward(losses[0])
+        grads = {name: None if p.grad is None else p.grad.tobytes() for name, p in model.params.items()}
+        return [t.data.tobytes() for t in losses], grads, size
+
+    default = step()
+    monkeypatch.setattr(model_module, "GRAPH_BLOCK_NODES", 1)
+    assert step() == default
+    assert default[2] == TAPE_BUDGET[variant]
 
 
 class TestPersistence:

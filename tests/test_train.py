@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,8 +121,8 @@ class TestTrain:
     def test_evaluate_chunking_does_not_change_predictions(self, tiny_data, monkeypatch):
         tr, va, cmap = tiny_data
         model, _ = train(small_config(), tr, va, cmap)
-        # more frames than the default budget, so the default makes several runs
-        split, _ = generate(SyntheticSpec(n_samples=140, t_range=(8, 12), seed=1))
+        # more frames than twice the default budget, so the default makes several runs
+        split, _ = generate(SyntheticSpec(n_samples=140, t_range=(30, 40), seed=1))
         prepared = [model.prepare(s, cmap) for s in split]
         assert sum(p.frames for p in prepared) > 2 * train_module.EVAL_FRAMES
         chunks = []
@@ -148,6 +149,63 @@ class TestTrain:
         assert runs_all == [prepared]  # one forward
         assert rows1 == rows == rows_all
         assert report1.miou == report.miou == report_all.miou
+
+
+    def test_graph_blocks_do_not_change_predictions(self, tiny_data, monkeypatch):
+        tr, va, cmap = tiny_data
+        model, _ = train(small_config(), tr, va, cmap)
+        split, _ = generate(SyntheticSpec(n_samples=40, seed=2))
+        prepared = model.prepare_all(split, cmap)
+        nodes = [p.humans_stacked.shape[0] + p.objects_stacked.shape[0] for p in prepared]
+        assert min(nodes) > 0 and sum(nodes) > 2 * model_module.GRAPH_BLOCK_NODES
+        assert sum(p.frames for p in prepared) < train_module.EVAL_FRAMES  # one evaluation run
+        blocks = []
+        spatial_forward = model.spatial_forward
+        monkeypatch.setattr(model, "spatial_forward", lambda batch, *args: blocks.append(batch) or spatial_forward(batch, *args))
+
+        def run(budget):
+            monkeypatch.setattr(model_module, "GRAPH_BLOCK_NODES", budget)
+            blocks.clear()
+            _, rows = evaluate(model, prepared)
+            return rows, model.predict(prepared), list(blocks)
+
+        default = model_module.GRAPH_BLOCK_NODES
+        rows, preds, runs = run(default)
+        # blocks of whole samples that cover each predict's batch once, in order
+        assert [p for block in runs for p in block] == 2 * prepared
+        assert len(runs) > 4
+        for block in runs[: len(runs) // 2 - 1]:
+            counts = [p.humans_stacked.shape[0] + p.objects_stacked.shape[0] for p in block]
+            assert sum(counts) >= default > sum(counts[:-1])  # closed once its node rows reach the budget
+        rows1, preds1, runs1 = run(1)
+        assert [len(block) for block in runs1] == [1] * 2 * len(prepared)  # one sample per block
+        rows_all, preds_all, runs_all = run(10**9)
+        assert runs_all == [prepared, prepared]  # one block per predict
+        assert rows1 == rows == rows_all
+        for others in (preds1, preds_all):
+            for pred, other in zip(preds, others):
+                np.testing.assert_allclose(other.start_dist, pred.start_dist, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(other.end_dist, pred.end_dist, rtol=1e-12, atol=0)
+
+    def test_evaluate_memory_does_not_grow_with_the_split(self, tiny_data):
+        tr, va, cmap = tiny_data
+        model, _ = train(small_config(), tr, va, cmap)
+        split, _ = generate(SyntheticSpec(n_samples=300, seed=2))
+        prepared = model.prepare_all(split, cmap)
+        frames = np.cumsum([p.frames for p in prepared])
+        one_run = int(np.searchsorted(frames, train_module.EVAL_FRAMES)) + 1  # the samples of the first run
+        assert frames[-1] > 3 * train_module.EVAL_FRAMES
+
+        def peak(samples):
+            evaluate(model, samples)  # first-call costs are not counted
+            tracemalloc.start()
+            try:
+                evaluate(model, samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(prepared) <= 1.1 * peak(prepared[:one_run])
 
 
 class ReversedByOneModel:
