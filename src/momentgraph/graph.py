@@ -149,8 +149,8 @@ class GraphWeights:
     """The parameter-only products MessagePassing reads, shared by every call
     over the same parameter values: each pair map's W_x rows, each message
     map as (m_1, m_2, b_m^T), and per node kind its stacked W_x^T and its
-    folded (W_x·m_1)^T. An update of the parameters leaves it stale, so a
-    taped call builds its own."""
+    folded (W_x·m_1)^T. An update of the parameters leaves it stale, so it
+    is built per forward."""
 
     def __init__(self, params: SpatialGraphParams):
         self.params = params
@@ -379,9 +379,8 @@ def spatial_graph(
     frames: SortedSegments,
     humans: SortedSegments,
     objects: SortedSegments,
-    params: SpatialGraphParams,
+    weights: GraphWeights,
     n_iters: int,
-    weights: GraphWeights | None = None,
 ) -> Tensor:
     """The activity latents after n_iters rounds of message passing, as one tape node.
 
@@ -394,19 +393,16 @@ def spatial_graph(
     whose segment sums are exact zero rows. With n_iters = 0 the result is
     a0 itself.
 
-    The node's inputs are a0, h0, o0, the three views and the graph's
-    blocks; a query or block tied into several slots (single_query) collects
-    every slot's gradient. The iterations' caches are kept only while a tape
-    records the node, and the hand-written backward replays them in
-    reverse. A block the iterations do not read (the h and o side of a
+    The node's inputs are a0, h0, o0, the three views and the blocks of
+    weights.params, the graph's parameters; a query or block tied into
+    several slots (single_query) collects every slot's gradient. The
+    iterations' caches are kept only while a tape records the node, and the
+    hand-written backward replays them in reverse. A block the iterations do not read (the h and o side of a
     one-iteration graph) gets no gradient.
-
-    weights, params' GraphWeights, lets calls over unchanged parameters
-    share them; without it the call builds its own.
     """
     if n_iters == 0:
         return a0
-    weights = weights or GraphWeights(params)
+    params = weights.params
     mp = MessagePassing(weights, a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, frames, humans, objects)
     # the views in the order PAIRS first reads them, and the slots in PAIRS
     # order, so a tied query or pair map sums its slots' gradients in that order

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import SortedSegments, Tensor
 from .checkpoint import load_params, save_params
 from .config import MODEL_FIELDS, RunConfig
@@ -150,15 +151,15 @@ class MomentModel:
     # forward
 
     def spatial_forward(
-        self, batch: list[PreparedSample], encoding, frames: SortedSegments, weights: GraphWeights | None = None
+        self, batch: list[PreparedSample], views: list[Tensor] | None, frames: SortedSegments, weights: GraphWeights | None
     ) -> Tensor:
         """Contextualized activity representations of a minibatch, stacked: N x latent.
 
         Every timestep of every sample runs through one spatial_graph node
         (frames are independent): node frame ids are offset by their sample's
-        first stacked row, and the graph reads each sample's linguistic rows
-        through frames, the frame -> sample map. weights, the graph's
-        parameter-only products, may be shared by calls between updates.
+        first stacked row, and the graph reads each sample's row of the
+        linguistic views through frames, the frame -> sample map. views and
+        weights are None for no_graph, which reads neither.
         """
         cfg = self.config
         features = np.concatenate([p.sample.features.features for p in batch])
@@ -171,34 +172,29 @@ class MomentModel:
         a0, h0, o0 = embed_nodes(features, humans, objects, self.embed)
         del features, humans, objects  # untaped, nothing holds them through the graph
         nodes = SortedSegments(h_seg, frames.rows, "humans"), SortedSegments(o_seg, frames.rows, "objects")
-        return spatial_graph(a0, h0, o0, *encoding.views, frames, *nodes, self.graph_params, cfg.iterations, weights)
-
-    def _spatial_blocks(self, batch: list[PreparedSample], encoding, frames: SortedSegments) -> Tensor:
-        """spatial_forward's untaped rows, one call per block of budget_runs over
-        the samples' node rows with GRAPH_BLOCK_NODES: the graph's latent x node
-        arrays stay block-sized whatever the batch. The blocks share one
-        GraphWeights and write into one stacked array; no block's arrays outlive
-        it. A one-block batch reads the batch's own frame map."""
-        nodes = [p.humans_stacked.shape[0] + p.objects_stacked.shape[0] for p in batch]
-        blocks = list(budget_runs(nodes, GRAPH_BLOCK_NODES))
-        if self.graph_params is None or len(blocks) == 1:
-            return self.spatial_forward(batch, encoding, frames)
-        weights = GraphWeights(self.graph_params)
-        a_ctx = np.empty((frames.rows, self.config.latent))
-        row = 0
-        for start, stop in blocks:
-            block_frames = frame_map(batch[start:stop])
-            rows = slice(row, row + block_frames.rows)
-            a_ctx[rows] = self.spatial_forward(batch[start:stop], encoding.rows(start, stop), block_frames, weights).data
-            row = rows.stop
-        return Tensor(a_ctx)
+        return spatial_graph(a0, h0, o0, *views, frames, *nodes, weights, cfg.iterations)
 
     def forward(self, batch: list[PreparedSample], frames: SortedSegments, rng: np.random.Generator | None = None):
         """One forward pass over a minibatch; outputs stack the samples in batch order.
         frames, the batch's frame_map, is the one map the graph and the temporal head read.
-        Dropout runs if and only if an rng is given."""
-        encoding = None if self.text is None else encode_query([p.word_ids for p in batch], self.text)
-        a_ctx = self.spatial_forward(batch, encoding, frames)
+        Dropout runs if and only if an rng is given.
+
+        The query encoder and the temporal head run once over the batch. While
+        a tape records the parameters the graph does too; untaped, it runs once
+        per block of about GRAPH_BLOCK_NODES node rows, each block with its own
+        frame map, and the blocks share one GraphWeights."""
+        views = None if self.text is None else encode_query([p.word_ids for p in batch], self.text)
+        weights = None if self.graph_params is None else GraphWeights(self.graph_params)
+        nodes = [p.humans_stacked.shape[0] + p.objects_stacked.shape[0] for p in batch]
+        blocks = list(budget_runs(nodes, GRAPH_BLOCK_NODES))
+        if weights is None or len(blocks) == 1 or ad.recording(self.params.values()):
+            a_ctx = self.spatial_forward(batch, views, frames, weights)
+        else:
+            a_ctx = Tensor(np.empty((frames.rows, self.config.latent)))
+            for start, stop in blocks:
+                block, lo = batch[start:stop], frames.starts[start]
+                block_frames, block_views = frame_map(block), [Tensor(v.data[start:stop]) for v in views]
+                a_ctx.data[lo : lo + block_frames.rows] = self.spatial_forward(block, block_views, block_frames, weights).data
         return temporal_forward(a_ctx, frames, self.temporal, rng=rng)
 
     def loss(self, batch: list[PreparedSample], rng: np.random.Generator | None = None):
@@ -214,25 +210,24 @@ class MomentModel:
         sp = spatial_loss(out["y"], starts, ends)
         return total_loss(kl, sp), kl, sp
 
-    def predict(self, batch: list[PreparedSample]) -> list[MomentPrediction]:
-        """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample.
+    def predict(self, samples: list[PreparedSample]) -> list[MomentPrediction]:
+        """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample, in order.
 
-        forward's stages by cost: the query encoder and the temporal head run
-        once over the batch, whose per-step loops amortise over wide batches,
-        and the spatial graph once per block of about GRAPH_BLOCK_NODES node
-        rows, whose memory-bound arrays stay near the cache."""
-        if not batch:
-            return []
-        frames = frame_map(batch)
-        encoding = None if self.text is None else encode_query([p.word_ids for p in batch], self.text)
-        out = temporal_forward(self._spatial_blocks(batch, encoding, frames), frames, self.temporal)
-        start_dists = np.split(out["start_dist"].data[:, 0], frames.starts[1:])
-        end_dists = np.split(out["end_dist"].data[:, 0], frames.starts[1:])
-        videos = [p.sample.features for p in batch]
-        return [
-            decode(s, e, v.stride_seconds, v.duration_seconds, swap_degenerate=self.config.swap_degenerate)
-            for v, s, e in zip(videos, start_dists, end_dists)
-        ]
+        Any number of samples: one untaped forward per run of whole samples
+        closed once its frames reach EVAL_FRAMES, so memory stays that of one run."""
+        preds = []
+        for start, stop in budget_runs([p.frames for p in samples], EVAL_FRAMES):
+            run = samples[start:stop]
+            frames = frame_map(run)
+            out = self.forward(run, frames)
+            start_dists = np.split(out["start_dist"].data[:, 0], frames.starts[1:])
+            end_dists = np.split(out["end_dist"].data[:, 0], frames.starts[1:])
+            videos = [p.sample.features for p in run]
+            preds += [
+                decode(s, e, v.stride_seconds, v.duration_seconds, swap_degenerate=self.config.swap_degenerate)
+                for v, s, e in zip(videos, start_dists, end_dists)
+            ]
+        return preds
 
     # ------------------------------------------------------------------
     # persistence
@@ -266,14 +261,22 @@ class MomentModel:
             self.params[name].data[...] = arr  # in place: the block may be a view of Adam's vector
 
 
-# Human plus object rows per spatial_graph block of an untaped forward. The
-# graph is memory-bound per node row and its gate is the forward's peak: at
-# 512 rows its latent x node arrays are 128 KB each, so a block's working set
-# stays within a core's L2 and is reused by the next block. Blocks of 1024
-# rows scored alike in a process that had trained, but in a fresh one (as
-# `momentgraph eval`) the allocator handed each block's freed arrays back to
-# the kernel, and every block faulted them in again. A taped forward runs its
-# minibatch as one block: there, blocks were slower. CHANGES.md has the sweep.
+# The cost budgets of an untaped forward. Each stage is cut where its cost
+# per call stops paying:
+# - EVAL_FRAMES, frames per predict run. The query encoder's and the BiGRU's
+#   step loops and the segment maps cost about the same per call at 5
+#   sequences as at 48, so wide runs amortise them; the graph has a budget of
+#   its own, so the width bounds only the text and temporal arrays.
+# - GRAPH_BLOCK_NODES, human plus object rows per spatial_graph block. The
+#   graph is memory-bound per node row and its gate is the forward's peak: at
+#   512 rows its latent x node arrays are 128 KB each, so a block's working
+#   set stays within a core's L2 and is reused by the next block. Blocks of
+#   1024 rows scored alike in a process that had trained, but in a fresh one
+#   (as `momentgraph eval`) the allocator handed each block's freed arrays
+#   back to the kernel, and every block faulted them in again. A taped
+#   forward runs its minibatch as one block: there, blocks were slower.
+# CHANGES.md has the sweeps.
+EVAL_FRAMES = 2048
 GRAPH_BLOCK_NODES = 512
 
 

@@ -174,18 +174,6 @@ def pool_query(contexts: Tensor, words: ad.SortedSegments) -> Tensor:
     return ad.record(words.sum(contexts.data, 0) * inv, (contexts,), backward)
 
 
-@dataclass
-class QueryEncoding:
-    """Pooled query vectors plus one attended vector per head, one row per query."""
-
-    q: Tensor
-    views: list[Tensor]  # the heads' outputs in HEADS order; q in each place for an encoder without heads
-
-    def rows(self, start: int, stop: int) -> "QueryEncoding":
-        """Queries start:stop, as constants that view this encoding's arrays: no tape records through them."""
-        return QueryEncoding(Tensor(self.q.data[start:stop]), [Tensor(v.data[start:stop]) for v in self.views])
-
-
 def attend_heads(
     q: Tensor, embeddings: Tensor, contexts: Tensor, heads: list[Tensor], words: ad.SortedSegments
 ) -> tuple[list[Tensor], np.ndarray]:
@@ -225,7 +213,7 @@ def attend_heads(
     return outputs, np.stack(weights)
 
 
-# the linguistic views the attention heads produce, in QueryEncoding.views order
+# the linguistic views the attention heads produce, in encode_query's order
 HEADS = ("sv", "sn", "vn")
 
 
@@ -247,10 +235,11 @@ class TextEncoderParams:
         return cls(embedding=embedding, gru_fwd=gru_fwd, gru_bwd=gru_bwd, heads=keys)
 
 
-def encode_query(word_ids: list[np.ndarray], params: TextEncoderParams) -> QueryEncoding:
+def encode_query(word_ids: list[np.ndarray], params: TextEncoderParams) -> list[Tensor]:
     """Full linguistic pipeline for a batch of queries, each an array of vocabulary ids:
     embed -> BiGRU -> pool -> the attention heads, each one op over all queries' words.
-    An encoder without heads gives its pooled query as every view."""
+    Returns the views in HEADS order, one row per query; an encoder without
+    heads gives its pooled query as every view."""
     lengths = [len(ids) for ids in word_ids]
     if 0 in lengths:
         raise InputError("empty query")
@@ -259,5 +248,4 @@ def encode_query(word_ids: list[np.ndarray], params: TextEncoderParams) -> Query
     embeddings = ad.gather_rows(params.embedding, np.concatenate(word_ids))
     contexts = bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, words)
     q = pool_query(contexts, words)
-    views = attend_heads(q, embeddings, contexts, params.heads, words)[0] if params.heads else [q] * len(HEADS)
-    return QueryEncoding(q=q, views=views)
+    return attend_heads(q, embeddings, contexts, params.heads, words)[0] if params.heads else [q] * len(HEADS)

@@ -14,7 +14,7 @@ from .config import RunConfig
 from .dataio import AnnotatedSample
 from .errors import DataError, TrainingError
 from .metrics import EvalReport, Interval, evaluate_pairs, tiou
-from .model import MomentModel, PreparedSample, budget_runs
+from .model import MomentModel, PreparedSample
 from .optim import Adam
 from .text import Vocabulary, tokenize
 from .visual import CategoryMap
@@ -42,20 +42,10 @@ def build_vocab(samples: list[AnnotatedSample]) -> Vocabulary:
     return Vocabulary(tokens)
 
 
-# Frames per evaluation forward. A forward pays a fixed cost per call (the
-# BiGRU's and the query encoder's step loops, the segment maps), so wide runs
-# amortise it. The graph runs in blocks of its own (model.GRAPH_BLOCK_NODES),
-# so the width bounds only the text and temporal arrays. CHANGES.md has the
-# sweep.
-EVAL_FRAMES = 2048
-
-
 def evaluate(model: MomentModel, prepared: list[PreparedSample]) -> tuple[EvalReport, list[dict]]:
-    """Forward + decode on a split, in input order: one predict per run of
-    whole samples closed once its frames reach EVAL_FRAMES. Returns the
-    report and per-pair dump rows."""
-    runs = budget_runs([p.frames for p in prepared], EVAL_FRAMES)
-    preds = [pred for start, stop in runs for pred in model.predict(prepared[start:stop])]
+    """Forward + decode on a split, in input order. Returns the report and
+    per-pair dump rows."""
+    preds = model.predict(prepared)
     pairs = []
     rows = []
     n_degenerate = 0
@@ -110,7 +100,7 @@ def train(
     log = TrainLog(config=asdict(config))
     best = opt.data.copy()
     n = len(prepared_train)
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -136,7 +126,7 @@ def train(
             "train_miou": None,
             "val_miou": None,
             "val_degenerate": None,
-            "wall_time_s": time.time() - t0,
+            "wall_time_s": time.perf_counter() - t0,
         }
         target_reached = False
         if epoch % config.eval_every == 0 or epoch == config.epochs:

@@ -70,7 +70,7 @@ def test_zero_iteration_identity():
     sv, sn, vn = (Tensor(rng.normal(size=(1, 6))) for _ in range(3))
     h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
     before = [t.data.tobytes() for t in (a0, h0, o0)]
-    a = spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], h_seg, o_seg), params, 0)
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], h_seg, o_seg), GraphWeights(params), 0)
     assert a is a0
     assert [t.data.tobytes() for t in (a, h0, o0)] == before
     print("\nacceptance 2 zero-iteration identity: PASS")
@@ -253,7 +253,7 @@ def test_reference_loop_equivalence():
     o0 = Tensor(rng.normal(size=(3, 5)))
     sv, sn, vn = (Tensor(rng.normal(size=(1, 6))) for _ in range(3))
     h_seg, o_seg = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
-    a = spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], h_seg, o_seg), params, 1)
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], h_seg, o_seg), GraphWeights(params), 1)
     # h and o from the op's per-iteration step, which the op runs for every iteration but the last
     mp = MessagePassing(GraphWeights(params), a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *graph_maps([0], h_seg, o_seg))
     a_step, h, o, _ = mp.step(a0.data, h0.data, o0.data)

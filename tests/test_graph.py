@@ -44,7 +44,7 @@ def latents(a0, h0, o0, sv, sn, vn, frame_sample, h_seg, o_seg, p, n_iters):
     """(a, h, o) after n_iters: a from spatial_graph, h and o from n_iters of
     its per-iteration step, whose a must be the op's bit for bit."""
     maps = graph_maps(frame_sample, h_seg, o_seg)
-    a = spatial_graph(a0, h0, o0, sv, sn, vn, *maps, p, n_iters).data
+    a = spatial_graph(a0, h0, o0, sv, sn, vn, *maps, GraphWeights(p), n_iters).data
     mp = MessagePassing(GraphWeights(p), a0.data, h0.data, o0.data, sv.data, sn.data, vn.data, *maps)
     x = a0.data, h0.data, o0.data
     for _ in range(n_iters):
@@ -146,7 +146,7 @@ class TestMessagePassing:
         p, _ = make_params(seed=10)
         a0, h0, o0, sv, sn, vn = make_instance(seed=11)
         seg_h, seg_o = np.zeros(2, dtype=np.intp), np.zeros(3, dtype=np.intp)
-        assert spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], seg_h, seg_o), p, 0) is a0
+        assert spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps([0], seg_h, seg_o), GraphWeights(p), 0) is a0
 
     def test_message_map_sharing(self):
         # the three message maps are shared across edge directions, so the
@@ -226,7 +226,7 @@ class TestBatchedSequence:
         empty = Tensor(np.zeros((0, LATENT)))
         seg = np.zeros(0, dtype=int)
         sv = sn = vn = Tensor(np.zeros((1, D_LANG)))
-        assert spatial_graph(a0, empty, empty, sv, sn, vn, *graph_maps([0, 0, 0], seg, seg), p, 0) is a0
+        assert spatial_graph(a0, empty, empty, sv, sn, vn, *graph_maps([0, 0, 0], seg, seg), GraphWeights(p), 0) is a0
 
     @pytest.mark.parametrize("name", ["frame_sample", "h_seg", "o_seg"])
     def test_unsorted_segment_ids_rejected(self, name):
@@ -237,7 +237,7 @@ class TestBatchedSequence:
         maps = {"frame_sample": [0, 1, 1], "h_seg": [0, 2], "o_seg": [1, 2]}
         maps[name] = maps[name][::-1]
         with pytest.raises(ContractError, match=f"{name}: segment ids must be sorted"):
-            spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps(maps["frame_sample"], maps["h_seg"], maps["o_seg"]), p, 1)
+            spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps(maps["frame_sample"], maps["h_seg"], maps["o_seg"]), GraphWeights(p), 1)
 
 
     @pytest.mark.parametrize(
@@ -251,7 +251,7 @@ class TestBatchedSequence:
         a0, h0, o0 = (Tensor(rng.normal(size=(n, LATENT))) for n in (3, 2, 2))
         sv = sn = vn = Tensor(rng.normal(size=(2, D_LANG)))
         with pytest.raises(DimensionError, match="spatial graph: maps of"):
-            spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps(*maps), p, 1)
+            spatial_graph(a0, h0, o0, sv, sn, vn, *graph_maps(*maps), GraphWeights(p), 1)
 
 
 # frame_sample, h_seg and o_seg of the finite-difference batches
@@ -286,10 +286,10 @@ def unread_after_central_differences(p, registry, inputs, maps, n_iters):
     segments = graph_maps(*maps)
 
     def f():
-        return float((spatial_graph(*inputs, *segments, p, n_iters).data * weights).sum())
+        return float((spatial_graph(*inputs, *segments, GraphWeights(p), n_iters).data * weights).sum())
 
     with GradientTape():
-        out = spatial_graph(*inputs, *segments, p, n_iters)
+        out = spatial_graph(*inputs, *segments, GraphWeights(p), n_iters)
         ad.backward(weighted_sum(out, weights))
     tensors = {**{f"input{i}": t for i, t in enumerate(inputs)}, **registry}
     unread = set()

@@ -333,3 +333,56 @@ def test_call_scan_sees_bare_and_attribute_calls_with_their_scope():
     assert calls_of(tree, "prepare") == [
         "<module> (line 1)", "Model.run (line 4)", "Model.prepare_all.inner (line 7)"
     ]
+
+
+def test_graph_weights_are_built_once_per_forward():
+    # forward builds the graph's parameter-only products once and hands them to every block
+    assert [call.split(" (line")[0] for call in src_calls_of("GraphWeights")] == ["model.py: MomentModel.forward"]
+
+
+def test_call_scan_sees_a_second_graph_weights_builder():
+    tree = ast.parse(
+        "class MomentModel:\n"
+        "    def forward(self, batch):\n"
+        "        return GraphWeights(self.graph_params)\n"
+        "def spatial_graph(a0, params, weights=None):\n"
+        "    weights = weights or graph.GraphWeights(params)\n"
+        "def check(w: GraphWeights) -> GraphWeights: ...\n"
+    )
+    assert calls_of(tree, "GraphWeights") == ["MomentModel.forward (line 3)", "spatial_graph (line 5)"]
+
+
+BUDGETS = ("EVAL_FRAMES", "GRAPH_BLOCK_NODES", "budget_runs")
+
+
+def names_of(tree: ast.Module, names) -> list[str]:
+    """Every mention of one of names in tree (a bare name, an attribute, an
+    imported name or a def), with its line."""
+    found = []
+    for sub in ast.walk(tree):
+        for attr in ("id", "attr", "name"):  # Name, Attribute, alias and def
+            name = getattr(sub, attr, None)
+            if name in names and hasattr(sub, "lineno"):
+                found.append(f"{name} (line {sub.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "model.py"], ids=lambda p: p.name)
+def test_only_the_model_names_the_evaluation_budgets(path):
+    # how an untaped forward is cut by cost is one decision: predict and forward apply it
+    assert names_of(ast.parse(path.read_text(), filename=str(path)), BUDGETS) == []
+
+
+def test_budget_scan_sees_names_attributes_imports_and_defs():
+    tree = ast.parse(
+        "from .model import budget_runs, frame_map\n"
+        "runs = budget_runs(costs, model.EVAL_FRAMES)\n"
+        "GRAPH_BLOCK_NODES = 512\n"
+        "def budget_runs(costs, budget): ...\n"
+        "frames = 'EVAL_FRAMES'\n"
+        "x.eval_frames = EVAL_FRAMES_MAX\n"
+    )
+    assert names_of(tree, BUDGETS) == [
+        "EVAL_FRAMES (line 2)", "GRAPH_BLOCK_NODES (line 3)", "budget_runs (line 1)", "budget_runs (line 2)",
+        "budget_runs (line 4)",
+    ]

@@ -12,7 +12,7 @@ from momentgraph.config import synthetic_config
 from momentgraph.dataio import load_dataset, write_dataset
 from momentgraph.errors import CheckpointError, DataError, InputError
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, tiny_instance
-from momentgraph.graph import VARIANTS
+from momentgraph.graph import VARIANTS, GraphWeights
 from momentgraph import model as model_module
 from momentgraph.model import MomentModel, frame_map
 from momentgraph.synth import SyntheticSpec, generate
@@ -41,8 +41,9 @@ class TestForward:
             assert out[key].data.shape == (n, 1)
             for rows in (slice(0, 4), slice(4, 7)):
                 assert out[key].data[rows].sum() == pytest.approx(1.0, abs=1e-12)
-        encoding = encode_query([p.word_ids for p in batch], model.text)
-        assert model.spatial_forward(batch, encoding, frame_map(batch)).data.shape == (n, model.config.latent)
+        views = encode_query([p.word_ids for p in batch], model.text)
+        a_ctx = model.spatial_forward(batch, views, frame_map(batch), GraphWeights(model.graph_params))
+        assert a_ctx.data.shape == (n, model.config.latent)
 
     def test_one_block_per_gru_weight_kind(self):
         counts = {v: len(tiny_instance(variant=v)[0].params) for v in ("full", "single_query", "no_graph")}
@@ -94,7 +95,7 @@ class TestForward:
         assert prep.objects_stacked.shape == (0, 6) and prep.object_frame_ids.shape == (0,)
         w, b = model.nograph_params.w.data, model.nograph_params.b.data
         expected = np.concatenate([prep.sample.features.features, pooled], axis=1) @ w + b
-        np.testing.assert_array_equal(model.spatial_forward([prep], None, frame_map([prep])).data, expected)
+        np.testing.assert_array_equal(model.spatial_forward([prep], None, frame_map([prep]), None).data, expected)
 
     def test_full_variant_uses_query(self):
         model, [prep] = tiny_instance(seed=3)

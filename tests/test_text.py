@@ -26,6 +26,13 @@ def word_ids(vocab, tokens):
     return np.array([vocab.index(tok) for tok in tokens], dtype=np.intp)
 
 
+def pooled(params, ids):
+    """pool_query over the encoder's BiGRU contexts of the queries ids: the q its heads read."""
+    words = seq_map([len(i) for i in ids])
+    embeddings = ad.gather_rows(params.embedding, np.concatenate(ids))
+    return pool_query(bigru_forward(embeddings, params.gru_fwd, params.gru_bwd, words), words)
+
+
 class TestTokenizeAndVocab:
     def test_tokenize_lowercases_and_splits(self):
         assert tokenize("Person opens the DOOR!") == ["person", "opens", "the", "door"]
@@ -359,14 +366,17 @@ class TestEncodeQuery:
     def test_shapes_and_weight_rows(self):
         vocab = Vocabulary(["person", "opens", "door"])
         params = TextEncoderParams.create(np.random.default_rng(0), len(vocab), 5, 4, {})
-        enc = encode_query([word_ids(vocab, ["person", "opens", "door"])], params)
-        assert enc.q.data.shape == (1, 8)
-        assert len(enc.views) == len(HEADS)
-        for v in enc.views:
+        ids = [word_ids(vocab, ["person", "opens", "door"])]
+        views = encode_query(ids, params)
+        q = pooled(params, ids)
+        assert q.data.shape == (1, 8)
+        assert len(views) == len(HEADS)
+        for v in views:
             assert v.data.shape == (1, 8)
         # the heads' weights over the encoder's own words sum to 1 per head
-        emb = ad.gather_rows(params.embedding, word_ids(vocab, ["person", "opens", "door"]))
-        _, weights = attend_heads(enc.q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads, seq_map([3]))
+        emb = ad.gather_rows(params.embedding, ids[0])
+        outputs, weights = attend_heads(q, emb, bigru_forward(emb, params.gru_fwd, params.gru_bwd), params.heads, seq_map([3]))
+        assert [v.data.tobytes() for v in views] == [v.data.tobytes() for v in outputs]
         assert weights.shape == (3, 3)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
 
@@ -374,11 +384,12 @@ class TestEncodeQuery:
         vocab = Vocabulary(["person", "opens", "door", "the"])
         params = TextEncoderParams.create(np.random.default_rng(2), len(vocab), 5, 4, {})
         queries = [["person", "opens", "the", "door"], ["door"], ["the", "person"]]
-        batch = encode_query([word_ids(vocab, tokens) for tokens in queries], params)
-        assert [t.data.shape for t in [batch.q, *batch.views]] == [(3, 8)] * (1 + len(HEADS))
-        for b, tokens in enumerate(queries):
-            one = encode_query([word_ids(vocab, tokens)], params)
-            for got, want in zip([batch.q, *batch.views], [one.q, *one.views]):
+        ids = [word_ids(vocab, tokens) for tokens in queries]
+        batch = [pooled(params, ids), *encode_query(ids, params)]
+        assert [t.data.shape for t in batch] == [(3, 8)] * (1 + len(HEADS))
+        for b in range(len(queries)):
+            one = [pooled(params, ids[b : b + 1]), *encode_query(ids[b : b + 1], params)]
+            for got, want in zip(batch, one):
                 np.testing.assert_allclose(got.data[b : b + 1], want.data, rtol=1e-12)
 
     def test_empty_query_in_batch_rejected(self):
@@ -394,8 +405,7 @@ class TestEncodeQuery:
         sv_key, sn_key, vn_key = params.heads
         sn_key.data = sv_key.data.copy()
         vn_key.data = sv_key.data.copy()
-        enc = encode_query([word_ids(vocab, ["open", "door"])], params)
-        sv, sn, vn = enc.views
+        sv, sn, vn = encode_query([word_ids(vocab, ["open", "door"])], params)
         np.testing.assert_array_equal(sv.data, sn.data)
         np.testing.assert_array_equal(sv.data, vn.data)
 
@@ -404,10 +414,13 @@ class TestEncodeQuery:
         registry = {}
         params = TextEncoderParams.create(np.random.default_rng(1), len(vocab), 5, 4, registry, heads=())
         assert params.heads == [] and not any(name.startswith("text.head") for name in registry)
+        ids = [word_ids(vocab, ["open", "door"]), word_ids(vocab, ["door"])]
         with GradientTape() as tape:
-            enc = encode_query([word_ids(vocab, ["open", "door"]), word_ids(vocab, ["door"])], params)
+            views = encode_query(ids, params)
         # its pooled query stands in for every head's view
-        assert len(enc.views) == len(HEADS) and all(v is enc.q for v in enc.views)
-        assert enc.q.data.shape == (2, 8)
+        q = pooled(params, ids)
+        assert len(views) == len(HEADS) and all(v is views[0] for v in views)
+        assert views[0].data.tobytes() == q.data.tobytes()
+        assert q.data.shape == (2, 8)
         # embedding lookup, the BiGRU layer, pool: nothing for heads
         assert len(tape) == 3

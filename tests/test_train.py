@@ -124,17 +124,17 @@ class TestTrain:
         # more frames than twice the default budget, so the default makes several runs
         split, _ = generate(SyntheticSpec(n_samples=140, t_range=(30, 40), seed=1))
         prepared = [model.prepare(s, cmap) for s in split]
-        assert sum(p.frames for p in prepared) > 2 * train_module.EVAL_FRAMES
+        assert sum(p.frames for p in prepared) > 2 * model_module.EVAL_FRAMES
         chunks = []
-        predict = model.predict
-        monkeypatch.setattr(model, "predict", lambda batch: chunks.append(batch) or predict(batch))
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda batch, *args: chunks.append(batch) or forward(batch, *args))
 
         def run(budget):
             chunks.clear()
-            monkeypatch.setattr(train_module, "EVAL_FRAMES", budget)
+            monkeypatch.setattr(model_module, "EVAL_FRAMES", budget)
             return (*evaluate(model, prepared), list(chunks))
 
-        default = train_module.EVAL_FRAMES
+        default = model_module.EVAL_FRAMES
         report, rows, runs = run(default)
         # runs of whole samples that cover the split once, in order
         assert [p for chunk in runs for p in chunk] == prepared
@@ -158,7 +158,7 @@ class TestTrain:
         prepared = model.prepare_all(split, cmap)
         nodes = [p.humans_stacked.shape[0] + p.objects_stacked.shape[0] for p in prepared]
         assert min(nodes) > 0 and sum(nodes) > 2 * model_module.GRAPH_BLOCK_NODES
-        assert sum(p.frames for p in prepared) < train_module.EVAL_FRAMES  # one evaluation run
+        assert sum(p.frames for p in prepared) < model_module.EVAL_FRAMES  # one evaluation run
         blocks = []
         spatial_forward = model.spatial_forward
         monkeypatch.setattr(model, "spatial_forward", lambda batch, *args: blocks.append(batch) or spatial_forward(batch, *args))
@@ -193,19 +193,35 @@ class TestTrain:
         split, _ = generate(SyntheticSpec(n_samples=300, seed=2))
         prepared = model.prepare_all(split, cmap)
         frames = np.cumsum([p.frames for p in prepared])
-        one_run = int(np.searchsorted(frames, train_module.EVAL_FRAMES)) + 1  # the samples of the first run
-        assert frames[-1] > 3 * train_module.EVAL_FRAMES
+        one_run = int(np.searchsorted(frames, model_module.EVAL_FRAMES)) + 1  # the samples of the first run
+        assert frames[-1] > 3 * model_module.EVAL_FRAMES
 
-        def peak(samples):
-            evaluate(model, samples)  # first-call costs are not counted
+        def peak(score, samples):
+            score(samples)  # first-call costs are not counted
             tracemalloc.start()
             try:
-                evaluate(model, samples)
+                score(samples)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(prepared) <= 1.1 * peak(prepared[:one_run])
+        # predict bounds its own memory, not only evaluate's use of it
+        for score in (lambda samples: evaluate(model, samples), model.predict):
+            assert peak(score, prepared) <= 1.1 * peak(score, prepared[:one_run])
+
+    def test_wall_time_ignores_a_clock_step(self, tiny_data, monkeypatch):
+        # a wall clock stepped back (NTP, a manual set) must not make the run's elapsed time negative
+        tr, va, cmap = tiny_data
+        now = [2e9]
+
+        def stepped_back():
+            now[0] -= 3600.0
+            return now[0]
+
+        monkeypatch.setattr(train_module.time, "time", stepped_back)
+        _, log = train(small_config(epochs=3), tr, va, cmap)
+        walls = [e["wall_time_s"] for e in log.epochs]
+        assert walls[0] >= 0.0 and walls == sorted(walls)
 
 
 class ReversedByOneModel:
