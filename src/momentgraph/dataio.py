@@ -71,14 +71,12 @@ def read_features(path: str) -> ActivityFeatures:
         if 8 * t * d_v != len(blob) - offset:
             raise DataError(f"{path}: {t} x {d_v} features need {8 * t * d_v} bytes, {len(blob) - offset} follow the header")
         feats = np.frombuffer(blob, dtype="<f8", count=t * d_v, offset=offset).copy().reshape(t, d_v)
-        if not (math.isfinite(stride) and math.isfinite(duration)):
-            raise DataError(f"{path}: stride {stride} and duration {duration} must be finite")
-        bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-        if bad.size:
-            raise DataError(f"{path}: feature row {bad[0]} is not finite")
-        return ActivityFeatures(video_id=video_id, features=feats, stride_seconds=stride, duration_seconds=duration)
-    except (struct.error, ValueError, OverflowError, UnicodeDecodeError, InputError) as exc:
+    except (struct.error, ValueError, OverflowError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: truncated or corrupt feature file: {exc}")
+    try:
+        return ActivityFeatures(video_id=video_id, features=feats, stride_seconds=stride, duration_seconds=duration)
+    except InputError as exc:  # well-formed bytes whose values the record refuses
+        raise DataError(f"{path}: {exc}")
 
 
 def write_detections(video_id: str, dets: Detections, path: str) -> None:
@@ -128,18 +126,10 @@ def read_detections(path: str, frames: int, video_id: str) -> Detections:
         features = np.frombuffer(blob, "<f8", rows * width, offset + 24 * rows).copy().reshape(rows, width)
     except (ValueError, OverflowError) as exc:  # a width numpy cannot shape, on zero rows
         raise DataError(f"{path}: corrupt detection file: {exc}")
-    checks = (
-        (np.diff(frame, prepend=frame[:1]) < 0, lambda i: f"frame index {frame[i]} is below the row before it"),
-        ((frame < 0) | (frame >= frames), lambda i: f"frame index {frame[i]} is outside [0, {frames})"),
-        ((label_id < 0) | (label_id >= len(labels)), lambda i: f"label id {label_id[i]} is outside the {len(labels)}-label table"),
-        (~((confidence >= 0.0) & (confidence <= 1.0)), lambda i: f"confidence {confidence[i]} is not in [0, 1]"),
-        (~np.isfinite(features).all(axis=1), lambda i: "detection features are not finite"),
-    )
-    for bad, what in checks:
-        at = np.flatnonzero(bad)
-        if at.size:
-            raise DataError(f"{path}: row {at[0]}: {what(at[0])}")
-    return Detections(frames, frame, confidence, label_id, labels, features)
+    try:
+        return Detections(frames, frame, confidence, label_id, labels, features)
+    except InputError as exc:  # a row the record refuses
+        raise DataError(f"{path}: {exc}")
 
 
 def _jsonl_lines(path: str) -> list[tuple[int, str]]:

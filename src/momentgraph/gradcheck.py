@@ -14,7 +14,7 @@ from .dataio import AnnotatedSample
 from .errors import ConfigError
 from .model import MomentModel, PreparedSample
 from .train import build_vocab
-from .visual import ActivityFeatures, CategoryMap, Detection, HUMAN
+from .visual import ActivityFeatures, CategoryMap, Detections, HUMAN
 
 
 @dataclass
@@ -64,27 +64,14 @@ def tiny_instance(
     samples = []
     for i, t in enumerate(lengths):
         t = min(t, 6)
-        detections = []
-        for _ in range(t):
-            dets = [
-                Detection("person", float(rng.uniform(0.5, 1.0)), rng.normal(size=config.d_o))
-                for _ in range(n_humans)
-            ]
-            dets += [
-                Detection("cup", float(rng.uniform(0.5, 1.0)), rng.normal(size=config.d_o))
-                for _ in range(n_objects)
-            ]
-            detections.append(dets)
-        samples.append(
-            AnnotatedSample(
-                video_id=f"tiny{i}",
-                query=QUERIES[i % 2],
-                t_start_s=1.0,
-                t_end_s=2.5,
-                features=ActivityFeatures(f"tiny{i}", rng.normal(size=(t, config.d_v)), 1.0, float(t)),
-                detections=detections,
-            )
-        )
+        # per frame, n_humans "person" rows then n_objects "cup" rows, each drawing its confidence first
+        rows = [(rng.uniform(0.5, 1.0), rng.normal(size=config.d_o)) for _ in range(t * (n_humans + n_objects))]
+        frame = np.repeat(np.arange(t, dtype=np.intp), n_humans + n_objects)
+        label_id = np.tile(np.repeat(np.arange(2, dtype=np.intp), (n_humans, n_objects)), t)
+        feats = np.array([feature for _, feature in rows]).reshape(-1, config.d_o)
+        dets = Detections(t, frame, np.array([conf for conf, _ in rows]), label_id, ["person", "cup"], feats)
+        af = ActivityFeatures(f"tiny{i}", rng.normal(size=(t, config.d_v)), 1.0, float(t))
+        samples.append(AnnotatedSample(f"tiny{i}", QUERIES[i % 2], 1.0, 2.5, af, dets))
     cmap = CategoryMap({"person": HUMAN})
     model = MomentModel(config, build_vocab(samples))
     return model, model.prepare_all(samples, cmap)

@@ -27,9 +27,9 @@ class ActivityFeatures:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.ndim != 2 or len(self.features) < 1:
+            raise InputError(f"{self.video_id}: need a t x d_v feature matrix of t >= 1 rows, got shape {self.features.shape}")
         t = self.features.shape[0]
-        if t < 1:
-            raise InputError(f"{self.video_id}: need at least one feature row")
         if not (math.isfinite(self.stride_seconds) and self.stride_seconds > 0):
             raise InputError(f"{self.video_id}: stride must be finite and positive, got {self.stride_seconds}")
         if not math.isfinite(self.duration_seconds):
@@ -39,6 +39,9 @@ class ActivityFeatures:
                 f"{self.video_id}: duration {self.duration_seconds}s inconsistent with "
                 f"{t} rows at stride {self.stride_seconds}s"
             )
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
+        if bad.size:
+            raise InputError(f"feature row {bad[0]} is not finite in video '{self.video_id}'")
 
 
 @dataclass
@@ -51,8 +54,6 @@ class Detection:
     feature: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InputError(f"detection '{self.label}': confidence {self.confidence} outside [0, 1]")
         self.feature = np.asarray(self.feature, dtype=np.float64)
 
 
@@ -65,6 +66,8 @@ class Detections:
     non-decreasing, and within a frame the rows keep the detector's order.
     frames is the video's timestep count: a frame may have no rows.
     Iterating yields each frame's rows as a range, frame by frame.
+    Construction checks every row, read or built in code, against the table
+    in __post_init__: the first bad row is an InputError naming it.
     """
 
     frames: int
@@ -73,6 +76,23 @@ class Detections:
     label_id: np.ndarray  # k, intp
     labels: list[str]
     features: np.ndarray  # k x width, float64
+
+    def __post_init__(self):
+        frame, label_id, confidence, features = self.frame, self.label_id, self.confidence, self.features
+        if not (frame.ndim == 1 and features.ndim == 2 and frame.shape == label_id.shape == confidence.shape == features.shape[:1]):
+            shapes = [c.shape for c in (frame, label_id, confidence, features)]
+            raise InputError(f"frame, label_id, confidence and features of shapes {shapes} are not one row per detection")
+        checks = (
+            (np.diff(frame, prepend=frame[:1]) < 0, lambda i: f"frame index {frame[i]} is below the row before it"),
+            ((frame < 0) | (frame >= self.frames), lambda i: f"frame index {frame[i]} is outside [0, {self.frames})"),
+            ((label_id < 0) | (label_id >= len(self.labels)), lambda i: f"label id {label_id[i]} is outside the {len(self.labels)}-label table"),
+            (~((confidence >= 0.0) & (confidence <= 1.0)), lambda i: f"confidence {confidence[i]} is not in [0, 1]"),
+            (~np.isfinite(features).all(axis=1), lambda i: "detection features are not finite"),
+        )
+        for bad, what in checks:
+            at = np.flatnonzero(bad)
+            if at.size:
+                raise InputError(f"row {at[0]}: {what(at[0])}")
 
     def __iter__(self):
         bounds = np.searchsorted(self.frame, np.arange(self.frames + 1)).tolist()

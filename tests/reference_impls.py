@@ -302,6 +302,17 @@ def dori_record(name, dims, payload=b""):
 
 
 
+def feat_blob(features, stride=1.0, duration=None, video_id="v"):
+    """A feature file as bytes: "FEAT", version 1, the video id, t and d_v,
+    the stride and the duration (t x stride unless given), then the rows as
+    <f8, whatever their values."""
+    features = np.asarray(features, dtype="<f8")
+    t, d_v = features.shape
+    vid = video_id.encode("utf-8")
+    duration = t * stride if duration is None else duration
+    return b"FEAT" + struct.pack("<IQ", 1, len(vid)) + vid + struct.pack("<QQdd", t, d_v, stride, duration) + features.tobytes()
+
+
 def dets_blob(frame, label_id, confidence, features, labels=("cup",), **header):
     """A detection file as bytes: "DETS", version 1, the JSON header (video
     "v", the labels, and rows and width from the columns unless header

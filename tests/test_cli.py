@@ -9,9 +9,9 @@ import pytest
 from momentgraph import cli
 from momentgraph.checkpoint import load_params, save_params
 from momentgraph.cli import main
-from momentgraph.dataio import read_detections, write_detections
+from momentgraph.dataio import read_detections, read_features, write_detections
 
-from reference_impls import dori_record, per_gate_checkpoint_params
+from reference_impls import dori_record, feat_blob, per_gate_checkpoint_params
 
 
 @pytest.fixture(scope="module")
@@ -316,9 +316,9 @@ class TestExitCodes:
         data = tmp_path / "data"
         shutil.copytree(workspace / "data", data)
         path = sorted((data / "features").iterdir())[0]
-        blob = bytearray(path.read_bytes())
-        blob[-8:] = struct.pack("<d", float("nan"))  # the last row's last value
-        path.write_bytes(bytes(blob))
+        af = read_features(str(path))
+        af.features[-1, -1] = np.nan  # the last row's last value
+        path.write_bytes(feat_blob(af.features, af.stride_seconds, af.duration_seconds, af.video_id))
         argv = [command, "--data", str(data), "--checkpoint", str(workspace / "model.ckpt")]
         if command == "train":
             argv = [command, "--data", str(data), "--epochs", "1", "--checkpoint", str(tmp_path / "m.ckpt"), "--quiet"]

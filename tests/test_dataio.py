@@ -24,7 +24,7 @@ from momentgraph.synth import SyntheticSpec, generate
 from momentgraph.train import build_vocab
 from momentgraph.visual import ActivityFeatures, Detection, Detections
 
-from reference_impls import dets_blob
+from reference_impls import dets_blob, feat_blob
 
 
 class TestFeatureFiles:
@@ -92,8 +92,26 @@ class TestFeatureFiles:
         feats = np.ones((4, 3))
         feats[2, 1] = feats[3, 0] = value
         path = tmp_path / "v.feat"
-        write_features(ActivityFeatures("v", feats, 1.0, 4.0), str(path))
+        path.write_bytes(feat_blob(feats))
         with pytest.raises(DataError, match=rf"v\.feat: feature row 2 is not finite"):
+            read_features(str(path))
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (feat_blob(np.ones((0, 2))), r"v: need a t x d_v feature matrix of t >= 1 rows, got shape \(0, 2\)"),
+            (feat_blob(np.ones((3, 2)), duration=9.0), r"v: duration 9.0s inconsistent with 3 rows at stride 1.0s"),
+            (feat_blob(np.ones((3, 2)), stride=np.nan), "v: stride must be finite and positive, got nan"),
+            (feat_blob(np.ones((3, 2)))[:20], "truncated or corrupt feature file: "),
+        ],
+        ids=["no-rows", "duration-off-stride", "nan-stride", "short-header"],
+    )
+    def test_wrong_values_are_named_apart_from_corrupt_bytes(self, tmp_path, blob, message):
+        """A well-formed file whose values the record refuses gives the record's
+        message; only a byte-layout fault reads as truncated or corrupt."""
+        path = tmp_path / "v.feat"
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=rf"v\.feat: {message}"):
             read_features(str(path))
 
 

@@ -317,6 +317,11 @@ def test_detections_are_routed_in_one_place():
     ]
 
 
+def test_detection_lists_are_made_only_by_the_generator():
+    # every other producer builds Detections columns; synth.generate is the last list producer
+    assert {call.split(":")[0] for call in src_calls_of("Detection")} == {"synth.py"}
+
+
 def test_call_scan_sees_bare_and_attribute_calls_with_their_scope():
     tree = ast.parse(
         "prepare(s)\n"

@@ -19,7 +19,7 @@ from momentgraph.synth import SyntheticSpec, generate
 from momentgraph.text import Vocabulary, encode_query, tokenize
 from momentgraph.train import build_vocab
 
-from momentgraph.visual import HUMAN, CategoryMap, Detection, Detections
+from momentgraph.visual import HUMAN, ActivityFeatures, CategoryMap, Detection, Detections, route_detections
 
 from reference_impls import per_gate_checkpoint_params, ref_route_detections
 
@@ -209,11 +209,45 @@ def test_prepare_releases_detections(monkeypatch):
     assert [prep for _, prep in prepared] == batch
     for sample, prep in prepared:
         assert not any(isinstance(obj, (Detection, Detections)) for obj in reachable(prep))
-        # the routed arrays are what routing every parsed detection gives
-        want = ref_route_detections(sample.detections, {"person": "human"}, model.config.top_n, model.config.d_o)
+        # the routed arrays are what routing the sample's columns gives
+        want = route_detections(sample.detections, CategoryMap({"person": HUMAN}), model.config.top_n)
         got = (prep.humans_stacked, prep.human_frame_ids, prep.objects_stacked, prep.object_frame_ids)
         for g, w in zip(got, want):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def two_rows(**changes):
+    """A valid three-frame Detections with a row in frames 0 and 2, with the given columns replaced."""
+    columns = {"frame": np.array([0, 2]), "confidence": np.array([0.9, 0.5]), "label_id": np.array([0, 1]), "features": np.ones((2, 6))}
+    return Detections(3, labels=["person", "cup"], **{**columns, **changes})
+
+
+def prepare_with_a_nan_in_a_generated_list():
+    samples, cmap = generate(SyntheticSpec(n_samples=2, seed=0))
+    samples[0].detections[1][0].feature[3] = np.nan
+    MomentModel(synthetic_config(), build_vocab(samples)).prepare_all(samples, cmap)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (prepare_with_a_nan_in_a_generated_list, DataError, r"^video 'vid0000': row \d+: detection features are not finite$"),
+        (lambda: two_rows(frame=np.array([0, 3])), InputError, r"^row 1: frame index 3 is outside \[0, 3\)$"),
+        (lambda: two_rows(label_id=np.array([0, 2])), InputError, "^row 1: label id 2 is outside the 2-label table$"),
+        (lambda: two_rows(confidence=np.array([0.9, 1.5])), InputError, r"^row 1: confidence 1.5 is not in \[0, 1\]$"),
+        (lambda: two_rows(confidence=np.array([0.9])), InputError, "^frame, label_id, confidence and features of shapes .* are not one row per detection$"),
+        (lambda: ActivityFeatures("v", np.array([[1.0], [np.nan]]), 1.0, 2.0), InputError, "^feature row 1 is not finite in video 'v'$"),
+        (lambda: ActivityFeatures("v", np.ones(2), 1.0, 2.0), InputError, r"^v: need a t x d_v feature matrix of t >= 1 rows, got shape \(2,\)$"),
+    ],
+    ids=[
+        "nan-in-generated-list", "frame-past-the-video", "label-id-outside-the-table", "confidence-above-1", "short-column",
+        "nan-feature-row", "1-d-features",
+    ],
+)
+def test_code_built_data_is_checked_as_a_file_is(build, error, message):
+    """Records built in code get the checks and row-naming messages a loaded file gets."""
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_prepare_checks_the_detection_width():

@@ -260,8 +260,8 @@ class TestNodeEmbedding:
 
 class TestValidation:
     def test_confidence_range(self):
-        with pytest.raises(InputError):
-            Detection("cup", 1.5, np.zeros(2))
+        with pytest.raises(InputError, match=r"row 0: confidence 1.5 is not in \[0, 1\]"):
+            Detections.from_frames([[Detection("cup", 1.5, np.zeros(2))]], 2)
 
     def test_activity_features_invariants(self):
         with pytest.raises(InputError):
