@@ -47,45 +47,34 @@ class PairMap:
         return p
 
 
-@dataclass
-class SpatialGraphParams:
-    """Pair functions, shared message maps and node update maps.
+# Each graph variant's blocks, in creation (rng draw) order under its
+# registry prefix, with the slots each block fills. The three message maps
+# are shared between the two directions of each linguistic edge
+# (activity<->human, activity<->object, human<->object); single_query ties
+# each node kind's two pair maps to one query-pair map, and runs the full
+# message passing with sv = sn = vn = q.
+FULL_BLOCKS = ("graph", {slot: (slot,) for slot in (
+    "phi_sno", "phi_vno", "phi_sva", "phi_vna", "phi_snh", "phi_svh", "msg_sv", "msg_vn", "msg_sn", "m_o", "m_a", "m_h"
+)})
+SINGLE_QUERY_BLOCKS = ("qgraph", {
+    "phi_qa": ("phi_sva", "phi_vna"), "phi_qo": ("phi_sno", "phi_vno"), "phi_qh": ("phi_snh", "phi_svh"),
+    "msg_ah": ("msg_sv",), "msg_ao": ("msg_vn",), "msg_ho": ("msg_sn",), "m_o": ("m_o",), "m_a": ("m_a",), "m_h": ("m_h",),
+})
 
-    The three message maps are shared between the two directions of each
-    linguistic edge (activity<->human, activity<->object, human<->object),
-    so mutating one block changes both message families.
-    """
 
-    phi_sno: PairMap
-    phi_vno: PairMap
-    phi_sva: PairMap
-    phi_vna: PairMap
-    phi_snh: PairMap
-    phi_svh: PairMap
-    msg_sv: PairMap  # shared by the A->H and H->A messages
-    msg_vn: PairMap  # shared by the A->O and O->A messages
-    msg_sn: PairMap  # shared by the H->O and O->H messages
-    m_o: PairMap
-    m_a: PairMap
-    m_h: PairMap
-
-    @classmethod
-    def create(cls, rng, d_lang: int, latent: int, registry: dict, prefix: str = "graph") -> "SpatialGraphParams":
-        pair = d_lang + latent
-        return cls(
-            phi_sno=PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_sno"),
-            phi_vno=PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_vno"),
-            phi_sva=PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_sva"),
-            phi_vna=PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_vna"),
-            phi_snh=PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_snh"),
-            phi_svh=PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_svh"),
-            msg_sv=PairMap.create(rng, 2 * latent, latent, registry, f"{prefix}.msg_sv"),
-            msg_vn=PairMap.create(rng, 2 * latent, latent, registry, f"{prefix}.msg_vn"),
-            msg_sn=PairMap.create(rng, 2 * latent, latent, registry, f"{prefix}.msg_sn"),
-            m_o=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_o"),
-            m_a=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_a"),
-            m_h=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_h"),
-        )
+def create_graph(rng, blocks, d_lang: int, latent: int, registry: dict) -> dict[str, PairMap]:
+    """The graph's parameters, one PairMap per slot, from a block table:
+    a slot string from SLOTS reads params[slot], and a block tied into
+    several slots is one object in each. A block's input width follows from
+    its kind: a pair map reads [linguistic ; latent], a message map two
+    latents, an update one."""
+    prefix, table = blocks
+    widths = {"phi": d_lang + latent, "msg": 2 * latent, "m": latent}
+    params = {}
+    for name, slots in table.items():
+        block = PairMap.create(rng, widths[name.split("_")[0]], latent, registry, f"{prefix}.{name}")
+        params.update(dict.fromkeys(slots, block))
+    return params
 
 
 # each pair map, the linguistic view it reads and the node kind it pairs with
@@ -152,14 +141,14 @@ class GraphWeights:
     folded (W_x·m_1)^T. An update of the parameters leaves it stale, so it
     is built per forward."""
 
-    def __init__(self, params: SpatialGraphParams):
+    def __init__(self, params: dict[str, PairMap]):
         self.params = params
-        self.n = n = params.m_a.w.data.shape[0]
-        self.d_lang = d = params.phi_sva.w.data.shape[0] - n
-        self.w_x = {slot: getattr(params, slot).w.data[d:] for slot, _, _ in PAIRS}
+        self.n = n = params["m_a"].w.data.shape[0]
+        self.d_lang = d = params["phi_sva"].w.data.shape[0] - n
+        self.w_x = {slot: params[slot].w.data[d:] for slot, _, _ in PAIRS}
         self.msg = {}
         for slot in ("msg_sv", "msg_vn", "msg_sn"):
-            m = getattr(params, slot)
+            m = params[slot]
             self.msg[slot] = (m.w.data[:n], m.w.data[n:], m.b.data.T)
         self.pair = {kind: np.concatenate([self.w_x[slot].T for slot in slots]) for kind, slots in STACKS.items()}
         self.fold = {
@@ -206,7 +195,7 @@ class MessagePassing:
         # per pair map, L = l·W_l + b per sample (latent x samples)
         self.lang = {}
         for slot, view, _ in PAIRS:
-            pm = getattr(self.params, slot)
+            pm = self.params[slot]
             self.lang[slot] = pm.w.data[: self.d_lang].T @ self.views[view].T + pm.b.data.T
         # per node kind: its stacked L, per sample for the activity and per frame as n·L for a node sum
         self.pair_lang = {}
@@ -238,7 +227,7 @@ class MessagePassing:
         sums = {kind: [self.pair[kind][i] @ s[kind] + self.pair_lang[kind][i] for i in halves] for kind in s}
         h_sv_a = sv1.T @ pa[:n] + sv2.T @ sums["h"][0] + b_sv
         o_vn_a = vn1.T @ pa[n:] + vn2.T @ sums["o"][0] + b_vn
-        a_new, gate = _gate(h_sv_a, o_vn_a, self.params.m_a, self.x0["a"], keep)
+        a_new, gate = _gate(h_sv_a, o_vn_a, self.params["m_a"], self.x0["a"], keep)
         cache = {"x": x, "pa": pa, "s": s, "sums": sums, "gate_a": gate} if keep else None
         if last:
             return a_new.T, None, None, cache
@@ -251,7 +240,7 @@ class MessagePassing:
             msgs = self.fold[kind] @ x[kind]
             msgs += seg.expand(frame, 1)
             del frame  # freed before the gate, where the step's memory peaks
-            update = getattr(self.params, UPDATES[kind])
+            update = self.params[UPDATES[kind]]
             new[kind], gate = _gate(msgs[:n], msgs[n:], update, self.x0[kind], keep)
             del msgs  # untaped, freed before the next kind's messages are formed
             if keep:
@@ -285,7 +274,7 @@ class MessagePassing:
         sv1, sv2, _ = self.msg["msg_sv"]
         vn1, vn2, _ = self.msg["msg_vn"]
         sn2 = self.msg["msg_sn"][1]
-        d_a, d_x0 = _gate_backward(ga, cache["gate_a"], p.m_a, self.x0["a"], grads["m_a"])
+        d_a, d_x0 = _gate_backward(ga, cache["gate_a"], p["m_a"], self.x0["a"], grads["m_a"])
         grads["a0"] += d_x0
         # the activity's messages read [sva ; Σ svh] and [vna ; Σ vno]
         for msg, first, second, d in (
@@ -301,7 +290,7 @@ class MessagePassing:
         if gh is not None:
             for kind, g in (("h", gh), ("o", go)):
                 slot = UPDATES[kind]
-                d_msgs[kind], d_x0 = _gate_backward(g, cache["gate_" + kind], getattr(p, slot), self.x0[kind], grads[slot])
+                d_msgs[kind], d_x0 = _gate_backward(g, cache["gate_" + kind], p[slot], self.x0[kind], grads[slot])
                 grads[kind + "0"] += d_x0
             # a frame term gathered to nodes takes their gradient summed per frame
             f_h, f_o = (self.nodes[kind].sum(d_msgs[kind], 1) for kind in ("h", "o"))
@@ -337,7 +326,7 @@ class MessagePassing:
         grads.update({"lang_" + kind: np.zeros((2 * n, frames)) for kind in STACKS})
         grads.update({"frame_" + kind: np.zeros((2 * n, frames)) for kind in FOLDS})
         for slot in MAPS:
-            pm = getattr(self.params, slot)
+            pm = self.params[slot]
             grads[slot] = [np.zeros_like(pm.w.data), np.zeros_like(pm.b.data)]
         ga, gh, go = np.ascontiguousarray(g.T), None, None
         for cache in reversed(caches):
@@ -362,7 +351,7 @@ class MessagePassing:
         blocks = {slot: tuple(grads[slot]) for slot in MAPS if slot in slots}
         for slot, view, _ in PAIRS:
             if slot in slots:
-                pm = getattr(self.params, slot)
+                pm = self.params[slot]
                 inputs[view] = inputs.get(view, 0.0) + (pm.w.data[: self.d_lang] @ d_lang[slot]).T
                 w_l = self.views[view].T @ d_lang[slot].T
                 blocks[slot] = (np.concatenate([w_l, grads[slot]]), d_lang[slot].sum(axis=1)[None, :])
@@ -407,7 +396,7 @@ def spatial_graph(
     # the views in the order PAIRS first reads them, and the slots in PAIRS
     # order, so a tied query or pair map sums its slots' gradients in that order
     tensors = {"a0": a0, "h0": h0, "o0": o0, "sv": sv, "vn": vn, "sn": sn}
-    inputs = (*tensors.values(), *(t for slot in SLOTS for t in (getattr(params, slot).w, getattr(params, slot).b)))
+    inputs = (*tensors.values(), *(t for slot in SLOTS for t in (params[slot].w, params[slot].b)))
     recording = ad.recording(inputs)
     # rows x latent views of MessagePassing's latent x rows copies
     a, h, o = mp.x0["a"].T, mp.x0["h"].T, mp.x0["o"].T
@@ -423,55 +412,14 @@ def spatial_graph(
     return ad.record(np.ascontiguousarray(a), inputs, backward)
 
 
-def create_single_query_params(
-    rng, d_lang: int, latent: int, registry: dict, prefix: str = "qgraph"
-) -> SpatialGraphParams:
-    """Single-query-node parameterization: one pair map per visual node kind.
+def project(x: np.ndarray, m: PairMap) -> Tensor:
+    """no_graph's map of [activity ; mean-pooled detections] rows to the
+    latent: x·w + b as one tape node with inputs (w, b): the rows of x are
+    constants. An x that is not w's input width is a DimensionError."""
+    if x.ndim != 2 or x.shape[1] != m.w.data.shape[0]:
+        raise DimensionError(f"no_graph: features of shape {x.shape}, the map takes {m.w.data.shape[0]} columns")
 
-    The returned view ties each linguistic-pair slot to its query-pair map,
-    so the full message-passing pipeline runs unchanged with sv = sn = vn = q.
-    """
-    pair = d_lang + latent
-    phi_qa = PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_qa")
-    phi_qo = PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_qo")
-    phi_qh = PairMap.create(rng, pair, latent, registry, f"{prefix}.phi_qh")
-    return SpatialGraphParams(
-        phi_sno=phi_qo,
-        phi_vno=phi_qo,
-        phi_sva=phi_qa,
-        phi_vna=phi_qa,
-        phi_snh=phi_qh,
-        phi_svh=phi_qh,
-        msg_sv=PairMap.create(rng, 2 * latent, latent, registry, f"{prefix}.msg_ah"),
-        msg_vn=PairMap.create(rng, 2 * latent, latent, registry, f"{prefix}.msg_ao"),
-        msg_sn=PairMap.create(rng, 2 * latent, latent, registry, f"{prefix}.msg_ho"),
-        m_o=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_o"),
-        m_a=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_a"),
-        m_h=PairMap.create(rng, latent, latent, registry, f"{prefix}.m_h"),
-    )
+    def backward(g):
+        return x.T @ g, g.sum(axis=0, keepdims=True)
 
-
-@dataclass
-class NoGraphParams:
-    """Baseline map: [activity ; mean-pooled detections] -> latent."""
-
-    w: Tensor
-    b: Tensor
-
-    @classmethod
-    def create(cls, rng, d_v: int, d_o: int, latent: int, registry: dict) -> "NoGraphParams":
-        p = cls(w=glorot(rng, d_v + d_o, latent), b=zeros((1, latent)))
-        registry["nograph.w"] = p.w
-        registry["nograph.b"] = p.b
-        return p
-
-    def project(self, x: np.ndarray) -> Tensor:
-        """x·w + b as one tape node with inputs (w, b): the rows of x are
-        constants. An x that is not w's input width is a DimensionError."""
-        if x.ndim != 2 or x.shape[1] != self.w.data.shape[0]:
-            raise DimensionError(f"no_graph: features of shape {x.shape}, the map takes {self.w.data.shape[0]} columns")
-
-        def backward(g):
-            return x.T @ g, g.sum(axis=0, keepdims=True)
-
-        return ad.record(x @ self.w.data + self.b.data, (self.w, self.b), backward)
+    return ad.record(x @ m.w.data + m.b.data, (m.w, m.b), backward)

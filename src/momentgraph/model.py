@@ -17,12 +17,7 @@ from .config import MODEL_FIELDS, RunConfig
 from .dataio import AnnotatedSample
 from .errors import CheckpointError, DataError, InputError
 from .graph import (
-    GraphWeights,
-    NoGraphParams,
-    SpatialGraphParams,
-    check_variant,
-    create_single_query_params,
-    spatial_graph,
+    FULL_BLOCKS, SINGLE_QUERY_BLOCKS, GraphWeights, PairMap, check_variant, create_graph, project, spatial_graph
 )
 from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
@@ -66,14 +61,14 @@ class MomentModel:
         # query and no node latents, single_query no attention heads
         self.text = self.embed = self.graph_params = self.nograph_params = None
         if config.variant == "no_graph":
-            self.nograph_params = NoGraphParams.create(rng, config.d_v, config.d_o, config.latent, self.params)
+            self.nograph_params = PairMap.create(rng, config.d_v + config.d_o, config.latent, self.params, "nograph")
         else:
             single = config.variant == "single_query"
             heads = () if single else HEADS
             self.text = TextEncoderParams.create(rng, len(vocab), config.d_w, config.hidden, self.params, heads)
             self.embed = NodeEmbedParams.create(rng, config.d_v, config.d_o, config.latent, self.params)
-            create_graph = create_single_query_params if single else SpatialGraphParams.create
-            self.graph_params = create_graph(rng, 2 * config.hidden, config.latent, self.params)
+            blocks = SINGLE_QUERY_BLOCKS if single else FULL_BLOCKS
+            self.graph_params = create_graph(rng, blocks, 2 * config.hidden, config.latent, self.params)
         self.temporal = TemporalParams.create(rng, config.latent, config.hidden, config.dropout, self.params)
 
     # ------------------------------------------------------------------
@@ -165,7 +160,7 @@ class MomentModel:
         features = np.concatenate([p.sample.features.features for p in batch])
         humans = np.concatenate([p.humans_stacked for p in batch])
         if cfg.variant == "no_graph":  # prepare left each frame's detection mean as its human row
-            return self.nograph_params.project(np.hstack([features, humans]))
+            return project(np.hstack([features, humans]), self.nograph_params)
         objects = np.concatenate([p.objects_stacked for p in batch])
         h_seg = np.concatenate([p.human_frame_ids + f for p, f in zip(batch, frames.starts)])
         o_seg = np.concatenate([p.object_frame_ids + f for p, f in zip(batch, frames.starts)])

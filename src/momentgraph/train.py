@@ -126,7 +126,6 @@ def train(
             "train_miou": None,
             "val_miou": None,
             "val_degenerate": None,
-            "wall_time_s": time.perf_counter() - t0,
         }
         target_reached = False
         if epoch % config.eval_every == 0 or epoch == config.epochs:
@@ -145,6 +144,7 @@ def train(
                     f"train mIoU {train_report.miou:.2f}  val mIoU {val_report.miou:.2f}"
                 )
             target_reached = config.target_miou is not None and val_report.miou >= config.target_miou
+        entry["wall_time_s"] = time.perf_counter() - t0  # the epoch's validation pass included
         log.epochs.append(entry)
         if target_reached:
             break

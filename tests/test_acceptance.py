@@ -13,7 +13,7 @@ import pytest
 from momentgraph.autodiff import SortedSegments, Tensor
 from momentgraph.config import synthetic_config
 from momentgraph.gradcheck import run_gradcheck
-from momentgraph.graph import GraphWeights, MessagePassing, SpatialGraphParams, spatial_graph
+from momentgraph.graph import FULL_BLOCKS, GraphWeights, MessagePassing, create_graph, spatial_graph
 from momentgraph.init import glorot
 from momentgraph.losses import kl_divergence, spatial_loss
 from momentgraph.metrics import Interval, miou, recall_at, tiou
@@ -63,7 +63,7 @@ def test_gradient_integrity():
 
 def test_zero_iteration_identity():
     rng = np.random.default_rng(0)
-    params = SpatialGraphParams.create(rng, 6, 5, {})
+    params = create_graph(rng, FULL_BLOCKS, 6, 5, {})
     a0 = Tensor(np.tanh(rng.normal(size=(1, 5))))
     h0 = Tensor(np.tanh(rng.normal(size=(2, 5))))
     o0 = Tensor(np.tanh(rng.normal(size=(3, 5))))
@@ -246,7 +246,7 @@ def test_reference_loop_equivalence():
 
     # one full spatial-graph iteration
     registry = {}
-    params = SpatialGraphParams.create(rng, 6, 5, registry)
+    params = create_graph(rng, FULL_BLOCKS, 6, 5, registry)
     arrays = {name.removeprefix("graph."): t.data for name, t in registry.items()}
     a0 = Tensor(rng.normal(size=(1, 5)))
     h0 = Tensor(rng.normal(size=(2, 5)))

@@ -6,7 +6,7 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ContractError, DimensionError, InputError
-from momentgraph.graph import NoGraphParams
+from momentgraph.graph import PairMap, project
 from momentgraph.temporal import softmax_head
 from momentgraph.text import attend_heads, pool_query
 from momentgraph.visual import NodeEmbedParams, embed_nodes
@@ -35,7 +35,7 @@ def segments(ids, n_segments):
 
 def nograph_map(w, b, x):
     """The no-graph map x·w + b with w and b as its weight and bias."""
-    return NoGraphParams(w=w, b=b).project(np.asarray(x, dtype=np.float64))
+    return project(np.asarray(x, dtype=np.float64), PairMap(w=w, b=b))
 
 
 class TestMatmul:

@@ -5,13 +5,16 @@ from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ConfigError, ContractError, DimensionError
 from momentgraph.graph import (
+    FULL_BLOCKS,
+    SINGLE_QUERY_BLOCKS,
+    SLOTS,
     VARIANTS,
     GraphWeights,
     MessagePassing,
-    NoGraphParams,
-    SpatialGraphParams,
+    PairMap,
     check_variant,
-    create_single_query_params,
+    create_graph,
+    project,
     spatial_graph,
 )
 
@@ -23,9 +26,9 @@ D_LANG = 6
 LATENT = 5
 
 
-def make_params(seed=0, prefix="graph"):
+def make_params(seed=0):
     registry = {}
-    p = SpatialGraphParams.create(np.random.default_rng(seed), D_LANG, LATENT, registry, prefix)
+    p = create_graph(np.random.default_rng(seed), FULL_BLOCKS, D_LANG, LATENT, registry)
     return p, registry
 
 
@@ -74,7 +77,7 @@ def assert_independent_of(blocks, a0, h0, o0, sv, sn, vn, p, seed):
     before = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
     rng = np.random.default_rng(seed)
     for name in blocks:
-        pm = getattr(p, name)
+        pm = p[name]
         pm.w.data = rng.normal(size=pm.w.data.shape)
         pm.b.data = rng.normal(size=pm.b.data.shape)
     after = one_frame(a0, h0, o0, sv, sn, vn, p, 2)
@@ -127,7 +130,7 @@ class TestMessagePassing:
 
     def test_update_zero_messages_give_half(self):
         p, _ = make_params(seed=6)
-        for pm in (p.m_a, p.m_h, p.m_o):
+        for pm in (p["m_a"], p["m_h"], p["m_o"]):
             pm.w.data[:] = 0.0
             pm.b.data[:] = 0.0
         a0, h0, o0, sv, sn, vn = make_instance(seed=7)
@@ -266,8 +269,7 @@ def graph_case(seed, single, maps=SPARSE):
     Biases are drawn too, so that every block has a gradient to check."""
     rng = np.random.default_rng(seed)
     registry = {}
-    create = create_single_query_params if single else SpatialGraphParams.create
-    p = create(rng, D_LANG, LATENT, registry)
+    p = create_graph(rng, SINGLE_QUERY_BLOCKS if single else FULL_BLOCKS, D_LANG, LATENT, registry)
     for t in registry.values():
         t.data = rng.normal(scale=0.7, size=t.data.shape)
     rows = (len(maps[0]), len(maps[1]), len(maps[2]))
@@ -325,22 +327,15 @@ class TestFusedBackward:
 class TestSingleQueryVariant:
     def test_tied_parameters_reproduce_full_variant(self):
         registry = {}
-        sq = create_single_query_params(np.random.default_rng(21), D_LANG, LATENT, registry)
+        sq = create_graph(np.random.default_rng(21), SINGLE_QUERY_BLOCKS, D_LANG, LATENT, registry)
         a0, h0, o0, _, _, _ = make_instance(seed=22)
         q = Tensor(np.random.default_rng(23).normal(size=(1, D_LANG)))
         # an independently created full-variant parameter set whose pair maps
         # are overwritten so both directions of each edge carry the same values
         full, _ = make_params(seed=24)
-        ties = {
-            "phi_sno": sq.phi_sno, "phi_vno": sq.phi_sno,
-            "phi_sva": sq.phi_sva, "phi_vna": sq.phi_sva,
-            "phi_snh": sq.phi_snh, "phi_svh": sq.phi_snh,
-            "msg_sv": sq.msg_sv, "msg_vn": sq.msg_vn, "msg_sn": sq.msg_sn,
-            "m_o": sq.m_o, "m_a": sq.m_a, "m_h": sq.m_h,
-        }
-        for slot, src in ties.items():
-            getattr(full, slot).w.data = src.w.data.copy()
-            getattr(full, slot).b.data = src.b.data.copy()
+        for slot in SLOTS:
+            full[slot].w.data = sq[slot].w.data.copy()
+            full[slot].b.data = sq[slot].b.data.copy()
         out_sq = one_frame(a0, h0, o0, q, q, q, sq, 2)
         out_full = one_frame(a0, h0, o0, q, q, q, full, 2)
         for x, y in zip(out_sq, out_full):
@@ -348,9 +343,39 @@ class TestSingleQueryVariant:
 
     def test_registry_has_three_pair_blocks(self):
         registry = {}
-        create_single_query_params(np.random.default_rng(24), D_LANG, LATENT, registry)
+        create_graph(np.random.default_rng(24), SINGLE_QUERY_BLOCKS, D_LANG, LATENT, registry)
         pair_blocks = sorted({n.split(".")[1] for n in registry if n.startswith("qgraph.phi")})
         assert pair_blocks == ["phi_qa", "phi_qh", "phi_qo"]
+
+
+# the slots that share a block, in SLOTS order: single_query's query-pair maps
+# each fill both pair slots of one node kind
+TIES = {
+    "full": [[slot] for slot in SLOTS],
+    "single_query": [["phi_sva", "phi_vna"], ["phi_sno", "phi_vno"], ["phi_snh", "phi_svh"], *([s] for s in SLOTS[6:])],
+}
+
+
+class TestBlockTables:
+    @pytest.mark.parametrize(
+        "variant, blocks", [("full", FULL_BLOCKS), ("single_query", SINGLE_QUERY_BLOCKS)], ids=["full", "single_query"]
+    )
+    def test_every_slot_holds_one_registered_block(self, variant, blocks):
+        registry = {}
+        p = create_graph(np.random.default_rng(0), blocks, D_LANG, LATENT, registry)
+        assert sorted(p) == sorted(SLOTS)
+        widths = {"phi": D_LANG + LATENT, "msg": 2 * LATENT, "m": LATENT}
+        for slot, pm in p.items():
+            assert type(pm) is PairMap and pm.w.data.shape == (widths[slot.split("_")[0]], LATENT), slot
+        shared = {}
+        for slot in SLOTS:
+            shared.setdefault(id(p[slot]), []).append(slot)
+        assert list(shared.values()) == TIES[variant]
+        # the registry holds each block once, its w then its b, under the table's names
+        prefix, table = blocks
+        assert list(registry) == [f"{prefix}.{name}.{k}" for name in table for k in "wb"]
+        tensors = (t for slots in table.values() for t in (p[slots[0]].w, p[slots[0]].b))
+        assert all(a is b for a, b in zip(registry.values(), tensors, strict=True))
 
 
 class TestNoObjectNode:
@@ -371,11 +396,11 @@ class TestNoObjectNode:
 class TestNoGraphMap:
     def test_one_node_with_closed_form_gradients(self):
         rng = np.random.default_rng(1)
-        p = NoGraphParams.create(rng, 3, 2, 4, {})
+        p = PairMap.create(rng, 5, 4, {}, "nograph")
         x = rng.normal(size=(6, 5))
         g = rng.normal(size=(6, 4))
         with GradientTape() as tape:
-            out = p.project(x)
+            out = project(x, p)
             assert len(tape) == 1 and out._inputs == (p.w, p.b)  # the features are constants
             ad.backward(weighted_sum(out, g))
         want_w, want_b = ref_nograph_grad(x, g)

@@ -8,7 +8,7 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments
 from momentgraph.checkpoint import load_params, save_params
-from momentgraph.config import synthetic_config
+from momentgraph.config import RunConfig, synthetic_config
 from momentgraph.dataio import load_dataset, write_dataset
 from momentgraph.errors import CheckpointError, DataError, InputError
 from momentgraph.gradcheck import GRADCHECK_LENGTHS, tiny_instance
@@ -26,6 +26,50 @@ from reference_impls import per_gate_checkpoint_params, ref_route_detections
 # the blocks that read only human (object) nodes
 HUMAN_BLOCKS = {"embed.w_h", "embed.b_h", *(f"graph.{m}.{k}" for m in ("phi_snh", "phi_svh", "m_h") for k in "wb")}
 OBJECT_BLOCKS = {"embed.w_o", "embed.b_o", *(f"graph.{m}.{k}" for m in ("phi_sno", "phi_vno", "m_o") for k in "wb")}
+
+
+# every variant's parameter registry, in order, at d_w 5, d_v 6, d_o 7, latent 8,
+# hidden 3 and a four-token vocabulary: a pair map reads 2·hidden + latent = 14
+# columns, a message map 2·latent = 16, an update latent = 8
+TEXT = [
+    ("text.embedding", (4, 5)), ("text.gru_fwd.w", (5, 9)), ("text.gru_fwd.u", (3, 9)), ("text.gru_fwd.b", (1, 9)),
+    ("text.gru_bwd.w", (5, 9)), ("text.gru_bwd.u", (3, 9)), ("text.gru_bwd.b", (1, 9)),
+]
+HEADS = [("text.head_sv.wk", (5, 6)), ("text.head_sn.wk", (5, 6)), ("text.head_vn.wk", (5, 6))]
+EMBED = [
+    ("embed.w_a", (6, 8)), ("embed.b_a", (1, 8)), ("embed.w_h", (7, 8)), ("embed.b_h", (1, 8)), ("embed.w_o", (7, 8)),
+    ("embed.b_o", (1, 8)),
+]
+GRAPH = [
+    ("graph.phi_sno.w", (14, 8)), ("graph.phi_sno.b", (1, 8)), ("graph.phi_vno.w", (14, 8)),
+    ("graph.phi_vno.b", (1, 8)), ("graph.phi_sva.w", (14, 8)), ("graph.phi_sva.b", (1, 8)),
+    ("graph.phi_vna.w", (14, 8)), ("graph.phi_vna.b", (1, 8)), ("graph.phi_snh.w", (14, 8)),
+    ("graph.phi_snh.b", (1, 8)), ("graph.phi_svh.w", (14, 8)), ("graph.phi_svh.b", (1, 8)),
+    ("graph.msg_sv.w", (16, 8)), ("graph.msg_sv.b", (1, 8)), ("graph.msg_vn.w", (16, 8)), ("graph.msg_vn.b", (1, 8)),
+    ("graph.msg_sn.w", (16, 8)), ("graph.msg_sn.b", (1, 8)), ("graph.m_o.w", (8, 8)), ("graph.m_o.b", (1, 8)),
+    ("graph.m_a.w", (8, 8)), ("graph.m_a.b", (1, 8)), ("graph.m_h.w", (8, 8)), ("graph.m_h.b", (1, 8)),
+]
+TEMPORAL = [
+    ("temporal.l1_fwd.w", (8, 9)), ("temporal.l1_fwd.u", (3, 9)), ("temporal.l1_fwd.b", (1, 9)),
+    ("temporal.l1_bwd.w", (8, 9)), ("temporal.l1_bwd.u", (3, 9)), ("temporal.l1_bwd.b", (1, 9)),
+    ("temporal.l2_fwd.w", (6, 9)), ("temporal.l2_fwd.u", (3, 9)), ("temporal.l2_fwd.b", (1, 9)),
+    ("temporal.l2_bwd.w", (6, 9)), ("temporal.l2_bwd.u", (3, 9)), ("temporal.l2_bwd.b", (1, 9)),
+    ("temporal.w_start", (6, 1)), ("temporal.w_end", (6, 1)), ("temporal.w_score", (8, 1)),
+]
+QGRAPH = [
+    ("qgraph.phi_qa.w", (14, 8)), ("qgraph.phi_qa.b", (1, 8)), ("qgraph.phi_qo.w", (14, 8)),
+    ("qgraph.phi_qo.b", (1, 8)), ("qgraph.phi_qh.w", (14, 8)), ("qgraph.phi_qh.b", (1, 8)),
+    ("qgraph.msg_ah.w", (16, 8)), ("qgraph.msg_ah.b", (1, 8)), ("qgraph.msg_ao.w", (16, 8)),
+    ("qgraph.msg_ao.b", (1, 8)), ("qgraph.msg_ho.w", (16, 8)), ("qgraph.msg_ho.b", (1, 8)), ("qgraph.m_o.w", (8, 8)),
+    ("qgraph.m_o.b", (1, 8)), ("qgraph.m_a.w", (8, 8)), ("qgraph.m_a.b", (1, 8)), ("qgraph.m_h.w", (8, 8)),
+    ("qgraph.m_h.b", (1, 8)),
+]
+NOGRAPH = [("nograph.w", (13, 8)), ("nograph.b", (1, 8))]
+PINNED_REGISTRY = {
+    **dict.fromkeys(("full", "no_node_types", "no_human_node", "no_object_node"), TEXT + HEADS + EMBED + GRAPH + TEMPORAL),
+    "single_query": TEXT + EMBED + QGRAPH + TEMPORAL,
+    "no_graph": NOGRAPH + TEMPORAL,
+}
 
 
 def word_ids(vocab, tokens):
@@ -48,6 +92,13 @@ class TestForward:
     def test_one_block_per_gru_weight_kind(self):
         counts = {v: len(tiny_instance(variant=v)[0].params) for v in ("full", "single_query", "no_graph")}
         assert counts == {"full": 55, "single_query": 46, "no_graph": 17}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_registry_names_shapes_and_order_are_pinned(self, variant):
+        # the registry's order is the rng's draw order and the checkpoint's record order
+        config = RunConfig(d_w=5, d_v=6, d_o=7, latent=8, hidden=3, variant=variant)
+        model = MomentModel(config, Vocabulary(["person", "throw"]))
+        assert [(name, t.data.shape) for name, t in model.params.items()] == PINNED_REGISTRY[variant]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_block_is_trained(self, variant):

@@ -224,6 +224,25 @@ class TestTrain:
         assert walls[0] >= 0.0 and walls == sorted(walls)
 
 
+    def test_wall_time_includes_the_validation_pass(self, tiny_data, monkeypatch):
+        # a clock that moves only inside evaluate: each entry's wall time counts
+        # the passes of its own epoch, so a run target_miou stops is timed whole
+        tr, va, cmap = tiny_data
+        now = [0.0]
+        original = train_module.evaluate
+
+        def timed_evaluate(*args):
+            now[0] += 100.0
+            return original(*args)
+
+        monkeypatch.setattr(train_module, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(train_module, "evaluate", timed_evaluate)
+        _, log = train(small_config(epochs=50, target_miou=0.0), tr, va, cmap)
+        assert [e["wall_time_s"] for e in log.epochs] == [200.0]
+        _, log = train(small_config(epochs=3, eval_every=2), tr, va, cmap)
+        assert [e["wall_time_s"] for e in log.epochs] == [0.0, 200.0, 400.0]
+
+
 class ReversedByOneModel:
     """predict() decodes an end index one before the start index (2 -> 1)."""
 
