@@ -89,13 +89,18 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
     count is a DimensionError, an empty sequence an InputError.
 
     Each direction reads x in the map's packed step order, so one loop
-    advances a 2 x B x hidden state. The input projections are one stacked
-    matmul; each step does one stacked recurrent matmul for z and r and one
-    for the candidate. While a tape records the layer, the forward pass
-    caches z, r, the candidate and the previous hidden state per step, and
-    the backward pass is hand-written backpropagation through time over the
-    same packed steps, carrying only the hidden-state gradient across steps.
-    Untaped, it allocates none of those caches.
+    advances a 2 x B x hidden state. The input projections, bias included,
+    are one stacked matmul before the loop; each step does one stacked
+    recurrent matmul for z and r and one for the candidate, and updates the
+    gates and the state in place. While a tape records the layer, the forward
+    pass caches the gathered input, the [z | r] gates, the candidate and the
+    previous hidden state of every step. The backward pass is hand-written
+    backpropagation through time over the same packed steps: it first forms
+    every factor that does not depend on the hidden-state gradient, for all
+    steps at once, so each step carries only that gradient. The factors
+    overwrite the z and candidate caches, so the backward runs once, as
+    autodiff.backward guarantees. Untaped, the layer allocates none of the
+    caches and frees the gathered input and its projection before the output.
     """
     n = x.data.shape[0]
     if segments is None:
@@ -111,21 +116,38 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
 
     xs = x.data[perm]
     w, u, b = (np.stack([getattr(fwd, k).data, getattr(bwd, k).data]) for k in "wub")
+    proj = xs @ w
+    proj += b
+    if not taped:
+        del xs
     # each block splits into its z and r columns and its candidate columns
-    (x_zr, x_c), (u_zr, u_c), (b_zr, b_c) = (np.split(a, [2 * hidden], axis=2) for a in (xs @ w, u, b))
+    (x_zr, x_c), (u_zr, u_c) = (np.split(a, [2 * hidden], axis=2) for a in (proj, u))
     out = np.empty((2, n, hidden))
     if taped:
-        h_prev, zs, rs, cands = (np.empty((2, n, hidden)) for _ in range(4))
+        h_prev, cands = np.empty((2, n, hidden)), np.empty((2, n, hidden))
+        zrs = np.empty((2, n, 2 * hidden))
     h = np.zeros((2, segments.counts.size, hidden))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sl, hk = slice(lo, hi), h[:, : hi - lo]
-        zr = 1.0 / (1.0 + np.exp(-(x_zr[:, sl] + hk @ u_zr + b_zr)))
-        z, r = zr[..., :hidden], zr[..., hidden:]
-        cand = np.tanh(x_c[:, sl] + (r * hk) @ u_c + b_c)
+        zr = hk @ u_zr
+        zr += x_zr[:, sl]
+        np.negative(zr, out=zr)
+        np.exp(zr, out=zr)
+        zr += 1.0
+        np.reciprocal(zr, out=zr)
+        z = zr[..., :hidden]
+        cand = (zr[..., hidden:] * hk) @ u_c
+        cand += x_c[:, sl]
+        np.tanh(cand, out=cand)
         if taped:
-            h_prev[:, sl], zs[:, sl], rs[:, sl], cands[:, sl] = hk, z, r, cand
-        hk[:] = (1.0 - z) * hk + z * cand
+            h_prev[:, sl], zrs[:, sl], cands[:, sl] = hk, zr, cand
+        # h + z (cand - h): the new state
+        cand -= hk
+        cand *= z
+        hk += cand
         out[:, sl] = hk
+    # nothing reads the projection after the loop; freed here, it is not live at the scatter below
+    del proj, x_zr, x_c
     result = np.empty((n, 2, hidden))
     result[perm[0], 0], result[perm[1], 1] = out
     if not taped:
@@ -133,6 +155,21 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
 
     def backward(g):
         gs = np.stack([g[perm[0], :hidden], g[perm[1], hidden:]])
+        zs, rs = zrs[..., :hidden], zrs[..., hidden:]
+        # the factors that do not depend on dh, for every step at once
+        f_r = cands - h_prev  # c - h_prev, until f_z has read it
+        f_z = 1.0 - zs
+        f_z *= zs
+        f_z *= f_r  # (c - h_prev) z (1 - z)
+        np.subtract(1.0, rs, out=f_r)
+        f_r *= rs
+        f_r *= h_prev  # h_prev r (1 - r)
+        f_c = cands  # z (1 - c²), over the dead candidates
+        f_c *= f_c
+        np.subtract(1.0, f_c, out=f_c)
+        f_c *= zs
+        keep = zs  # 1 - z, over the dead z gates
+        np.subtract(1.0, keep, out=keep)
         # pre-activation gradients of the three gates, filled step by step
         da = np.empty((2, n, 3 * hidden))
         d_az, d_ar, d_ac = np.split(da, 3, axis=2)
@@ -141,20 +178,22 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
         dh = np.zeros((2, segments.counts.size, hidden))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             sl, dhk = slice(lo, hi), dh[:, : hi - lo]
-            z, r, cand, hp = zs[:, sl], rs[:, sl], cands[:, sl], h_prev[:, sl]
             dhk += gs[:, sl]
-            dac = dhk * z * (1.0 - cand * cand)
-            d_rh = dac @ u_c_t
-            dar = d_rh * hp * r * (1.0 - r)
-            daz = dhk * (cand - hp) * z * (1.0 - z)
-            d_az[:, sl], d_ar[:, sl], d_ac[:, sl] = daz, dar, dac
-            dhk[:] = dhk * (1.0 - z) + d_rh * r + d_azr[:, sl] @ u_zr_t
+            np.multiply(dhk, f_c[:, sl], out=d_ac[:, sl])
+            np.multiply(dhk, f_z[:, sl], out=d_az[:, sl])
+            d_rh = d_ac[:, sl] @ u_c_t
+            np.multiply(d_rh, f_r[:, sl], out=d_ar[:, sl])
+            # dh (1 - z) + d_rh r + d_azr u_zr^T: the previous state's gradient
+            dhk *= keep[:, sl]
+            d_rh *= rs[:, sl]
+            dhk += d_rh
+            dhk += d_azr[:, sl] @ u_zr_t
         grads = []
         for d, p in directions:
             dx = np.empty_like(x.data)
             dx[perm[d]] = da[d] @ p.w.data.T
-            u = np.hstack([h_prev[d].T @ d_azr[d], (rs[d] * h_prev[d]).T @ d_ac[d]])
-            grads += [dx, xs[d].T @ da[d], u, da[d].sum(axis=0, keepdims=True)]
+            du = np.hstack([h_prev[d].T @ d_azr[d], (rs[d] * h_prev[d]).T @ d_ac[d]])
+            grads += [dx, xs[d].T @ da[d], du, da[d].sum(axis=0, keepdims=True)]
         return grads
 
     return ad.record(result.reshape(n, 2 * hidden), inputs, backward)

@@ -96,6 +96,64 @@ def ref_bigru(x, p_fwd, p_bwd):
     return np.concatenate([ref_gru_sequence(x, p_fwd), ref_gru_sequence(x, p_bwd, reverse=True)], axis=1)
 
 
+def _ref_gru_sequence_grad(x, p, g, reverse):
+    """Gradients of sum(g * ref_gru_sequence(x, p, reverse)) in x and in the
+    nine per-gate arrays of p, by backpropagation through time one step at a
+    time: the forward pass of ref_gru_sequence keeping each step's state and
+    gates, then the chain rule through h = (1 - z) h_prev + z c,
+    c = tanh(x wh + (r h_prev) uh + bh) and the two sigmoid gates."""
+    hidden = p["uz"].shape[0]
+    h = np.zeros(hidden)
+    steps = []
+    for i in range(x.shape[0] - 1, -1, -1) if reverse else range(x.shape[0]):
+        z = _sig(x[i] @ p["wz"] + h @ p["uz"] + p["bz"][0])
+        r = _sig(x[i] @ p["wr"] + h @ p["ur"] + p["br"][0])
+        cand = np.tanh(x[i] @ p["wh"] + (r * h) @ p["uh"] + p["bh"][0])
+        steps.append((i, h, z, r, cand))
+        h = (1.0 - z) * h + z * cand
+    dx = np.zeros_like(x)
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    dh = np.zeros(hidden)
+    for i, h_prev, z, r, cand in reversed(steps):
+        dh = dh + g[i]
+        # pre-activation gradients of the candidate, then of the two gates
+        d_ac = dh * z * (1.0 - cand * cand)
+        d_rh = d_ac @ p["uh"].T  # gradient of r * h_prev
+        d_ar = d_rh * h_prev * r * (1.0 - r)
+        d_az = dh * (cand - h_prev) * z * (1.0 - z)
+        for gate, d_a, h_in in (("z", d_az, h_prev), ("r", d_ar, h_prev), ("h", d_ac, r * h_prev)):
+            grads[f"w{gate}"] += np.outer(x[i], d_a)
+            grads[f"u{gate}"] += np.outer(h_in, d_a)
+            grads[f"b{gate}"][0] += d_a
+            dx[i] += d_a @ p[f"w{gate}"].T
+        dh = dh * (1.0 - z) + d_rh * r + d_az @ p["uz"].T + d_ar @ p["ur"].T
+    return dx, grads
+
+
+def ref_bigru_grad(x, lengths, p_fwd, p_bwd, g):
+    """Gradients of sum(g * out), where out holds each sequence's ref_bigru
+    and the sequences of these lengths are stacked in x's rows: per direction,
+    x's share (the gradient the layer hands x for that direction) and w, u
+    and b stacked in [z | r | h] column order, keyed "fwd.x", "fwd.w", ...,
+    "bwd.b". Every sequence runs on its own, one step at a time."""
+    hidden = p_fwd["uz"].shape[0]
+    out = {}
+    for name, p, reverse, cols in (("fwd", p_fwd, False, slice(0, hidden)), ("bwd", p_bwd, True, slice(hidden, None))):
+        dx = np.zeros_like(x)
+        grads = {k: np.zeros_like(a) for k, a in p.items()}
+        start = 0
+        for m in lengths:
+            rows = slice(start, start + m)
+            dx[rows], seq_grads = _ref_gru_sequence_grad(x[rows], p, g[rows, cols], reverse)
+            for k, a in seq_grads.items():
+                grads[k] += a
+            start += m
+        out[f"{name}.x"] = dx
+        for kind in "wub":
+            out[f"{name}.{kind}"] = np.hstack([grads[f"{kind}{gate}"] for gate in "zrh"])
+    return out
+
+
 def ref_attention(q, embeddings, contexts, wk):
     """q: 1 x d_q; returns (1 x d_ctx output, weight vector of length m)."""
     m = embeddings.shape[0]

@@ -17,7 +17,15 @@ from momentgraph.text import (
     tokenize,
 )
 
-from reference_impls import fd_grad, gru_param_arrays, ref_attention, ref_attention_grad, ref_bigru, ref_gru_sequence
+from reference_impls import (
+    fd_grad,
+    gru_param_arrays,
+    ref_attention,
+    ref_attention_grad,
+    ref_bigru,
+    ref_bigru_grad,
+    ref_gru_sequence,
+)
 from segment_maps import seq_map
 from tape_sum import weighted_sum
 
@@ -189,6 +197,45 @@ class TestGru:
     @pytest.mark.parametrize("x_feeds_another_op", [False, True])
     def test_ragged_batch_gradients_match_finite_differences(self, x_feeds_another_op):
         self._check_gradients((2, 5, 1, 3), x_feeds_another_op, seed=15)
+
+    def test_gradients_match_closed_form_bptt(self):
+        # a ragged batch with a length-1 sequence and two equal lengths; x also feeds another op
+        rng = np.random.default_rng(21)
+        lengths = (4, 1, 6, 4)
+        fwd, bwd = self._params(seed=22), self._params(seed=23)
+        n = sum(lengths)
+        x = Tensor(rng.normal(size=(n, 3)), requires_grad=True)
+        weights, x_weights = rng.normal(size=(n, 8)), rng.normal(size=(n, 3))
+        with GradientTape():
+            out = bigru_forward(x, fwd, bwd, seq_map(lengths))
+            # keep the eight gradients the node hands its inputs, x once per direction
+            node_backward, handed = out._backward, []
+            out._backward = lambda g: handed.extend(node_backward(g)) or handed
+            # recorded after the layer, so its gradient reaches x first
+            ad.backward(ad.add(weighted_sum(out, weights), weighted_sum(x, x_weights)))
+        want = ref_bigru_grad(x.data, lengths, gru_param_arrays(fwd), gru_param_arrays(bwd), weights)
+        names = [f"{d}.{k}" for d in ("bwd", "fwd") for k in "xwub"]  # the node's inputs order
+        assert len(handed) == len(names) == 8
+        for name, got in zip(names, handed):
+            np.testing.assert_allclose(got, want[name], rtol=0, atol=1e-12 * np.abs(want[name]).max(), err_msg=name)
+        want_x = want["bwd.x"] + want["fwd.x"] + x_weights
+        np.testing.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12 * np.abs(want_x).max())
+
+    def test_backward_leaves_input_and_output_untouched(self):
+        fwd, bwd = self._params(seed=24), self._params(seed=25)
+        lengths = (3, 1, 5)
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.normal(size=(sum(lengths), 3)), requires_grad=True)
+        x_before = x.data.copy()
+        untaped = bigru_forward(Tensor(x.data), fwd, bwd, seq_map(lengths)).data.copy()
+        with GradientTape():
+            out = bigru_forward(x, fwd, bwd, seq_map(lengths))
+            out_before = out.data.copy()
+            ad.backward(weighted_sum(out, rng.normal(size=(sum(lengths), 8))))
+        assert x.data.tobytes() == x_before.tobytes()
+        assert out.data.tobytes() == out_before.tobytes()
+        # the taped and the untaped forward share one loop, so they agree to the bit
+        assert out.data.tobytes() == untaped.tobytes()
 
     def test_zero_length_sequence_is_typed_error(self):
         with pytest.raises(InputError, match="at least one row"):
