@@ -26,6 +26,7 @@ FEAT_VERSION = 1
 DETS_MAGIC = b"DETS"
 DETS_VERSION = 1
 DETS_HEADER = {"video_id": str, "labels": list, "rows": int, "width": int}
+VAL_FRACTION = 0.2
 
 
 @dataclass
@@ -232,15 +233,18 @@ def read_manifest(path: str) -> tuple[list[str], list[str]]:
     return train_ids, val_ids
 
 
-def write_dataset(samples: list[AnnotatedSample], cmap: CategoryMap, out_dir: str, val_fraction: float = 0.2) -> None:
-    """Lay out a dataset directory: features/, detections/, annotations,
-    category map and an 80/20 by-video manifest. A sample's detections may
-    be per-frame Detection lists, as generated, or columns, as loaded."""
-    os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "detections"), exist_ok=True)
+def write_dataset(samples: list[AnnotatedSample], cmap: CategoryMap, out_dir: str) -> None:
+    """Lay out a dataset directory: features/, detections/, annotations, category
+    map and a by-video manifest with VAL_FRACTION of the videos, at least one, in
+    val. Fewer than two videos is a DataError before any file is written. Detections
+    may be per-frame Detection lists, as generated, or columns, as loaded."""
     by_video: dict[str, AnnotatedSample] = {}
     for s in samples:
         by_video.setdefault(s.video_id, s)
+    if len(by_video) < 2:
+        raise DataError(f"a dataset needs at least two videos, one for each split; the samples have {len(by_video)}")
+    os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "detections"), exist_ok=True)
     for vid, s in by_video.items():
         write_features(s.features, os.path.join(out_dir, "features", f"{vid}.feat"))
         dets = s.detections
@@ -250,7 +254,7 @@ def write_dataset(samples: list[AnnotatedSample], cmap: CategoryMap, out_dir: st
     write_annotations(samples, os.path.join(out_dir, "annotations.jsonl"))
     write_category_map(cmap, os.path.join(out_dir, "category_map.json"))
     video_ids = sorted(by_video)
-    n_val = max(1, int(round(len(video_ids) * val_fraction)))
+    n_val = max(1, int(round(len(video_ids) * VAL_FRACTION)))
     write_manifest(video_ids[:-n_val], video_ids[-n_val:], os.path.join(out_dir, "manifest.json"))
 
 

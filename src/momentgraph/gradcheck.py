@@ -29,6 +29,8 @@ class BlockResult:
 # so the masked BPTT and the segment softmaxes are checked across samples
 GRADCHECK_LENGTHS = (4, 3)
 QUERIES = ("person throw the bag", "person throw")
+# tiny_instance's detections per frame: this many "person" rows, then "cup" rows
+N_HUMANS, N_OBJECTS = 2, 3
 
 # the stencil (8(f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h has O(h^4)
 # truncation error, so h can be large enough that the loss's roundoff
@@ -37,10 +39,8 @@ STEP = 1e-3
 TOLERANCE = 1e-4
 
 
-def tiny_instance(
-    variant: str = "full", seed: int = 0, lengths=(4,), n_humans: int = 2, n_objects: int = 3
-) -> tuple[MomentModel, list[PreparedSample]]:
-    """A forced-tiny model and one prepared sample per entry of lengths (its t).
+def tiny_instance(variant: str = "full", seed: int = 0, lengths=(4,)) -> tuple[MomentModel, list[PreparedSample]]:
+    """A model of tiny dimensions and one prepared sample per entry of lengths (its t).
 
     Sample i asks QUERIES[i % 2], so a batch of two differs in t and in
     query length. The first sample does not depend on how many follow.
@@ -59,15 +59,11 @@ def tiny_instance(
         seed=seed,
         epochs=1,
     )
-    n_humans = min(n_humans, 2)
-    n_objects = min(n_objects, 3)
     samples = []
     for i, t in enumerate(lengths):
-        t = min(t, 6)
-        # per frame, n_humans "person" rows then n_objects "cup" rows, each drawing its confidence first
-        rows = [(rng.uniform(0.5, 1.0), rng.normal(size=config.d_o)) for _ in range(t * (n_humans + n_objects))]
-        frame = np.repeat(np.arange(t, dtype=np.intp), n_humans + n_objects)
-        label_id = np.tile(np.repeat(np.arange(2, dtype=np.intp), (n_humans, n_objects)), t)
+        rows = [(rng.uniform(0.5, 1.0), rng.normal(size=config.d_o)) for _ in range(t * (N_HUMANS + N_OBJECTS))]
+        frame = np.repeat(np.arange(t, dtype=np.intp), N_HUMANS + N_OBJECTS)
+        label_id = np.tile(np.repeat(np.arange(2, dtype=np.intp), (N_HUMANS, N_OBJECTS)), t)
         feats = np.array([feature for _, feature in rows]).reshape(-1, config.d_o)
         dets = Detections(t, frame, np.array([conf for conf, _ in rows]), label_id, ["person", "cup"], feats)
         af = ActivityFeatures(f"tiny{i}", rng.normal(size=(t, config.d_v)), 1.0, float(t))

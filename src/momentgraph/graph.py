@@ -102,28 +102,28 @@ UPDATES = {"h": "m_h", "o": "m_o"}
 
 def _gate(left, right, m: PairMap, x0, keep: bool):
     """sigmoid(m(left ⊙ right) ⊙ x0) on latent x rows arrays, the update of
-    one node kind, and its cache (None unless keep)."""
-    prod = left * right
-    pre = m.w.data.T @ prod + m.b.data.T
+    one node kind, and its cache (None unless keep): left, right, the
+    pre-activation and the output; the backward forms left ⊙ right again."""
+    pre = m.w.data.T @ (left * right) + m.b.data.T
     # the sigmoid in one buffer: where the step's memory peaks, a temporary per op would add node arrays
     new = pre * x0
     np.negative(new, out=new)
     np.exp(new, out=new)
     new += 1.0
     np.divide(1.0, new, out=new)
-    return new, (left, right, prod, pre, new) if keep else None
+    return new, (left, right, pre, new) if keep else None
 
 
 def _gate_backward(g, cache, m: PairMap, x0, grad):
     """The gradients of [left ; right], stacked, and of x0 from that of the
     gate's output; m's accumulate into grad."""
-    left, right, prod, pre, new = cache
+    left, right, pre, new = cache
     # in place where a temporary allows: each fresh node-sized array costs page faults
     d_z = 1.0 - new
     d_z *= new
     d_z *= g
     d_pre = d_z * x0
-    grad[0] += prod @ d_pre.T
+    grad[0] += (left * right) @ d_pre.T
     grad[1] += d_pre.sum(axis=1)
     d_prod = m.w.data @ d_pre
     n = left.shape[0]

@@ -7,6 +7,8 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import TrainingError
 
+EPS = 1e-8  # added to the root of the second moment, so an entry whose gradients were all zero divides by no zero
+
 
 class Adam:
     """Adam with bias correction and decoupled weight decay.
@@ -25,14 +27,12 @@ class Adam:
         weight_decay: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._ends = np.cumsum([p.data.size for p in params.values()])
         self.data = np.concatenate([p.data.ravel() for p in params.values()])
@@ -62,4 +62,4 @@ class Adam:
         self._m += (1.0 - self.beta1) * self.grad
         self._v *= self.beta2
         self._v += (1.0 - self.beta2) * (self.grad * self.grad)
-        self.data -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + self.eps)
+        self.data -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + EPS)

@@ -92,15 +92,15 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
     advances a 2 x B x hidden state. The input projections, bias included,
     are one stacked matmul before the loop; each step does one stacked
     recurrent matmul for z and r and one for the candidate, and updates the
-    gates and the state in place. While a tape records the layer, the forward
-    pass caches the gathered input, the [z | r] gates, the candidate and the
-    previous hidden state of every step. The backward pass is hand-written
-    backpropagation through time over the same packed steps: it first forms
-    every factor that does not depend on the hidden-state gradient, for all
-    steps at once, so each step carries only that gradient. The factors
-    overwrite the z and candidate caches, so the backward runs once, as
-    autodiff.backward guarantees. Untaped, the layer allocates none of the
-    caches and frees the gathered input and its projection before the output.
+    gates and the state in place. Taped, the forward caches only the [z | r]
+    gates and the candidate of every step. The backward is hand-written
+    backpropagation through time over the same packed steps; it gathers the
+    input from x and rebuilds each step's previous state from the output,
+    which the tape holds. It first forms every factor that does not depend
+    on the hidden-state gradient, for all steps at once, so each step carries
+    only that gradient. The factors overwrite the z and candidate caches, so
+    the backward runs once, as autodiff.backward guarantees. Untaped, the
+    layer keeps no caches and frees the projection before the output.
     """
     n = x.data.shape[0]
     if segments is None:
@@ -114,18 +114,14 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
     inputs = tuple(t for _, p in directions for t in (x, p.w, p.u, p.b))
     taped = ad.recording(inputs)
 
-    xs = x.data[perm]
     w, u, b = (np.stack([getattr(fwd, k).data, getattr(bwd, k).data]) for k in "wub")
-    proj = xs @ w
+    proj = x.data[perm] @ w
     proj += b
-    if not taped:
-        del xs
     # each block splits into its z and r columns and its candidate columns
     (x_zr, x_c), (u_zr, u_c) = (np.split(a, [2 * hidden], axis=2) for a in (proj, u))
     out = np.empty((2, n, hidden))
     if taped:
-        h_prev, cands = np.empty((2, n, hidden)), np.empty((2, n, hidden))
-        zrs = np.empty((2, n, 2 * hidden))
+        cands, zrs = np.empty((2, n, hidden)), np.empty((2, n, 2 * hidden))
     h = np.zeros((2, segments.counts.size, hidden))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sl, hk = slice(lo, hi), h[:, : hi - lo]
@@ -140,7 +136,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
         cand += x_c[:, sl]
         np.tanh(cand, out=cand)
         if taped:
-            h_prev[:, sl], zrs[:, sl], cands[:, sl] = hk, zr, cand
+            zrs[:, sl], cands[:, sl] = zr, cand
         # h + z (cand - h): the new state
         cand -= hk
         cand *= z
@@ -155,6 +151,9 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
 
     def backward(g):
         gs = np.stack([g[perm[0], :hidden], g[perm[1], hidden:]])
+        # packed row r of step k >= 1 follows row r - width(k - 1); step 0 starts from zero
+        prev = np.arange(bounds[1], n) - np.repeat(np.diff(bounds[:-1]), np.diff(bounds[1:]))
+        h_prev = np.concatenate([np.zeros((2, bounds[1], hidden)), result[perm[:, prev], [[0], [1]]]], axis=1)
         zs, rs = zrs[..., :hidden], zrs[..., hidden:]
         # the factors that do not depend on dh, for every step at once
         f_r = cands - h_prev  # c - h_prev, until f_z has read it
@@ -193,7 +192,7 @@ def bigru_forward(x: Tensor, fwd: GruParams, bwd: GruParams, segments: ad.Sorted
             dx = np.empty_like(x.data)
             dx[perm[d]] = da[d] @ p.w.data.T
             du = np.hstack([h_prev[d].T @ d_azr[d], (rs[d] * h_prev[d]).T @ d_ac[d]])
-            grads += [dx, xs[d].T @ da[d], du, da[d].sum(axis=0, keepdims=True)]
+            grads += [dx, x.data[perm[d]].T @ da[d], du, da[d].sum(axis=0, keepdims=True)]
         return grads
 
     return ad.record(result.reshape(n, 2 * hidden), inputs, backward)

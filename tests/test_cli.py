@@ -50,6 +50,14 @@ class TestSynth:
             assert (data / name).exists()
         assert list((data / "features").iterdir())
 
+    def test_fewer_than_two_videos_is_data_error(self, tmp_path, capsys):
+        # two samples share one video, which would leave the train split empty
+        out = tmp_path / "d"
+        assert main(["synth", "--out", str(out), "--samples", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "data error: a dataset needs at least two videos, one for each split; the samples have 1" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, workspace):

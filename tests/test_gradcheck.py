@@ -4,18 +4,18 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph import gradcheck
 from momentgraph.errors import ConfigError
-from momentgraph.gradcheck import GRADCHECK_LENGTHS, format_results, run_gradcheck, tiny_instance
+from momentgraph.gradcheck import GRADCHECK_LENGTHS, N_HUMANS, N_OBJECTS, format_results, run_gradcheck, tiny_instance
 
 
-def test_tiny_instance_is_forced_small():
+def test_tiny_instance_builds_the_lengths_asked():
     model, batch = tiny_instance(lengths=GRADCHECK_LENGTHS + (9,))
+    # every length as given, unclamped, with the same humans and objects in every frame
+    assert [p.sample.features.features.shape[0] for p in batch] == [4, 3, 9]
     for prep in batch:
         t = prep.sample.features.features.shape[0]
-        assert t <= 6
-        assert np.bincount(prep.human_frame_ids, minlength=t).max() <= 2
-        assert np.bincount(prep.object_frame_ids, minlength=t).max() <= 3
+        assert np.bincount(prep.human_frame_ids, minlength=t).tolist() == [N_HUMANS] * t
+        assert np.bincount(prep.object_frame_ids, minlength=t).tolist() == [N_OBJECTS] * t
     # the gradient-check batch is ragged in both t and query length
-    assert [p.sample.features.features.shape[0] for p in batch[:2]] == [4, 3]
     assert len(batch[0].word_ids) != len(batch[1].word_ids)
 
 

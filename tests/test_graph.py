@@ -12,6 +12,7 @@ from momentgraph.graph import (
     GraphWeights,
     MessagePassing,
     PairMap,
+    _gate,
     check_variant,
     create_graph,
     project,
@@ -406,3 +407,15 @@ class TestNoGraphMap:
         want_w, want_b = ref_nograph_grad(x, g)
         np.testing.assert_allclose(p.w.grad, want_w, rtol=0, atol=1e-12 * np.abs(want_w).max())
         np.testing.assert_allclose(p.b.grad, want_b, rtol=0, atol=1e-12 * np.abs(want_b).max())
+
+
+def test_gate_caches_only_what_its_backward_cannot_rebuild():
+    rng = np.random.default_rng(31)
+    m = PairMap.create(rng, 4, 4, {}, "gate")
+    left, right, x0 = (rng.normal(size=(4, 3)) for _ in range(3))
+    new, cache = _gate(left, right, m, x0, keep=True)
+    # left ⊙ right is formed again by the backward, so the tape does not hold it
+    assert len(cache) == 4
+    assert cache[0] is left and cache[1] is right and cache[3] is new
+    assert cache[2].tobytes() == (m.w.data.T @ (left * right) + m.b.data.T).tobytes()
+    assert _gate(left, right, m, x0, keep=False)[1] is None

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,26 @@ class TestGru:
         assert out.data.tobytes() == out_before.tobytes()
         # the taped and the untaped forward share one loop, so they agree to the bit
         assert out.data.tobytes() == untaped.tobytes()
+
+    def test_taped_layer_keeps_only_its_output_gates_and_candidates(self):
+        n, d_in, hidden = 200, 32, 16
+        fwd, bwd = self._params(d_in, hidden, seed=27), self._params(d_in, hidden, seed=28)
+        x = Tensor(np.random.default_rng(29).normal(size=(n, d_in)), requires_grad=True)
+        segments = seq_map((60, 50, 40, 30, 20))
+        segments.packed  # built once per map and kept by it, not by the layer
+        tracemalloc.start()
+        try:
+            with GradientTape():
+                before = tracemalloc.get_traced_memory()[0]
+                out = bigru_forward(x, fwd, bwd, segments)
+                kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (n, 2 * hidden)
+        # the output (n x 2·hidden), the [z | r] gates (2 x n x 2·hidden) and the
+        # candidates (2 x n x hidden), in doubles; the gathered input or the
+        # previous states would add 2·n·d_in or 2·n·hidden more
+        assert kept <= 8 * n * 8 * hidden + 32 * 1024
 
     def test_zero_length_sequence_is_typed_error(self):
         with pytest.raises(InputError, match="at least one row"):
