@@ -4,10 +4,14 @@ Each activity timestep is processed independently: pair features couple a
 linguistic vector with a node latent, messages combine pair features, and
 node updates gate the iteration-0 latents. spatial_graph runs every
 iteration for every timestep of a minibatch of videos as one tape node with
-a hand-written backward pass. It folds each pair map into the message map it
-feeds (see MessagePassing), so it sums node latents per frame and never forms
-a per-node pair feature; the per-frame numpy oracle that spells the pair
-features out lives in tests/reference_impls.py. Includes all ablation
+a hand-written backward pass. Pair and message maps are affine, so it folds
+each pair map into the message map it feeds and never forms a pair
+feature: per iteration, the frame side of every message is three matmuls,
+by the folded products of the activity latent and of the frame's human and
+object latent sums (GraphWeights, built once per forward), plus one
+per-frame constant (MessagePassing); a node's message adds one matmul by
+its kind's own folded products. The per-frame numpy oracle that spells the
+pair features out lives in tests/reference_impls.py. Includes all ablation
 variants.
 """
 
@@ -77,34 +81,45 @@ def create_graph(rng, blocks, d_lang: int, latent: int, registry: dict) -> dict[
     return params
 
 
-# each pair map, the linguistic view it reads and the node kind it pairs with
-PAIRS = (
-    ("phi_sva", "sv", "a"),
-    ("phi_vna", "vn", "a"),
-    ("phi_sno", "sn", "o"),
-    ("phi_vno", "vn", "o"),
-    ("phi_snh", "sn", "h"),
-    ("phi_svh", "sv", "h"),
-)
+# each pair map and the linguistic view it reads
+PAIRS = {"phi_sva": "sv", "phi_vna": "vn", "phi_sno": "sn", "phi_vno": "vn", "phi_snh": "sn", "phi_svh": "sv"}
 MAPS = ("msg_sv", "msg_vn", "msg_sn", "m_a", "m_o", "m_h")
-SLOTS = tuple(slot for slot, _, _ in PAIRS) + MAPS
+SLOTS = (*PAIRS, *MAPS)
 # the blocks the last iteration reads: it updates the activity latent only
 LAST_SLOTS = ("phi_sva", "phi_vna", "phi_vno", "phi_svh", "msg_sv", "msg_vn", "m_a")
-# each node kind's pair maps, stacked into one matmul; the activity message
-# reads the first of a human or object pair, so the last iteration takes only it
-STACKS = {"a": ("phi_sva", "phi_vna"), "h": ("phi_svh", "phi_snh"), "o": ("phi_vno", "phi_sno")}
-# the (pair map, message map) products folded into each node kind's two messages;
-# each message's second input is a frame-level row: for objects the humans' snh
-# sum and the activity's vna, for humans the objects' sno sum and sva
-FOLDS = {"o": (("phi_sno", "msg_sn"), ("phi_vno", "msg_vn")), "h": (("phi_snh", "msg_sn"), ("phi_svh", "msg_sv"))}
-UPDATES = {"h": "m_h", "o": "m_o"}
+# The frame side of an iteration: six latent-sized rows of one 6 x latent x
+# frames array, the frame-level part of six messages. Per row: its message
+# map and, per half, the pair map it takes and that map's input, the
+# activity latent a, a node kind h / o itself, or that kind's per-frame sum
+# sum_h / sum_o. A row whose first half reads a node kind is that kind's
+# frame term, gathered to its nodes.
+ROWS = (
+    ("msg_sn", ("phi_snh", "h"), ("phi_sno", "sum_o")),  # a human's [snh ; Σ sno]
+    ("msg_sv", ("phi_svh", "h"), ("phi_sva", "a")),  # a human's [svh ; sva]
+    ("msg_sv", ("phi_sva", "a"), ("phi_svh", "sum_h")),  # the activity's [sva ; Σ svh]
+    ("msg_vn", ("phi_vna", "a"), ("phi_vno", "sum_o")),  # the activity's [vna ; Σ vno]
+    ("msg_vn", ("phi_vno", "o"), ("phi_vna", "a")),  # an object's [vno ; vna]
+    ("msg_sn", ("phi_sno", "o"), ("phi_snh", "sum_h")),  # an object's [sno ; Σ snh]
+)
+# per input, its (row, pair slot, message slot, half) entries in ROWS order,
+# whose products (W_x·m_half)^T GraphWeights stacks into one matrix
+FOLDS = {
+    x: tuple((row, pair, msg, half) for row, (msg, *halves) in enumerate(ROWS) for half, (pair, y) in enumerate(halves) if y == x)
+    for x in ("a", "sum_h", "sum_o", "h", "o")
+}
+# each input's rows are evenly spaced, so they are one slice of the frame array
+TAKES = {x: slice(e[0][0], e[-1][0] + 1, e[1][0] - e[0][0]) for x, e in FOLDS.items()}
+# the activity's two messages: the rows whose first half reads a
+A_MESSAGES = slice(2, 4)
+UPDATES = {"a": "m_a", "h": "m_h", "o": "m_o"}
 
 
 def _gate(left, right, m: PairMap, x0, keep: bool):
     """sigmoid(m(left ⊙ right) ⊙ x0) on latent x rows arrays, the update of
     one node kind, and its cache (None unless keep): left, right, the
     pre-activation and the output; the backward forms left ⊙ right again."""
-    pre = m.w.data.T @ (left * right) + m.b.data.T
+    pre = m.w.data.T @ (left * right)
+    pre += m.b.data.T
     # the sigmoid in one buffer: where the step's memory peaks, a temporary per op would add node arrays
     new = pre * x0
     np.negative(new, out=new)
@@ -137,23 +152,26 @@ def _gate_backward(g, cache, m: PairMap, x0, grad):
 class GraphWeights:
     """The parameter-only products MessagePassing reads, shared by every call
     over the same parameter values: each pair map's W_x rows, each message
-    map as (m_1, m_2, b_m^T), and per node kind its stacked W_x^T and its
-    folded (W_x·m_1)^T. An update of the parameters leaves it stale, so it
-    is built per forward."""
+    map as (m_1, m_2, b_m^T), and per input of FOLDS its stacked folded
+    products (W_x·m_half)^T, in ROWS order: the activity latent's
+    4·latent x latent (sva·sv2 for the humans' frame term, sva·sv1 and
+    vna·vn1 for the activity's messages, vna·vn2 for the objects'), each
+    node sum's 2·latent x latent (svh·sv2, snh·sn2 and sno·sn2, vno·vn2),
+    and each node kind's own (snh·sn1, svh·sv1 and vno·vn1, sno·sn1). An
+    update of the parameters leaves it stale, so it is built per forward."""
 
     def __init__(self, params: dict[str, PairMap]):
         self.params = params
         self.n = n = params["m_a"].w.data.shape[0]
         self.d_lang = d = params["phi_sva"].w.data.shape[0] - n
-        self.w_x = {slot: params[slot].w.data[d:] for slot, _, _ in PAIRS}
+        self.w_x = {slot: params[slot].w.data[d:] for slot in PAIRS}
         self.msg = {}
         for slot in ("msg_sv", "msg_vn", "msg_sn"):
             m = params[slot]
             self.msg[slot] = (m.w.data[:n], m.w.data[n:], m.b.data.T)
-        self.pair = {kind: np.concatenate([self.w_x[slot].T for slot in slots]) for kind, slots in STACKS.items()}
         self.fold = {
-            kind: np.concatenate([(self.w_x[slot] @ self.msg[msg][0]).T for slot, msg in folds])
-            for kind, folds in FOLDS.items()
+            x: np.concatenate([(self.w_x[pair] @ self.msg[msg][half]).T for _, pair, msg, half in entries])
+            for x, entries in FOLDS.items()
         }
 
 
@@ -165,15 +183,21 @@ class MessagePassing:
     backward take and give the op's rows x latent arrays.
 
     Every pair map splits as phi([l ; x]) = L + x·W_x with L = l·W_l + b,
-    computed once per sample from its row of sv, sn or vn and expanded to its
-    frames where a frame needs it, never to nodes. A message map splits the
-    same way over its two inputs, m([u ; y]) = u·m_1 + y·m_2 + b_m. Both maps
-    are affine, so no per-node pair feature is formed:
-      - a frame's sum of phi over its n nodes is n·L + (Σ x)·W_x, from one
-        segment sum of the node latents;
-      - a node message m([phi(x) ; y]) is x·(W_x·m_1) + (L·m_1 + y·m_2 + b_m),
-        one matmul by the folded product W_x·m_1 plus a frame-level term
-        gathered to the nodes.
+    computed once per sample from its row of sv, sn or vn. A message map
+    splits the same way over its two inputs, m([u ; y]) = u·m_1 + y·m_2 + b_m.
+    Both maps are affine, so no pair feature is formed: a frame's sum of phi
+    over its n nodes is n·L + (Σ x)·W_x, and each of the six ROWS is
+    Σ x·(W_x·m_half) over its halves' inputs x, plus a constant. That
+    constant, one 6 x latent x frames array built here per call, holds per
+    frame each row's b_m, the m_half^T·L of each half that reads a or a node
+    kind, and the n·m_2^T·L of each half that reads a node sum, n being the
+    frame's count of that kind. So an iteration forms all six rows as three
+    matmuls by GraphWeights.fold (a, sum_h, sum_o) plus the constant, and a
+    node kind's messages as one matmul by its own fold plus its kind's two
+    rows gathered to its nodes. The last iteration forms every row too, but
+    no node message. The backward accumulates each fold's and the
+    constant's gradient over the iterations and passes them to the blocks
+    once.
     frames maps frames to samples and humans / objects map nodes to frames:
     the caller's autodiff.SortedSegments, reduced along the last axis.
     """
@@ -187,59 +211,43 @@ class MessagePassing:
                 f"{h0.shape[0]} humans and {o0.shape[0]} objects, views {sv.shape[1]} wide for {weights.d_lang}"
             )
         self.params, self.n, self.d_lang = weights.params, weights.n, weights.d_lang
-        self.w_x, self.msg, self.pair, self.fold = weights.w_x, weights.msg, weights.pair, weights.fold
+        self.w_x, self.msg, self.fold = weights.w_x, weights.msg, weights.fold
         self.x0 = {"a": a0.T.copy(), "h": h0.T.copy(), "o": o0.T.copy()}
         self.views = {"sv": sv, "sn": sn, "vn": vn}
         self.samples, self.nodes = frames, {"h": humans, "o": objects}
-        self.counts = {"a": 1.0, "h": humans.counts, "o": objects.counts}
+        self.counts = {"sum_h": humans.counts, "sum_o": objects.counts}
         # per pair map, L = l·W_l + b per sample (latent x samples)
         self.lang = {}
-        for slot, view, _ in PAIRS:
+        for slot, view in PAIRS.items():
             pm = self.params[slot]
             self.lang[slot] = pm.w.data[: self.d_lang].T @ self.views[view].T + pm.b.data.T
-        # per node kind: its stacked L, per sample for the activity and per frame as n·L for a node sum
-        self.pair_lang = {}
-        for kind, slots in STACKS.items():
-            lang = np.concatenate([self.lang[slot] for slot in slots])
-            self.pair_lang[kind] = lang if kind == "a" else self.samples.expand(lang, 1) * self.counts[kind]
-        # per node kind, per sample: the constant L·m_1 + b_m of its frame terms
-        self.frame = {
-            kind: np.concatenate([self.msg[msg][0].T @ self.lang[slot] + self.msg[msg][2] for slot, msg in folds])
-            for kind, folds in FOLDS.items()
-        }
+        self.const = np.empty((len(ROWS), n, t))
+        for row, (msg, (first, _), (second, y)) in zip(self.const, ROWS):
+            m_1, m_2, b_m = self.msg[msg]
+            row[:] = frames.expand(m_1.T @ self.lang[first] + b_m, 1)
+            row += frames.expand(m_2.T @ self.lang[second], 1) * self.counts.get(y, 1.0)
 
     def step(self, a, h, o, last: bool = False, keep: bool = True):
         """One message-passing iteration: the updated (a, h, o) and the cache
         step_backward reads, or None unless keep, so an untaped step holds
         no gate's inputs past the gate. The last iteration updates a only,
-        so h and o come back as None and what feeds only them is not
-        computed."""
+        so h and o come back as None and the node messages are not formed;
+        it still forms every frame row, so its a is a non-last step's."""
         n = self.n
         x = {kind: np.ascontiguousarray(rows.T) for kind, rows in zip("aho", (a, h, o))}
-        sv1, sv2, b_sv = self.msg["msg_sv"]
-        vn1, vn2, b_vn = self.msg["msg_vn"]
-        sn2 = self.msg["msg_sn"][1]
-        pa = self.samples.expand(self.pair_lang["a"], 1)  # [sva ; vna]
-        pa += self.pair["a"] @ x["a"]
-        s = {kind: seg.sum(x[kind], 1) for kind, seg in self.nodes.items()}
-        # per frame, [Σ svh, Σ snh] and [Σ vno, Σ sno]; the last iteration reads only the first
-        halves = (slice(0, n),) if last else (slice(0, n), slice(n, 2 * n))
-        sums = {kind: [self.pair[kind][i] @ s[kind] + self.pair_lang[kind][i] for i in halves] for kind in s}
-        h_sv_a = sv1.T @ pa[:n] + sv2.T @ sums["h"][0] + b_sv
-        o_vn_a = vn1.T @ pa[n:] + vn2.T @ sums["o"][0] + b_vn
-        a_new, gate = _gate(h_sv_a, o_vn_a, self.params["m_a"], self.x0["a"], keep)
-        cache = {"x": x, "pa": pa, "s": s, "sums": sums, "gate_a": gate} if keep else None
+        for kind, seg in self.nodes.items():
+            x["sum_" + kind] = seg.sum(x[kind], 1)
+        z = self.const.copy()
+        for inp in ("a", "sum_h", "sum_o"):
+            z[TAKES[inp]] += (self.fold[inp] @ x[inp]).reshape(-1, n, z.shape[2])
+        a_new, gate = _gate(*z[A_MESSAGES], self.params["m_a"], self.x0["a"], keep)
+        cache = {"x": x, "gate_a": gate} if keep else None
         if last:
             return a_new.T, None, None, cache
-        # each node message's second input with its m_2
-        seconds = {"o": ((sn2, sums["h"][1]), (vn2, pa[n:])), "h": ((sn2, sums["o"][1]), (sv2, pa[:n]))}
         new = {}
         for kind, seg in self.nodes.items():
-            frame = np.concatenate([m_2.T @ y for m_2, y in seconds[kind]])
-            frame += self.samples.expand(self.frame[kind], 1)
             msgs = self.fold[kind] @ x[kind]
-            msgs += seg.expand(frame, 1)
-            del frame  # freed before the gate, where the step's memory peaks
+            msgs += seg.expand(z[TAKES[kind]].reshape(2 * n, -1), 1)
             update = self.params[UPDATES[kind]]
             new[kind], gate = _gate(msgs[:n], msgs[n:], update, self.x0[kind], keep)
             del msgs  # untaped, freed before the next kind's messages are formed
@@ -247,71 +255,35 @@ class MessagePassing:
                 cache["gate_" + kind] = gate
         return a_new.T, new["h"].T, new["o"].T, cache
 
-    def _pair_backward(self, kind, x, d, grads):
-        """x's gradient through pair[kind] @ x for the d.shape[0] // n stacked
-        maps d covers; their W_x gradients accumulate into grads."""
-        n, dw = self.n, x @ d.T
-        for i, slot in enumerate(STACKS[kind][: d.shape[0] // n]):
-            grads[slot] += dw[:, i * n : (i + 1) * n]
-        return self.pair[kind][: d.shape[0]].T @ d
-
-    def _fold_backward(self, kind, x, d, grads):
-        """x's gradient through fold[kind] @ x; each folded W_x·m_1 passes its
-        gradient to W_x and to m_1."""
-        n, d_fold = self.n, d @ x.T
-        for i, (slot, msg) in enumerate(FOLDS[kind]):
-            d_m = d_fold[i * n : (i + 1) * n].T
-            grads[slot] += d_m @ self.msg[msg][0].T
-            grads[msg][0][:n] += self.w_x[slot].T @ d_m
-        return self.fold[kind].T @ d
-
     def step_backward(self, cache, ga, gh, go, grads):
         """The gradients of a step's inputs (a, h, o) from those of its
         outputs, all latent x rows; gh and go are None for the last step.
-        Block, x0 and frame-constant gradients accumulate into grads."""
-        n, p = self.n, self.params
-        x, pa, s, sums = cache["x"], cache["pa"], cache["s"], cache["sums"]
-        sv1, sv2, _ = self.msg["msg_sv"]
-        vn1, vn2, _ = self.msg["msg_vn"]
-        sn2 = self.msg["msg_sn"][1]
+        Update-block and x0 gradients, each fold's and the constant's
+        accumulate into grads."""
+        n, p, x = self.n, self.params, cache["x"]
+        d_z = np.zeros_like(self.const)
         d_a, d_x0 = _gate_backward(ga, cache["gate_a"], p["m_a"], self.x0["a"], grads["m_a"])
         grads["a0"] += d_x0
-        # the activity's messages read [sva ; Σ svh] and [vna ; Σ vno]
-        for msg, first, second, d in (
-            ("msg_sv", pa[:n], sums["h"][0], d_a[:n]),
-            ("msg_vn", pa[n:], sums["o"][0], d_a[n:]),
-        ):
-            grads[msg][0][:n] += first @ d.T
-            grads[msg][0][n:] += second @ d.T
-            grads[msg][1] += d.sum(axis=1)
-        d_pa = np.concatenate([sv1 @ d_a[:n], vn1 @ d_a[n:]])
-        d_sums = {"h": [sv2 @ d_a[:n]], "o": [vn2 @ d_a[n:]]}
+        d_z[A_MESSAGES] = d_a.reshape(2, n, -1)
         d_msgs = {}
         if gh is not None:
             for kind, g in (("h", gh), ("o", go)):
                 slot = UPDATES[kind]
                 d_msgs[kind], d_x0 = _gate_backward(g, cache["gate_" + kind], p[slot], self.x0[kind], grads[slot])
                 grads[kind + "0"] += d_x0
-            # a frame term gathered to nodes takes their gradient summed per frame
-            f_h, f_o = (self.nodes[kind].sum(d_msgs[kind], 1) for kind in ("h", "o"))
-            grads["frame_h"] += f_h
-            grads["frame_o"] += f_o
-            # the second inputs: objects read Σ snh and vna, humans Σ sno and sva
-            grads["msg_sn"][0][n:] += sums["h"][1] @ f_o[:n].T + sums["o"][1] @ f_h[:n].T
-            grads["msg_vn"][0][n:] += pa[n:] @ f_o[n:].T
-            grads["msg_sv"][0][n:] += pa[:n] @ f_h[n:].T
-            d_sums["h"].append(sn2 @ f_o[:n])
-            d_sums["o"].append(sn2 @ f_h[:n])
-            d_pa += np.concatenate([sv2 @ f_h[n:], vn2 @ f_o[n:]])
+                # a frame term gathered to nodes takes their gradient summed per frame
+                d_z[TAKES[kind]] = self.nodes[kind].sum(d_msgs[kind], 1).reshape(2, n, -1)
+        grads["const"] += d_z
+        frame = {inp: d_z[TAKES[inp]].reshape(-1, d_z.shape[2]) for inp in ("a", "sum_h", "sum_o")}
         dx = {}
-        for kind, seg in self.nodes.items():
-            d = np.concatenate(d_sums[kind])
-            grads["lang_" + kind][: d.shape[0]] += d
-            dx[kind] = seg.expand(self._pair_backward(kind, s[kind], d, grads), 1)
-            if kind in d_msgs:
-                dx[kind] += self._fold_backward(kind, x[kind], d_msgs[kind], grads)
-        grads["lang_a"] += d_pa
-        return self._pair_backward("a", x["a"], d_pa, grads), dx["h"], dx["o"]
+        for inp, d in (*frame.items(), *d_msgs.items()):
+            grads["fold_" + inp] += d @ x[inp].T
+            dx[inp] = self.fold[inp].T @ d
+        d_h, d_o = (seg.expand(dx["sum_" + kind], 1) for kind, seg in self.nodes.items())
+        if d_msgs:
+            d_h += dx["h"]
+            d_o += dx["o"]
+        return dx["a"], d_h, d_o
 
     def backward(self, caches, g):
         """Replay the cached iterations in reverse from the gradient g of the
@@ -320,11 +292,8 @@ class MessagePassing:
         n = self.n
         slots = SLOTS if len(caches) > 1 else LAST_SLOTS
         grads = {kind + "0": np.zeros_like(x0) for kind, x0 in self.x0.items()}
-        # a pair map's W_x rows, the per-frame constants' rows, the other blocks' (w, b)
-        grads.update({slot: np.zeros_like(w_x) for slot, w_x in self.w_x.items()})
-        frames = self.x0["a"].shape[1]
-        grads.update({"lang_" + kind: np.zeros((2 * n, frames)) for kind in STACKS})
-        grads.update({"frame_" + kind: np.zeros((2 * n, frames)) for kind in FOLDS})
+        grads["const"] = np.zeros_like(self.const)
+        grads.update({"fold_" + inp: np.zeros_like(k) for inp, k in self.fold.items()})
         for slot in MAPS:
             pm = self.params[slot]
             grads[slot] = [np.zeros_like(pm.w.data), np.zeros_like(pm.b.data)]
@@ -335,26 +304,28 @@ class MessagePassing:
         for kind, d in zip("aho", (ga, gh, go)):
             grads[kind + "0"] += d
             inputs[kind + "0"] = grads[kind + "0"].T
-        # each pair map's L per sample feeds its stacked rows (n·L in a node sum) and its frame term
-        d_lang = {}
-        for kind, stack in STACKS.items():
-            d = self.samples.sum(grads["lang_" + kind] * self.counts[kind], 1)
-            for i, slot in enumerate(stack):
-                d_lang[slot] = d[i * n : (i + 1) * n]
-        for kind, folds in FOLDS.items():
-            f = self.samples.sum(grads["frame_" + kind], 1)
-            for i, (slot, msg) in enumerate(folds):
-                f_i = f[i * n : (i + 1) * n]
-                d_lang[slot] = d_lang[slot] + self.msg[msg][0] @ f_i
-                grads[msg][0][:n] += self.lang[slot] @ f_i.T
-                grads[msg][1] += f_i.sum(axis=1)
+        # each folded (W_x·m_half)^T passes its gradient to W_x and to m_half
+        d_wx = {slot: np.zeros_like(w_x) for slot, w_x in self.w_x.items()}
+        for inp, entries in FOLDS.items():
+            for i, (_, pair, msg, half) in enumerate(entries):
+                d_m = grads["fold_" + inp][i * n : (i + 1) * n].T
+                d_wx[pair] += d_m @ self.msg[msg][half].T
+                grads[msg][0][half * n : (half + 1) * n] += self.w_x[pair].T @ d_m
+        # the constant passes its gradient to each row's b_m and, per half, to m_half and that pair map's L per sample
+        d_lang = dict.fromkeys(PAIRS, 0.0)
+        for d, (msg, *halves) in zip(grads["const"], ROWS):
+            grads[msg][1] += d.sum(axis=1)
+            for half, (pair, y) in enumerate(halves):
+                d_l = self.samples.sum(d * self.counts.get(y, 1.0), 1)
+                d_lang[pair] = d_lang[pair] + self.msg[msg][half] @ d_l
+                grads[msg][0][half * n : (half + 1) * n] += self.lang[pair] @ d_l.T
         blocks = {slot: tuple(grads[slot]) for slot in MAPS if slot in slots}
-        for slot, view, _ in PAIRS:
+        for slot, view in PAIRS.items():
             if slot in slots:
                 pm = self.params[slot]
                 inputs[view] = inputs.get(view, 0.0) + (pm.w.data[: self.d_lang] @ d_lang[slot]).T
                 w_l = self.views[view].T @ d_lang[slot].T
-                blocks[slot] = (np.concatenate([w_l, grads[slot]]), d_lang[slot].sum(axis=1)[None, :])
+                blocks[slot] = (np.concatenate([w_l, d_wx[slot]]), d_lang[slot].sum(axis=1)[None, :])
         return inputs, blocks
 
 

@@ -5,9 +5,15 @@ from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import ConfigError, ContractError, DimensionError
 from momentgraph.graph import (
+    A_MESSAGES,
+    FOLDS,
     FULL_BLOCKS,
+    LAST_SLOTS,
+    ROWS,
     SINGLE_QUERY_BLOCKS,
     SLOTS,
+    TAKES,
+    UPDATES,
     VARIANTS,
     GraphWeights,
     MessagePassing,
@@ -213,16 +219,27 @@ class TestBatchedSequence:
         counts = [(1, 15), (0, 0), (2, 0), (0, 2)]
         p, registry = make_params(seed=35)
         inputs, maps = assert_matches_per_timestep(p, registry, np.random.default_rng(36), counts, np.array([0, 0, 1, 1]))
-        # a frame without humans (objects) sums them to exact zeros, in
-        # every iteration: the latents' sum and both pair-map sums
+        # a frame without humans (objects) sums their latents to exact zero
+        # columns in every iteration
         empty = {"h": [1, 3], "o": [1, 2]}
         mp = MessagePassing(GraphWeights(p), *(t.data for t in inputs), *graph_maps(*maps))
         x = tuple(t.data for t in inputs[:3])
         for _ in range(3):
             *x, cache = mp.step(*x)
             for kind, frames in empty.items():
-                for sums in (cache["s"][kind], *cache["sums"][kind]):
-                    np.testing.assert_array_equal(sums[:, frames], np.zeros((LATENT, len(frames))))
+                np.testing.assert_array_equal(cache["x"]["sum_" + kind][:, frames], np.zeros((LATENT, len(frames))))
+        # and the constant every iteration adds holds exact zeros as those
+        # frames' count-weighted n·m_2^T·L terms: its rows that read a node
+        # sum are, in those frames, the constant of pair maps whose L is zero
+        for kind, frames in empty.items():
+            q = {slot: PairMap(Tensor(pm.w.data.copy()), Tensor(pm.b.data.copy())) for slot, pm in p.items()}
+            for _, pair, _, _ in FOLDS["sum_" + kind]:
+                q[pair].w.data[:D_LANG] = 0.0
+                q[pair].b.data[:] = 0.0
+            zeroed = MessagePassing(GraphWeights(q), *(t.data for t in inputs), *graph_maps(*maps)).const
+            rows = TAKES["sum_" + kind]
+            np.testing.assert_array_equal(mp.const[rows][..., frames], zeroed[rows][..., frames])
+            assert not np.array_equal(mp.const[rows], zeroed[rows])  # the other frames do count L
 
     def test_zero_iterations_returns_inputs(self):
         p, _ = make_params(seed=19)
@@ -377,6 +394,37 @@ class TestBlockTables:
         assert list(registry) == [f"{prefix}.{name}.{k}" for name in table for k in "wb"]
         tensors = (t for slots in table.values() for t in (p[slots[0]].w, p[slots[0]].b))
         assert all(a is b for a, b in zip(registry.values(), tensors, strict=True))
+
+
+class TestFoldTables:
+    """The tables the folded step and its backward read, checked without central differences."""
+
+    def test_every_folded_block_is_its_named_product(self):
+        p, _ = make_params(seed=39)
+        fold = GraphWeights(p).fold
+        assert list(fold) == list(FOLDS)
+        for inp, entries in FOLDS.items():
+            assert fold[inp].shape == (len(entries) * LATENT, LATENT)
+            for i, (_, pair, msg, half) in enumerate(entries):
+                w_x = p[pair].w.data[D_LANG:]
+                m_half = p[msg].w.data[half * LATENT : (half + 1) * LATENT]
+                np.testing.assert_array_equal(fold[inp][i * LATENT : (i + 1) * LATENT], (w_x @ m_half).T, err_msg=inp)
+
+    def test_rows_slices_and_slots_agree(self):
+        rows = range(len(ROWS))
+        for inp, entries in FOLDS.items():
+            assert list(rows[TAKES[inp]]) == [row for row, *_ in entries], inp
+        # a kind's messages are the rows whose first half reads it
+        for kind, messages in (("a", A_MESSAGES), ("h", TAKES["h"]), ("o", TAKES["o"])):
+            assert [row for row, (_, (_, x), _) in enumerate(ROWS) if x == kind] == list(rows[messages]), kind
+
+        def slots(table):
+            return {slot for msg, *halves in table for slot in (msg, *(pair for pair, _ in halves))}
+
+        folded = {slot for entries in FOLDS.values() for _, pair, msg, _ in entries for slot in (pair, msg)}
+        assert folded | slots(ROWS) | set(UPDATES.values()) == set(SLOTS)
+        # the last iteration reads the activity's rows and update alone
+        assert slots(ROWS[A_MESSAGES]) | {UPDATES["a"]} == set(LAST_SLOTS)
 
 
 class TestNoObjectNode:
