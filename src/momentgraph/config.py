@@ -24,12 +24,9 @@ class RunConfig:
     top_n: int = 15
     # loss
     smoothing: str = "onehot"
-    sigma_pos: float = 1.0
     # optimizer
     lr: float = 1e-4
     weight_decay: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     dropout: float = 0.5
     # training
     batch_size: int = 6
@@ -50,12 +47,10 @@ class RunConfig:
         for name in ("iterations", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in ("lr", "sigma_pos"):
-            if not 0.0 < getattr(self, name) < float("inf"):
-                raise ConfigError(f"{name} must be positive and finite")
-        for name in ("dropout", "beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1)")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError("lr must be positive and finite")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError("dropout must be in [0, 1)")
         if not 0.0 <= self.weight_decay < float("inf"):
             raise ConfigError("weight_decay must be >= 0 and finite")
         if self.target_miou is not None and not 0.0 <= self.target_miou <= 100.0:
@@ -68,8 +63,8 @@ class RunConfig:
 _SECTIONS = {
     "model": ("d_w", "d_v", "d_o", "latent", "hidden"),
     "graph": ("variant", "iterations", "top_n"),
-    "loss": ("smoothing", "sigma_pos"),
-    "optimizer": ("lr", "weight_decay", "beta1", "beta2", "dropout"),
+    "loss": ("smoothing",),
+    "optimizer": ("lr", "weight_decay", "dropout"),
     "training": ("batch_size", "epochs", "seed", "eval_every", "target_miou", "swap_degenerate"),
     "paths": ("data_dir", "checkpoint", "report"),
 }
@@ -132,7 +127,6 @@ def synthetic_config(**overrides) -> RunConfig:
         lr=1e-3,
         dropout=0.2,
         smoothing="gaussian",
-        sigma_pos=1.0,
         epochs=200,
         eval_every=5,
     )

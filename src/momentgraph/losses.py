@@ -1,6 +1,7 @@
 """Target construction and training losses (KL + spatial).
 
-Each loss is one tape node with a hand-written backward. Both floor the
+Each loss is one tape node with a hand-written backward: the KL takes the
+start and end distributions as the two columns of one array. Both floor the
 argument of their log at EPS, and where the floor holds no gradient flows
 through the log.
 """
@@ -17,6 +18,7 @@ from .errors import ContractError, InputError
 
 EPS = 1e-12
 SMOOTHINGS = ("onehot", "gaussian")
+SIGMA_POS = 1.0  # width, in feature steps, of a gaussian target around its index
 
 
 @dataclass
@@ -25,19 +27,19 @@ class MomentTarget:
 
     start_index: int
     end_index: int
-    start_dist: np.ndarray
-    end_dist: np.ndarray
+    dist: np.ndarray  # t x 2: the start distribution, then the end one
 
 
-def _smooth(index: int, t: int, smoothing: str, sigma_pos: float) -> np.ndarray:
+def _smooth(indices: list[int], t: int, smoothing: str) -> np.ndarray:
+    """t x len(indices): one distribution over t steps per index, as columns."""
     if smoothing == "onehot":
-        dist = np.zeros(t)
-        dist[index] = 1.0
+        dist = np.zeros((t, len(indices)))
+        dist[indices, np.arange(len(indices))] = 1.0
         return dist
     if smoothing == "gaussian":
-        offsets = np.arange(t) - index
-        dist = np.exp(-(offsets**2) / (2.0 * sigma_pos**2))
-        return dist / dist.sum()
+        offsets = np.arange(t)[:, None] - np.asarray(indices)
+        dist = np.exp(-(offsets**2) / (2.0 * SIGMA_POS**2))
+        return dist / dist.sum(axis=0)
     raise InputError(f"unknown smoothing '{smoothing}' (expected one of {', '.join(SMOOTHINGS)})")
 
 
@@ -47,7 +49,6 @@ def build_targets(
     stride_seconds: float,
     t: int,
     smoothing: str = "onehot",
-    sigma_pos: float = 1.0,
 ) -> MomentTarget:
     """Map ground-truth seconds to feature indices and target distributions."""
     if t_start_s > t_end_s:
@@ -56,12 +57,7 @@ def build_targets(
     ei = min(max(int(t_end_s // stride_seconds), 0), t - 1)
     if ei < si:
         ei = si
-    return MomentTarget(
-        start_index=si,
-        end_index=ei,
-        start_dist=_smooth(si, t, smoothing, sigma_pos),
-        end_dist=_smooth(ei, t, smoothing, sigma_pos),
-    )
+    return MomentTarget(start_index=si, end_index=ei, dist=_smooth([si, ei], t, smoothing))
 
 
 def kl_divergence(p: Tensor, q: np.ndarray) -> Tensor:
@@ -88,14 +84,12 @@ def kl_divergence(p: Tensor, q: np.ndarray) -> Tensor:
     return ad.record((p.data * log_ratio).sum(), (p,), backward)
 
 
-def kl_loss(pred_start: Tensor, pred_end: Tensor, targets: list[MomentTarget]) -> Tensor:
+def kl_loss(bounds: Tensor, targets: list[MomentTarget]) -> Tensor:
     """Start-side plus end-side KL divergence, prediction first, summed over a batch.
 
-    pred_start / pred_end stack the batch's distributions in target order.
+    bounds stacks the batch's start / end distributions as its two columns, in target order.
     """
-    start = np.concatenate([t.start_dist for t in targets])
-    end = np.concatenate([t.end_dist for t in targets])
-    return kl_divergence(pred_start, start) + kl_divergence(pred_end, end)
+    return kl_divergence(bounds, np.concatenate([t.dist for t in targets]))
 
 
 def spatial_loss(y: Tensor, start_index, end_index) -> Tensor:
@@ -120,7 +114,3 @@ def spatial_loss(y: Tensor, start_index, end_index) -> Tensor:
 
     return ad.record(-(outside * np.log(floored)).sum(), (y,), backward)
 
-
-def total_loss(kl: Tensor, spatial: Tensor) -> Tensor:
-    """Unweighted sum of the two loss components."""
-    return kl + spatial

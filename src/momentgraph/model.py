@@ -19,7 +19,7 @@ from .errors import CheckpointError, DataError, InputError
 from .graph import (
     FULL_BLOCKS, SINGLE_QUERY_BLOCKS, GraphWeights, PairMap, check_variant, create_graph, project, spatial_graph
 )
-from .losses import MomentTarget, build_targets, kl_loss, spatial_loss, total_loss
+from .losses import MomentTarget, build_targets, kl_loss, spatial_loss
 from .temporal import MomentPrediction, TemporalParams, decode, temporal_forward
 from .text import HEADS, TextEncoderParams, Vocabulary, encode_query, tokenize
 from .visual import CategoryMap, Detections, NodeEmbedParams, embed_nodes, route_detections
@@ -100,7 +100,7 @@ class MomentModel:
                 videos[key] = self._route_video(sample, cmap)
             word_ids = np.array([self.vocab.index(tok) for tok in tokens], dtype=np.intp)
             t, stride = sample.features.features.shape[0], sample.features.stride_seconds
-            target = build_targets(sample.t_start_s, sample.t_end_s, stride, t, cfg.smoothing, cfg.sigma_pos)
+            target = build_targets(sample.t_start_s, sample.t_end_s, stride, t, cfg.smoothing)
             prepared.append(PreparedSample(replace(sample, detections=[]), word_ids, *videos[key], target))
         return prepared
 
@@ -199,11 +199,11 @@ class MomentModel:
             raise InputError("loss of an empty batch: a minibatch needs at least one sample")
         frames = frame_map(batch)
         out = self.forward(batch, frames, rng=rng)
-        kl = kl_loss(out["start_dist"], out["end_dist"], [p.target for p in batch])
+        kl = kl_loss(out["bounds"], [p.target for p in batch])
         starts = frames.starts + [p.target.start_index for p in batch]
         ends = frames.starts + [p.target.end_index for p in batch]
         sp = spatial_loss(out["y"], starts, ends)
-        return total_loss(kl, sp), kl, sp
+        return kl + sp, kl, sp
 
     def predict(self, samples: list[PreparedSample]) -> list[MomentPrediction]:
         """Deterministic evaluation-mode predictions (no tape, no dropout), one per sample, in order.
@@ -215,12 +215,11 @@ class MomentModel:
             run = samples[start:stop]
             frames = frame_map(run)
             out = self.forward(run, frames)
-            start_dists = np.split(out["start_dist"].data[:, 0], frames.starts[1:])
-            end_dists = np.split(out["end_dist"].data[:, 0], frames.starts[1:])
+            bounds = np.split(out["bounds"].data, frames.starts[1:])
             videos = [p.sample.features for p in run]
             preds += [
-                decode(s, e, v.stride_seconds, v.duration_seconds, swap_degenerate=self.config.swap_degenerate)
-                for v, s, e in zip(videos, start_dists, end_dists)
+                decode(b[:, 0], b[:, 1], v.stride_seconds, v.duration_seconds, swap_degenerate=self.config.swap_degenerate)
+                for v, b in zip(videos, bounds)
             ]
         return preds
 

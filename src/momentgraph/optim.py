@@ -7,6 +7,8 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import TrainingError
 
+BETA1 = 0.9  # decay of the first-moment average
+BETA2 = 0.999  # decay of the second-moment average
 EPS = 1e-8  # added to the root of the second moment, so an entry whose gradients were all zero divides by no zero
 
 
@@ -20,19 +22,10 @@ class Adam:
     parameter's .data and .grad are views into it, written in place, never rebound.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-4,
-        weight_decay: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4, weight_decay: float = 1e-3):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.step_count = 0
         self._ends = np.cumsum([p.data.size for p in params.values()])
         self.data = np.concatenate([p.data.ravel() for p in params.values()])
@@ -54,12 +47,12 @@ class Adam:
             raise TrainingError(f"non-finite gradient in parameter '{list(self.params)[block]}'")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         if self.weight_decay:
             self.data -= self.lr * self.weight_decay * self.data
-        self._m *= self.beta1
-        self._m += (1.0 - self.beta1) * self.grad
-        self._v *= self.beta2
-        self._v += (1.0 - self.beta2) * (self.grad * self.grad)
+        self._m *= BETA1
+        self._m += (1.0 - BETA1) * self.grad
+        self._v *= BETA2
+        self._v += (1.0 - BETA2) * (self.grad * self.grad)
         self.data -= self.lr * (self._m / bc1) / (np.sqrt(self._v / bc2) + EPS)

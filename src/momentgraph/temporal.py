@@ -1,8 +1,10 @@
 """Temporal model: 2-layer bidirectional GRU over contextualized activity
-representations, the three softmax heads and index -> seconds decoding.
+representations, the softmax heads and index -> seconds decoding.
 
-Each head, softmax(x·w) within each sample's rows, is one fused tape node
-(`softmax_head`) with a hand-written backward.
+A head, softmax(x·w) within each sample's rows for each of its maps w, is
+one fused tape node (`softmax_head`) with a hand-written backward: the
+start and end maps share one node over the BiGRU output, the spatial-score
+map has its own over the activity representations.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class TemporalParams:
     layer1_bwd: GruParams
     layer2_fwd: GruParams
     layer2_bwd: GruParams
-    # the three heads feed softmaxes, which cancel any bias, so they have none
+    # the three maps feed softmaxes, which cancel any bias, so they have none
     w_start: Tensor
     w_end: Tensor
     w_score: Tensor  # g: latent -> 1, feeds the spatial-score softmax
@@ -60,22 +62,25 @@ class MomentPrediction:
     degenerate: bool  # end index decoded before start index
 
 
-def softmax_head(x: Tensor, w: Tensor, samples: ad.SortedSegments) -> Tensor:
-    """softmax(x·w) over each sample's rows of x: an N x 1 column, one tape
-    node with inputs (x, w). samples maps x's rows to their samples. A w
-    that is not x-wide by 1, or a map of another row count, is a DimensionError.
+def softmax_head(x: Tensor, ws: tuple[Tensor, ...], samples: ad.SortedSegments) -> Tensor:
+    """softmax(x·w) over each sample's rows of x for each map w in ws: an
+    N x len(ws) array, one column per map, one tape node with inputs (x, *ws).
+    samples maps x's rows to their samples. A map that is not x-wide by 1, or
+    a segment map of another row count, is a DimensionError.
     """
-    if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], 1):
-        raise DimensionError(f"softmax_head: a map of shape {w.data.shape} for rows of shape {x.data.shape}")
+    for w in ws:
+        if x.data.ndim != 2 or w.data.shape != (x.data.shape[1], 1):
+            raise DimensionError(f"softmax_head: a map of shape {w.data.shape} for rows of shape {x.data.shape}")
     if samples.rows != x.data.shape[0]:
         raise DimensionError(f"softmax_head: {samples.rows} ids for {x.data.shape[0]} rows")
-    p = samples.softmax(x.data @ w.data)
+    w = np.hstack([w.data for w in ws])
+    p = samples.softmax(x.data @ w)
 
     def backward(g):
         d = samples.softmax_backward(p, g)
-        return d @ w.data.T, x.data.T @ d
+        return d @ w.T, *np.hsplit(x.data.T @ d, len(ws))
 
-    return ad.record(p, (x, w), backward)
+    return ad.record(p, (x, *ws), backward)
 
 
 def temporal_forward(
@@ -87,9 +92,10 @@ def temporal_forward(
     """Stacked N x latent -> per-sample start/end distributions over time plus spatial scores y.
 
     a_ctx stacks B samples' timesteps, which frames maps to their samples;
-    both BiGRU layers and the three softmax heads read that one map. Each
-    output is an N x 1 column holding every sample's distribution in its own
-    rows. Dropout between the GRU layers runs if and only if an rng is given,
+    both BiGRU layers and the two softmax heads read that one map. "bounds"
+    is N x 2, the start distributions in column 0 and the end ones in
+    column 1; "y" is N x 1. Each holds every sample's distributions in its
+    own rows. Dropout between the GRU layers runs if and only if an rng is given,
     one draw over the stacked rows. A sample with no timestep is an
     InputError. Returns tape tensors so losses can backpropagate through them.
     """
@@ -98,9 +104,8 @@ def temporal_forward(
         h1 = ad.dropout(h1, params.dropout, rng)
     h2 = bigru_forward(h1, params.layer2_fwd, params.layer2_bwd, frames)
     return {
-        "start_dist": softmax_head(h2, params.w_start, frames),
-        "end_dist": softmax_head(h2, params.w_end, frames),
-        "y": softmax_head(a_ctx, params.w_score, frames),
+        "bounds": softmax_head(h2, (params.w_start, params.w_end), frames),
+        "y": softmax_head(a_ctx, (params.w_score,), frames),
     }
 
 

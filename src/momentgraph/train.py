@@ -89,13 +89,7 @@ def train(
     model = MomentModel(config, vocab)
     prepared_train = model.prepare_all(train_samples, cmap)
     prepared_val = model.prepare_all(val_samples, cmap)
-    opt = Adam(
-        model.params,
-        lr=config.lr,
-        weight_decay=config.weight_decay,
-        beta1=config.beta1,
-        beta2=config.beta2,
-    )
+    opt = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed + 1)
     log = TrainLog(config=asdict(config))
     best = opt.data.copy()

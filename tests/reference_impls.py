@@ -46,21 +46,22 @@ def ref_segment_softmax(x, segment_ids, n_segments):
 
 
 def ref_softmax_head_grad(x, w, segment_ids, n_segments, g):
-    """Gradients of sum(g * softmax_head(x, w)) in x (n x d) and w (d x 1),
-    where row i's logit is l_i = x_i·w and the softmax runs within each
-    segment, in closed form: with p the segment softmax of l and
-    a_i = p_i (g_i - sum_{j in i's segment} p_j g_j), dx_i = a_i w^T and
-    dw = sum_i a_i x_i."""
+    """Gradients of sum(g * softmax_head(x, w)) in x (n x d) and w (d x k),
+    column by column in closed form: column c's logit in row i is
+    l_i = x_i·w_c, the softmax runs within each segment, and with p the
+    segment softmax of l and a_i = p_i (g_ic - sum_{j in i's segment} p_j g_jc),
+    column c adds a_i w_c^T to dx_i, and dw_c = sum_i a_i x_i."""
     n = x.shape[0]
-    logits = np.array([float(x[i] @ w[:, 0]) for i in range(n)])
-    p = ref_segment_softmax(logits, segment_ids, n_segments)
     dx = np.zeros_like(x)
     dw = np.zeros_like(w)
-    for i in range(n):
-        mean_g = sum(p[j] * g[j, 0] for j in range(n) if segment_ids[j] == segment_ids[i])
-        a = p[i] * (g[i, 0] - mean_g)
-        dx[i] = a * w[:, 0]
-        dw[:, 0] += a * x[i]
+    for c in range(w.shape[1]):
+        logits = np.array([float(x[i] @ w[:, c]) for i in range(n)])
+        p = ref_segment_softmax(logits, segment_ids, n_segments)
+        for i in range(n):
+            mean_g = sum(p[j] * g[j, c] for j in range(n) if segment_ids[j] == segment_ids[i])
+            a = p[i] * (g[i, c] - mean_g)
+            dx[i] += a * w[:, c]
+            dw[:, c] += a * x[i]
     return dx, dw
 
 

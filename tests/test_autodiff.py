@@ -56,13 +56,13 @@ class TestMatmul:
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(DimensionError, match="a map of shape \\(4, 1\\) for rows of shape \\(2, 3\\)"):
-            softmax_head(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 1))), segments([0, 0], 1))
+            softmax_head(Tensor(np.zeros((2, 3))), (Tensor(np.zeros((4, 1))),), segments([0, 0], 1))
         with pytest.raises(DimensionError, match="the map takes 4 columns"):
             nograph_map(Tensor(np.zeros((4, 2))), Tensor(np.zeros((1, 2))), np.zeros((2, 3)))
 
     def test_rejects_1d(self):
         with pytest.raises(DimensionError):
-            softmax_head(Tensor(np.zeros(3)), Tensor(np.zeros((3, 1))), segments([0, 0, 0], 1))
+            softmax_head(Tensor(np.zeros(3)), (Tensor(np.zeros((3, 1))),), segments([0, 0, 0], 1))
         with pytest.raises(DimensionError):
             nograph_map(Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 2))), np.zeros(3))
 
@@ -112,7 +112,7 @@ class TestElementwise:
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]] * mask)
 
     @pytest.mark.parametrize(
-        "op", [ad.add, lambda x, w: softmax_head(x, w, segments([0, 0], 1))], ids=["add", "mul"]
+        "op", [ad.add, lambda x, w: softmax_head(x, (w,), segments([0, 0], 1))], ids=["add", "mul"]
     )
     def test_operands_of_different_rank_are_dimension_error(self, op):
         with pytest.raises(DimensionError):
@@ -145,7 +145,7 @@ class TestElementwise:
             lambda x: embed_activity(x),
             lambda x: matmul(ad.add(x, x), Tensor([[-0.5], [1.0], [2.0], [0.25]])),
             lambda x: matmul(Tensor([[1.0, 2.0, -3.0]]), softmax_head(
-                x, Tensor([[1.0], [-2.0], [0.5], [3.0]]), segments([0, 1, 1], 2))),
+                x, (Tensor([[1.0], [-2.0], [0.5], [3.0]]),), segments([0, 1, 1], 2))),
             lambda x: matmul(matmul(x, Tensor([[1.0, 0.5, -1.0], [0.0, 2.0, 1.0], [-0.5, 1.0, 0.0], [1.0, -1.0, 0.5]])), x),
             lambda x: attend_heads(Tensor(ATT_Q), Tensor(ATT_E), Tensor(ATT_C), [x], segments([0, 1, 1], 2))[0][0],
             lambda x: ad.dropout(x, 0.5, np.random.default_rng(3)),
@@ -154,7 +154,7 @@ class TestElementwise:
             lambda x: ad.gather_rows(pool_query(x, segments([0, 0, 1], 2)), [1, 0, 1]),
             lambda x: ad.gather_rows(x, [2, 0, 0, 1]),
             lambda x: matmul(Tensor([[1.0, -2.0, 0.5]]), softmax_head(
-                x, Tensor([[0.5], [1.0], [-1.0], [2.0]]), segments([0, 2, 2], 4))),
+                x, (Tensor([[0.5], [1.0], [-1.0], [2.0]]),), segments([0, 2, 2], 4))),
         ],
     )
     def test_op_gradients(self, build):
@@ -175,7 +175,7 @@ class TestSegmentSoftmax:
     def test_one_row_segment_is_exactly_one(self):
         out = segments([0, 1, 1], 2).softmax(np.array([[-3.0], [40.0], [7.5]]))
         assert out[0, 0] == 1.0
-        head = softmax_head(Tensor([[123.4, -7.0]]), Tensor([[0.5], [2.0]]), segments([0], 1))
+        head = softmax_head(Tensor([[123.4, -7.0]]), (Tensor([[0.5], [2.0]]),), segments([0], 1))
         assert head.data[0, 0] == 1.0
 
     def test_gradient_matches_finite_differences(self):
@@ -186,10 +186,10 @@ class TestSegmentSoftmax:
         seg = segments(self.SEG, 4)
 
         def loss():
-            return float((softmax_head(x, w, seg).data * weights).sum())
+            return float((softmax_head(x, (w,), seg).data * weights).sum())
 
         with GradientTape():
-            ad.backward(weighted_sum(softmax_head(x, w, seg), weights))
+            ad.backward(weighted_sum(softmax_head(x, (w,), seg), weights))
         np.testing.assert_allclose(x.grad, fd_grad(loss, x.data), rtol=1e-6, atol=1e-10)
         np.testing.assert_allclose(w.grad, fd_grad(loss, w.data), rtol=1e-6, atol=1e-10)
 
@@ -198,7 +198,7 @@ class TestSegmentSoftmax:
         "name, op",
         [("ids", lambda ids: SortedSegments(ids, 2, "ids")),
          ("softmax_head", lambda ids: softmax_head(
-             Tensor(np.zeros((3, 1))), Tensor([[1.0]]), SortedSegments(ids, 2, "softmax_head")))],
+             Tensor(np.zeros((3, 1))), (Tensor([[1.0]]),), SortedSegments(ids, 2, "softmax_head")))],
         ids=["sum", "softmax"],
     )
     def test_unsorted_or_out_of_range_ids_are_contract_error(self, name, op, ids):
@@ -208,9 +208,9 @@ class TestSegmentSoftmax:
     def test_rejects_non_column_and_id_count(self):
         # the head's map must be x-wide by 1, and the segment map must cover x's rows
         with pytest.raises(DimensionError, match="a map of shape \\(3, 2\\)"):
-            softmax_head(Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 2))), segments([0], 1))
+            softmax_head(Tensor(np.zeros((1, 3))), (Tensor(np.zeros((3, 2))),), segments([0], 1))
         with pytest.raises(DimensionError, match="softmax_head: 2 ids for 3 rows"):
-            softmax_head(Tensor(np.zeros((3, 1))), Tensor([[1.0]]), segments([0, 0], 1))
+            softmax_head(Tensor(np.zeros((3, 1))), (Tensor([[1.0]]),), segments([0, 0], 1))
 
 
 class TestPackedOrder:

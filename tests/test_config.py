@@ -31,19 +31,11 @@ class TestRunConfig:
             ("epochs", -1, "epochs must be >= 0"),
             ("seed", -1, "seed must be >= 0"),
             ("smoothing", "foo", "smoothing 'foo' is not one of onehot, gaussian"),
-            ("sigma_pos", 0.0, "sigma_pos must be positive"),
-            ("sigma_pos", -1.0, "sigma_pos must be positive"),
-            ("sigma_pos", float("nan"), "sigma_pos must be positive"),
-            ("sigma_pos", float("inf"), "sigma_pos must be positive and finite"),
             ("lr", float("inf"), "lr must be positive and finite"),
             ("lr", float("nan"), "lr must be positive and finite"),
             ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
             ("dropout", 1.5, r"dropout must be in \[0, 1\)"),
             ("dropout", -0.1, r"dropout must be in \[0, 1\)"),
-            ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
-            ("beta1", -0.1, r"beta1 must be in \[0, 1\)"),
-            ("beta2", 1.5, r"beta2 must be in \[0, 1\)"),
-            ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
             ("weight_decay", -1.0, "weight_decay must be >= 0"),
             ("weight_decay", float("nan"), "weight_decay must be >= 0"),
             ("weight_decay", float("inf"), "weight_decay must be >= 0 and finite"),
@@ -59,8 +51,7 @@ class TestRunConfig:
 
     def test_edge_values_that_runs_use_accepted(self):
         cfg = RunConfig(
-            epochs=0, eval_every=1, top_n=1, dropout=0.0, smoothing="gaussian", sigma_pos=1e-3,
-            beta1=0.0, beta2=0.0, weight_decay=0.0, target_miou=0.0,
+            epochs=0, eval_every=1, top_n=1, dropout=0.0, smoothing="gaussian", weight_decay=0.0, target_miou=0.0,
         )
         assert cfg.epochs == 0
         assert RunConfig(target_miou=100.0).target_miou == 100.0

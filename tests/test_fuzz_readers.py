@@ -40,7 +40,6 @@ variant = no_graph
 iterations = 2
 [loss]
 smoothing = gaussian
-sigma_pos = 1.5
 [optimizer]
 lr = 0.001
 [training]

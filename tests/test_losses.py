@@ -6,13 +6,8 @@ import pytest
 from momentgraph import autodiff as ad
 from momentgraph.autodiff import GradientTape, Tensor
 from momentgraph.errors import ContractError, InputError
-from momentgraph.losses import (
-    build_targets,
-    kl_divergence,
-    kl_loss,
-    spatial_loss,
-    total_loss,
-)
+from momentgraph.gradcheck import tiny_instance
+from momentgraph.losses import build_targets, kl_divergence, kl_loss, spatial_loss
 
 from reference_impls import fd_grad, ref_kl_grad, ref_spatial_grad
 from tape_sum import weighted_sum
@@ -25,11 +20,12 @@ class TestTargets:
 
     def test_onehot(self):
         target = build_targets(2.0, 2.5, 1.0, 5)
-        np.testing.assert_array_equal(target.start_dist, [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(target.dist, [[0, 0], [0, 0], [1, 1], [0, 0], [0, 0]])
 
     def test_gaussian_symmetric_unimodal(self):
-        target = build_targets(2.0, 2.5, 1.0, 5, smoothing="gaussian", sigma_pos=1.0)
-        d = target.start_dist
+        target = build_targets(2.0, 2.5, 1.0, 5, smoothing="gaussian")
+        np.testing.assert_array_equal(target.dist[:, 0], target.dist[:, 1])  # both indices are 2
+        d = target.dist[:, 0]
         assert d.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.argmax(d) == 2
         assert d[1] == pytest.approx(d[3], abs=1e-15)
@@ -78,22 +74,21 @@ class TestKl:
             kl_divergence(Tensor([[0.5, 0.5]]), np.array([1.0, 0.0, 0.0]))
 
     def test_kl_loss_sums_both_sides(self):
-        target = build_targets(0.0, 1.0, 1.0, 2)
-        pred = Tensor([[0.5, 0.5]])
-        both = kl_loss(pred, pred, [target]).item()
-        single_start = kl_divergence(pred, target.start_dist).item()
-        single_end = kl_divergence(pred, target.end_dist).item()
+        target = build_targets(0.0, 1.0, 1.0, 2, "gaussian")
+        bounds = np.array([[0.3, 0.6], [0.7, 0.4]])
+        both = kl_loss(Tensor(bounds), [target]).item()
+        single_start = kl_divergence(Tensor(bounds[:, :1]), target.dist[:, 0]).item()
+        single_end = kl_divergence(Tensor(bounds[:, 1:]), target.dist[:, 1]).item()
         assert both == pytest.approx(single_start + single_end, abs=1e-12)
-
 
     def test_stacked_batch_is_sum_of_samples(self):
         rng = np.random.default_rng(2)
         targets = [build_targets(0.5, 2.2, 1.0, 4, "gaussian"), build_targets(1.0, 1.5, 1.0, 3)]
         preds = [rng.random(4), rng.random(3)]
         preds = [p / p.sum() for p in preds]
-        column = Tensor(np.concatenate(preds)[:, None])
-        both = kl_loss(column, column, targets).item()
-        apart = sum(kl_loss(Tensor(p[None, :]), Tensor(p[None, :]), [t]).item() for p, t in zip(preds, targets))
+        bounds = [np.stack([p, p[::-1]], axis=1) for p in preds]
+        both = kl_loss(Tensor(np.concatenate(bounds)), targets).item()
+        apart = sum(kl_loss(Tensor(b), [t]).item() for b, t in zip(bounds, targets))
         assert both == pytest.approx(apart, rel=1e-12)
 
 
@@ -183,7 +178,7 @@ class TestGradients:
         p = Tensor(self.P.copy(), requires_grad=True)
         y = Tensor(self.Y.T.copy(), requires_grad=True)
         with GradientTape() as tape:
-            loss = total_loss(kl_divergence(p, self.Q), spatial_loss(y, self.STARTS, self.ENDS))
+            loss = kl_divergence(p, self.Q) + spatial_loss(y, self.STARTS, self.ENDS)
             assert len(tape) == 3
             ad.backward(loss)
         np.testing.assert_allclose(p.grad, ref_kl_grad(self.P, self.Q), rtol=1e-12, atol=1e-12)
@@ -191,22 +186,8 @@ class TestGradients:
 
 
 class TestTotal:
-    def test_zeros(self):
-        assert total_loss(Tensor([[0.0]]), Tensor([[0.0]])).item() == 0.0
-
-    def test_addition(self):
-        assert total_loss(Tensor([[0.5]]), Tensor([[0.25]])).item() == 0.75
-
     def test_recomposition_on_random_instance(self):
-        rng = np.random.default_rng(1)
-        t = 6
-        pred_s = rng.random(t)
-        pred_s /= pred_s.sum()
-        pred_e = rng.random(t)
-        pred_e /= pred_e.sum()
-        y = rng.random(t)
-        y /= y.sum()
-        target = build_targets(1.2, 3.8, 1.0, t)
-        kl = kl_loss(Tensor(pred_s[None, :]), Tensor(pred_e[None, :]), [target])
-        sp = spatial_loss(Tensor(y[None, :]), target.start_index, target.end_index)
-        assert total_loss(kl, sp).item() == pytest.approx(kl.item() + sp.item(), abs=1e-12)
+        # MomentModel.loss's total is the unweighted sum of its two components
+        model, batch = tiny_instance(seed=3, lengths=(5, 3))
+        total, kl, sp = model.loss(batch)
+        assert total.item() == kl.item() + sp.item()

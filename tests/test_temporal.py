@@ -6,7 +6,7 @@ from momentgraph.autodiff import GradientTape, SortedSegments, Tensor
 from momentgraph.errors import InputError
 from momentgraph.temporal import TemporalParams, decode, softmax_head, temporal_forward
 
-from reference_impls import ref_softmax_head_grad, ref_temporal
+from reference_impls import ref_segment_softmax, ref_softmax_head_grad, ref_temporal
 from segment_maps import seq_map
 from tape_sum import weighted_sum
 
@@ -22,26 +22,25 @@ class TestForward:
     def test_single_timestep_distributions(self):
         p = make_params()
         out = temporal_forward(Tensor(np.random.default_rng(1).normal(size=(1, LATENT))), seq_map([1]), p)
-        np.testing.assert_array_equal(out["start_dist"].data, [[1.0]])
-        np.testing.assert_array_equal(out["end_dist"].data, [[1.0]])
+        np.testing.assert_array_equal(out["bounds"].data, [[1.0, 1.0]])
         np.testing.assert_array_equal(out["y"].data, [[1.0]])
 
     def test_distributions_normalized(self):
         p = make_params(seed=2)
         x = Tensor(np.tile(np.random.default_rng(3).normal(size=(1, LATENT)), (5, 1)))
         out = temporal_forward(x, seq_map([5]), p)
-        for key in ("start_dist", "end_dist", "y"):
-            assert out[key].data.shape == (5, 1)
-            assert out[key].data.sum() == pytest.approx(1.0, abs=1e-12)
-            assert (out[key].data > 0).all()
+        assert out["bounds"].data.shape == (5, 2) and out["y"].data.shape == (5, 1)
+        for column in (*out["bounds"].data.T, out["y"].data[:, 0]):
+            assert column.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (column > 0).all()
 
     def test_matches_reference_loops(self):
         p = make_params(seed=4)
         a_ctx = np.random.default_rng(5).normal(size=(5, LATENT))
         out = temporal_forward(Tensor(a_ctx), seq_map([5]), p)
         start, end, y = ref_temporal(a_ctx, p)
-        np.testing.assert_allclose(out["start_dist"].data[:, 0], start, atol=1e-12)
-        np.testing.assert_allclose(out["end_dist"].data[:, 0], end, atol=1e-12)
+        np.testing.assert_allclose(out["bounds"].data[:, 0], start, atol=1e-12)
+        np.testing.assert_allclose(out["bounds"].data[:, 1], end, atol=1e-12)
         np.testing.assert_allclose(out["y"].data[:, 0], y, atol=1e-12)
 
     def test_ragged_batch_matches_reference_per_sample(self):
@@ -52,8 +51,9 @@ class TestForward:
         start = 0
         for t in lengths:
             rows = slice(start, start + t)
-            for key, ref in zip(("start_dist", "end_dist", "y"), ref_temporal(a_ctx[rows], p)):
-                np.testing.assert_allclose(out[key].data[rows, 0], ref, rtol=0, atol=1e-12)
+            got = (out["bounds"].data[rows, 0], out["bounds"].data[rows, 1], out["y"].data[rows, 0])
+            for column, ref in zip(got, ref_temporal(a_ctx[rows], p)):
+                np.testing.assert_allclose(column, ref, rtol=0, atol=1e-12)
             start += t
 
     def test_one_dropout_draw_over_the_stack(self):
@@ -67,14 +67,14 @@ class TestForward:
         for t in lengths:
             rows = slice(start, start + t)
             one = temporal_forward(Tensor(a_ctx[rows]), seq_map([t]), p, rng=rng)
-            np.testing.assert_allclose(out["start_dist"].data[rows], one["start_dist"].data, rtol=1e-12)
+            np.testing.assert_allclose(out["bounds"].data[rows], one["bounds"].data, rtol=1e-12)
             start += t
 
     def test_eval_mode_deterministic_despite_dropout_config(self):
         p = make_params(seed=6, dropout=0.5)
         x = Tensor(np.random.default_rng(7).normal(size=(4, LATENT)))
-        one = temporal_forward(x, seq_map([4]), p)["start_dist"].data
-        two = temporal_forward(x, seq_map([4]), p)["start_dist"].data
+        one = temporal_forward(x, seq_map([4]), p)["bounds"].data
+        two = temporal_forward(x, seq_map([4]), p)["bounds"].data
         np.testing.assert_array_equal(one, two)
 
     def test_empty_sequence_rejected(self):
@@ -94,12 +94,54 @@ class TestSoftmaxHead:
         w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
         g = rng.normal(size=(8, 1))
         with GradientTape() as tape:
-            out = softmax_head(x, w, SortedSegments(self.IDS, 3, "samples"))
+            out = softmax_head(x, (w,), SortedSegments(self.IDS, 3, "samples"))
             assert len(tape) == 1 and out._inputs == (x, w)
             ad.backward(weighted_sum(out, g))
         want_x, want_w = ref_softmax_head_grad(x.data, w.data, self.IDS, 3, g)
         np.testing.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12 * np.abs(want_x).max())
         np.testing.assert_allclose(w.grad, want_w, rtol=0, atol=1e-12 * np.abs(want_w).max())
+
+    def test_two_columns_one_node_with_closed_form_gradients(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        ws = tuple(Tensor(rng.normal(size=(3, 1)), requires_grad=True) for _ in range(2))
+        g = rng.normal(size=(8, 2))
+        with GradientTape() as tape:
+            out = softmax_head(x, ws, SortedSegments(self.IDS, 3, "samples"))
+            assert len(tape) == 1 and out._inputs == (x, *ws)
+            ad.backward(weighted_sum(out, g))
+        w = np.hstack([w.data for w in ws])
+        logits = x.data @ w
+        for c in range(2):
+            want = ref_segment_softmax(logits[:, c], self.IDS, 3)
+            np.testing.assert_allclose(out.data[:, c], want, rtol=0, atol=1e-12)
+        want_x, want_w = ref_softmax_head_grad(x.data, w, self.IDS, 3, g)
+        np.testing.assert_allclose(x.grad, want_x, rtol=0, atol=1e-12 * np.abs(want_x).max())
+        for c, w in enumerate(ws):
+            assert w.grad.shape == (3, 1)
+            np.testing.assert_allclose(w.grad[:, 0], want_w[:, c], rtol=0, atol=1e-12 * np.abs(want_w[:, c]).max())
+
+    def test_two_columns_are_two_one_column_heads(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(8, 3))
+        ws = [rng.normal(size=(3, 1)) for _ in range(2)]
+        g = rng.normal(size=(8, 2))
+        samples = SortedSegments(self.IDS, 3, "samples")
+
+        def head(columns):
+            xt, wt = Tensor(x, requires_grad=True), [Tensor(ws[c], requires_grad=True) for c in columns]
+            with GradientTape():
+                out = softmax_head(xt, tuple(wt), samples)
+                ad.backward(weighted_sum(out, g[:, columns]))
+            return out.data, xt.grad, [w.grad for w in wt]
+
+        both, both_x, both_w = head([0, 1])
+        start, start_x, (start_w,) = head([0])
+        end, end_x, (end_w,) = head([1])
+        np.testing.assert_allclose(both, np.hstack([start, end]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(both_x, start_x + end_x, rtol=0, atol=1e-12 * np.abs(both_x).max())
+        np.testing.assert_allclose(both_w[0], start_w, rtol=0, atol=1e-12 * np.abs(start_w).max())
+        np.testing.assert_allclose(both_w[1], end_w, rtol=0, atol=1e-12 * np.abs(end_w).max())
 
 
 class TestDecode:
